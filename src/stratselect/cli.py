@@ -7,8 +7,9 @@ thresholds along a reward grid, CSV), ``dynamics`` (one trajectory, CSV) and
 
 Exit codes: 0 success, 1 input error, 2 computation error.  CSV output is
 byte-identical across runs for identical inputs; every CSV starts with a
-``# config_hash=`` comment binding it to the game instance.  ``SSL_THREADS``
-caps sweep parallelism.
+``# config_hash=`` comment binding it to the game instance.  ``sweep`` and
+``solve`` compute each group's dropout threshold once per reward per command
+and share it between both solvers and across the grid.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from . import metrics
 from .best_response import SubcriticalReward, dropout_threshold
 from .dynamics import run as run_dynamics
 from .equilibrium import (
+    DropoutMemo,
     SolverError,
     max_deviation_gain,
     solve_demographic_parity,
@@ -94,14 +94,6 @@ def _load_config(path: str) -> GameConfig:
     return config
 
 
-def _threads() -> int:
-    raw = os.environ.get("SSL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _parse_grid(spec: str) -> list[float]:
     """``lo:hi:count[:log]`` into an explicit grid."""
     parts = spec.split(":")
@@ -129,10 +121,13 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _solve_payload(config: GameConfig, with_dp: bool) -> dict:
     payload: dict = {"config_hash": config_hash(config)}
-    un = solve_unconstrained(config)
+    dropouts: DropoutMemo = {}
+    un = solve_unconstrained(config, dropouts=dropouts)
     payload["unconstrained"] = un.as_dict()
     payload["demographic_parity"] = (
-        solve_demographic_parity(config).as_dict() if with_dp else None
+        solve_demographic_parity(config, dropouts=dropouts).as_dict()
+        if with_dp
+        else None
     )
     try:
         pred = asymptotic_predictions(config)
@@ -227,20 +222,21 @@ def _config_at(spec: SweepSpec, value: float) -> GameConfig:
     return replace(spec.base_config, reward=value)
 
 
-def _sweep_row(spec: SweepSpec, value: float) -> tuple[dict, str | None]:
+def _sweep_row(
+    spec: SweepSpec, value: float, dropouts: DropoutMemo
+) -> tuple[dict, str | None]:
     config = _config_at(spec, value)
     views = effective_groups(config)
     labels = [v.label for v in views]
     row: dict = {"axis_value": value}
-    warning = None
     try:
         un = (
-            solve_unconstrained(config)
+            solve_unconstrained(config, dropouts=dropouts)
             if "unconstrained" in spec.solvers
             else None
         )
         dp = (
-            solve_demographic_parity(config)
+            solve_demographic_parity(config, dropouts=dropouts)
             if "demographic_parity" in spec.solvers
             else None
         )
@@ -264,7 +260,7 @@ def _sweep_row(spec: SweepSpec, value: float) -> tuple[dict, str | None]:
         row["quality_dp"] = dp.quality
     if un is not None and dp is not None and dp.quality > 0.0:
         row["quality_ratio"] = un.quality / dp.quality
-    return row, warning
+    return row, None
 
 
 def _sweep_columns(spec: SweepSpec) -> list[str]:
@@ -279,12 +275,8 @@ def _sweep_columns(spec: SweepSpec) -> list[str]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_sweep(args.config)
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda v: _sweep_row(spec, v), spec.grid))
-    else:
-        results = [_sweep_row(spec, v) for v in spec.grid]
+    dropouts: DropoutMemo = {}
+    results = [_sweep_row(spec, v, dropouts) for v in spec.grid]
     columns = _sweep_columns(spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config_hash(spec.base_config)}\n")

@@ -48,6 +48,7 @@ __all__ = [
     "solve_unconstrained",
     "solve_demographic_parity",
     "max_deviation_gain",
+    "DropoutMemo",
 ]
 
 # A threshold this close (relative) to a group's dropout counts as hitting it.
@@ -80,15 +81,30 @@ class ExcessMassEvaluation:
     mass_hi: float
 
 
+# Dropout thresholds keyed by the dropout problem's own inputs
+# ``(cost, sigma, reward, cfg)``; ``None`` marks a subcritical reward.  The
+# threshold does not depend on alpha, on the other groups or on the solver,
+# so one memo can serve every solve of a command.
+DropoutMemo = dict[tuple[float, float, float, RootConfig | None], DropoutInfo | None]
+
+
 def _dropout_infos(
-    views: tuple[GroupView, ...], reward: float, cfg: RootConfig | None
+    views: tuple[GroupView, ...],
+    reward: float,
+    cfg: RootConfig | None,
+    memo: DropoutMemo | None = None,
 ) -> dict[str, DropoutInfo]:
+    memo = {} if memo is None else memo
     infos: dict[str, DropoutInfo] = {}
     for view in views:
-        try:
-            infos[view.label] = dropout_threshold(view, reward, cfg)
-        except SubcriticalReward:
-            continue
+        key = (view.cost, view.sigma, reward, cfg)
+        if key not in memo:
+            try:
+                memo[key] = dropout_threshold(view, reward, cfg)
+            except SubcriticalReward:
+                memo[key] = None
+        if memo[key] is not None:
+            infos[view.label] = memo[key]
     return infos
 
 
@@ -362,18 +378,21 @@ def solve_unconstrained(
     config: GameConfig,
     bracket: tuple[float, float] | None = None,
     cfg: RootConfig | None = None,
+    *,
+    dropouts: DropoutMemo | None = None,
 ) -> EquilibriumReport:
     """Unique Nash equilibrium of the unconstrained selection game.
 
     ``bracket`` may narrow the search interval; it must still contain the
-    equilibrium threshold.
+    equilibrium threshold.  ``dropouts`` is a memo of dropout thresholds to
+    read and fill, shared across solves; ``None`` starts a fresh one.
     """
     problems = solver_violations(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     views = effective_groups(config)
     reward, alpha = config.reward, config.alpha
-    infos = _dropout_infos(views, reward, cfg)
+    infos = _dropout_infos(views, reward, cfg, dropouts)
     theta_lo, theta_hi = bracket if bracket is not None else solver_bracket(config, cfg)
 
     events: list[tuple[float, list[GroupView]]] = []
@@ -432,18 +451,23 @@ def solve_unconstrained(
 
 
 def solve_demographic_parity(
-    config: GameConfig, cfg: RootConfig | None = None
+    config: GameConfig,
+    cfg: RootConfig | None = None,
+    *,
+    dropouts: DropoutMemo | None = None,
 ) -> EquilibriumReport:
     """Equilibrium when every group is selected at rate alpha.
 
     The parity constraint removes cross-group competition, so each group is
     solved as a stand-alone population of mass one facing the same reward
-    and selection size.
+    and selection size.  Every subgame shares the ``dropouts`` memo (see
+    :func:`solve_unconstrained`).
     """
     problems = solver_violations(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     views = effective_groups(config)
+    dropouts = {} if dropouts is None else dropouts
     outcomes = []
     for params in config.groups:
         sub = GameConfig(
@@ -453,7 +477,7 @@ def solve_demographic_parity(
             groups=(replace(params, share=1.0),),
             dm_mode=config.dm_mode,
         )
-        sub_report = solve_unconstrained(sub, cfg=cfg)
+        sub_report = solve_unconstrained(sub, cfg=cfg, dropouts=dropouts)
         outcomes.append(sub_report.outcomes[0])
     outcomes = tuple(outcomes)
     return EquilibriumReport(

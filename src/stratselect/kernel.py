@@ -44,7 +44,7 @@ class DomainError(ValueError):
 
 
 class NoBracket(ValueError):
-    """Root search started from an interval without a sign change."""
+    """Root search started from an empty interval or one without a sign change."""
 
 
 class NoConvergence(RuntimeError):
@@ -168,11 +168,12 @@ def find_root(
     Brent's method (bisection with inverse-quadratic acceleration), so the
     result is deterministic and the final bracket is at most ``cfg.abs_tol``
     wide.  Raises :class:`NoBracket` when ``f(lo)`` and ``f(hi)`` have the
-    same sign and :class:`NoConvergence` past ``cfg.max_iter`` iterations.
+    same sign or the interval is empty, and :class:`NoConvergence` past
+    ``cfg.max_iter`` iterations.
     """
     cfg = cfg or DEFAULT_ROOT_CONFIG
     if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+        raise NoBracket(f"need lo < hi, got [{lo!r}, {hi!r}]")
     flo = f(lo)
     if flo == 0.0:
         return float(lo)

@@ -1,10 +1,18 @@
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
+import stratselect.equilibrium as equilibrium
 from stratselect import cli
-from stratselect.equilibrium import SolverError
+from stratselect.best_response import SubcriticalReward, dropout_threshold
+from stratselect.equilibrium import (
+    SolverError,
+    solve_demographic_parity,
+    solve_unconstrained,
+)
+from stratselect.model import config_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -114,14 +122,6 @@ class TestSweep:
         assert cli.main(["sweep", "--config", spec, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2, 0.3, 0.4]))
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        assert cli.main(["sweep", "--config", spec, "--out", str(serial)]) == 0
-        monkeypatch.setenv("SSL_THREADS", "3")
-        assert cli.main(["sweep", "--config", spec, "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_grid_validation(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 1.5]))
         assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 1
@@ -161,6 +161,170 @@ class TestSweep:
         assert values[0] == pytest.approx(0.1)
         assert values[-1] == pytest.approx(0.4)
         assert values[1] == pytest.approx(0.2, abs=1e-12)
+
+
+def tiny_spread_config_dict():
+    """One group at spread 1e-4: at S = 1e12 its dropout search cancels
+    catastrophically and the root finder is handed an empty bracket."""
+    return base_config_dict(
+        reward=1e12,
+        groups=[
+            {"label": "H", "share": 0.5, "cost": 1.0, "noise_var": 0.0, "sigma_tilde": 1e-4},
+            {"label": "L", "share": 0.5, "cost": 1.0, "noise_var": 0.0, "sigma_tilde": 1.0},
+        ],
+    )
+
+
+class TestEmptyBracket:
+    def test_solve_exits_with_computation_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tiny.json", tiny_spread_config_dict())
+        assert cli.main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("computation failed:")
+        assert "need lo < hi" in err
+
+    def test_sweep_leaves_row_blank(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {
+            "axis": "reward",
+            "grid": [10.0, 1e12],
+            "base_config": tiny_spread_config_dict(),
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert "" not in rows[0].split(",")[:2]
+        assert set(rows[1].split(",")[1:]) == {""}
+        err = capsys.readouterr().err
+        assert err.startswith("warning: reward=1000000000000.0: need lo < hi")
+
+
+def group_dict(label, share, sigma, cost=1.0):
+    return {
+        "label": label, "share": share, "cost": cost,
+        "noise_var": 0.0, "sigma_tilde": sigma,
+    }
+
+
+# Supercritical for every group at S = 100: critical rewards 1.03, 4.13 and
+# 16.5.  A shares its spread with B and its cost with C, so a memo key that
+# dropped either would hand one group another's dropout.
+THREE_GROUPS = [
+    group_dict("A", 0.3, 0.5), group_dict("B", 0.3, 0.5, cost=4.0), group_dict("C", 0.4, 2.0),
+]
+
+MEMO_GAMES = {
+    "three_groups": base_config_dict(reward=100.0, groups=THREE_GROUPS),
+    # Same games as test_equilibrium.noise_split_config: at S = 10 the
+    # oblivious H is subcritical, so its memo entry is None.
+    "noise_split_bayesian": base_config_dict(groups=[
+        {"label": "H", "share": 0.5, "cost": 1.0, "noise_var": 3.0},
+        {"label": "L", "share": 0.5, "cost": 1.0, "noise_var": 0.0},
+    ]),
+    "noise_split_oblivious_mixed": base_config_dict(dm_mode="oblivious", groups=[
+        {"label": "H", "share": 0.5, "cost": 1.0, "noise_var": 3.0},
+        {"label": "L", "share": 0.5, "cost": 1.0, "noise_var": 0.0},
+    ]),
+    # A and B share (cost, sigma) and so one memo entry; at small alpha
+    # their common dropout pins the threshold.
+    "twin_groups": base_config_dict(reward=100.0, groups=[
+        group_dict("A", 0.2, 0.5), group_dict("B", 0.3, 0.5), group_dict("C", 0.5, 1.0, cost=1.5),
+    ]),
+}
+
+MEMO_GRID = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
+
+# (game, axis, grid); the reward sweep crosses the three critical rewards.
+MEMO_SWEEPS = {
+    **{game: (game, "alpha", MEMO_GRID) for game in MEMO_GAMES},
+    "three_groups_reward": ("three_groups", "reward", [2.0, 10.0, 20.0, 100.0]),
+}
+
+
+@pytest.fixture
+def dropout_calls(monkeypatch):
+    """Count the dropout searches the solvers start."""
+    calls = []
+    real = equilibrium.dropout_threshold
+
+    def counted(group, reward, *args, **kwargs):
+        calls.append((group.label, reward))
+        return real(group, reward, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "dropout_threshold", counted)
+    return calls
+
+
+def memo_free_infos(views, reward, cfg, memo=None):
+    """``equilibrium._dropout_infos`` without the memo: one search per group."""
+    infos = {}
+    for view in views:
+        try:
+            infos[view.label] = dropout_threshold(view, reward, cfg)
+        except SubcriticalReward:
+            continue
+    return infos
+
+
+def read_sweep(path):
+    lines = path.read_text().splitlines()[1:]
+    return list(csv.DictReader(lines))
+
+
+class TestDropoutMemo:
+    def test_sweep_searches_each_group_once(self, tmp_path, dropout_calls):
+        spec = write_json(
+            tmp_path / "spec.json",
+            {**sweep_spec_dict(MEMO_GRID), "base_config": MEMO_GAMES["three_groups"]},
+        )
+        for name in ("a.csv", "b.csv"):
+            dropout_calls.clear()
+            assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / name)]) == 0
+            # No memo outlives a command: the rerun searches again.
+            assert sorted(dropout_calls) == [("A", 100.0), ("B", 100.0), ("C", 100.0)]
+
+    def test_solve_searches_each_group_once(self, tmp_path, capsys, dropout_calls):
+        path = write_json(tmp_path / "game.json", MEMO_GAMES["three_groups"])
+        assert cli.main(["solve", "--config", path]) == 0
+        assert sorted(dropout_calls) == [("A", 100.0), ("B", 100.0), ("C", 100.0)]
+
+    @pytest.mark.filterwarnings("ignore:dropout thresholds of")
+    @pytest.mark.parametrize("sweep", sorted(MEMO_SWEEPS))
+    def test_memoised_sweep_matches_fresh_solves(self, tmp_path, monkeypatch, sweep):
+        game, axis, grid = MEMO_SWEEPS[sweep]
+        base = MEMO_GAMES[game]
+        spec = write_json(
+            tmp_path / "spec.json",
+            {**sweep_spec_dict(grid), "axis": axis, "base_config": base},
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
+        rows = read_sweep(out)
+        monkeypatch.setattr(equilibrium, "_dropout_infos", memo_free_infos)
+        assert len(rows) == len(grid)
+        for value, row in zip(grid, rows):
+            config = config_from_dict({**base, axis: value})
+            try:
+                un = solve_unconstrained(config)
+                dp = solve_demographic_parity(config)
+            except SolverError:
+                # The twin groups' coinciding dropouts have no feasible
+                # mixing weight at alpha = 0.2: both paths leave it blank.
+                assert set(row.values()) == {repr(value), ""}, value
+                continue
+            expected = {
+                "axis_value": value,
+                "theta_un": un.threshold,
+                "quality_un": un.quality,
+                "quality_dp": dp.quality,
+                "quality_ratio": un.quality / dp.quality,
+            }
+            for outcome in un.outcomes:
+                expected[f"effort_{outcome.label}_un"] = outcome.avg_effort
+                expected[f"rate_{outcome.label}_un"] = outcome.selection_rate
+            for outcome in dp.outcomes:
+                expected[f"theta_dp_{outcome.label}"] = outcome.threshold
+            for column, expected_value in expected.items():
+                assert row[column] == repr(expected_value), (value, column)
 
 
 class TestDropout:
