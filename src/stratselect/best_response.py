@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .kernel import (
+    _INV_SQRT_2PI,
     NoConvergence,
     RootConfig,
     find_root,
@@ -109,17 +110,6 @@ def payoff(m: float, theta: float, group: GroupView, reward: float) -> float:
     )
 
 
-def _foc(m: float, theta: float, group: GroupView, reward: float) -> float:
-    return (reward / group.sigma) * normal_pdf(
-        (theta - m) / group.sigma
-    ) - group.cost * m
-
-
-def _curvature(m: float, theta: float, group: GroupView, reward: float) -> float:
-    z = (theta - m) / group.sigma
-    return (reward / group.sigma**2) * normal_pdf(z) * z - group.cost
-
-
 def foc_window(
     group: GroupView, reward: float
 ) -> tuple[float, float, float, float] | None:
@@ -140,24 +130,6 @@ def _v(z: float, group: GroupView, reward: float) -> float:
     return (reward / group.sigma) * normal_pdf(z) - group.cost * group.sigma * z
 
 
-def _polished_root(
-    f, lo: float, hi: float, theta: float, group: GroupView, reward: float,
-    cfg: RootConfig | None,
-) -> float:
-    m = find_root(f, lo, hi, cfg)
-    # Two guarded Newton steps push the FOC residual to machine level.
-    for _ in range(2):
-        deriv = _curvature(m, theta, group, reward)
-        if deriv == 0.0:
-            break
-        step = _foc(m, theta, group, reward) / deriv
-        candidate = m - step
-        if not lo <= candidate <= hi:
-            break
-        m = candidate
-    return m
-
-
 def stationary_points(
     theta: float,
     group: GroupView,
@@ -167,10 +139,29 @@ def stationary_points(
     """All stationary points of the payoff at threshold ``theta``."""
     if not reward > 0.0:
         raise ValueError(f"reward must be positive, got {reward!r}")
-    cap = reward * normal_pdf(0.0) / (group.cost * group.sigma) + 1.0
+    sigma, cost = group.sigma, group.cost
+    cap = reward * normal_pdf(0.0) / (cost * sigma) + 1.0
+    slope = reward / sigma  # du/dm = slope * phi(z) - cost * m
+    bend = reward / sigma**2
 
     def f(m: float) -> float:
-        return _foc(m, theta, group, reward)
+        z = (theta - m) / sigma
+        return slope * (_INV_SQRT_2PI * math.exp(-0.5 * z * z)) - cost * m
+
+    def root(lo: float, hi: float) -> float:
+        m = find_root(f, lo, hi, cfg)
+        # Two guarded Newton steps push the FOC residual to machine level.
+        for _ in range(2):
+            z = (theta - m) / sigma
+            pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+            deriv = bend * pdf * z - cost
+            if deriv == 0.0:
+                break
+            candidate = m - (slope * pdf - cost * m) / deriv
+            if not lo <= candidate <= hi:
+                break
+            m = candidate
+        return m
 
     win = foc_window(group, reward)
     if win is not None:
@@ -178,23 +169,22 @@ def stationary_points(
         if theta2 - theta1 < DEGENERATE_WINDOW * max(1.0, abs(theta2)):
             win = None
     if win is None:
-        m = _polished_root(f, 0.0, cap, theta, group, reward, cfg)
-        return StationaryPoints(((m, "local_max"),))
+        return StationaryPoints(((root(0.0, cap), "local_max"),))
 
     z1, z2, theta1, theta2 = win
     edge = 1e-9 * max(1.0, abs(theta1), abs(theta2))
-    m_z1 = theta + group.sigma * z1
-    m_z2 = theta + group.sigma * z2
+    m_z1 = theta + sigma * z1
+    m_z2 = theta + sigma * z2
     if theta <= theta1 + edge:
-        m = _polished_root(f, max(m_z2, 0.0), cap, theta, group, reward, cfg)
+        m = root(max(m_z2, 0.0), cap)
         return StationaryPoints(((m, "local_max"),), z_brackets=(z1, z2))
     if theta >= theta2 - edge:
-        m = _polished_root(f, 0.0, m_z1, theta, group, reward, cfg)
+        m = root(0.0, m_z1)
         return StationaryPoints(((m, "local_max"),), z_brackets=(z1, z2))
 
-    low = _polished_root(f, 0.0, m_z1, theta, group, reward, cfg)
-    mid = _polished_root(f, m_z1, m_z2, theta, group, reward, cfg)
-    high = _polished_root(f, m_z2, cap, theta, group, reward, cfg)
+    low = root(0.0, m_z1)
+    mid = root(m_z1, m_z2)
+    high = root(m_z2, cap)
     return StationaryPoints(
         ((low, "local_max"), (mid, "local_min"), (high, "local_max")),
         z_brackets=(z1, z2),

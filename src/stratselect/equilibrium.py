@@ -268,7 +268,42 @@ def _pinned_outcomes(
         lo, hi, _, _ = rate[view.label]
         return hi - lo
 
-    mixer = max(hit, key=gap)  # ties resolved by max(): first wins on equality
+    # Largest rate gap first; sorted() is stable, so the first group wins ties.
+    mixers = sorted(hit, key=gap, reverse=True)
+    if gap(mixers[0]) <= 0.0:
+        raise SolverError(
+            f"degenerate mixing interval for group {mixers[0].label!r}"
+        )
+
+    # Coinciding dropouts are not covered by the theory.  Try each hit group
+    # as the mixer in turn and park the others on one side each, preferring
+    # low effort, until a feasible mixing weight exists.  The group with the
+    # largest share * gap always admits a parking, so some choice succeeds
+    # for every alpha between the all-low and all-high masses.
+    base = sum(v.share * rate[v.label][0] for v in views if v not in hit)
+    tau = None
+    for mixer in mixers:
+        x_lo, x_hi, _, _ = rate[mixer.label]
+        if x_hi - x_lo <= 0.0:
+            break  # so is every later gap
+        others_hit = [v for v in hit if v.label != mixer.label]
+        for sides in itertools.product((0, 1), repeat=len(others_hit)):
+            mass = base + sum(
+                v.share * rate[v.label][side]
+                for v, side in zip(others_hit, sides)
+            )
+            candidate = (alpha - mass - mixer.share * x_lo) / (
+                mixer.share * (x_hi - x_lo)
+            )
+            if -TAU_SLACK <= candidate <= 1.0 + TAU_SLACK:
+                tau = candidate
+                break
+        if tau is not None:
+            break
+    if tau is None:
+        raise SolverError(
+            f"no feasible mixing weight at pinned threshold {theta!r}"
+        )
     if len(hit) > 1:
         warnings.warn(
             f"dropout thresholds of {[v.label for v in hit]} coincide at "
@@ -276,39 +311,9 @@ def _pinned_outcomes(
             RuntimeWarning,
             stacklevel=3,
         )
-    others_hit = [v for v in hit if v.label != mixer.label]
-    smooth = [v for v in views if v.label != mixer.label and v not in others_hit]
-    base = sum(v.share * rate[v.label][0] for v in smooth)
-
-    x_lo, x_hi, e_lo, e_hi = rate[mixer.label]
-    if x_hi - x_lo <= 0.0:
-        raise SolverError(f"degenerate mixing interval for group {mixer.label!r}")
-
-    chosen_sides = None
-    tau = None
-    # Coinciding dropouts are not covered by the theory; park the other hit
-    # groups on one side each, preferring low effort, until a feasible
-    # mixing weight exists.
-    for sides in itertools.product((0, 1), repeat=len(others_hit)):
-        mass = base + sum(
-            v.share * rate[v.label][side] for v, side in zip(others_hit, sides)
-        )
-        candidate = (alpha - mass - mixer.share * x_lo) / (
-            mixer.share * (x_hi - x_lo)
-        )
-        if -TAU_SLACK <= candidate <= 1.0 + TAU_SLACK:
-            chosen_sides = sides
-            tau = candidate
-            break
-    if tau is None:
-        raise SolverError(
-            f"no feasible mixing weight at pinned threshold {theta!r}"
-        )
     tau = min(max(tau, 0.0), 1.0)
 
-    side_of = {
-        v.label: side for v, side in zip(others_hit, chosen_sides or ())
-    }
+    side_of = {v.label: side for v, side in zip(others_hit, sides)}
     outcomes = []
     for view in views:
         x_l, x_h, m_l, m_h = rate[view.label]

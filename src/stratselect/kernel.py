@@ -4,8 +4,12 @@ The normal CDF goes through ``erfc`` (relative error near machine precision
 over the range that matters here), the quantile is scipy's rational
 approximation tightened with one guarded Newton step, and the two real
 branches of the Lambert W function are Halley-polished so that ``w * exp(w)``
-reproduces the argument to ~1e-14 relative.  Everything is a pure function of
-its arguments and safe to call concurrently.
+reproduces the argument to ~1e-14 relative.  Root finding is Brent's method,
+run in this module: a line-by-line port of scipy's ``brentq`` loop that
+returns the same double, seeded with the bracket-end values ``find_root``
+has already computed, so each end is evaluated once.  Only
+``scipy.special`` is imported.  Everything is a pure function of its
+arguments and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Union
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "DomainError",
@@ -33,7 +37,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real W branches meet
-_MIN_RTOL = 4.0 * float(np.finfo(float).eps)
+_MIN_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's smallest brentq rtol
 
 WBranch = Literal["principal", "minus_one"]
 ArrayLike = Union[float, np.ndarray]
@@ -165,37 +169,92 @@ def find_root(
 ) -> float:
     """Root of a continuous ``f`` on the sign-changing interval ``[lo, hi]``.
 
-    Brent's method (bisection with inverse-quadratic acceleration), so the
-    result is deterministic and the final bracket is at most ``cfg.abs_tol``
-    wide.  Raises :class:`NoBracket` when ``f(lo)`` and ``f(hi)`` have the
-    same sign or the interval is empty, and :class:`NoConvergence` past
-    ``cfg.max_iter`` iterations.
+    Brent's method (bisection with inverse-quadratic acceleration), ported
+    from scipy's ``brentq`` with ``xtol=cfg.abs_tol`` and the smallest
+    ``rtol`` it accepts, so the result is the double ``brentq`` returns and
+    the final bracket is at most ``cfg.abs_tol`` wide.  ``f`` is evaluated
+    once at each bracket end and once per iteration.  Raises
+    :class:`NoBracket` when ``f(lo)`` and ``f(hi)`` have the same sign or
+    the interval is empty, and :class:`NoConvergence` past ``cfg.max_iter``
+    iterations or when ``f`` returns NaN.
     """
     cfg = cfg or DEFAULT_ROOT_CONFIG
+    lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise NoBracket(f"need lo < hi, got [{lo!r}, {hi!r}]")
     flo = f(lo)
+    if flo != flo:
+        raise NoConvergence(f"f({lo!r}) is NaN")
     if flo == 0.0:
-        return float(lo)
+        return lo
     fhi = f(hi)
+    if fhi != fhi:
+        raise NoConvergence(f"f({hi!r}) is NaN")
     if fhi == 0.0:
-        return float(hi)
+        return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NoBracket(
             f"f({lo!r}) = {flo!r} and f({hi!r}) = {fhi!r} have the same sign"
         )
-    root, result = optimize.brentq(
-        f,
-        lo,
-        hi,
-        xtol=cfg.abs_tol,
-        rtol=_MIN_RTOL,
-        maxiter=cfg.max_iter,
-        full_output=True,
-        disp=False,
+    return float(_brent(f, lo, hi, flo, fhi, cfg.abs_tol, _MIN_RTOL, cfg.max_iter))
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, max_iter):
+    # scipy/optimize/Zeros/brentq.c, operation by operation, from its loop
+    # on: [xpre, xcur] brackets a root and fpre, fcur are f there, nonzero
+    # and of opposite sign.  xcur is the best estimate, xblk the point that
+    # keeps the bracket, xpre the previous estimate; spre and scur are the
+    # last two steps.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (
+                        -fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre))
+                    )
+            except ZeroDivisionError:
+                # C divides to +-inf or nan here, which never passes the
+                # step test below.
+                stry = math.inf
+            limit = 3.0 * abs(sbis) - delta
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2.0 * abs(stry) < limit:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise NoConvergence(f"f({xcur!r}) is NaN")
+    raise NoConvergence(
+        f"no root to within {xtol} after {max_iter} iterations"
     )
-    if not result.converged:
-        raise NoConvergence(
-            f"no root to within {cfg.abs_tol} after {cfg.max_iter} iterations"
-        )
-    return float(root)

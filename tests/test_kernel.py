@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+import stratselect
 from stratselect.kernel import (
     DomainError,
     NoBracket,
@@ -176,6 +181,84 @@ class TestFindRoot:
     def test_deterministic(self):
         f = lambda x: math.expm1(x) - 0.5
         assert find_root(f, -1.0, 1.0) == find_root(f, -1.0, 1.0)
+
+    def test_nan_at_lower_end(self):
+        with pytest.raises(NoConvergence, match="NaN"):
+            find_root(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
+
+    def test_nan_at_upper_end(self):
+        with pytest.raises(NoConvergence, match="NaN"):
+            find_root(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0)
+
+    def test_nan_at_iterate(self):
+        with pytest.raises(NoConvergence, match="NaN"):
+            find_root(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0)
+
+
+# Continuous functions of x with parameters (a, c, p): the first is shaped
+# like the candidate's first-order condition and can have three roots.
+FAMILIES = {
+    "foc": lambda a, c, p: lambda x: a * normal_pdf(x) - c * x - p,
+    "tanh": lambda a, c, p: lambda x: math.tanh(a * (x - p)) + 1e-3 * c,
+    "cubic": lambda a, c, p: lambda x: a * (x - p) ** 3 - 1e-6 * c,
+    "wavy": lambda a, c, p: lambda x: c * math.atan(x - p) + 0.1 * math.sin(a * x),
+}
+
+
+class TestFindRootMatchesBrentq:
+    """``find_root`` is scipy's ``brentq`` loop: same double, same work."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        a=st.floats(0.1, 50.0),
+        c=st.floats(0.01, 5.0),
+        p=st.floats(-3.0, 3.0),
+        # Tiny values make Brent's extrapolation denominators underflow.
+        scale=st.sampled_from([1.0, 1e-170]),
+        lo=st.floats(-20.0, -3.5),
+        hi=st.floats(3.5, 20.0),
+        abs_tol=st.floats(-15.0, -2.0).map(lambda e: 10.0**e),
+        max_iter=st.integers(1, 40),
+    )
+    def test_same_root_and_evaluations(
+        self, family, a, c, p, scale, lo, hi, abs_tol, max_iter
+    ):
+        shape = FAMILIES[family](a, c, p)
+
+        def f(x):
+            return scale * shape(x)
+
+        flo, fhi = f(lo), f(hi)
+        assume(flo != 0.0 and fhi != 0.0 and (flo > 0.0) != (fhi > 0.0))
+        expected, result = brentq(
+            f, lo, hi, xtol=abs_tol, rtol=4.0 * np.finfo(float).eps,
+            maxiter=max_iter, full_output=True, disp=False,
+        )
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        cfg = RootConfig(abs_tol=abs_tol, max_iter=max_iter)
+        if result.converged:
+            assert find_root(counted, lo, hi, cfg) == expected
+        else:
+            with pytest.raises(NoConvergence):
+                find_root(counted, lo, hi, cfg)
+        # brentq's count includes its own evaluation of each bracket end.
+        assert len(calls) == result.function_calls
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(stratselect.__file__))
+    code = (
+        "import sys, stratselect.cli; "
+        "sys.exit('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestRootConfig:
