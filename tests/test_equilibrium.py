@@ -294,6 +294,34 @@ class TestUnconstrained:
         assert all(b < a for a, b in zip(above_gaps, above_gaps[1:]))
         assert above_gaps[-1] < 0.01
 
+    @pytest.mark.parametrize(
+        "alpha, mixer", [(0.1, "A"), (0.15, "A"), (0.2, "B"), (0.25, "B"), (0.3, "A")]
+    )
+    def test_coinciding_dropouts_pick_a_feasible_mixer(self, alpha, mixer):
+        # A and B share (cost, spread) and so a dropout, which pins the
+        # threshold for every alpha here.  With B parked at either tied
+        # effort, A (share 0.2) cannot reach alpha 0.2 or 0.25; B (share 0.3)
+        # can, with A parked low.  A stays the mixer wherever it suffices.
+        config = GameConfig(
+            reward=100.0, alpha=alpha, eta_sq=1.0,
+            groups=(
+                GroupParams("A", 0.2, 1.0, sigma_tilde=0.5),
+                GroupParams("B", 0.3, 1.0, sigma_tilde=0.5),
+                GroupParams("C", 0.5, 1.5, sigma_tilde=1.0),
+            ),
+        )
+        with pytest.warns(RuntimeWarning, match=f"mixed strategy to '{mixer}'"):
+            report = solve_unconstrained(config)
+        assert report.regime == "dropout_pinned"
+        taus = {o.label: o.tau for o in report.outcomes}
+        assert [label for label, tau in taus.items() if tau is not None] == [mixer]
+        assert 0.0 < taus[mixer] < 1.0
+        views = effective_groups(config)
+        total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
+        assert abs(total - alpha) <= 1e-8
+        gains = max_deviation_gain(report, config)
+        assert all(g <= 0.0 for g in gains.values()), gains
+
     def test_mixing_weight_accounts_for_budget(self, noise_gap_config):
         report = solve_unconstrained(noise_gap_config)
         outcome = report.outcome("H")
@@ -355,34 +383,6 @@ class TestDemographicParity:
         for outcome in dp.outcomes:
             assert outcome.threshold == pytest.approx(un.threshold, abs=1e-8)
         assert dp.quality == pytest.approx(un.quality, abs=1e-8)
-
-    @pytest.mark.parametrize(
-        "alpha, mixer", [(0.1, "A"), (0.15, "A"), (0.2, "B"), (0.25, "B"), (0.3, "A")]
-    )
-    def test_coinciding_dropouts_pick_a_feasible_mixer(self, alpha, mixer):
-        # A and B share (cost, spread) and so a dropout, which pins the
-        # threshold for every alpha here.  With B parked at either tied
-        # effort, A (share 0.2) cannot reach alpha 0.2 or 0.25; B (share 0.3)
-        # can, with A parked low.  A stays the mixer wherever it suffices.
-        config = GameConfig(
-            reward=100.0, alpha=alpha, eta_sq=1.0,
-            groups=(
-                GroupParams("A", 0.2, 1.0, sigma_tilde=0.5),
-                GroupParams("B", 0.3, 1.0, sigma_tilde=0.5),
-                GroupParams("C", 0.5, 1.5, sigma_tilde=1.0),
-            ),
-        )
-        with pytest.warns(RuntimeWarning, match=f"mixed strategy to '{mixer}'"):
-            report = solve_unconstrained(config)
-        assert report.regime == "dropout_pinned"
-        taus = {o.label: o.tau for o in report.outcomes}
-        assert [label for label, tau in taus.items() if tau is not None] == [mixer]
-        assert 0.0 < taus[mixer] < 1.0
-        views = effective_groups(config)
-        total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
-        assert abs(total - alpha) <= 1e-8
-        gains = max_deviation_gain(report, config)
-        assert all(g <= 0.0 for g in gains.values()), gains
 
     def test_large_reward_mixing_weights_near_alpha(self):
         config = two_group_config(1e4, 0.3, cost_h=1.5)
