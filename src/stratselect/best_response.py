@@ -29,6 +29,7 @@ from .kernel import (
     NoConvergence,
     RootConfig,
     find_root,
+    find_root_seeded,
     lambert_w,
     normal_cdf,
     normal_pdf,
@@ -220,9 +221,10 @@ def dropout_threshold(
 ) -> DropoutInfo:
     """Locate the unique threshold where the two payoff maxima tie.
 
-    Bisection on the (strictly decreasing) payoff gap between the high and
-    low maximum over the three-root window.  Raises
-    :class:`SubcriticalReward` when no window exists or it has degenerated.
+    Brent's method on the (strictly decreasing) payoff gap between the high
+    and low maximum over the three-root window, to within a few ulps of the
+    window's upper edge.  Raises :class:`SubcriticalReward` when no window
+    exists or it has degenerated.
     """
     win = foc_window(group, reward)
     if win is None:
@@ -238,47 +240,32 @@ def dropout_threshold(
         )
 
     def gap(theta: float) -> float:
-        sp = stationary_points(theta, group, reward, cfg)
-        maxima = sp.maxima
+        maxima = stationary_points(theta, group, reward, cfg).maxima
         if len(maxima) == 1:
-            # Numerically collapsed onto a window edge: classify by branch.
-            mid = theta + group.sigma * 0.5 * (z1 + z2)
-            return math.inf if maxima[0] > mid else -math.inf
+            # On a window edge one maximum has merged into the minimum, at
+            # the turning point z1 (lower edge) or z2 (upper edge); that
+            # degenerate stationary point stands in for it.
+            if maxima[0] > theta + group.sigma * 0.5 * (z1 + z2):
+                maxima = (theta + group.sigma * z1, maxima[0])
+            else:
+                maxima = (maxima[0], theta + group.sigma * z2)
         return payoff(maxima[-1], theta, group, reward) - payoff(
             maxima[0], theta, group, reward
         )
 
-    lo, hi = theta1, theta2  # gap(theta1+) > 0 > gap(theta2-)
-    # The window's upper edge can sit far above the dropout (it scales like
-    # S * phi(0) / (C * sigma)), so the width tolerance alone may leave the
-    # payoffs further apart than the equality contract; keep halving until
-    # the tie itself is tight, and return the exact point where it was.
-    width_tol = 1e-11 * max(1.0, abs(theta2))
-    gap_tol = 0.5e-9 * reward
-    theta_d = 0.5 * (lo + hi)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            theta_d = mid
-            break
-        g = gap(mid)
-        if hi - lo <= width_tol and abs(g) <= gap_tol:
-            theta_d = mid
-            break
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        theta_d = 0.5 * (lo + hi)
+    # gap(theta1) > 0 > gap(theta2).  The tolerance is a few ulps of the
+    # window's upper edge, near Brent's own floor: that edge can sit far
+    # above the dropout (it grows like S * phi(0) / (C * sigma)), and the
+    # tie is only as tight as the threshold.
+    xtol = 1e-15 * max(1.0, abs(theta2))
+    theta_d = find_root_seeded(gap, theta1, theta2, gap(theta1), gap(theta2), xtol)
 
-    sp = stationary_points(theta_d, group, reward, cfg)
-    maxima = sp.maxima
-    if len(maxima) != 2 and len(sp.points) != 3:
+    maxima = stationary_points(theta_d, group, reward, cfg).maxima
+    if len(maxima) != 2:
         raise NoConvergence(
             f"dropout search for group {group.label!r} did not resolve two maxima"
         )
-    br_min, br_max = maxima[0], maxima[-1]
+    br_min, br_max = maxima
     u_min = payoff(br_min, theta_d, group, reward)
     u_max = payoff(br_max, theta_d, group, reward)
     if abs(u_max - u_min) > 1e-9 * reward:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .best_response import best_response
-from .kernel import RootConfig, find_root, normal_cdf
+from .kernel import RootConfig, find_decreasing_root, normal_cdf
 from .model import (
     EffortDistribution,
     GameConfig,
@@ -81,25 +81,19 @@ def induced_threshold(
         raise ValueError("need one strategy per group")
     target = 1.0 - config.alpha
 
-    def mixture_cdf(theta: float) -> float:
+    def excess(theta: float) -> float:
+        # Mass above theta minus alpha as target - CDF: the exact negation
+        # of CDF - target, so Brent takes the same steps on either.
         total = 0.0
         for view, strategy in zip(views, strategies):
             for m, w in strategy.support:
                 total += view.share * w * normal_cdf((theta - m) / view.sigma)
-        return total - target
+        return target - total
 
     efforts = [m for s in strategies for m, _ in s.support]
     pad = 10.0 * max(v.sigma for v in views)
     lo, hi = min(efforts) - pad, max(efforts) + pad
-    span = max(1.0, hi - lo)
-    while mixture_cdf(lo) > 0.0:
-        lo -= span
-        span *= 2.0
-    span = max(1.0, hi - lo)
-    while mixture_cdf(hi) < 0.0:
-        hi += span
-        span *= 2.0
-    return find_root(mixture_cdf, lo, hi, cfg)
+    return find_decreasing_root(excess, lo, hi, cfg)
 
 
 def _respond(

@@ -3,10 +3,12 @@
 The unconstrained game reduces to a scalar fixed point: the selected mass at
 threshold ``t``, ``h(t) = sum_G p_G * Phi((br_G(t) - t) / s_G) - alpha``, is
 strictly decreasing with downward jumps exactly at the groups' dropout
-thresholds.  Bisection over a bracket that provably contains the fixed point
-either crosses zero smoothly (all groups play pure strategies) or lands on a
-dropout, in which case the pinned group splits between its two tied best
-responses with the weight that makes the selection budget bind.
+thresholds.  Walking the dropouts inside a bracket that provably contains
+the fixed point either finds one whose jump straddles alpha, in which case
+the pinned group splits between its two tied best responses with the weight
+that makes the selection budget bind, or a segment free of jumps where the
+curve crosses alpha smoothly (all groups play pure strategies) and Brent's
+method finds the crossing.
 
 The demographic-parity game decomposes into one single-group instance per
 group (each selecting its own top fraction), solved with the same machinery.
@@ -28,7 +30,8 @@ from .best_response import (
     dropout_threshold,
     payoff,
 )
-from .kernel import NoConvergence, RootConfig, find_root, normal_cdf, normal_quantile
+from .kernel import RootConfig, find_decreasing_root, find_root_seeded
+from .kernel import normal_cdf, normal_quantile
 from .metrics import quality_from_outcomes, selection_rate
 from .model import (
     EffortDistribution,
@@ -149,27 +152,6 @@ def excess_mass(
     return ExcessMassEvaluation(theta=theta, mass_lo=lo, mass_hi=hi)
 
 
-def _decreasing_root(f, lo: float, hi: float, cfg: RootConfig | None) -> float:
-    """Root of a decreasing ``f``, expanding the seed bracket as needed."""
-    span = max(1.0, hi - lo)
-    for _ in range(64):
-        if f(lo) >= 0.0:
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise NoConvergence("could not bracket the root from below")
-    span = max(1.0, hi - lo)
-    for _ in range(64):
-        if f(hi) <= 0.0:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise NoConvergence("could not bracket the root from above")
-    return find_root(f, lo, hi, cfg)
-
-
 def solver_bracket(
     config: GameConfig, cfg: RootConfig | None = None
 ) -> tuple[float, float]:
@@ -202,9 +184,9 @@ def solver_bracket(
         )
 
     seeds = [v.sigma * q for v in views]
-    theta_lo = _decreasing_root(at_zero, min(seeds), max(seeds) + 1e-9, cfg)
+    theta_lo = find_decreasing_root(at_zero, min(seeds), max(seeds) + 1e-9, cfg)
     seeds = [caps[v.label] + v.sigma * q for v in views]
-    theta_hi = _decreasing_root(at_cap, min(seeds), max(seeds) + 1e-9, cfg)
+    theta_hi = find_decreasing_root(at_cap, min(seeds), max(seeds) + 1e-9, cfg)
     return theta_lo, theta_hi
 
 
@@ -352,33 +334,6 @@ def _pinned_outcomes(
     return tuple(outcomes), mixer.label
 
 
-def _smooth_theta(
-    lo: float,
-    hi: float,
-    views: tuple[GroupView, ...],
-    infos: dict[str, DropoutInfo],
-    config: GameConfig,
-    cfg: RootConfig | None,
-) -> float:
-    """Bisection on the selected mass over an interval free of dropout jumps.
-
-    The signs at the (never evaluated) endpoints are known: mass > alpha just
-    above ``lo`` and < alpha just below ``hi``.
-    """
-    reward, alpha = config.reward, config.alpha
-    a, b = lo, hi
-    for _ in range(256):
-        if b - a <= _THETA_WIDTH_REL * max(1.0, abs(a), abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        m_lo, m_hi = _mass_interval(mid, views, infos, reward, cfg)
-        if 0.5 * (m_lo + m_hi) > alpha:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def solve_unconstrained(
     config: GameConfig,
     bracket: tuple[float, float] | None = None,
@@ -417,18 +372,21 @@ def solve_unconstrained(
             events.append((info.theta_d, [view]))
     events.sort(key=lambda item: item[0])
 
-    lo = theta_lo
+    # Walk the dropouts up to the segment free of jumps that holds the
+    # crossing, unless a jump straddles alpha.  f_lo/f_hi are the excess mass
+    # inside the segment at its ends: just above a dropout the low tied
+    # effort plays, just below one the high one; None at a bracket end.
+    lo, hi, f_lo, f_hi = theta_lo, theta_hi, None, None
     pinned: tuple[float, list[GroupView]] | None = None
-    segment_hi = theta_hi
     for theta_d, group_list in events:
         m_lo, m_hi = _mass_interval(theta_d, views, infos, reward, cfg)
         if alpha > m_hi:
-            segment_hi = theta_d
+            hi, f_hi = theta_d, m_hi - alpha
             break
         if m_lo <= alpha <= m_hi:
             pinned = (theta_d, group_list)
             break
-        lo = theta_d
+        lo, f_lo = theta_d, m_lo - alpha
 
     if pinned is not None:
         theta, group_list = pinned
@@ -437,7 +395,17 @@ def solve_unconstrained(
         )
         regime = "dropout_pinned"
     else:
-        theta = _smooth_theta(lo, segment_hi, views, infos, config, cfg)
+        def excess(theta: float) -> float:
+            m_lo, m_hi = _mass_interval(theta, views, infos, reward, cfg)
+            return 0.5 * (m_lo + m_hi) - alpha
+
+        # Brent's method on the excess mass, continuous and decreasing here.
+        theta = find_root_seeded(
+            excess, lo, hi,
+            excess(lo) if f_lo is None else f_lo,
+            excess(hi) if f_hi is None else f_hi,
+            _THETA_WIDTH_REL * max(1.0, abs(lo), abs(hi)),
+        )
         outcomes = _pure_outcomes(theta, views, infos, config, cfg)
         regime = "smooth"
 

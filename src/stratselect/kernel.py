@@ -6,10 +6,10 @@ approximation tightened with one guarded Newton step, and the two real
 branches of the Lambert W function are Halley-polished so that ``w * exp(w)``
 reproduces the argument to ~1e-14 relative.  Root finding is Brent's method,
 run in this module: a line-by-line port of scipy's ``brentq`` loop that
-returns the same double, seeded with the bracket-end values ``find_root``
-has already computed, so each end is evaluated once.  Only
-``scipy.special`` is imported.  Everything is a pure function of its
-arguments and safe to call concurrently.
+returns the same double, seeded with bracket-end values its caller already
+has, so each end is evaluated once.  Only ``scipy.special`` is imported.
+Everything is a pure function of its arguments and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
     "normal_quantile",
     "lambert_w",
     "find_root",
+    "find_root_seeded",
+    "find_decreasing_root",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -167,36 +169,84 @@ def find_root(
     hi: float,
     cfg: RootConfig | None = None,
 ) -> float:
-    """Root of a continuous ``f`` on the sign-changing interval ``[lo, hi]``.
-
-    Brent's method (bisection with inverse-quadratic acceleration), ported
-    from scipy's ``brentq`` with ``xtol=cfg.abs_tol`` and the smallest
-    ``rtol`` it accepts, so the result is the double ``brentq`` returns and
-    the final bracket is at most ``cfg.abs_tol`` wide.  ``f`` is evaluated
-    once at each bracket end and once per iteration.  Raises
-    :class:`NoBracket` when ``f(lo)`` and ``f(hi)`` have the same sign or
-    the interval is empty, and :class:`NoConvergence` past ``cfg.max_iter``
-    iterations or when ``f`` returns NaN.
-    """
+    """Root of a continuous ``f`` on the sign-changing interval ``[lo, hi]``:
+    :func:`find_root_seeded` with ``xtol=cfg.abs_tol``, ``f`` evaluated at
+    ``lo`` and then, unless that decides the search, at ``hi``."""
     cfg = cfg or DEFAULT_ROOT_CONFIG
+    lo, hi = float(lo), float(hi)
+    flo = fhi = 0.0  # left unevaluated when an earlier check decides
+    if lo < hi:
+        flo = f(lo)
+        if flo == flo and flo != 0.0:
+            fhi = f(hi)
+    return find_root_seeded(f, lo, hi, flo, fhi, cfg.abs_tol, cfg.max_iter)
+
+
+def find_root_seeded(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    xtol: float,
+    max_iter: int = DEFAULT_ROOT_CONFIG.max_iter,
+) -> float:
+    """Root of a continuous ``f`` on ``[lo, hi]`` given ``f_lo = f(lo)`` and
+    ``f_hi = f(hi)``: Brent's method, ported from scipy's ``brentq`` with the
+    smallest ``rtol`` it accepts, so it returns ``brentq``'s double with at
+    most ``xtol + rtol*|root|`` between the final bracket ends and one
+    evaluation of ``f`` per iteration.  An exact zero at an end returns that
+    end.  Raises :class:`NoBracket` on an empty interval or ``f_lo``, ``f_hi``
+    of one sign, and :class:`NoConvergence` when ``f`` is NaN at an end or
+    an iterate or past ``max_iter`` iterations.
+    """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise NoBracket(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    flo = f(lo)
-    if flo != flo:
+    if f_lo != f_lo:
         raise NoConvergence(f"f({lo!r}) is NaN")
-    if flo == 0.0:
+    if f_lo == 0.0:
         return lo
-    fhi = f(hi)
-    if fhi != fhi:
+    if f_hi != f_hi:
         raise NoConvergence(f"f({hi!r}) is NaN")
-    if fhi == 0.0:
+    if f_hi == 0.0:
         return hi
-    if (flo > 0.0) == (fhi > 0.0):
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoBracket(
-            f"f({lo!r}) = {flo!r} and f({hi!r}) = {fhi!r} have the same sign"
+            f"f({lo!r}) = {f_lo!r} and f({hi!r}) = {f_hi!r} have the same sign"
         )
-    return float(_brent(f, lo, hi, flo, fhi, cfg.abs_tol, _MIN_RTOL, cfg.max_iter))
+    return float(_brent(f, lo, hi, f_lo, f_hi, xtol, _MIN_RTOL, max_iter))
+
+
+def find_decreasing_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    cfg: RootConfig | None = None,
+) -> float:
+    """Root of a decreasing ``f``: each end of ``[lo, hi]`` moves out by
+    doubling steps from ``max(1, hi - lo)`` until it brackets a root (at most
+    64 times), and the final end values seed :func:`find_root_seeded`."""
+    cfg = cfg or DEFAULT_ROOT_CONFIG
+    span = max(1.0, hi - lo)
+    for _ in range(64):
+        f_lo = f(lo)
+        if not f_lo < 0.0:
+            break
+        lo -= span
+        span *= 2.0
+    else:
+        raise NoConvergence("could not bracket the root from below")
+    span = max(1.0, hi - lo)
+    for _ in range(64):
+        f_hi = f(hi)
+        if not f_hi > 0.0:
+            break
+        hi += span
+        span *= 2.0
+    else:
+        raise NoConvergence("could not bracket the root from above")
+    return find_root_seeded(f, lo, hi, f_lo, f_hi, cfg.abs_tol, cfg.max_iter)
 
 
 def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, max_iter):

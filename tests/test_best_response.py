@@ -1,7 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratselect.best_response import (
     CRITICAL_REWARD_FACTOR,
@@ -207,6 +210,42 @@ class TestDropoutThreshold:
         ratios = [i.br_max / i.theta_d for i in infos]
         assert all(b <= a for a, b in zip(mins, mins[1:]))
         assert all(abs(b - 1.0) < abs(a - 1.0) for a, b in zip(ratios, ratios[1:]))
+
+
+class TestDropoutSearch:
+    """The dropout search is Brent's method on the payoff gap: the tie is
+    tight across the supported range and the work is a few solves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cost=st.floats(0.2, 10.0),
+        sigma=st.floats(0.05, 3.0),
+        log_ratio=st.floats(math.log10(1.001), 7.0),
+    )
+    def test_tie_within_window(self, cost, sigma, log_ratio):
+        group = GroupView("A", 1.0, cost, sigma)
+        reward = critical_reward(group) * 10.0**log_ratio
+        info = dropout_threshold(group, reward)
+        theta1, theta2 = info.window
+        assert theta1 < info.theta_d < theta2
+        assert info.br_min < info.br_max
+        tie = payoff(info.br_max, info.theta_d, group, reward) - payoff(
+            info.br_min, info.theta_d, group, reward
+        )
+        assert abs(tie) <= 1e-11 * reward
+
+    @pytest.mark.parametrize("reward", [10.0, 1000.0])
+    def test_stationary_point_solves(self, unit_group, reward, monkeypatch):
+        module = importlib.import_module("stratselect.best_response")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return stationary_points(*args, **kwargs)
+
+        monkeypatch.setattr(module, "stationary_points", counted)
+        dropout_threshold(unit_group, reward)
+        assert len(calls) <= 16
 
 
 class TestDerivativeIdentity:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from stratselect.best_response import critical_reward, dropout_threshold
+import stratselect.equilibrium as equilibrium
+from stratselect.best_response import (
+    best_response,
+    critical_reward,
+    dropout_threshold,
+    payoff,
+)
 from stratselect.equilibrium import (
     excess_mass,
     max_deviation_gain,
@@ -196,6 +202,37 @@ class TestUnconstrained:
                 report.threshold, abs=1e-6
             )
 
+    def test_smooth_solve_best_response_calls(self, small_reward_config, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return best_response(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "best_response", counted)
+        assert solve_unconstrained(small_reward_config).regime == "smooth"
+        assert len(calls) <= 30
+
+    @pytest.mark.parametrize("alpha, above", [(0.05, True), (0.5, False)])
+    def test_smooth_segment_at_a_dropout(self, alpha, above):
+        # At S = 5 only H (spread 0.5) has a dropout; L (spread 1.5) is
+        # subcritical.  The crossing lies just above H's dropout at alpha
+        # 0.05 and just below it at 0.5, so the solve is seeded with the
+        # one-sided mass at that dropout.
+        config = two_group_config(5.0, alpha, sigma_h=0.5, sigma_l=1.5)
+        report = solve_unconstrained(config)
+        assert report.regime == "smooth"
+        views = effective_groups(config)
+        theta_d = dropout_threshold(views[0], config.reward).theta_d
+        assert (report.threshold > theta_d) == above
+        total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
+        assert abs(total - alpha) <= 1e-8
+        gains = max_deviation_gain(report, config)
+        assert all(g <= 1e-7 * config.reward for g in gains.values()), gains
+        # The grid's effort spacing (~5e-5) limits the oracle's accuracy.
+        theta, _ = grid_oracle(config, steps=30)
+        assert report.threshold == pytest.approx(theta, abs=1e-4)
+
     def test_unique_across_sub_brackets(self, noise_gap_config):
         report = solve_unconstrained(noise_gap_config)
         lo, hi = solver_bracket(noise_gap_config)
@@ -319,8 +356,15 @@ class TestUnconstrained:
         views = effective_groups(config)
         total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
         assert abs(total - alpha) <= 1e-8
+        # The tied maxima agree to about an ulp of the payoff, and the grid
+        # point m = 0 sits on the low one, so the grid may beat the mixer by
+        # that much.
+        drop = dropout_threshold(views[0], config.reward)
+        ties = [payoff(m, drop.theta_d, views[0], config.reward)
+                for m in (drop.br_min, drop.br_max)]
+        assert abs(ties[1] - ties[0]) <= 1e-11 * config.reward
         gains = max_deviation_gain(report, config)
-        assert all(g <= 0.0 for g in gains.values()), gains
+        assert all(g <= 1e-12 * config.reward for g in gains.values()), gains
 
     def test_mixing_weight_accounts_for_budget(self, noise_gap_config):
         report = solve_unconstrained(noise_gap_config)

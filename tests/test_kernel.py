@@ -15,7 +15,9 @@ from stratselect.kernel import (
     NoBracket,
     NoConvergence,
     RootConfig,
+    find_decreasing_root,
     find_root,
+    find_root_seeded,
     lambert_w,
     normal_cdf,
     normal_pdf,
@@ -193,6 +195,68 @@ class TestFindRoot:
     def test_nan_at_iterate(self):
         with pytest.raises(NoConvergence, match="NaN"):
             find_root(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0)
+
+
+class TestFindRootSeeded:
+    def test_matches_find_root_without_evaluating_the_ends(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.expm1(x) - 0.5
+
+        expected = find_root(f, -1.0, 1.0)
+        calls.clear()
+        root = find_root_seeded(f, -1.0, 1.0, f(-1.0), f(1.0), 1e-12)
+        assert root == expected
+        assert calls.count(-1.0) == calls.count(1.0) == 1
+
+    def test_zero_seed_returns_that_end(self):
+        # f is NaN everywhere, so any evaluation would raise.
+        assert find_root_seeded(lambda x: math.nan, 0.0, 1.0, 1.0, 0.0, 1e-12) == 1.0
+
+    @pytest.mark.parametrize(
+        "lo, hi, f_lo, f_hi, error",
+        [
+            (1.0, 1.0, -1.0, 1.0, NoBracket),
+            (0.0, 1.0, 1.0, 2.0, NoBracket),
+            (0.0, 1.0, math.nan, 1.0, NoConvergence),
+            (0.0, 1.0, -1.0, math.nan, NoConvergence),
+        ],
+    )
+    def test_checks_the_seeds(self, lo, hi, f_lo, f_hi, error):
+        with pytest.raises(error):
+            find_root_seeded(lambda x: x - 0.5, lo, hi, f_lo, f_hi, 1e-12)
+
+
+class TestFindDecreasingRoot:
+    @pytest.mark.parametrize("root", [-1e6, -3.0, 0.25, 7.0, 1e6])
+    def test_grows_the_bracket_to_the_root(self, root):
+        assert find_decreasing_root(lambda x: root - x, 0.0, 1.0) == pytest.approx(
+            root, abs=1e-9
+        )
+
+    def test_evaluates_each_end_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0.5 - x
+
+        find_decreasing_root(f, 0.0, 1.0)
+        assert calls.count(0.0) == calls.count(1.0) == 1
+
+    @pytest.mark.parametrize("value", [-1.0, 1.0])
+    def test_gives_up_after_64_doublings(self, value):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return value
+
+        with pytest.raises(NoConvergence, match="could not bracket"):
+            find_decreasing_root(f, 0.0, 1.0)
+        assert len(calls) <= 66
 
 
 # Continuous functions of x with parameters (a, c, p): the first is shaped
