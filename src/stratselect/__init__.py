@@ -3,6 +3,7 @@ metrics, dynamics, and the Monte Carlo oracles that validate them."""
 
 from .best_response import (
     DropoutInfo,
+    ResponseCurve,
     StationaryPoints,
     SubcriticalReward,
     best_response,
@@ -44,6 +45,7 @@ from .metrics import (
     AmbiguousRegime,
     AsymptoticPrediction,
     DegenerateVariance,
+    NotTwoGroups,
     SmallSCrossings,
     SubcriticalityViolated,
     asymptotic_predictions,

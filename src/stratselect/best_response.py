@@ -1,5 +1,5 @@
 """Candidate-side analysis: payoff shape, stationary points, best responses
-and the dropout threshold.
+and the dropout threshold, all read off one response curve per group.
 
 A candidate of a group with cost ``C`` and decision-statistic spread ``s``
 who exerts effort ``m`` against a selection threshold ``t`` earns
@@ -15,8 +15,20 @@ threshold); above that reward ``v`` turns around at
 
 and thresholds inside ``(v(z1)/C, v(z2)/C)`` admit three stationary points in
 a max/min/max pattern.  The payoff gap between the outer maxima is strictly
-decreasing in the threshold, which pins down a unique dropout threshold where
-a low and a high effort tie; above it the candidate gives up.
+decreasing in the threshold, which pins down a unique dropout threshold
+``t_d`` where a low and a high effort tie; above it the candidate gives up.
+
+A :class:`ResponseCurve` holds what depends on ``(C, s, S)`` alone: the
+window and, from the first threshold inside it, the dropout.  Inside the
+window a best response then solves only the maximum that wins, the high one
+below ``t_d`` and the low one above.  By the envelope theorem the gap falls
+at rate ``r = (S/s) * (phi(z_high) - phi(z_low))`` at ``t_d``, so the tie
+test ``|gap| <= PAYOFF_TIE_REL * S`` fires only within
+``PAYOFF_TIE_REL * S / r`` of ``t_d``.  A band ``TIE_BAND`` times wider keeps
+the three-root solve and the tie test; it covers every tie while the rate
+changes by less than that factor across it.  Roots are solved on the same
+brackets on both paths, so a best response is the same double.  A curve also
+remembers its last two evaluations, as a Brent search ends on one of them.
 """
 
 from __future__ import annotations
@@ -25,9 +37,10 @@ import math
 from dataclasses import dataclass
 
 from .kernel import (
+    _BRANCH_POINT,
     _INV_SQRT_2PI,
+    NoBracket,
     NoConvergence,
-    RootConfig,
     find_root,
     find_root_seeded,
     lambert_w,
@@ -40,6 +53,7 @@ __all__ = [
     "SubcriticalReward",
     "StationaryPoints",
     "DropoutInfo",
+    "ResponseCurve",
     "critical_reward",
     "foc_window",
     "selection_probability",
@@ -55,10 +69,11 @@ CRITICAL_REWARD_FACTOR = math.sqrt(2.0 * math.pi * math.e)
 # Two maxima closer than this (relative to S) count as tied: the dropout case.
 PAYOFF_TIE_REL = 1e-9
 
+# Tie band half-width, in units of the widest offset where the tie test fires.
+TIE_BAND = 1e3
+
 # Window narrower than this means the two maxima have numerically merged.
 DEGENERATE_WINDOW = 1e-9
-
-_BRANCH_POINT = -math.exp(-1.0)
 
 
 class SubcriticalReward(ValueError):
@@ -122,35 +137,57 @@ def foc_window(
         return None
     z1 = -math.sqrt(-lambert_w("minus_one", arg))
     z2 = -math.sqrt(-lambert_w("principal", arg))
-    theta1 = _v(z1, group, reward) / group.cost
-    theta2 = _v(z2, group, reward) / group.cost
+    # theta = v(z) / C at both turning points.
+    theta1, theta2 = (
+        ((reward / group.sigma) * normal_pdf(z) - group.cost * group.sigma * z) / group.cost
+        for z in (z1, z2)
+    )
     return z1, z2, theta1, theta2
 
 
-def _v(z: float, group: GroupView, reward: float) -> float:
-    return (reward / group.sigma) * normal_pdf(z) - group.cost * group.sigma * z
+def _recall(memo: list, solve, theta: float):
+    """``solve(theta)``, unless one of the last two thresholds was ``theta``."""
+    for key, value in memo:
+        if key == theta:
+            return value
+    value = solve(theta)
+    memo[:] = [*memo[-1:], (theta, value)]
+    return value
 
 
-def stationary_points(
-    theta: float,
-    group: GroupView,
-    reward: float,
-    cfg: RootConfig | None = None,
-) -> StationaryPoints:
-    """All stationary points of the payoff at threshold ``theta``."""
-    if not reward > 0.0:
-        raise ValueError(f"reward must be positive, got {reward!r}")
-    sigma, cost = group.sigma, group.cost
-    cap = reward * normal_pdf(0.0) / (cost * sigma) + 1.0
-    slope = reward / sigma  # du/dm = slope * phi(z) - cost * m
-    bend = reward / sigma**2
+class ResponseCurve:
+    """Stationary points, best responses and the dropout of one group at one
+    reward; ``window`` is :func:`foc_window`'s, None when missing or degenerate."""
 
-    def f(m: float) -> float:
-        z = (theta - m) / sigma
-        return slope * (_INV_SQRT_2PI * math.exp(-0.5 * z * z)) - cost * m
+    def __init__(self, group: GroupView, reward: float) -> None:
+        if not reward > 0.0:
+            raise ValueError(f"reward must be positive, got {reward!r}")
+        self.group, self.reward = group, reward
+        self.sigma, self.cost = sigma, cost = group.sigma, group.cost
+        self.cap = reward * normal_pdf(0.0) / (cost * sigma) + 1.0
+        self.slope = reward / sigma  # du/dm = slope * phi(z) - cost * m
+        self.bend = reward / sigma**2
+        win = foc_window(group, reward)
+        if win is not None and win[3] - win[2] < DEGENERATE_WINDOW * max(1.0, abs(win[3])):
+            win = None
+        self.window = win
+        if win is not None:
+            # Thresholds strictly between these have three stationary points.
+            edge = 1e-9 * max(1.0, abs(win[2]), abs(win[3]))
+            self.inner = (win[2] + edge, win[3] - edge)
+        self.info: DropoutInfo | None = None
+        self.band: tuple[float, float] | None = None
+        self._points: list = []
+        self._responses: list = []
 
-    def root(lo: float, hi: float) -> float:
-        m = find_root(f, lo, hi, cfg)
+    def _root(self, theta: float, lo: float, hi: float) -> float:
+        sigma, cost, slope, bend = self.sigma, self.cost, self.slope, self.bend
+
+        def f(m: float) -> float:
+            z = (theta - m) / sigma
+            return slope * (_INV_SQRT_2PI * math.exp(-0.5 * z * z)) - cost * m
+
+        m = find_root(f, lo, hi)
         # Two guarded Newton steps push the FOC residual to machine level.
         for _ in range(2):
             z = (theta - m) / sigma
@@ -164,119 +201,146 @@ def stationary_points(
             m = candidate
         return m
 
-    win = foc_window(group, reward)
-    if win is not None:
-        z1, z2, theta1, theta2 = win
-        if theta2 - theta1 < DEGENERATE_WINDOW * max(1.0, abs(theta2)):
-            win = None
-    if win is None:
-        return StationaryPoints(((root(0.0, cap), "local_max"),))
+    def stationary_points(self, theta: float) -> StationaryPoints:
+        """All stationary points of the payoff at threshold ``theta``."""
+        return _recall(self._points, self._stationary_points, theta)
 
-    z1, z2, theta1, theta2 = win
-    edge = 1e-9 * max(1.0, abs(theta1), abs(theta2))
-    m_z1 = theta + sigma * z1
-    m_z2 = theta + sigma * z2
-    if theta <= theta1 + edge:
-        m = root(max(m_z2, 0.0), cap)
-        return StationaryPoints(((m, "local_max"),), z_brackets=(z1, z2))
-    if theta >= theta2 - edge:
-        m = root(0.0, m_z1)
-        return StationaryPoints(((m, "local_max"),), z_brackets=(z1, z2))
-
-    low = root(0.0, m_z1)
-    mid = root(m_z1, m_z2)
-    high = root(m_z2, cap)
-    return StationaryPoints(
-        ((low, "local_max"), (mid, "local_min"), (high, "local_max")),
-        z_brackets=(z1, z2),
-    )
-
-
-def best_response(
-    theta: float,
-    group: GroupView,
-    reward: float,
-    cfg: RootConfig | None = None,
-) -> tuple[float, ...]:
-    """Globally optimal effort(s) at threshold ``theta``, ascending.
-
-    The result has two elements only when the two local maxima tie within
-    ``PAYOFF_TIE_REL * reward`` — i.e. at the dropout threshold.
-    """
-    sp = stationary_points(theta, group, reward, cfg)
-    maxima = sp.maxima
-    if len(maxima) == 1:
-        return maxima
-    u_low = payoff(maxima[0], theta, group, reward)
-    u_high = payoff(maxima[-1], theta, group, reward)
-    if abs(u_high - u_low) <= PAYOFF_TIE_REL * reward:
-        return (maxima[0], maxima[-1])
-    return (maxima[-1],) if u_high > u_low else (maxima[0],)
-
-
-def dropout_threshold(
-    group: GroupView,
-    reward: float,
-    cfg: RootConfig | None = None,
-) -> DropoutInfo:
-    """Locate the unique threshold where the two payoff maxima tie.
-
-    Brent's method on the (strictly decreasing) payoff gap between the high
-    and low maximum over the three-root window, to within a few ulps of the
-    window's upper edge.  Raises :class:`SubcriticalReward` when no window
-    exists or it has degenerated.
-    """
-    win = foc_window(group, reward)
-    if win is None:
-        raise SubcriticalReward(
-            f"reward {reward!r} is below the critical reward "
-            f"{critical_reward(group)!r} for group {group.label!r}"
-        )
-    z1, z2, theta1, theta2 = win
-    if theta2 - theta1 < DEGENERATE_WINDOW * max(1.0, abs(theta2)):
-        raise SubcriticalReward(
-            f"three-root window ({theta1!r}, {theta2!r}) for group "
-            f"{group.label!r} is numerically degenerate"
+    def _stationary_points(self, theta: float) -> StationaryPoints:
+        if self.window is None:
+            return StationaryPoints(((self._root(theta, 0.0, self.cap), "local_max"),))
+        z1, z2, _, _ = self.window
+        m_z1 = theta + self.sigma * z1
+        m_z2 = theta + self.sigma * z2
+        if not self.inner[0] < theta < self.inner[1]:
+            # On or past a window edge: the one maximum on its side.
+            lo, hi = (max(m_z2, 0.0), self.cap) if theta <= self.inner[0] else (0.0, m_z1)
+            m = self._root(theta, lo, hi)
+            return StationaryPoints(((m, "local_max"),), z_brackets=(z1, z2))
+        low = self._root(theta, 0.0, m_z1)
+        mid = self._root(theta, m_z1, m_z2)
+        high = self._root(theta, m_z2, self.cap)
+        return StationaryPoints(
+            ((low, "local_max"), (mid, "local_min"), (high, "local_max")),
+            z_brackets=(z1, z2),
         )
 
-    def gap(theta: float) -> float:
-        maxima = stationary_points(theta, group, reward, cfg).maxima
+    def best_response(self, theta: float) -> tuple[float, ...]:
+        """Globally optimal effort(s) at threshold ``theta``, ascending.
+
+        The result has two elements only when the two local maxima tie within
+        ``PAYOFF_TIE_REL * reward`` — i.e. at the dropout threshold.
+        """
+        return _recall(self._responses, self._best_response, theta)
+
+    def _best_response(self, theta: float) -> tuple[float, ...]:
+        if self.window is not None and self.inner[0] < theta < self.inner[1]:
+            band_lo, band_hi = self._tie_band()
+            if theta < band_lo:  # the high maximum wins: solve it on [m_z2, cap]
+                return (self._root(theta, theta + self.sigma * self.window[1], self.cap),)
+            if theta > band_hi:  # the low maximum wins: solve it on [0, m_z1]
+                return (self._root(theta, 0.0, theta + self.sigma * self.window[0]),)
+        return self._compare_maxima(theta)
+
+    def _compare_maxima(self, theta: float) -> tuple[float, ...]:
+        maxima = self.stationary_points(theta).maxima
         if len(maxima) == 1:
-            # On a window edge one maximum has merged into the minimum, at
-            # the turning point z1 (lower edge) or z2 (upper edge); that
-            # degenerate stationary point stands in for it.
-            if maxima[0] > theta + group.sigma * 0.5 * (z1 + z2):
-                maxima = (theta + group.sigma * z1, maxima[0])
-            else:
-                maxima = (maxima[0], theta + group.sigma * z2)
-        return payoff(maxima[-1], theta, group, reward) - payoff(
-            maxima[0], theta, group, reward
-        )
+            return maxima
+        u_low = payoff(maxima[0], theta, self.group, self.reward)
+        u_high = payoff(maxima[-1], theta, self.group, self.reward)
+        if abs(u_high - u_low) <= PAYOFF_TIE_REL * self.reward:
+            return (maxima[0], maxima[-1])
+        return (maxima[-1],) if u_high > u_low else (maxima[0],)
 
-    # gap(theta1) > 0 > gap(theta2).  The tolerance is a few ulps of the
-    # window's upper edge, near Brent's own floor: that edge can sit far
-    # above the dropout (it grows like S * phi(0) / (C * sigma)), and the
-    # tie is only as tight as the threshold.
-    xtol = 1e-15 * max(1.0, abs(theta2))
-    theta_d = find_root_seeded(gap, theta1, theta2, gap(theta1), gap(theta2), xtol)
+    def _tie_band(self) -> tuple[float, float]:
+        """Thresholds around the dropout that keep the three-root path."""
+        if self.band is None:
+            try:
+                info = self.dropout()
+                slope_d = self.slope * (
+                    normal_pdf((info.br_max - info.theta_d) / self.sigma)
+                    - normal_pdf((info.br_min - info.theta_d) / self.sigma)
+                )
+                half = TIE_BAND * PAYOFF_TIE_REL * self.reward / abs(slope_d)
+                self.band = (info.theta_d - half, info.theta_d + half)
+            except (ZeroDivisionError, NoBracket, NoConvergence):
+                self.band = (-math.inf, math.inf)
+        return self.band
 
-    maxima = stationary_points(theta_d, group, reward, cfg).maxima
-    if len(maxima) != 2:
-        raise NoConvergence(
-            f"dropout search for group {group.label!r} did not resolve two maxima"
+    def dropout(self) -> DropoutInfo:
+        """The threshold where the two payoff maxima tie, searched once.
+
+        Brent's method on the (strictly decreasing) payoff gap between the
+        high and low maximum over the three-root window, to within a few ulps
+        of the window's upper edge.  Raises :class:`SubcriticalReward` when
+        no window exists or it has degenerated.
+        """
+        if self.info is not None:
+            return self.info
+        group, reward = self.group, self.reward
+        if self.window is None:
+            raise SubcriticalReward(
+                f"reward {reward!r} gives group {group.label!r} no three-root "
+                f"window (critical reward {critical_reward(group)!r})"
+            )
+        z1, z2, theta1, theta2 = self.window
+        sigma = self.sigma
+
+        def gap(theta: float) -> float:
+            maxima = self.stationary_points(theta).maxima
+            if len(maxima) == 1:
+                # On a window edge one maximum has merged into the minimum, at
+                # the turning point z1 (lower edge) or z2 (upper edge); that
+                # degenerate stationary point stands in for it.
+                if maxima[0] > theta + sigma * 0.5 * (z1 + z2):
+                    maxima = (theta + sigma * z1, maxima[0])
+                else:
+                    maxima = (maxima[0], theta + sigma * z2)
+            return payoff(maxima[-1], theta, group, reward) - payoff(
+                maxima[0], theta, group, reward
+            )
+
+        # gap(theta1) > 0 > gap(theta2).  The tolerance is a few ulps of the
+        # window's upper edge, near Brent's own floor: that edge can sit far
+        # above the dropout (it grows like S * phi(0) / (C * sigma)), and the
+        # tie is only as tight as the threshold.
+        xtol = 1e-15 * max(1.0, abs(theta2))
+        theta_d = find_root_seeded(gap, theta1, theta2, gap(theta1), gap(theta2), xtol)
+
+        # Brent ends on a threshold it has just evaluated: a remembered one.
+        maxima = self.stationary_points(theta_d).maxima
+        if len(maxima) != 2:
+            raise NoConvergence(
+                f"dropout search for group {group.label!r} did not resolve two maxima"
+            )
+        br_min, br_max = maxima
+        u_min = payoff(br_min, theta_d, group, reward)
+        u_max = payoff(br_max, theta_d, group, reward)
+        if abs(u_max - u_min) > 1e-9 * reward:
+            raise NoConvergence(
+                f"payoffs at dropout differ by {abs(u_max - u_min)!r} "
+                f"(> 1e-9 * reward) for group {group.label!r}"
+            )
+        self.info = DropoutInfo(
+            theta_d=theta_d,
+            br_min=br_min,
+            br_max=br_max,
+            window=(theta1, theta2),
+            payoff_at_dropout=0.5 * (u_min + u_max),
         )
-    br_min, br_max = maxima
-    u_min = payoff(br_min, theta_d, group, reward)
-    u_max = payoff(br_max, theta_d, group, reward)
-    if abs(u_max - u_min) > 1e-9 * reward:
-        raise NoConvergence(
-            f"payoffs at dropout differ by {abs(u_max - u_min)!r} "
-            f"(> 1e-9 * reward) for group {group.label!r}"
-        )
-    return DropoutInfo(
-        theta_d=theta_d,
-        br_min=br_min,
-        br_max=br_max,
-        window=(theta1, theta2),
-        payoff_at_dropout=0.5 * (u_min + u_max),
-    )
+        return self.info
+
+
+def stationary_points(theta: float, group: GroupView, reward: float) -> StationaryPoints:
+    """All stationary points of the payoff at threshold ``theta``."""
+    return ResponseCurve(group, reward).stationary_points(theta)
+
+
+def best_response(theta: float, group: GroupView, reward: float) -> tuple[float, ...]:
+    """:meth:`ResponseCurve.best_response` for one threshold: every
+    stationary point is solved, since one call cannot repay a dropout search."""
+    return ResponseCurve(group, reward)._compare_maxima(theta)
+
+
+def dropout_threshold(group: GroupView, reward: float) -> DropoutInfo:
+    """:meth:`ResponseCurve.dropout` of a fresh curve."""
+    return ResponseCurve(group, reward).dropout()

@@ -7,9 +7,10 @@ thresholds along a reward grid, CSV), ``dynamics`` (one trajectory, CSV) and
 
 Exit codes: 0 success, 1 input error, 2 computation error.  CSV output is
 byte-identical across runs for identical inputs; every CSV starts with a
-``# config_hash=`` comment binding it to the game instance.  ``sweep`` and
-``solve`` compute each group's dropout threshold once per reward per command
-and share it between both solvers and across the grid.
+``# config_hash=`` comment binding it to the game instance.  ``sweep``,
+``solve`` and ``verify`` build each group's response curve (its window and
+dropout threshold) once per reward per command and share it between both
+solvers and across the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import metrics
 from .best_response import SubcriticalReward, dropout_threshold
 from .dynamics import run as run_dynamics
 from .equilibrium import (
-    DropoutMemo,
+    CurveMemo,
     SolverError,
     max_deviation_gain,
     solve_demographic_parity,
@@ -38,6 +39,7 @@ from .mc import grid_argmax_payoff, mc_selection_probability, mc_selection_quali
 from .metrics import (
     AmbiguousRegime,
     DegenerateVariance,
+    NotTwoGroups,
     SubcriticalityViolated,
     asymptotic_predictions,
     ordered_pair,
@@ -121,11 +123,11 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _solve_payload(config: GameConfig, with_dp: bool) -> dict:
     payload: dict = {"config_hash": config_hash(config)}
-    dropouts: DropoutMemo = {}
-    un = solve_unconstrained(config, dropouts=dropouts)
+    curves: CurveMemo = {}
+    un = solve_unconstrained(config, curves=curves)
     payload["unconstrained"] = un.as_dict()
     payload["demographic_parity"] = (
-        solve_demographic_parity(config, dropouts=dropouts).as_dict()
+        solve_demographic_parity(config, curves=curves).as_dict()
         if with_dp
         else None
     )
@@ -141,7 +143,7 @@ def _solve_payload(config: GameConfig, with_dp: bool) -> dict:
             "dp_effort_ratio": pred.dp_effort_ratio,
             "comparison_ratios": pred.comparison_ratios,
         }
-    except (AmbiguousRegime, ValueError):
+    except (AmbiguousRegime, NotTwoGroups):
         payload["asymptotic_predictions"] = None
     try:
         cross = small_s_crossings(config)
@@ -156,7 +158,7 @@ def _solve_payload(config: GameConfig, with_dp: bool) -> dict:
             ),
             "alpha_rate_cross": cross.alpha_rate_cross,
         }
-    except (SubcriticalityViolated, DegenerateVariance, ValueError):
+    except (SubcriticalityViolated, DegenerateVariance, NotTwoGroups):
         payload["small_s_crossings"] = None
     return payload
 
@@ -223,7 +225,7 @@ def _config_at(spec: SweepSpec, value: float) -> GameConfig:
 
 
 def _sweep_row(
-    spec: SweepSpec, value: float, dropouts: DropoutMemo
+    spec: SweepSpec, value: float, curves: CurveMemo
 ) -> tuple[dict, str | None]:
     config = _config_at(spec, value)
     views = effective_groups(config)
@@ -231,12 +233,12 @@ def _sweep_row(
     row: dict = {"axis_value": value}
     try:
         un = (
-            solve_unconstrained(config, dropouts=dropouts)
+            solve_unconstrained(config, curves=curves)
             if "unconstrained" in spec.solvers
             else None
         )
         dp = (
-            solve_demographic_parity(config, dropouts=dropouts)
+            solve_demographic_parity(config, curves=curves)
             if "demographic_parity" in spec.solvers
             else None
         )
@@ -275,8 +277,8 @@ def _sweep_columns(spec: SweepSpec) -> list[str]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_sweep(args.config)
-    dropouts: DropoutMemo = {}
-    results = [_sweep_row(spec, v, dropouts) for v in spec.grid]
+    curves: CurveMemo = {}
+    results = [_sweep_row(spec, v, curves) for v in spec.grid]
     columns = _sweep_columns(spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config_hash(spec.base_config)}\n")
@@ -389,7 +391,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         config = config_from_dict(_DEFAULT_VERIFY_CONFIG)
     n, seed = args.samples, args.seed
     views = effective_groups(config)
-    un = solve_unconstrained(config)
+    curves: CurveMemo = {}
+    un = solve_unconstrained(config, curves=curves)
     checks: list[tuple[str, float, float, float]] = []
 
     stream = 0
@@ -418,11 +421,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
          3.0 * max(est.std_error, 1e-12))
     )
 
-    from .best_response import best_response
-
     for view in views:
         theta = 0.5 * un.threshold
-        brs = best_response(theta, view, config.reward)
+        curve = curves[(view.cost, view.sigma, config.reward)]
+        brs = curve.best_response(theta)
         grid_best = grid_argmax_payoff(theta, view, config.reward, 10_000)
         step = ((2.0 * config.reward / view.cost) ** 0.5 + 6.0 * view.sigma) / 9_999
         closest = min(brs, key=lambda b: abs(b - grid_best))

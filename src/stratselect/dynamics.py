@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .best_response import best_response
-from .kernel import RootConfig, find_decreasing_root, normal_cdf
+from .best_response import ResponseCurve
+from .kernel import find_decreasing_root, normal_cdf
 from .model import (
     EffortDistribution,
     GameConfig,
@@ -71,15 +71,19 @@ class DynamicsTrace:
 
 
 def induced_threshold(
-    strategies: Sequence[EffortDistribution],
-    config: GameConfig,
-    cfg: RootConfig | None = None,
+    strategies: Sequence[EffortDistribution], config: GameConfig
 ) -> float:
     """The (1 - alpha)-quantile of the decision-statistic mixture."""
     views = effective_groups(config)
     if len(strategies) != len(views):
         raise ValueError("need one strategy per group")
-    target = 1.0 - config.alpha
+    return _quantile(strategies, views, config.alpha)
+
+
+def _quantile(
+    strategies: Sequence[EffortDistribution], views: Sequence[GroupView], alpha: float
+) -> float:
+    target = 1.0 - alpha
 
     def excess(theta: float) -> float:
         # Mass above theta minus alpha as target - CDF: the exact negation
@@ -93,52 +97,48 @@ def induced_threshold(
     efforts = [m for s in strategies for m, _ in s.support]
     pad = 10.0 * max(v.sigma for v in views)
     lo, hi = min(efforts) - pad, max(efforts) + pad
-    return find_decreasing_root(excess, lo, hi, cfg)
+    return find_decreasing_root(excess, lo, hi)
 
 
-def _respond(
+def _step(
     theta: float,
-    views: tuple[GroupView, ...],
-    reward: float,
-    cfg: RootConfig | None,
-) -> tuple[EffortDistribution, ...]:
+    t: int,
+    curves: tuple[ResponseCurve, ...],
+    alpha: float,
+    n: int = 0,
+) -> DynamicsState:
+    """Every group best-responds to ``theta``, the threshold they induce is
+    found and, in fictitious play, joins the belief ``theta`` of ``n`` thresholds."""
     strategies = []
-    for view in views:
-        brs = best_response(theta, view, reward, cfg)
+    for curve in curves:
+        brs = curve.best_response(theta)
         if len(brs) == 2:
             strategies.append(
                 EffortDistribution.mixture(((brs[0], 0.5), (brs[1], 0.5)))
             )
         else:
             strategies.append(EffortDistribution.point(brs[0]))
-    return tuple(strategies)
+    strategies = tuple(strategies)
+    new = _quantile(strategies, [curve.group for curve in curves], alpha)
+    belief = (theta * n + new) / (n + 1) if n else None
+    return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
 
 
-def br_step(
-    state: DynamicsState, config: GameConfig, cfg: RootConfig | None = None
-) -> DynamicsState:
+def br_step(state: DynamicsState, config: GameConfig) -> DynamicsState:
     """Synchronous best response against the current threshold."""
     views = effective_groups(config)
-    strategies = _respond(state.theta, views, config.reward, cfg)
-    theta = induced_threshold(strategies, config, cfg)
-    return DynamicsState(strategies=strategies, theta=theta, t=state.t + 1)
+    curves = tuple(ResponseCurve(v, config.reward) for v in views)
+    return _step(state.theta, state.t, curves, config.alpha)
 
 
-def fp_step(
-    history: Sequence[DynamicsState],
-    config: GameConfig,
-    cfg: RootConfig | None = None,
-) -> DynamicsState:
+def fp_step(history: Sequence[DynamicsState], config: GameConfig) -> DynamicsState:
     """Best response against the mean of all past thresholds."""
     if not history:
         raise ValueError("fictitious play needs a nonempty history")
     views = effective_groups(config)
+    curves = tuple(ResponseCurve(v, config.reward) for v in views)
     belief = sum(s.theta for s in history) / len(history)
-    strategies = _respond(belief, views, config.reward, cfg)
-    theta = induced_threshold(strategies, config, cfg)
-    t = history[-1].t + 1
-    new_belief = (belief * len(history) + theta) / (len(history) + 1)
-    return DynamicsState(strategies=strategies, theta=theta, t=t, belief=new_belief)
+    return _step(belief, history[-1].t, curves, config.alpha, len(history))
 
 
 def _detect_cycle(thetas: list[float]) -> int | None:
@@ -167,7 +167,6 @@ def run(
     max_steps: int = 1000,
     init: Sequence[EffortDistribution] | None = None,
     tol: float = 1e-9,
-    cfg: RootConfig | None = None,
 ) -> DynamicsTrace:
     """Iterate the chosen dynamic from ``init`` (zero effort by default).
 
@@ -192,7 +191,8 @@ def run(
         if len(init) != len(views):
             raise ValueError("need one initial strategy per group")
 
-    theta0 = induced_threshold(init, config, cfg)
+    curves = tuple(ResponseCurve(v, config.reward) for v in views)
+    theta0 = _quantile(init, views, config.alpha)
     state = DynamicsState(
         strategies=init,
         theta=theta0,
@@ -206,17 +206,12 @@ def run(
 
     for _ in range(max_steps):
         if mode == "br":
-            new = br_step(state, config, cfg)
+            new = _step(state.theta, state.t, curves, config.alpha)
             watched_delta = abs(new.theta - state.theta)
         else:
-            strategies = _respond(belief, views, config.reward, cfg)
-            theta = induced_threshold(strategies, config, cfg)
-            new_belief = (belief * len(states) + theta) / (len(states) + 1)
-            new = DynamicsState(
-                strategies=strategies, theta=theta, t=state.t + 1, belief=new_belief
-            )
-            watched_delta = abs(new_belief - belief)
-            belief = new_belief
+            new = _step(belief, state.t, curves, config.alpha, len(states))
+            watched_delta = abs(new.belief - belief)
+            belief = new.belief
         states.append(new)
         thetas.append(new.theta)
         state = new

@@ -22,15 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .best_response import (
-    DropoutInfo,
-    SubcriticalReward,
-    best_response,
-    critical_reward,
-    dropout_threshold,
-    payoff,
-)
-from .kernel import RootConfig, find_decreasing_root, find_root_seeded
+from .best_response import ResponseCurve, payoff
+from .kernel import find_decreasing_root, find_root_seeded
 from .kernel import normal_cdf, normal_quantile
 from .metrics import quality_from_outcomes, selection_rate
 from .model import (
@@ -51,7 +44,7 @@ __all__ = [
     "solve_unconstrained",
     "solve_demographic_parity",
     "max_deviation_gain",
-    "DropoutMemo",
+    "CurveMemo",
 ]
 
 # A threshold this close (relative) to a group's dropout counts as hitting it.
@@ -84,77 +77,58 @@ class ExcessMassEvaluation:
     mass_hi: float
 
 
-# Dropout thresholds keyed by the dropout problem's own inputs
-# ``(cost, sigma, reward, cfg)``; ``None`` marks a subcritical reward.  The
-# threshold does not depend on alpha, on the other groups or on the solver,
-# so one memo can serve every solve of a command.
-DropoutMemo = dict[tuple[float, float, float, RootConfig | None], DropoutInfo | None]
+# Response curves keyed by ``(cost, sigma, reward)``: a curve does not depend on
+# alpha, on the other groups or on the solver, so one memo serves a command.
+CurveMemo = dict[tuple[float, float, float], ResponseCurve]
 
 
-def _dropout_infos(
-    views: tuple[GroupView, ...],
-    reward: float,
-    cfg: RootConfig | None,
-    memo: DropoutMemo | None = None,
-) -> dict[str, DropoutInfo]:
+def _curves(
+    views: tuple[GroupView, ...], reward: float, memo: CurveMemo | None = None
+) -> dict[str, ResponseCurve]:
+    """Each group's curve from ``memo`` (a fresh one when None), with its
+    dropout searched unless the reward is subcritical for it."""
     memo = {} if memo is None else memo
-    infos: dict[str, DropoutInfo] = {}
+    curves = {}
     for view in views:
-        key = (view.cost, view.sigma, reward, cfg)
+        key = (view.cost, view.sigma, reward)
         if key not in memo:
-            try:
-                memo[key] = dropout_threshold(view, reward, cfg)
-            except SubcriticalReward:
-                memo[key] = None
-        if memo[key] is not None:
-            infos[view.label] = memo[key]
-    return infos
+            memo[key] = ResponseCurve(view, reward)
+        curve = curves[view.label] = memo[key]
+        if curve.window is not None:
+            curve.dropout()
+    return curves
 
 
-def _effort_pair(
-    theta: float,
-    view: GroupView,
-    info: DropoutInfo | None,
-    reward: float,
-    cfg: RootConfig | None,
-) -> tuple[float, float]:
+def _effort_pair(theta: float, curve: ResponseCurve) -> tuple[float, float]:
     """Low/high candidate efforts at ``theta`` (equal off the dropout)."""
+    info = curve.info
     if info is not None and abs(theta - info.theta_d) <= DROPOUT_MATCH_REL * max(
         1.0, abs(info.theta_d)
     ):
         return info.br_min, info.br_max
-    brs = best_response(theta, view, reward, cfg)
+    brs = curve.best_response(theta)
     return brs[0], brs[-1]
 
 
 def _mass_interval(
-    theta: float,
-    views: tuple[GroupView, ...],
-    infos: dict[str, DropoutInfo],
-    reward: float,
-    cfg: RootConfig | None,
+    theta: float, views: tuple[GroupView, ...], curves: dict[str, ResponseCurve]
 ) -> tuple[float, float]:
     lo = hi = 0.0
     for view in views:
-        e_lo, e_hi = _effort_pair(theta, view, infos.get(view.label), reward, cfg)
+        e_lo, e_hi = _effort_pair(theta, curves[view.label])
         lo += view.share * normal_cdf((e_lo - theta) / view.sigma)
         hi += view.share * normal_cdf((e_hi - theta) / view.sigma)
     return lo, hi
 
 
-def excess_mass(
-    theta: float, config: GameConfig, cfg: RootConfig | None = None
-) -> ExcessMassEvaluation:
+def excess_mass(theta: float, config: GameConfig) -> ExcessMassEvaluation:
     """Selected mass when every group best-responds to ``theta``."""
     views = effective_groups(config)
-    infos = _dropout_infos(views, config.reward, cfg)
-    lo, hi = _mass_interval(theta, views, infos, config.reward, cfg)
+    lo, hi = _mass_interval(theta, views, _curves(views, config.reward))
     return ExcessMassEvaluation(theta=theta, mass_lo=lo, mass_hi=hi)
 
 
-def solver_bracket(
-    config: GameConfig, cfg: RootConfig | None = None
-) -> tuple[float, float]:
+def solver_bracket(config: GameConfig) -> tuple[float, float]:
     """An interval certain to contain the equilibrium threshold.
 
     The lower end assumes everyone exerts zero effort, the upper end assumes
@@ -167,10 +141,7 @@ def solver_bracket(
     q = normal_quantile(1.0 - alpha)
 
     def at_zero(theta: float) -> float:
-        return (
-            sum(v.share * (1.0 - normal_cdf(theta / v.sigma)) for v in views)
-            - alpha
-        )
+        return sum(v.share * (1.0 - normal_cdf(theta / v.sigma)) for v in views) - alpha
 
     caps = {v.label: (2.0 * config.reward / v.cost) ** 0.5 for v in views}
 
@@ -184,32 +155,31 @@ def solver_bracket(
         )
 
     seeds = [v.sigma * q for v in views]
-    theta_lo = find_decreasing_root(at_zero, min(seeds), max(seeds) + 1e-9, cfg)
+    theta_lo = find_decreasing_root(at_zero, min(seeds), max(seeds) + 1e-9)
     seeds = [caps[v.label] + v.sigma * q for v in views]
-    theta_hi = find_decreasing_root(at_cap, min(seeds), max(seeds) + 1e-9, cfg)
+    theta_hi = find_decreasing_root(at_cap, min(seeds), max(seeds) + 1e-9)
     return theta_lo, theta_hi
 
 
 def _pure_outcomes(
     theta: float,
     views: tuple[GroupView, ...],
-    infos: dict[str, DropoutInfo],
-    config: GameConfig,
-    cfg: RootConfig | None,
+    curves: dict[str, ResponseCurve],
+    alpha: float,
 ) -> tuple[GroupOutcome, ...]:
     outcomes = []
     for view in views:
-        e_lo, e_hi = _effort_pair(theta, view, infos.get(view.label), config.reward, cfg)
+        e_lo, e_hi = _effort_pair(theta, curves[view.label])
         if e_lo != e_hi:
             # Borderline dropout hit: keep the side that serves the budget best.
             others = 0.0
             for o in views:
                 if o.label == view.label:
                     continue
-                effort_o = _effort_pair(theta, o, infos.get(o.label), config.reward, cfg)[0]
+                effort_o = _effort_pair(theta, curves[o.label])[0]
                 others += o.share * normal_cdf((effort_o - theta) / o.sigma)
-            err_lo = abs(others + view.share * normal_cdf((e_lo - theta) / view.sigma) - config.alpha)
-            err_hi = abs(others + view.share * normal_cdf((e_hi - theta) / view.sigma) - config.alpha)
+            err_lo = abs(others + view.share * normal_cdf((e_lo - theta) / view.sigma) - alpha)
+            err_hi = abs(others + view.share * normal_cdf((e_hi - theta) / view.sigma) - alpha)
             effort = e_lo if err_lo <= err_hi else e_hi
         else:
             effort = e_lo
@@ -230,15 +200,13 @@ def _pinned_outcomes(
     theta: float,
     hit: list[GroupView],
     views: tuple[GroupView, ...],
-    infos: dict[str, DropoutInfo],
-    config: GameConfig,
-    cfg: RootConfig | None,
+    curves: dict[str, ResponseCurve],
+    alpha: float,
 ) -> tuple[tuple[GroupOutcome, ...], str]:
     """Outcomes when the budget pins the threshold on dropout(s) at ``theta``."""
-    reward, alpha = config.reward, config.alpha
     rate = {}
     for view in views:
-        e_lo, e_hi = _effort_pair(theta, view, infos.get(view.label), reward, cfg)
+        e_lo, e_hi = _effort_pair(theta, curves[view.label])
         rate[view.label] = (
             normal_cdf((e_lo - theta) / view.sigma),
             normal_cdf((e_hi - theta) / view.sigma),
@@ -295,80 +263,64 @@ def _pinned_outcomes(
         )
     tau = min(max(tau, 0.0), 1.0)
 
-    side_of = {v.label: side for v, side in zip(others_hit, sides)}
+    # The mixer puts weight tau on its high effort, every other group 0 or 1.
+    weight = {v.label: side for v, side in zip(others_hit, sides)}
+    weight[mixer.label] = tau
     outcomes = []
     for view in views:
         x_l, x_h, m_l, m_h = rate[view.label]
-        if view.label == mixer.label:
-            if tau == 0.0:
-                strategy = EffortDistribution.point(m_l)
-            elif tau == 1.0:
-                strategy = EffortDistribution.point(m_h)
-            else:
-                strategy = EffortDistribution.mixture(
-                    ((m_l, 1.0 - tau), (m_h, tau))
-                )
-            outcomes.append(
-                GroupOutcome(
-                    label=view.label,
-                    threshold=theta,
-                    strategy=strategy,
-                    avg_effort=strategy.mean(),
-                    selection_rate=(1.0 - tau) * x_l + tau * x_h,
-                    tau=tau,
-                )
-            )
+        w = weight.get(view.label, 0)
+        if w == 0.0:
+            strategy = EffortDistribution.point(m_l)
+        elif w == 1.0:
+            strategy = EffortDistribution.point(m_h)
         else:
-            side = side_of.get(view.label, 0)
-            effort = (m_l, m_h)[side]
-            strategy = EffortDistribution.point(effort)
-            outcomes.append(
-                GroupOutcome(
-                    label=view.label,
-                    threshold=theta,
-                    strategy=strategy,
-                    avg_effort=effort,
-                    selection_rate=(x_l, x_h)[side],
-                )
+            strategy = EffortDistribution.mixture(((m_l, 1.0 - w), (m_h, w)))
+        outcomes.append(
+            GroupOutcome(
+                label=view.label,
+                threshold=theta,
+                strategy=strategy,
+                avg_effort=strategy.mean(),
+                selection_rate=(1.0 - w) * x_l + w * x_h,
+                tau=tau if view.label == mixer.label else None,
             )
+        )
     return tuple(outcomes), mixer.label
 
 
 def solve_unconstrained(
     config: GameConfig,
     bracket: tuple[float, float] | None = None,
-    cfg: RootConfig | None = None,
     *,
-    dropouts: DropoutMemo | None = None,
+    curves: CurveMemo | None = None,
 ) -> EquilibriumReport:
     """Unique Nash equilibrium of the unconstrained selection game.
 
     ``bracket`` may narrow the search interval; it must still contain the
-    equilibrium threshold.  ``dropouts`` is a memo of dropout thresholds to
-    read and fill, shared across solves; ``None`` starts a fresh one.
+    equilibrium threshold.  ``curves`` is a memo of response curves to read
+    and fill, shared across solves; ``None`` starts a fresh one.
     """
     problems = solver_violations(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     views = effective_groups(config)
     reward, alpha = config.reward, config.alpha
-    infos = _dropout_infos(views, reward, cfg, dropouts)
-    theta_lo, theta_hi = bracket if bracket is not None else solver_bracket(config, cfg)
+    by_label = _curves(views, reward, curves)
+    theta_lo, theta_hi = bracket if bracket is not None else solver_bracket(config)
 
     events: list[tuple[float, list[GroupView]]] = []
     for view in views:
-        info = infos.get(view.label)
+        info = by_label[view.label].info
         if info is None or not theta_lo < info.theta_d < theta_hi:
             continue
-        merged = False
         for theta_d, group_list in events:
             if abs(info.theta_d - theta_d) <= DROPOUT_MATCH_REL * max(
                 1.0, abs(theta_d)
             ):
                 group_list.append(view)
-                merged = True
                 break
-        if not merged:
+        else:
             events.append((info.theta_d, [view]))
     events.sort(key=lambda item: item[0])
 
@@ -379,7 +331,7 @@ def solve_unconstrained(
     lo, hi, f_lo, f_hi = theta_lo, theta_hi, None, None
     pinned: tuple[float, list[GroupView]] | None = None
     for theta_d, group_list in events:
-        m_lo, m_hi = _mass_interval(theta_d, views, infos, reward, cfg)
+        m_lo, m_hi = _mass_interval(theta_d, views, by_label)
         if alpha > m_hi:
             hi, f_hi = theta_d, m_hi - alpha
             break
@@ -390,13 +342,11 @@ def solve_unconstrained(
 
     if pinned is not None:
         theta, group_list = pinned
-        outcomes, _ = _pinned_outcomes(
-            theta, group_list, views, infos, config, cfg
-        )
+        outcomes, _ = _pinned_outcomes(theta, group_list, views, by_label, alpha)
         regime = "dropout_pinned"
     else:
         def excess(theta: float) -> float:
-            m_lo, m_hi = _mass_interval(theta, views, infos, reward, cfg)
+            m_lo, m_hi = _mass_interval(theta, views, by_label)
             return 0.5 * (m_lo + m_hi) - alpha
 
         # Brent's method on the excess mass, continuous and decreasing here.
@@ -406,7 +356,7 @@ def solve_unconstrained(
             excess(hi) if f_hi is None else f_hi,
             _THETA_WIDTH_REL * max(1.0, abs(lo), abs(hi)),
         )
-        outcomes = _pure_outcomes(theta, views, infos, config, cfg)
+        outcomes = _pure_outcomes(theta, views, by_label, alpha)
         regime = "smooth"
 
     budget = sum(v.share * o.selection_rate for v, o in zip(views, outcomes))
@@ -424,33 +374,24 @@ def solve_unconstrained(
 
 
 def solve_demographic_parity(
-    config: GameConfig,
-    cfg: RootConfig | None = None,
-    *,
-    dropouts: DropoutMemo | None = None,
+    config: GameConfig, *, curves: CurveMemo | None = None
 ) -> EquilibriumReport:
     """Equilibrium when every group is selected at rate alpha.
 
     The parity constraint removes cross-group competition, so each group is
     solved as a stand-alone population of mass one facing the same reward
-    and selection size.  Every subgame shares the ``dropouts`` memo (see
+    and selection size.  Every subgame shares the ``curves`` memo (see
     :func:`solve_unconstrained`).
     """
     problems = solver_violations(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     views = effective_groups(config)
-    dropouts = {} if dropouts is None else dropouts
+    curves = {} if curves is None else curves
     outcomes = []
     for params in config.groups:
-        sub = GameConfig(
-            reward=config.reward,
-            alpha=config.alpha,
-            eta_sq=config.eta_sq,
-            groups=(replace(params, share=1.0),),
-            dm_mode=config.dm_mode,
-        )
-        sub_report = solve_unconstrained(sub, cfg=cfg, dropouts=dropouts)
+        sub = replace(config, groups=(replace(params, share=1.0),))
+        sub_report = solve_unconstrained(sub, curves=curves)
         outcomes.append(sub_report.outcomes[0])
     outcomes = tuple(outcomes)
     return EquilibriumReport(

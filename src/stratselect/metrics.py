@@ -33,6 +33,7 @@ from .model import (
 )
 
 __all__ = [
+    "NotTwoGroups",
     "AmbiguousRegime",
     "DegenerateVariance",
     "SubcriticalityViolated",
@@ -46,6 +47,10 @@ __all__ = [
     "asymptotic_predictions",
     "small_s_crossings",
 ]
+
+
+class NotTwoGroups(ValueError):
+    """The closed forms compare exactly two groups."""
 
 
 class AmbiguousRegime(ValueError):
@@ -102,7 +107,7 @@ def ordered_pair(views: tuple[GroupView, ...]) -> tuple[GroupView, GroupView]:
     """The two groups ordered so the first has the (asymptotically) larger
     dropout threshold: lower cost wins, ties broken by smaller spread."""
     if len(views) != 2:
-        raise ValueError(f"expected exactly 2 groups, got {len(views)}")
+        raise NotTwoGroups(f"expected exactly 2 groups, got {len(views)}")
     a, b = views
     if (a.cost, a.sigma) <= (b.cost, b.sigma):
         return a, b
@@ -131,7 +136,7 @@ def asymptotic_predictions(config: GameConfig) -> AsymptoticPrediction:
     """Evaluate every large-reward closed form for a two-group game."""
     views = effective_groups(config)
     if len(views) != 2:
-        raise ValueError(f"expected exactly 2 groups, got {len(views)}")
+        raise NotTwoGroups(f"expected exactly 2 groups, got {len(views)}")
     a, b = views
     if a.cost == b.cost and a.sigma == b.sigma:
         raise AmbiguousRegime(
@@ -192,7 +197,7 @@ def small_s_crossings(config: GameConfig) -> SmallSCrossings:
     """Crossing selection sizes for a two-group subcritical game."""
     views = effective_groups(config)
     if len(views) != 2:
-        raise ValueError(f"expected exactly 2 groups, got {len(views)}")
+        raise NotTwoGroups(f"expected exactly 2 groups, got {len(views)}")
     for v in views:
         if config.reward >= critical_reward(v):
             raise SubcriticalityViolated(

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -8,7 +7,10 @@ from hypothesis import strategies as st
 
 from stratselect.best_response import (
     CRITICAL_REWARD_FACTOR,
+    PAYOFF_TIE_REL,
+    TIE_BAND,
     DropoutInfo,
+    ResponseCurve,
     SubcriticalReward,
     best_response,
     critical_reward,
@@ -18,7 +20,7 @@ from stratselect.best_response import (
     selection_probability,
     stationary_points,
 )
-from stratselect.kernel import normal_cdf, normal_pdf
+from stratselect.kernel import NoConvergence, normal_cdf, normal_pdf
 from stratselect.model import GroupView
 
 
@@ -236,16 +238,108 @@ class TestDropoutSearch:
 
     @pytest.mark.parametrize("reward", [10.0, 1000.0])
     def test_stationary_point_solves(self, unit_group, reward, monkeypatch):
-        module = importlib.import_module("stratselect.best_response")
         calls = []
+        real = ResponseCurve._stationary_points
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return stationary_points(*args, **kwargs)
+        def counted(curve, theta):
+            calls.append(theta)
+            return real(curve, theta)
 
-        monkeypatch.setattr(module, "stationary_points", counted)
+        monkeypatch.setattr(ResponseCurve, "_stationary_points", counted)
         dropout_threshold(unit_group, reward)
         assert len(calls) <= 16
+        # The final check reads the last evaluation instead of solving again.
+        assert len(set(calls)) == len(calls)
+
+
+def three_root_best_response(theta, group, reward):
+    """Every stationary point, then the payoff comparison and tie test."""
+    maxima = stationary_points(theta, group, reward).maxima
+    if len(maxima) == 1:
+        return maxima
+    u_low = payoff(maxima[0], theta, group, reward)
+    u_high = payoff(maxima[-1], theta, group, reward)
+    if abs(u_high - u_low) <= PAYOFF_TIE_REL * reward:
+        return (maxima[0], maxima[-1])
+    return (maxima[-1],) if u_high > u_low else (maxima[0],)
+
+
+def gap_slope(theta, group, reward):
+    """Slope of the payoff gap between the two maxima (envelope theorem)."""
+    low, _, high = (m for m, _ in stationary_points(theta, group, reward).points)
+    return (reward / group.sigma) * (
+        normal_pdf((high - theta) / group.sigma) - normal_pdf((low - theta) / group.sigma)
+    )
+
+
+class TestResponseCurve:
+    """Outside the tie band the curve solves only the maximum that wins and
+    still returns the three-root best response, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cost=st.floats(0.2, 10.0),
+        sigma=st.floats(0.05, 3.0),
+        log_ratio=st.floats(math.log10(1.001), 7.0),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    )
+    def test_matches_three_root_reference(self, cost, sigma, log_ratio, fractions):
+        group = GroupView("A", 1.0, cost, sigma)
+        reward = critical_reward(group) * 10.0**log_ratio
+        curve = ResponseCurve(group, reward)
+        _, _, theta1, theta2 = curve.window
+        info = curve.dropout()
+        curve.best_response(info.theta_d)  # the first threshold inside the window
+        band_lo, band_hi = curve.band
+        half = info.theta_d - band_lo
+        assert half > 0.0 and band_hi - info.theta_d == pytest.approx(half, rel=1e-12)
+        # The band is as wide as the slope of the gap at the dropout says.
+        slope_d = gap_slope(info.theta_d, group, reward)
+        assert half == pytest.approx(TIE_BAND * PAYOFF_TIE_REL * reward / abs(slope_d))
+        # Margin: the slope changes by less than TIE_BAND across the band.
+        for edge in (band_lo, band_hi):
+            if curve.inner[0] < edge < curve.inner[1]:
+                ratio = gap_slope(edge, group, reward) / slope_d
+                assert 1.0 / TIE_BAND < ratio < TIE_BAND
+
+        thresholds = [theta1, theta2]
+        for k in (0.5, 1.0, 2.0, 10.0, 1e3):
+            thresholds += [info.theta_d - k * half, info.theta_d + k * half]
+        thresholds += [theta1 + f * (theta2 - theta1) for f in fractions]
+        for theta in thresholds:
+            got = curve.best_response(theta)
+            want = three_root_best_response(theta, group, reward)
+            assert [m.hex() for m in got] == [m.hex() for m in want], theta
+
+    def test_one_root_outside_band(self, unit_group, monkeypatch):
+        curve = ResponseCurve(unit_group, 10.0)
+        theta_d = curve.dropout().theta_d
+        curve.best_response(theta_d)
+        half = theta_d - curve.band[0]
+        roots = []
+        real = ResponseCurve._root
+
+        def counted(self, theta, lo, hi):
+            roots.append(theta)
+            return real(self, theta, lo, hi)
+
+        monkeypatch.setattr(ResponseCurve, "_root", counted)
+        assert len(curve.best_response(theta_d - 2.0 * half)) == 1
+        assert len(curve.best_response(theta_d + 2.0 * half)) == 1
+        assert len(roots) == 2
+        assert len(curve.best_response(theta_d + 0.5 * half)) == 1
+        assert len(roots) == 5  # inside the band: all three stationary points
+
+    def test_failed_dropout_search_keeps_three_roots(self, unit_group, monkeypatch):
+        def fail(curve):
+            raise NoConvergence("no tie")
+
+        monkeypatch.setattr(ResponseCurve, "dropout", fail)
+        curve = ResponseCurve(unit_group, 10.0)
+        _, _, theta1, theta2 = curve.window
+        theta = 0.5 * (theta1 + theta2)
+        assert curve.best_response(theta) == three_root_best_response(theta, unit_group, 10.0)
+        assert curve.band == (-math.inf, math.inf)
 
 
 class TestDerivativeIdentity:

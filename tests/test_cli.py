@@ -1,20 +1,25 @@
 import csv
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
 import stratselect.equilibrium as equilibrium
-from stratselect import cli
-from stratselect.best_response import SubcriticalReward, dropout_threshold
+from stratselect import cli, metrics
+from stratselect.best_response import ResponseCurve
 from stratselect.equilibrium import (
     SolverError,
     solve_demographic_parity,
     solve_unconstrained,
 )
+from stratselect.kernel import DomainError
 from stratselect.model import config_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# The package re-exports the function under the module's name.
+best_response_module = importlib.import_module("stratselect.best_response")
 
 
 def write_json(path, payload):
@@ -56,6 +61,19 @@ class TestSolve:
         assert payload["small_s_crossings"]["alpha_rate_cross"] == pytest.approx(
             0.285570, abs=1e-5
         )
+
+    def test_closed_form_failure_is_a_computation_error(self, monkeypatch, capsys):
+        def broken(branch, x):
+            raise DomainError(f"lambert_w {branch} failed at {x!r}")
+
+        monkeypatch.setattr(metrics, "lambert_w", broken)
+        rc = cli.main(
+            ["solve", "--config", str(SCENARIOS / "noise_gap_small_reward.json")]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation failed: lambert_w principal")
 
     def test_invalid_alpha_names_field(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json", base_config_dict(alpha=1.5))
@@ -242,27 +260,25 @@ MEMO_SWEEPS = {
 
 @pytest.fixture
 def dropout_calls(monkeypatch):
-    """Count the dropout searches the solvers start."""
+    """Count the dropout searches the response curves start."""
     calls = []
-    real = equilibrium.dropout_threshold
+    real = ResponseCurve.dropout
 
-    def counted(group, reward, *args, **kwargs):
-        calls.append((group.label, reward))
-        return real(group, reward, *args, **kwargs)
+    def counted(curve):
+        if curve.info is None:  # nothing cached: this call searches
+            calls.append((curve.group.label, curve.reward))
+        return real(curve)
 
-    monkeypatch.setattr(equilibrium, "dropout_threshold", counted)
+    monkeypatch.setattr(ResponseCurve, "dropout", counted)
     return calls
 
 
-def memo_free_infos(views, reward, cfg, memo=None):
-    """``equilibrium._dropout_infos`` without the memo: one search per group."""
-    infos = {}
-    for view in views:
-        try:
-            infos[view.label] = dropout_threshold(view, reward, cfg)
-        except SubcriticalReward:
-            continue
-    return infos
+real_curves = equilibrium._curves
+
+
+def memo_free_curves(views, reward, memo=None):
+    """``equilibrium._curves`` without the memo: one curve per group."""
+    return real_curves(views, reward)
 
 
 def read_sweep(path):
@@ -299,7 +315,7 @@ class TestDropoutMemo:
         out = tmp_path / "out.csv"
         assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
         rows = read_sweep(out)
-        monkeypatch.setattr(equilibrium, "_dropout_infos", memo_free_infos)
+        monkeypatch.setattr(equilibrium, "_curves", memo_free_curves)
         assert len(rows) == len(grid)
         for value, row in zip(grid, rows):
             config = config_from_dict({**base, axis: value})
@@ -394,6 +410,24 @@ class TestDynamics:
         theta_un = json.loads(capsys.readouterr().out)["unconstrained"]["threshold"]
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[2]) == pytest.approx(theta_un, abs=1e-3)
+
+    @pytest.mark.parametrize("mode", ["br", "fp"])
+    def test_one_window_per_group(self, tmp_path, monkeypatch, mode):
+        calls = []
+        real = best_response_module.foc_window
+
+        def counted(group, reward):
+            calls.append(group.label)
+            return real(group, reward)
+
+        monkeypatch.setattr(best_response_module, "foc_window", counted)
+        assert cli.main([
+            "dynamics",
+            "--config", str(SCENARIOS / "noise_gap_s10.json"),
+            "--mode", mode, "--steps", "200",
+            "--out", str(tmp_path / "dyn.csv"),
+        ]) == 0
+        assert sorted(calls) == ["H", "L"]
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 import stratselect.equilibrium as equilibrium
 from stratselect.best_response import (
+    ResponseCurve,
     best_response,
     critical_reward,
     dropout_threshold,
@@ -204,14 +205,17 @@ class TestUnconstrained:
 
     def test_smooth_solve_best_response_calls(self, small_reward_config, monkeypatch):
         calls = []
+        real = ResponseCurve._best_response
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return best_response(*args, **kwargs)
+        def counted(curve, theta):
+            calls.append((curve.group.label, theta))
+            return real(curve, theta)
 
-        monkeypatch.setattr(equilibrium, "best_response", counted)
+        monkeypatch.setattr(ResponseCurve, "_best_response", counted)
         assert solve_unconstrained(small_reward_config).regime == "smooth"
         assert len(calls) <= 30
+        # The outcomes at the smooth threshold reuse the last evaluations.
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("alpha, above", [(0.05, True), (0.5, False)])
     def test_smooth_segment_at_a_dropout(self, alpha, above):
