@@ -28,7 +28,6 @@ from .kernel import (
     DomainError,
     NoBracket,
     NoConvergence,
-    RootConfig,
     find_root,
     lambert_w,
     normal_cdf,
@@ -49,7 +48,6 @@ from .metrics import (
     SmallSCrossings,
     SubcriticalityViolated,
     asymptotic_predictions,
-    average_effort,
     selection_quality,
     selection_rate,
     small_s_crossings,

@@ -1,34 +1,36 @@
-"""Candidate-side analysis: payoff shape, stationary points, best responses
+"""Candidate-side analysis in scaled units: stationary points, best responses
 and the dropout threshold, all read off one response curve per group.
 
 A candidate of a group with cost ``C`` and decision-statistic spread ``s``
 who exerts effort ``m`` against a selection threshold ``t`` earns
+``S * Phi((m - t) / s) - C * m**2 / 2``.  In the scaled variables
 
-    u(m; t) = S * Phi((m - t) / s) - C * m**2 / 2.
+    eps = C * s**2 / S,   tau = t / s,   mu = m / s,   z = mu - tau
 
-In the substitution ``z = (m - t) / s`` the stationary points of ``u`` solve
-``v(z) = C * t`` with ``v(z) = (S / s) * phi(z) - C * s * z``.  ``v`` is
-strictly decreasing when ``S < C * s**2 / phi(1)`` (a single optimum for any
-threshold); above that reward ``v`` turns around at
+the payoff is ``S * (Phi(z) - eps * mu**2 / 2)``, a function of ``eps``
+alone.  Stationary points solve ``g = phi(z) - eps * mu = 0`` (slope ``-z *
+phi(z) - eps`` at fixed ``tau``) and lie on ``tau = phi(z) / eps - z``, which
+for ``eps < phi(1)`` turns around where ``z * phi(z) = -eps``:
 
-    z_{1,2} = -sqrt(-W_{-1,0}(-2 * pi * C**2 * s**4 / S**2))
+    z_{1,2} = -sqrt(-W_{-1,0}(-2 * pi * eps**2)),   tau_i = -1/z_i - z_i.
 
-and thresholds inside ``(v(z1)/C, v(z2)/C)`` admit three stationary points in
-a max/min/max pattern.  The payoff gap between the outer maxima is strictly
-decreasing in the threshold, which pins down a unique dropout threshold
-``t_d`` where a low and a high effort tie; above it the candidate gives up.
+Thresholds inside ``(tau1, tau2)`` have a low maximum (``z < z1``, so
+``mu = phi(z) / eps < -1/z1``), a minimum and a high maximum (``z > z2``).
+The payoff gap between the maxima falls in ``tau`` at rate ``phi(z_high) -
+phi(z_low)`` (envelope theorem); its zero is the dropout ``tau_d(eps)``.
 
-A :class:`ResponseCurve` holds what depends on ``(C, s, S)`` alone: the
-window and, from the first threshold inside it, the dropout.  Inside the
-window a best response then solves only the maximum that wins, the high one
-below ``t_d`` and the low one above.  By the envelope theorem the gap falls
-at rate ``r = (S/s) * (phi(z_high) - phi(z_low))`` at ``t_d``, so the tie
-test ``|gap| <= PAYOFF_TIE_REL * S`` fires only within
-``PAYOFF_TIE_REL * S / r`` of ``t_d``.  A band ``TIE_BAND`` times wider keeps
-the three-root solve and the tie test; it covers every tie while the rate
-changes by less than that factor across it.  Roots are solved on the same
-brackets on both paths, so a best response is the same double.  A curve also
-remembers its last two evaluations, as a Brent search ends on one of them.
+A :class:`ResponseCurve` holds ``eps``, ``s``, the window and, from the first
+threshold inside it, the dropout.  It converts units only at its boundary:
+``tau = t / s`` in, ``m = s * mu`` out.  A root is bracketed in ``mu`` where
+``mu`` can be tiny next to ``tau`` (the low maximum, and the one maximum
+below the window), and in ``z`` where ``mu - tau`` would cancel (the minimum
+and the high maximum).  Inside the window a best response solves only the
+maximum that wins: the high one below ``tau_d``, the low one above.  The tie
+test ``|gap| <= PAYOFF_TIE_REL`` fires only within ``PAYOFF_TIE_REL /
+|phi(z_high) - phi(z_low)|`` of ``tau_d``; a band ``TIE_BAND`` times wider
+keeps the three-root solve.  Both paths solve a root on the same bracket, so
+a best response is the same double.  A curve remembers its last two
+evaluations: a Brent search ends on one.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from .kernel import (
     _BRANCH_POINT,
     _INV_SQRT_2PI,
+    _MIN_RTOL,
     NoBracket,
     NoConvergence,
     find_root,
@@ -66,13 +69,15 @@ __all__ = [
 # 1 / phi(1): rewards below cost * sigma**2 times this have a unique optimum.
 CRITICAL_REWARD_FACTOR = math.sqrt(2.0 * math.pi * math.e)
 
-# Two maxima closer than this (relative to S) count as tied: the dropout case.
+# Two maxima whose scaled payoffs (payoff / S) differ by at most this tie:
+# the dropout case.
 PAYOFF_TIE_REL = 1e-9
 
 # Tie band half-width, in units of the widest offset where the tie test fires.
 TIE_BAND = 1e3
 
-# Window narrower than this means the two maxima have numerically merged.
+# Thresholds within this (relative) of a window edge are treated as on it; a
+# window whose edges are that close has numerically merged into one point.
 DEGENERATE_WINDOW = 1e-9
 
 
@@ -83,11 +88,9 @@ class SubcriticalReward(ValueError):
 @dataclass(frozen=True)
 class StationaryPoints:
     """Stationary points of the payoff, ascending, each tagged as a local
-    max or min; ``z_brackets`` carries the z-space turning points when the
-    three-root window exists."""
+    max or min."""
 
     points: tuple[tuple[float, str], ...]
-    z_brackets: tuple[float, float] | None = None
 
     @property
     def maxima(self) -> tuple[float, ...]:
@@ -126,102 +129,118 @@ def payoff(m: float, theta: float, group: GroupView, reward: float) -> float:
     )
 
 
+def _eps(group: GroupView, reward: float) -> float:
+    """``C * s**2 / S``, with ``s * s`` as ``s**2`` is not always correctly
+    rounded: scaling ``s`` by a power of two must scale ``eps`` exactly."""
+    return group.cost * group.sigma * group.sigma / reward
+
+
+def _turning_points(eps: float) -> tuple[float, float, float, float] | None:
+    """``(z1, z2, tau1, tau2)``: where ``z * phi(z) = -eps`` and the
+    thresholds there, or None when ``eps >= phi(1)``."""
+    arg = -2.0 * math.pi * eps * eps
+    if arg < _BRANCH_POINT:
+        return None
+    z1 = -math.sqrt(-lambert_w("minus_one", arg))
+    z2 = -math.sqrt(-lambert_w("principal", arg))
+    return z1, z2, -1.0 / z1 - z1, -1.0 / z2 - z2
+
+
 def foc_window(
     group: GroupView, reward: float
 ) -> tuple[float, float, float, float] | None:
     """``(z1, z2, theta1, theta2)`` bounding the three-root region, or None
     when the reward is subcritical for this group."""
-    ratio = group.cost * group.sigma**2 / reward
-    arg = -2.0 * math.pi * ratio * ratio
-    if arg < _BRANCH_POINT:
+    window = _turning_points(_eps(group, reward))
+    if window is None:
         return None
-    z1 = -math.sqrt(-lambert_w("minus_one", arg))
-    z2 = -math.sqrt(-lambert_w("principal", arg))
-    # theta = v(z) / C at both turning points.
-    theta1, theta2 = (
-        ((reward / group.sigma) * normal_pdf(z) - group.cost * group.sigma * z) / group.cost
-        for z in (z1, z2)
-    )
-    return z1, z2, theta1, theta2
+    z1, z2, tau1, tau2 = window
+    return z1, z2, group.sigma * tau1, group.sigma * tau2
 
 
-def _recall(memo: list, solve, theta: float):
-    """``solve(theta)``, unless one of the last two thresholds was ``theta``."""
-    for key, value in memo:
-        if key == theta:
+def _recall(memo: list, solve, key: float):
+    """``solve(key)``, unless one of the last two keys was ``key``."""
+    for seen, value in memo:
+        if seen == key:
             return value
-    value = solve(theta)
-    memo[:] = [*memo[-1:], (theta, value)]
+    value = solve(key)
+    memo[:] = [*memo[-1:], (key, value)]
     return value
 
 
 class ResponseCurve:
     """Stationary points, best responses and the dropout of one group at one
-    reward; ``window`` is :func:`foc_window`'s, None when missing or degenerate."""
+    reward.  ``window`` is ``(z1, z2, tau1, tau2)`` in scaled units, None when
+    missing or degenerate; ``inner`` and ``band`` are in ``tau``."""
 
     def __init__(self, group: GroupView, reward: float) -> None:
         if not reward > 0.0:
             raise ValueError(f"reward must be positive, got {reward!r}")
-        self.group, self.reward = group, reward
-        self.sigma, self.cost = sigma, cost = group.sigma, group.cost
-        self.cap = reward * normal_pdf(0.0) / (cost * sigma) + 1.0
-        self.slope = reward / sigma  # du/dm = slope * phi(z) - cost * m
-        self.bend = reward / sigma**2
-        win = foc_window(group, reward)
-        if win is not None and win[3] - win[2] < DEGENERATE_WINDOW * max(1.0, abs(win[3])):
-            win = None
-        self.window = win
-        if win is not None:
+        self.group, self.reward, self.sigma = group, reward, group.sigma
+        self.eps = eps = _eps(group, reward)
+        self.window = _turning_points(eps)
+        if self.window is not None:
+            z1, z2, tau1, tau2 = self.window
             # Thresholds strictly between these have three stationary points.
-            edge = 1e-9 * max(1.0, abs(win[2]), abs(win[3]))
-            self.inner = (win[2] + edge, win[3] - edge)
+            self.inner = (tau1 * (1.0 + DEGENERATE_WINDOW), tau2 * (1.0 - DEGENERATE_WINDOW))
+            if not self.inner[0] < self.inner[1]:
+                self.window = None
+            # Brackets of the low maximum, in mu, and of the high one, in z:
+            # phi(z) < eps * mu where z >= z_top = sqrt(-2 log eps) and mu >= 1.
+            self.low = (0.0, -1.0 / z1, True)
+            self.high = (z2, math.sqrt(-2.0 * math.log(eps)), False)
         self.info: DropoutInfo | None = None
         self.band: tuple[float, float] | None = None
         self._points: list = []
         self._responses: list = []
 
-    def _root(self, theta: float, lo: float, hi: float) -> float:
-        sigma, cost, slope, bend = self.sigma, self.cost, self.slope, self.bend
+    def _root(self, tau: float, lo: float, hi: float, in_mu: bool) -> tuple[float, float]:
+        """``(z, mu)`` of the stationary point on ``[lo, hi]``, an interval
+        in ``x = mu`` when ``in_mu`` and in ``x = z`` otherwise."""
+        eps = self.eps
+        dz, dmu = (-tau, 0.0) if in_mu else (0.0, tau)  # z = x + dz, mu = x + dmu
 
-        def f(m: float) -> float:
-            z = (theta - m) / sigma
-            return slope * (_INV_SQRT_2PI * math.exp(-0.5 * z * z)) - cost * m
+        def g(x: float) -> float:
+            z = x + dz
+            return _INV_SQRT_2PI * math.exp(-0.5 * z * z) - eps * (x + dmu)
 
-        m = find_root(f, lo, hi)
+        x = find_root(g, lo, hi)
         # Two guarded Newton steps push the FOC residual to machine level.
         for _ in range(2):
-            z = (theta - m) / sigma
+            z = x + dz
             pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-            deriv = bend * pdf * z - cost
+            deriv = -z * pdf - eps
             if deriv == 0.0:
                 break
-            candidate = m - (slope * pdf - cost * m) / deriv
+            candidate = x - (pdf - eps * (x + dmu)) / deriv
             if not lo <= candidate <= hi:
                 break
-            m = candidate
-        return m
+            x = candidate
+        return x + dz, x + dmu
+
+    def _utility(self, point: tuple[float, float]) -> float:
+        z, mu = point
+        return normal_cdf(z) - 0.5 * self.eps * mu * mu
 
     def stationary_points(self, theta: float) -> StationaryPoints:
         """All stationary points of the payoff at threshold ``theta``."""
-        return _recall(self._points, self._stationary_points, theta)
-
-    def _stationary_points(self, theta: float) -> StationaryPoints:
-        if self.window is None:
-            return StationaryPoints(((self._root(theta, 0.0, self.cap), "local_max"),))
-        z1, z2, _, _ = self.window
-        m_z1 = theta + self.sigma * z1
-        m_z2 = theta + self.sigma * z2
-        if not self.inner[0] < theta < self.inner[1]:
-            # On or past a window edge: the one maximum on its side.
-            lo, hi = (max(m_z2, 0.0), self.cap) if theta <= self.inner[0] else (0.0, m_z1)
-            m = self._root(theta, lo, hi)
-            return StationaryPoints(((m, "local_max"),), z_brackets=(z1, z2))
-        low = self._root(theta, 0.0, m_z1)
-        mid = self._root(theta, m_z1, m_z2)
-        high = self._root(theta, m_z2, self.cap)
+        points = _recall(self._points, self._stationary_points, theta / self.sigma)
+        kinds = ("local_max",) if len(points) == 1 else ("local_max", "local_min", "local_max")
         return StationaryPoints(
-            ((low, "local_max"), (mid, "local_min"), (high, "local_max")),
-            z_brackets=(z1, z2),
+            tuple((self.sigma * mu, kind) for (_, mu), kind in zip(points, kinds))
+        )
+
+    def _stationary_points(self, tau: float) -> tuple[tuple[float, float], ...]:
+        if self.window is None:  # the one maximum has mu = phi(z) / eps <= phi(0) / eps
+            return (self._root(tau, 0.0, _INV_SQRT_2PI / self.eps + 1.0, True),)
+        z1, z2, _, _ = self.window
+        if tau <= self.inner[0]:  # on or below the lower edge: the high maximum
+            z_top = self.high[1]  # so the FOC is negative at mu = max(tau, 0) + z_top
+            return (self._root(tau, max(tau + z2, 0.0), max(tau, 0.0) + z_top, True),)
+        if tau >= self.inner[1]:  # on or above the upper edge: the low maximum
+            return (self._root(tau, *self.low),)
+        return (
+            self._root(tau, *self.low), self._root(tau, z1, z2, False), self._root(tau, *self.high)
         )
 
     def best_response(self, theta: float) -> tuple[float, ...]:
@@ -230,102 +249,79 @@ class ResponseCurve:
         The result has two elements only when the two local maxima tie within
         ``PAYOFF_TIE_REL * reward`` — i.e. at the dropout threshold.
         """
-        return _recall(self._responses, self._best_response, theta)
+        maxima = _recall(self._responses, self._best_response, theta / self.sigma)
+        return tuple(self.sigma * mu for _, mu in maxima)
 
-    def _best_response(self, theta: float) -> tuple[float, ...]:
-        if self.window is not None and self.inner[0] < theta < self.inner[1]:
-            band_lo, band_hi = self._tie_band()
-            if theta < band_lo:  # the high maximum wins: solve it on [m_z2, cap]
-                return (self._root(theta, theta + self.sigma * self.window[1], self.cap),)
-            if theta > band_hi:  # the low maximum wins: solve it on [0, m_z1]
-                return (self._root(theta, 0.0, theta + self.sigma * self.window[0]),)
-        return self._compare_maxima(theta)
+    def _best_response(self, tau: float) -> tuple[tuple[float, float], ...]:
+        if self.window is not None and self.inner[0] < tau < self.inner[1]:
+            if self.band is None:
+                try:  # sets the band
+                    self.dropout()
+                except (NoBracket, NoConvergence):
+                    self.band = (-math.inf, math.inf)  # keep three roots throughout
+            band_lo, band_hi = self.band
+            if tau < band_lo:  # the high maximum wins
+                return (self._root(tau, *self.high),)
+            if tau > band_hi:  # the low maximum wins
+                return (self._root(tau, *self.low),)
+        return self._compare_maxima(tau)
 
-    def _compare_maxima(self, theta: float) -> tuple[float, ...]:
-        maxima = self.stationary_points(theta).maxima
-        if len(maxima) == 1:
-            return maxima
-        u_low = payoff(maxima[0], theta, self.group, self.reward)
-        u_high = payoff(maxima[-1], theta, self.group, self.reward)
-        if abs(u_high - u_low) <= PAYOFF_TIE_REL * self.reward:
-            return (maxima[0], maxima[-1])
-        return (maxima[-1],) if u_high > u_low else (maxima[0],)
-
-    def _tie_band(self) -> tuple[float, float]:
-        """Thresholds around the dropout that keep the three-root path."""
-        if self.band is None:
-            try:
-                info = self.dropout()
-                slope_d = self.slope * (
-                    normal_pdf((info.br_max - info.theta_d) / self.sigma)
-                    - normal_pdf((info.br_min - info.theta_d) / self.sigma)
-                )
-                half = TIE_BAND * PAYOFF_TIE_REL * self.reward / abs(slope_d)
-                self.band = (info.theta_d - half, info.theta_d + half)
-            except (ZeroDivisionError, NoBracket, NoConvergence):
-                self.band = (-math.inf, math.inf)
-        return self.band
+    def _compare_maxima(self, tau: float) -> tuple[tuple[float, float], ...]:
+        points = _recall(self._points, self._stationary_points, tau)
+        if len(points) == 1:
+            return points
+        low, high = points[0], points[-1]
+        u_low, u_high = self._utility(low), self._utility(high)
+        if abs(u_high - u_low) <= PAYOFF_TIE_REL:
+            return (low, high)
+        return (high,) if u_high > u_low else (low,)
 
     def dropout(self) -> DropoutInfo:
         """The threshold where the two payoff maxima tie, searched once.
 
-        Brent's method on the (strictly decreasing) payoff gap between the
-        high and low maximum over the three-root window, to within a few ulps
-        of the window's upper edge.  Raises :class:`SubcriticalReward` when
-        no window exists or it has degenerated.
+        Brent's method on the (strictly decreasing) scaled payoff gap between
+        the high and low maximum over the three-root window, to Brent's own
+        relative tolerance.  Raises :class:`SubcriticalReward` when no window
+        exists or it has degenerated.
         """
         if self.info is not None:
             return self.info
-        group, reward = self.group, self.reward
+        group, reward, sigma = self.group, self.reward, self.sigma
         if self.window is None:
             raise SubcriticalReward(
                 f"reward {reward!r} gives group {group.label!r} no three-root "
                 f"window (critical reward {critical_reward(group)!r})"
             )
-        z1, z2, theta1, theta2 = self.window
-        sigma = self.sigma
+        z1, z2, tau1, tau2 = self.window
+        # At a window edge one maximum has merged into the minimum at a
+        # turning point, where mu = phi(z) / eps = -1/z; it stands in there.
+        merged_low, merged_high = (z1, -1.0 / z1), (z2, -1.0 / z2)
 
-        def gap(theta: float) -> float:
-            maxima = self.stationary_points(theta).maxima
-            if len(maxima) == 1:
-                # On a window edge one maximum has merged into the minimum, at
-                # the turning point z1 (lower edge) or z2 (upper edge); that
-                # degenerate stationary point stands in for it.
-                if maxima[0] > theta + sigma * 0.5 * (z1 + z2):
-                    maxima = (theta + sigma * z1, maxima[0])
-                else:
-                    maxima = (maxima[0], theta + sigma * z2)
-            return payoff(maxima[-1], theta, group, reward) - payoff(
-                maxima[0], theta, group, reward
-            )
+        def gap(tau: float) -> float:
+            points = _recall(self._points, self._stationary_points, tau)
+            if len(points) == 1:
+                points = (merged_low, *points) if tau <= self.inner[0] else (*points, merged_high)
+            return self._utility(points[-1]) - self._utility(points[0])
 
-        # gap(theta1) > 0 > gap(theta2).  The tolerance is a few ulps of the
-        # window's upper edge, near Brent's own floor: that edge can sit far
-        # above the dropout (it grows like S * phi(0) / (C * sigma)), and the
-        # tie is only as tight as the threshold.
-        xtol = 1e-15 * max(1.0, abs(theta2))
-        theta_d = find_root_seeded(gap, theta1, theta2, gap(theta1), gap(theta2), xtol)
+        # gap(tau1) > 0 > gap(tau2).
+        tau_d = find_root_seeded(gap, tau1, tau2, gap(tau1), gap(tau2), _MIN_RTOL)
 
         # Brent ends on a threshold it has just evaluated: a remembered one.
-        maxima = self.stationary_points(theta_d).maxima
+        maxima = self._compare_maxima(tau_d)
         if len(maxima) != 2:
             raise NoConvergence(
-                f"dropout search for group {group.label!r} did not resolve two maxima"
-            )
-        br_min, br_max = maxima
-        u_min = payoff(br_min, theta_d, group, reward)
-        u_max = payoff(br_max, theta_d, group, reward)
-        if abs(u_max - u_min) > 1e-9 * reward:
-            raise NoConvergence(
-                f"payoffs at dropout differ by {abs(u_max - u_min)!r} "
+                f"payoffs at dropout differ by {abs(gap(tau_d)) * reward!r} "
                 f"(> 1e-9 * reward) for group {group.label!r}"
             )
+        low, high = maxima
+        half = TIE_BAND * PAYOFF_TIE_REL / abs(normal_pdf(high[0]) - normal_pdf(low[0]))
+        self.band = (tau_d - half, tau_d + half)
         self.info = DropoutInfo(
-            theta_d=theta_d,
-            br_min=br_min,
-            br_max=br_max,
-            window=(theta1, theta2),
-            payoff_at_dropout=0.5 * (u_min + u_max),
+            theta_d=sigma * tau_d,
+            br_min=sigma * low[1],
+            br_max=sigma * high[1],
+            window=(sigma * tau1, sigma * tau2),
+            payoff_at_dropout=reward * 0.5 * (self._utility(low) + self._utility(high)),
         )
         return self.info
 
@@ -338,7 +334,8 @@ def stationary_points(theta: float, group: GroupView, reward: float) -> Stationa
 def best_response(theta: float, group: GroupView, reward: float) -> tuple[float, ...]:
     """:meth:`ResponseCurve.best_response` for one threshold: every
     stationary point is solved, since one call cannot repay a dropout search."""
-    return ResponseCurve(group, reward)._compare_maxima(theta)
+    curve = ResponseCurve(group, reward)
+    return tuple(curve.sigma * mu for _, mu in curve._compare_maxima(theta / curve.sigma))
 
 
 def dropout_threshold(group: GroupView, reward: float) -> DropoutInfo:

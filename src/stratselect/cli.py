@@ -5,9 +5,10 @@ Subcommands: ``solve`` (equilibrium reports for one game), ``sweep``
 thresholds along a reward grid, CSV), ``dynamics`` (one trajectory, CSV) and
 ``verify`` (Monte Carlo / grid oracle checks, pass/fail table).
 
-Exit codes: 0 success, 1 input error, 2 computation error.  CSV output is
-byte-identical across runs for identical inputs; every CSV starts with a
-``# config_hash=`` comment binding it to the game instance.  ``sweep``,
+Exit codes: 0 success, 1 input error (a game or reward-grid point outside
+the supported range included, see ``model.MAX_REWARD_RATIO``), 2 computation
+error.  CSV output is byte-identical across runs for identical inputs; every
+CSV starts with a ``# config_hash=`` comment binding it to the game instance.  ``sweep``,
 ``solve`` and ``verify`` build each group's response curve (its window and
 dropout threshold) once per reward per command and share it between both
 solvers and across the grid.
@@ -19,7 +20,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -132,32 +133,11 @@ def _solve_payload(config: GameConfig, with_dp: bool) -> dict:
         else None
     )
     try:
-        pred = asymptotic_predictions(config)
-        payload["asymptotic_predictions"] = {
-            "regime": pred.regime,
-            "dominant_label": pred.dominant_label,
-            "other_label": pred.other_label,
-            "predicted_rate_ratio": pred.predicted_rate_ratio,
-            "predicted_effort_ratio": pred.predicted_effort_ratio,
-            "predicted_quality_ratio": pred.predicted_quality_ratio,
-            "dp_effort_ratio": pred.dp_effort_ratio,
-            "comparison_ratios": pred.comparison_ratios,
-        }
+        payload["asymptotic_predictions"] = asdict(asymptotic_predictions(config))
     except (AmbiguousRegime, NotTwoGroups):
         payload["asymptotic_predictions"] = None
     try:
-        cross = small_s_crossings(config)
-        payload["small_s_crossings"] = {
-            "k_mu": cross.k_mu,
-            "k_x": cross.k_x,
-            "xi": cross.xi,
-            "alpha_effort_cross": (
-                None
-                if cross.alpha_effort_cross is None
-                else list(cross.alpha_effort_cross)
-            ),
-            "alpha_rate_cross": cross.alpha_rate_cross,
-        }
+        payload["small_s_crossings"] = asdict(small_s_crossings(config))
     except (SubcriticalityViolated, DegenerateVariance, NotTwoGroups):
         payload["small_s_crossings"] = None
     return payload
@@ -215,7 +195,17 @@ def _load_sweep(path: str) -> SweepSpec:
     problems = validate(base)
     if problems:
         raise InputError(f"{path}: base_config: " + "; ".join(problems))
+    if axis == "reward":
+        _check_rewards(path, base, grid)
     return SweepSpec(axis=axis, grid=tuple(grid), base_config=base, solvers=solvers)
+
+
+def _check_rewards(path: str, config: GameConfig, rewards: Sequence[float]) -> None:
+    """Reject a reward grid with a point outside the supported range."""
+    for reward in rewards:
+        problems = validate(replace(config, reward=reward))
+        if problems:
+            raise InputError(f"{path}: reward grid value {reward!r}: " + "; ".join(problems))
 
 
 def _config_at(spec: SweepSpec, value: float) -> GameConfig:
@@ -298,6 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_dropout(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     grid = _parse_grid(args.grid)
+    _check_rewards(args.config, config, grid)
     views = effective_groups(config)
     labels = [v.label for v in views]
     columns = ["S"]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .best_response import ResponseCurve
+from .equilibrium import CurveMemo, memo_curve
 from .kernel import find_decreasing_root, normal_cdf
 from .model import (
     EffortDistribution,
@@ -103,12 +104,14 @@ def _quantile(
 def _step(
     theta: float,
     t: int,
-    curves: tuple[ResponseCurve, ...],
+    views: Sequence[GroupView],
+    curves: Sequence[ResponseCurve],
     alpha: float,
     n: int = 0,
 ) -> DynamicsState:
-    """Every group best-responds to ``theta``, the threshold they induce is
-    found and, in fictitious play, joins the belief ``theta`` of ``n`` thresholds."""
+    """Every group best-responds to ``theta`` on its curve, the threshold they
+    induce is found and, in fictitious play, joins the belief ``theta`` of
+    ``n`` thresholds."""
     strategies = []
     for curve in curves:
         brs = curve.best_response(theta)
@@ -119,26 +122,36 @@ def _step(
         else:
             strategies.append(EffortDistribution.point(brs[0]))
     strategies = tuple(strategies)
-    new = _quantile(strategies, [curve.group for curve in curves], alpha)
+    new = _quantile(strategies, views, alpha)
     belief = (theta * n + new) / (n + 1) if n else None
     return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
 
 
-def br_step(state: DynamicsState, config: GameConfig) -> DynamicsState:
-    """Synchronous best response against the current threshold."""
+def br_step(
+    state: DynamicsState, config: GameConfig, *, curves: CurveMemo | None = None
+) -> DynamicsState:
+    """Synchronous best response against the current threshold.  ``curves``
+    is a memo of response curves to read and fill across steps; ``None``
+    builds fresh ones."""
     views = effective_groups(config)
-    curves = tuple(ResponseCurve(v, config.reward) for v in views)
-    return _step(state.theta, state.t, curves, config.alpha)
+    group_curves = [memo_curve(v, config.reward, curves) for v in views]
+    return _step(state.theta, state.t, views, group_curves, config.alpha)
 
 
-def fp_step(history: Sequence[DynamicsState], config: GameConfig) -> DynamicsState:
-    """Best response against the mean of all past thresholds."""
+def fp_step(
+    history: Sequence[DynamicsState],
+    config: GameConfig,
+    *,
+    curves: CurveMemo | None = None,
+) -> DynamicsState:
+    """Best response against the mean of all past thresholds; ``curves`` as
+    in :func:`br_step`."""
     if not history:
         raise ValueError("fictitious play needs a nonempty history")
     views = effective_groups(config)
-    curves = tuple(ResponseCurve(v, config.reward) for v in views)
+    group_curves = [memo_curve(v, config.reward, curves) for v in views]
     belief = sum(s.theta for s in history) / len(history)
-    return _step(belief, history[-1].t, curves, config.alpha, len(history))
+    return _step(belief, history[-1].t, views, group_curves, config.alpha, len(history))
 
 
 def _detect_cycle(thetas: list[float]) -> int | None:
@@ -206,10 +219,10 @@ def run(
 
     for _ in range(max_steps):
         if mode == "br":
-            new = _step(state.theta, state.t, curves, config.alpha)
+            new = _step(state.theta, state.t, views, curves, config.alpha)
             watched_delta = abs(new.theta - state.theta)
         else:
-            new = _step(belief, state.t, curves, config.alpha, len(states))
+            new = _step(belief, state.t, views, curves, config.alpha, len(states))
             watched_delta = abs(new.belief - belief)
             belief = new.belief
         states.append(new)

@@ -82,6 +82,17 @@ class ExcessMassEvaluation:
 CurveMemo = dict[tuple[float, float, float], ResponseCurve]
 
 
+def memo_curve(view: GroupView, reward: float, memo: CurveMemo | None) -> ResponseCurve:
+    """The curve of ``view`` at ``reward`` from ``memo``, built and stored on
+    a miss; a fresh curve when ``memo`` is None."""
+    if memo is None:
+        return ResponseCurve(view, reward)
+    key = (view.cost, view.sigma, reward)
+    if key not in memo:
+        memo[key] = ResponseCurve(view, reward)
+    return memo[key]
+
+
 def _curves(
     views: tuple[GroupView, ...], reward: float, memo: CurveMemo | None = None
 ) -> dict[str, ResponseCurve]:
@@ -90,10 +101,7 @@ def _curves(
     memo = {} if memo is None else memo
     curves = {}
     for view in views:
-        key = (view.cost, view.sigma, reward)
-        if key not in memo:
-            memo[key] = ResponseCurve(view, reward)
-        curve = curves[view.label] = memo[key]
+        curve = curves[view.label] = memo_curve(view, reward, memo)
         if curve.window is not None:
             curve.dropout()
     return curves

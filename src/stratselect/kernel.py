@@ -15,7 +15,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal, Union
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "DomainError",
     "NoBracket",
     "NoConvergence",
-    "RootConfig",
-    "DEFAULT_ROOT_CONFIG",
     "normal_pdf",
     "normal_cdf",
     "normal_quantile",
@@ -40,6 +37,8 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real W branches meet
 _MIN_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's smallest brentq rtol
+ROOT_XTOL = 1e-12  # find_root's absolute tolerance on the unknown
+MAX_ITER = 200  # Brent iterations before NoConvergence
 
 WBranch = Literal["principal", "minus_one"]
 ArrayLike = Union[float, np.ndarray]
@@ -55,23 +54,6 @@ class NoBracket(ValueError):
 
 class NoConvergence(RuntimeError):
     """An iterative routine exhausted its iteration budget."""
-
-
-@dataclass(frozen=True)
-class RootConfig:
-    """Tolerances for bracketed root searches (absolute, on the unknown)."""
-
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_ROOT_CONFIG = RootConfig()
 
 
 def normal_pdf(z: ArrayLike) -> ArrayLike:
@@ -163,23 +145,17 @@ def lambert_w(branch: WBranch, x: float) -> float:
     return _halley_polish(w, x)
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: RootConfig | None = None,
-) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a continuous ``f`` on the sign-changing interval ``[lo, hi]``:
-    :func:`find_root_seeded` with ``xtol=cfg.abs_tol``, ``f`` evaluated at
+    :func:`find_root_seeded` with ``xtol=ROOT_XTOL``, ``f`` evaluated at
     ``lo`` and then, unless that decides the search, at ``hi``."""
-    cfg = cfg or DEFAULT_ROOT_CONFIG
     lo, hi = float(lo), float(hi)
     flo = fhi = 0.0  # left unevaluated when an earlier check decides
     if lo < hi:
         flo = f(lo)
         if flo == flo and flo != 0.0:
             fhi = f(hi)
-    return find_root_seeded(f, lo, hi, flo, fhi, cfg.abs_tol, cfg.max_iter)
+    return find_root_seeded(f, lo, hi, flo, fhi, ROOT_XTOL)
 
 
 def find_root_seeded(
@@ -189,7 +165,7 @@ def find_root_seeded(
     f_lo: float,
     f_hi: float,
     xtol: float,
-    max_iter: int = DEFAULT_ROOT_CONFIG.max_iter,
+    max_iter: int = MAX_ITER,
 ) -> float:
     """Root of a continuous ``f`` on ``[lo, hi]`` given ``f_lo = f(lo)`` and
     ``f_hi = f(hi)``: Brent's method, ported from scipy's ``brentq`` with the
@@ -218,16 +194,10 @@ def find_root_seeded(
     return float(_brent(f, lo, hi, f_lo, f_hi, xtol, _MIN_RTOL, max_iter))
 
 
-def find_decreasing_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: RootConfig | None = None,
-) -> float:
+def find_decreasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a decreasing ``f``: each end of ``[lo, hi]`` moves out by
     doubling steps from ``max(1, hi - lo)`` until it brackets a root (at most
     64 times), and the final end values seed :func:`find_root_seeded`."""
-    cfg = cfg or DEFAULT_ROOT_CONFIG
     span = max(1.0, hi - lo)
     for _ in range(64):
         f_lo = f(lo)
@@ -246,7 +216,7 @@ def find_decreasing_root(
         span *= 2.0
     else:
         raise NoConvergence("could not bracket the root from above")
-    return find_root_seeded(f, lo, hi, f_lo, f_hi, cfg.abs_tol, cfg.max_iter)
+    return find_root_seeded(f, lo, hi, f_lo, f_hi, ROOT_XTOL)
 
 
 def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, max_iter):

@@ -39,7 +39,6 @@ __all__ = [
     "SubcriticalityViolated",
     "AsymptoticPrediction",
     "SmallSCrossings",
-    "average_effort",
     "selection_rate",
     "selection_quality",
     "quality_from_outcomes",
@@ -63,11 +62,6 @@ class DegenerateVariance(ValueError):
 
 class SubcriticalityViolated(ValueError):
     """A group's reward is large enough to create a dropout threshold."""
-
-
-def average_effort(strategy: EffortDistribution) -> float:
-    """Mean effort of a finite-support strategy."""
-    return strategy.mean()
 
 
 def selection_rate(

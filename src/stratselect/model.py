@@ -36,6 +36,8 @@ __all__ = [
     "posterior_variance",
     "correlation_coefficient",
     "effective_groups",
+    "MAX_REWARD_RATIO",
+    "in_supported_range",
     "validate",
     "config_from_dict",
     "config_to_dict",
@@ -47,6 +49,11 @@ DmMode = Literal["bayesian", "oblivious"]
 
 SHARE_TOL = 1e-12
 WEIGHT_TOL = 1e-12
+
+# The largest reward, as a multiple of a group's cost * sigma**2, at which
+# every group of a fuzz of the candidate problem was solved (README,
+# "Supported range").
+MAX_REWARD_RATIO = 1e20
 
 
 @dataclass(frozen=True)
@@ -240,6 +247,11 @@ class EquilibriumReport:
         }
 
 
+def in_supported_range(reward: float, cost: float, sigma_sq: float) -> bool:
+    """Whether ``reward / (cost * sigma_sq)`` is at most :data:`MAX_REWARD_RATIO`."""
+    return reward / (cost * sigma_sq) <= MAX_REWARD_RATIO
+
+
 def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[str]:
     problems: list[str] = []
     if not config.reward > 0.0:
@@ -278,6 +290,16 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
         total += g.share
     if config.groups and abs(total - 1.0) > SHARE_TOL:
         problems.append(f"group shares sum to {total:g}, expected 1")
+    if problems:
+        return problems
+    for g in config.groups:
+        sigma_sq = posterior_variance(g, config.eta_sq, config.dm_mode)
+        if not in_supported_range(config.reward, g.cost, sigma_sq):
+            problems.append(
+                f"groups[{g.label!r}]: reward {config.reward!r} is "
+                f"{config.reward / (g.cost * sigma_sq):.4g} times cost * sigma**2, "
+                f"above the supported {MAX_REWARD_RATIO:g}"
+            )
     return problems
 
 

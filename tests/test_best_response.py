@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from stratselect.best_response import (
     stationary_points,
 )
 from stratselect.kernel import NoConvergence, normal_cdf, normal_pdf
-from stratselect.model import GroupView
+from stratselect.model import (
+    MAX_REWARD_RATIO,
+    GameConfig,
+    GroupParams,
+    GroupView,
+    effective_groups,
+    validate,
+)
 
 
 def foc_residual(m, theta, group, reward):
@@ -87,7 +95,7 @@ class TestStationaryPoints:
         assert kinds == ["local_max", "local_min", "local_max"]
         efforts = [m for m, _ in sp.points]
         assert efforts == sorted(efforts)
-        assert sp.z_brackets == (z1, z2)
+        assert ResponseCurve(unit_group, 10.0).window[:2] == (z1, z2)
 
     def test_single_point_outside_window(self, unit_group):
         _, _, theta1, theta2 = foc_window(unit_group, 10.0)
@@ -252,6 +260,52 @@ class TestDropoutSearch:
         assert len(set(calls)) == len(calls)
 
 
+# Log-uniform spreads and costs of the supported-range fuzz.
+SPREADS = st.floats(-4.0, math.log10(3.0)).map(lambda e: 10.0**e)
+COSTS = st.floats(math.log10(0.2), math.log10(5.0)).map(lambda e: 10.0**e)
+
+
+class TestScaledUnits:
+    """The candidate problem depends on eps = C * sigma**2 / S alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cost=COSTS, sigma=SPREADS, log_ratio=st.floats(1.0, 20.0), power=st.integers(-8, 8))
+    def test_dropout_is_scale_free(self, cost, sigma, log_ratio, power):
+        # (C * k**2, sigma / k, S) has the same eps, to the bit, for k = 2**power.
+        reward = 10.0**log_ratio * cost * sigma**2
+        k = 2.0**power
+        a = dropout_threshold(GroupView("A", 1.0, cost, sigma), reward)
+        b = dropout_threshold(GroupView("A", 1.0, cost * k * k, sigma / k), reward)
+        for name in ("theta_d", "br_min", "br_max"):
+            x, y = getattr(a, name), getattr(b, name)
+            if 0.0 < min(abs(x), abs(y)) < sys.float_info.min:
+                continue  # a subnormal effort has too few bits to scale exactly
+            assert x / sigma == y / (sigma / k), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost=COSTS, sigma=SPREADS, log_ratio=st.floats(1.0, 22.0))
+    def test_solved_or_rejected(self, cost, sigma, log_ratio):
+        # Twin groups: validate names both, or the dropout ties inside its window.
+        reward = 10.0**log_ratio * cost * sigma**2
+        twins = tuple(GroupParams(label, 0.5, cost, sigma_tilde=sigma) for label in "AB")
+        config = GameConfig(reward=reward, alpha=0.1, eta_sq=1.0, groups=twins)
+        problems = validate(config)
+        view = effective_groups(config)[0]
+        ratio = reward / (view.cost * view.sigma**2)
+        if problems:
+            assert ratio > MAX_REWARD_RATIO
+            assert [p[:12] for p in problems] == ["groups['A']:", "groups['B']:"]
+            return
+        info = dropout_threshold(view, reward)
+        theta1, theta2 = info.window
+        assert theta1 < info.theta_d < theta2
+        assert info.br_min < info.br_max
+        tie = payoff(info.br_max, info.theta_d, view, reward) - payoff(
+            info.br_min, info.theta_d, view, reward
+        )
+        assert abs(tie) <= PAYOFF_TIE_REL * reward
+
+
 def three_root_best_response(theta, group, reward):
     """Every stationary point, then the payoff comparison and tie test."""
     maxima = stationary_points(theta, group, reward).maxima
@@ -287,18 +341,21 @@ class TestResponseCurve:
         group = GroupView("A", 1.0, cost, sigma)
         reward = critical_reward(group) * 10.0**log_ratio
         curve = ResponseCurve(group, reward)
-        _, _, theta1, theta2 = curve.window
         info = curve.dropout()
+        theta1, theta2 = info.window
         curve.best_response(info.theta_d)  # the first threshold inside the window
-        band_lo, band_hi = curve.band
-        half = info.theta_d - band_lo
-        assert half > 0.0 and band_hi - info.theta_d == pytest.approx(half, rel=1e-12)
+        # The curve keeps its band, centred on the dropout, in tau = theta / sigma.
+        tau_lo, tau_hi = curve.band
+        half = sigma * 0.5 * (tau_hi - tau_lo)
+        assert half > 0.0
+        assert sigma * 0.5 * (tau_lo + tau_hi) == pytest.approx(info.theta_d, rel=1e-14)
+        band_lo, band_hi = info.theta_d - half, info.theta_d + half
         # The band is as wide as the slope of the gap at the dropout says.
         slope_d = gap_slope(info.theta_d, group, reward)
         assert half == pytest.approx(TIE_BAND * PAYOFF_TIE_REL * reward / abs(slope_d))
         # Margin: the slope changes by less than TIE_BAND across the band.
         for edge in (band_lo, band_hi):
-            if curve.inner[0] < edge < curve.inner[1]:
+            if curve.inner[0] < edge / sigma < curve.inner[1]:
                 ratio = gap_slope(edge, group, reward) / slope_d
                 assert 1.0 / TIE_BAND < ratio < TIE_BAND
 
@@ -319,9 +376,9 @@ class TestResponseCurve:
         roots = []
         real = ResponseCurve._root
 
-        def counted(self, theta, lo, hi):
-            roots.append(theta)
-            return real(self, theta, lo, hi)
+        def counted(self, tau, *bracket):
+            roots.append(tau)
+            return real(self, tau, *bracket)
 
         monkeypatch.setattr(ResponseCurve, "_root", counted)
         assert len(curve.best_response(theta_d - 2.0 * half)) == 1

@@ -181,11 +181,11 @@ class TestSweep:
         assert values[1] == pytest.approx(0.2, abs=1e-12)
 
 
-def tiny_spread_config_dict():
-    """One group at spread 1e-4: at S = 1e12 its dropout search cancels
-    catastrophically and the root finder is handed an empty bracket."""
+def tiny_spread_config_dict(reward=1e12):
+    """One group at spread 1e-4: at S = 1e12 its reward is 1e20 times
+    cost * sigma**2, the top of the supported range."""
     return base_config_dict(
-        reward=1e12,
+        reward=reward,
         groups=[
             {"label": "H", "share": 0.5, "cost": 1.0, "noise_var": 0.0, "sigma_tilde": 1e-4},
             {"label": "L", "share": 0.5, "cost": 1.0, "noise_var": 0.0, "sigma_tilde": 1.0},
@@ -193,27 +193,47 @@ def tiny_spread_config_dict():
     )
 
 
-class TestEmptyBracket:
-    def test_solve_exits_with_computation_error(self, tmp_path, capsys):
-        path = write_json(tmp_path / "tiny.json", tiny_spread_config_dict())
-        assert cli.main(["solve", "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("computation failed:")
-        assert "need lo < hi" in err
+# What the CLI prints for the tiny-spread game at S = 1e13.
+OUT_OF_RANGE = (
+    "groups['H']: reward 10000000000000.0 is 1e+21 times cost * sigma**2, "
+    "above the supported 1e+20"
+)
 
-    def test_sweep_leaves_row_blank(self, tmp_path, capsys):
+
+class TestSupportedRange:
+    def test_solve_at_the_top_of_the_range(self, tmp_path, capsys):
+        # The absolute-unit solver handed its root finder an empty bracket here.
+        path = write_json(tmp_path / "tiny.json", tiny_spread_config_dict())
+        assert cli.main(["solve", "--config", path]) == 0
+        report = json.loads(capsys.readouterr().out)["unconstrained"]
+        budget = sum(0.5 * g["selection_rate"] for g in report["groups"])
+        assert budget == pytest.approx(0.1, abs=1e-8)
+
+    def test_solve_rejects_the_group(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tiny.json", tiny_spread_config_dict(reward=1e13))
+        assert cli.main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {OUT_OF_RANGE}\n"
+
+    def test_sweep_rejects_the_grid_point(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", {
             "axis": "reward",
-            "grid": [10.0, 1e12],
-            "base_config": tiny_spread_config_dict(),
+            "grid": [10.0, 1e13],
+            "base_config": tiny_spread_config_dict(reward=10.0),
         })
         out = tmp_path / "out.csv"
-        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
-        rows = out.read_text().splitlines()[2:]
-        assert "" not in rows[0].split(",")[:2]
-        assert set(rows[1].split(",")[1:]) == {""}
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 1
+        assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("warning: reward=1000000000000.0: need lo < hi")
+        assert err == f"error: {spec}: reward grid value 10000000000000.0: {OUT_OF_RANGE}\n"
+
+    def test_dropout_rejects_the_grid_point(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tiny.json", tiny_spread_config_dict(reward=10.0))
+        out = tmp_path / "out.csv"
+        argv = ["dropout", "--config", path, "--grid", "1e12:1e13:2:log", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: reward grid value 10000000000000.0: {OUT_OF_RANGE}\n"
 
 
 def group_dict(label, share, sigma, cost=1.0):
@@ -413,14 +433,16 @@ class TestDynamics:
 
     @pytest.mark.parametrize("mode", ["br", "fp"])
     def test_one_window_per_group(self, tmp_path, monkeypatch, mode):
+        # A curve builds its window from eps = cost * sigma**2 / reward alone.
         calls = []
-        real = best_response_module.foc_window
+        real = best_response_module._turning_points
+        labels = {0.1 * 0.1 / 10.0: "H", 1.0 / 10.0: "L"}
 
-        def counted(group, reward):
-            calls.append(group.label)
-            return real(group, reward)
+        def counted(eps):
+            calls.append(labels[eps])
+            return real(eps)
 
-        monkeypatch.setattr(best_response_module, "foc_window", counted)
+        monkeypatch.setattr(best_response_module, "_turning_points", counted)
         assert cli.main([
             "dynamics",
             "--config", str(SCENARIOS / "noise_gap_s10.json"),

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from stratselect.best_response import ResponseCurve
 from stratselect.dynamics import (
     DynamicsState,
     br_step,
@@ -94,6 +95,27 @@ class TestSteps:
     def test_fp_requires_history(self, small_reward_config):
         with pytest.raises(ValueError):
             fp_step([], small_reward_config)
+
+    @pytest.mark.parametrize("mode", ["br", "fp"])
+    def test_hand_steps_share_one_memo(self, noise_gap_config, monkeypatch, mode):
+        searches = []
+        real = ResponseCurve.dropout
+
+        def counted(curve):
+            if curve.info is None:  # nothing cached: this call searches
+                searches.append(curve.group.label)
+            return real(curve)
+
+        monkeypatch.setattr(ResponseCurve, "dropout", counted)
+        # theta = 3 lies inside both groups' three-root windows.
+        history = [DynamicsState(strategies=(EffortDistribution.point(0.0),) * 2, theta=3.0, t=0)]
+        memo = {}
+        for _ in range(20):
+            if mode == "br":
+                history.append(br_step(history[-1], noise_gap_config, curves=memo))
+            else:
+                history.append(fp_step(history, noise_gap_config, curves=memo))
+        assert sorted(searches) == ["H", "L"]
 
 
 class TestRun:

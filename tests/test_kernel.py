@@ -14,7 +14,6 @@ from stratselect.kernel import (
     DomainError,
     NoBracket,
     NoConvergence,
-    RootConfig,
     find_decreasing_root,
     find_root,
     find_root_seeded,
@@ -164,9 +163,8 @@ class TestFindRoot:
             find_root(lambda x: x * x, 1.0, 2.0)
 
     def test_no_convergence(self):
-        cfg = RootConfig(abs_tol=1e-15, max_iter=2)
         with pytest.raises(NoConvergence):
-            find_root(math.cos, 1.0, 2.0, cfg)
+            find_root_seeded(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0), 1e-15, 2)
 
     def test_endpoint_root(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
@@ -270,7 +268,7 @@ FAMILIES = {
 
 
 class TestFindRootMatchesBrentq:
-    """``find_root`` is scipy's ``brentq`` loop: same double, same work."""
+    """``find_root_seeded`` is scipy's ``brentq`` loop: same double, same work."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -305,12 +303,12 @@ class TestFindRootMatchesBrentq:
             calls.append(x)
             return f(x)
 
-        cfg = RootConfig(abs_tol=abs_tol, max_iter=max_iter)
+        args = (counted, lo, hi, counted(lo), counted(hi), abs_tol, max_iter)
         if result.converged:
-            assert find_root(counted, lo, hi, cfg) == expected
+            assert find_root_seeded(*args) == expected
         else:
             with pytest.raises(NoConvergence):
-                find_root(counted, lo, hi, cfg)
+                find_root_seeded(*args)
         # brentq's count includes its own evaluation of each bracket end.
         assert len(calls) == result.function_calls
 
@@ -324,14 +322,3 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-
-class TestRootConfig:
-    def test_defaults(self):
-        cfg = RootConfig()
-        assert cfg.abs_tol == 1e-12
-        assert cfg.max_iter == 200
-
-    @pytest.mark.parametrize("kwargs", [{"abs_tol": 0.0}, {"abs_tol": -1.0}, {"max_iter": 0}])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            RootConfig(**kwargs)

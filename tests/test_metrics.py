@@ -10,7 +10,6 @@ from stratselect.metrics import (
     DegenerateVariance,
     SubcriticalityViolated,
     asymptotic_predictions,
-    average_effort,
     ordered_pair,
     quality_from_outcomes,
     selection_quality,
@@ -31,11 +30,11 @@ from conftest import two_group_config
 
 class TestAverages:
     def test_point_mass(self):
-        assert average_effort(EffortDistribution.point(1.7)) == 1.7
+        assert EffortDistribution.point(1.7).mean() == 1.7
 
     def test_mixture(self):
         d = EffortDistribution.mixture(((0.0, 0.5), (2.0, 0.5)))
-        assert average_effort(d) == 1.0
+        assert d.mean() == 1.0
 
     def test_rate_at_own_effort(self):
         view = GroupView("A", 1.0, 1.0, 0.7)
