@@ -31,12 +31,16 @@ from .dynamics import run as run_dynamics
 from .equilibrium import (
     CurveMemo,
     SolverError,
-    max_deviation_gain,
     solve_demographic_parity,
     solve_unconstrained,
 )
 from .kernel import DomainError, NoBracket, NoConvergence
-from .mc import grid_argmax_payoff, mc_selection_probability, mc_selection_quality
+from .mc import (
+    MIN_SAMPLES,
+    grid_argmax_payoff,
+    mc_selection_probability,
+    mc_selection_quality,
+)
 from .metrics import (
     AmbiguousRegime,
     DegenerateVariance,
@@ -47,6 +51,7 @@ from .metrics import (
     small_s_crossings,
 )
 from .model import (
+    EffortDistribution,
     GameConfig,
     config_from_dict,
     config_hash,
@@ -97,25 +102,31 @@ def _load_config(path: str) -> GameConfig:
     return config
 
 
+def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float]:
+    """``count`` points from ``lo`` to ``hi`` on a ``linear`` or ``log``
+    scale: the grid of ``--grid lo:hi:count[:log]`` and of a sweep spec's
+    ``{"lo", "hi", "count", "scale"}``.  Raises ValueError when malformed."""
+    lo, hi = float(lo), float(hi)
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"grid count must be an integer of at least 1, got {count!r}")
+    if scale == "log":
+        if lo <= 0:
+            raise ValueError("log grid requires positive endpoints")
+        return [float(v) for v in np.geomspace(lo, hi, count)]
+    if scale != "linear":
+        raise ValueError(f"unknown grid scale {scale!r}")
+    return [float(v) for v in np.linspace(lo, hi, count)]
+
+
 def _parse_grid(spec: str) -> list[float]:
     """``lo:hi:count[:log]`` into an explicit grid."""
     parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise InputError(f"grid must look like lo:hi:count[:log], got {spec!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if len(parts) not in (3, 4):
+            raise ValueError("expected lo:hi:count[:log]")
+        return _grid(float(parts[0]), float(parts[1]), int(parts[2]), *parts[3:])
     except ValueError as exc:
         raise InputError(f"bad grid {spec!r}: {exc}") from exc
-    if count < 1:
-        raise InputError("grid count must be at least 1")
-    scale = parts[3] if len(parts) == 4 else "linear"
-    if scale == "log":
-        if lo <= 0:
-            raise InputError("log grid requires positive endpoints")
-        return [float(v) for v in np.geomspace(lo, hi, count)]
-    if scale != "linear":
-        raise InputError(f"unknown grid scale {scale!r}")
-    return [float(v) for v in np.linspace(lo, hi, count)]
 
 
 # --------------------------------------------------------------------------
@@ -173,14 +184,18 @@ def _load_sweep(path: str) -> SweepSpec:
         raise InputError(f"{path}: malformed sweep spec: {exc}") from exc
     if axis not in ("alpha", "reward"):
         raise InputError(f"{path}: axis must be alpha or reward, got {axis!r}")
-    if isinstance(grid_raw, dict):
-        scale = grid_raw.get("scale", "linear")
-        suffix = ":log" if scale == "log" else ""
-        grid = _parse_grid(
-            f"{grid_raw['lo']}:{grid_raw['hi']}:{grid_raw['count']}{suffix}"
-        )
-    else:
-        grid = [float(v) for v in grid_raw]
+    try:
+        if isinstance(grid_raw, dict):
+            grid = _grid(
+                grid_raw["lo"], grid_raw["hi"], grid_raw["count"],
+                grid_raw.get("scale", "linear"),
+            )
+        else:
+            grid = [float(v) for v in grid_raw]
+    except KeyError as exc:
+        raise InputError(f"{path}: sweep grid has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed sweep grid: {exc}") from exc
     if len(grid) < 2:
         raise InputError(f"{path}: sweep grid needs at least 2 points")
     for value in grid:
@@ -330,6 +345,8 @@ def cmd_dropout(args: argparse.Namespace) -> int:
 
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1, got {args.steps}")
     config = _load_config(args.config)
     trace = run_dynamics(
         config, mode=args.mode, max_steps=args.steps, tol=args.tol
@@ -376,6 +393,10 @@ _DEFAULT_VERIFY_CONFIG = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < MIN_SAMPLES:
+        raise InputError(
+            f"--samples must be at least {MIN_SAMPLES}, got {args.samples}"
+        )
     if args.config:
         config = _load_config(args.config)
     else:
@@ -390,9 +411,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for view, params in zip(views, config.groups):
         theta = un.threshold
         for m in (max(theta - view.sigma, 0.0), max(theta, 0.0)):
-            analytic = metrics.selection_rate(
-                type(un.outcomes[0].strategy).point(m), theta, view
-            )
+            analytic = metrics.selection_rate(EffortDistribution.point(m), theta, view)
             est = mc_selection_probability(
                 m, theta, params, config.eta_sq, n, seed,
                 dm_mode=config.dm_mode, stream=stream,

@@ -5,9 +5,11 @@ best response, either against the current threshold (``br`` mode) or against
 the running average of all past thresholds (``fp`` mode, which averages the
 scalar threshold because payoffs depend on opponents only through it).  The
 threshold of a state is always the one induced by its strategies, i.e. the
-(1 - alpha)-quantile of the decision-statistic mixture.  A threshold that
-lands exactly on a dropout is resolved as a 50/50 split between the two tied
-best responses.
+(1 - alpha)-quantile of the decision-statistic mixture, found by the same
+search that brackets the equilibrium solvers
+(:func:`stratselect.equilibrium.mixture_quantile`).  A threshold that lands
+exactly on a dropout is resolved as a 50/50 split between the two tied best
+responses.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .best_response import ResponseCurve
-from .equilibrium import CurveMemo, memo_curve
-from .kernel import find_decreasing_root, normal_cdf
+from .equilibrium import CurveMemo, memo_curve, mixture_quantile
 from .model import (
     EffortDistribution,
     GameConfig,
@@ -78,27 +79,7 @@ def induced_threshold(
     views = effective_groups(config)
     if len(strategies) != len(views):
         raise ValueError("need one strategy per group")
-    return _quantile(strategies, views, config.alpha)
-
-
-def _quantile(
-    strategies: Sequence[EffortDistribution], views: Sequence[GroupView], alpha: float
-) -> float:
-    target = 1.0 - alpha
-
-    def excess(theta: float) -> float:
-        # Mass above theta minus alpha as target - CDF: the exact negation
-        # of CDF - target, so Brent takes the same steps on either.
-        total = 0.0
-        for view, strategy in zip(views, strategies):
-            for m, w in strategy.support:
-                total += view.share * w * normal_cdf((theta - m) / view.sigma)
-        return target - total
-
-    efforts = [m for s in strategies for m, _ in s.support]
-    pad = 10.0 * max(v.sigma for v in views)
-    lo, hi = min(efforts) - pad, max(efforts) + pad
-    return find_decreasing_root(excess, lo, hi)
+    return mixture_quantile([s.support for s in strategies], views, config.alpha)
 
 
 def _step(
@@ -122,7 +103,7 @@ def _step(
         else:
             strategies.append(EffortDistribution.point(brs[0]))
     strategies = tuple(strategies)
-    new = _quantile(strategies, views, alpha)
+    new = mixture_quantile([s.support for s in strategies], views, alpha)
     belief = (theta * n + new) / (n + 1) if n else None
     return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
 
@@ -205,7 +186,7 @@ def run(
             raise ValueError("need one initial strategy per group")
 
     curves = tuple(ResponseCurve(v, config.reward) for v in views)
-    theta0 = _quantile(init, views, config.alpha)
+    theta0 = mixture_quantile([s.support for s in init], views, config.alpha)
     state = DynamicsState(
         strategies=init,
         theta=theta0,

@@ -7,8 +7,15 @@ thresholds.  Walking the dropouts inside a bracket that provably contains
 the fixed point either finds one whose jump straddles alpha, in which case
 the pinned group splits between its two tied best responses with the weight
 that makes the selection budget bind, or a segment free of jumps where the
-curve crosses alpha smoothly (all groups play pure strategies) and Brent's
-method finds the crossing.
+curve crosses alpha smoothly and Brent's method finds the crossing.  On that
+segment every group keeps one side of its dropout, the high maximum when the
+dropout lies above the segment and the low one otherwise, so all groups play
+pure strategies and the mass is continuous up to the segment's ends.
+
+The threshold a profile of strategies induces, the (1 - alpha)-quantile of
+the decision-statistic mixture, is found by :func:`mixture_quantile`: the
+solver bracket is that quantile at zero effort and at the payoff-feasibility
+bound, and the dynamics take every new threshold from it.
 
 The demographic-parity game decomposes into one single-group instance per
 group (each selecting its own top fraction), solved with the same machinery.
@@ -19,6 +26,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +55,9 @@ __all__ = [
     "CurveMemo",
 ]
 
-# A threshold this close (relative) to a group's dropout counts as hitting it.
+# A threshold this close (relative) to a group's dropout counts as hitting it:
+# the walk's events, the pinned outcomes and excess_mass read both tied
+# efforts there.
 DROPOUT_MATCH_REL = 1e-9
 
 # The reported selection rates must reproduce alpha this tightly.
@@ -136,61 +146,54 @@ def excess_mass(theta: float, config: GameConfig) -> ExcessMassEvaluation:
     return ExcessMassEvaluation(theta=theta, mass_lo=lo, mass_hi=hi)
 
 
+def mixture_quantile(
+    supports: Sequence[Sequence[tuple[float, float]]],
+    views: Sequence[GroupView],
+    alpha: float,
+) -> float:
+    """The threshold a strategy profile induces: the (1 - alpha)-quantile of
+    the decision-statistic mixture in which group ``views[i]`` plays the
+    ``(effort, weight)`` pairs ``supports[i]``.  It lies between the
+    quantiles ``m + s * normal_quantile(1 - alpha)`` of the mixture's
+    components, which seed the search."""
+    target = 1.0 - alpha
+
+    def excess(theta: float) -> float:
+        # Mass above theta minus alpha as target - CDF: the exact negation
+        # of CDF - target, so Brent takes the same steps on either.
+        total = 0.0
+        for view, support in zip(views, supports):
+            for m, w in support:
+                total += view.share * w * normal_cdf((theta - m) / view.sigma)
+        return target - total
+
+    z = normal_quantile(target)
+    seeds = [m + view.sigma * z for view, support in zip(views, supports) for m, _ in support]
+    return find_decreasing_root(excess, min(seeds), max(seeds))
+
+
 def solver_bracket(config: GameConfig) -> tuple[float, float]:
     """An interval certain to contain the equilibrium threshold.
 
-    The lower end assumes everyone exerts zero effort, the upper end assumes
-    everyone plays the payoff-feasibility bound ``sqrt(2 S / C_G)``; actual
-    best responses lie in between, so the selected-mass curve crosses alpha
-    inside.
+    The lower end is the threshold induced by zero effort everywhere, the
+    upper end the one induced by the payoff-feasibility bound ``sqrt(2 S /
+    C_G)``; actual best responses lie in between, so the selected-mass curve
+    crosses alpha inside.
     """
     views = effective_groups(config)
-    alpha = config.alpha
-    q = normal_quantile(1.0 - alpha)
-
-    def at_zero(theta: float) -> float:
-        return sum(v.share * (1.0 - normal_cdf(theta / v.sigma)) for v in views) - alpha
-
-    caps = {v.label: (2.0 * config.reward / v.cost) ** 0.5 for v in views}
-
-    def at_cap(theta: float) -> float:
-        return (
-            sum(
-                v.share * (1.0 - normal_cdf((theta - caps[v.label]) / v.sigma))
-                for v in views
-            )
-            - alpha
-        )
-
-    seeds = [v.sigma * q for v in views]
-    theta_lo = find_decreasing_root(at_zero, min(seeds), max(seeds) + 1e-9)
-    seeds = [caps[v.label] + v.sigma * q for v in views]
-    theta_hi = find_decreasing_root(at_cap, min(seeds), max(seeds) + 1e-9)
-    return theta_lo, theta_hi
+    zero = [((0.0, 1.0),)] * len(views)
+    caps = [(((2.0 * config.reward / v.cost) ** 0.5, 1.0),) for v in views]
+    return (
+        mixture_quantile(zero, views, config.alpha),
+        mixture_quantile(caps, views, config.alpha),
+    )
 
 
 def _pure_outcomes(
-    theta: float,
-    views: tuple[GroupView, ...],
-    curves: dict[str, ResponseCurve],
-    alpha: float,
+    theta: float, views: tuple[GroupView, ...], efforts: Sequence[float]
 ) -> tuple[GroupOutcome, ...]:
     outcomes = []
-    for view in views:
-        e_lo, e_hi = _effort_pair(theta, curves[view.label])
-        if e_lo != e_hi:
-            # Borderline dropout hit: keep the side that serves the budget best.
-            others = 0.0
-            for o in views:
-                if o.label == view.label:
-                    continue
-                effort_o = _effort_pair(theta, curves[o.label])[0]
-                others += o.share * normal_cdf((effort_o - theta) / o.sigma)
-            err_lo = abs(others + view.share * normal_cdf((e_lo - theta) / view.sigma) - alpha)
-            err_hi = abs(others + view.share * normal_cdf((e_hi - theta) / view.sigma) - alpha)
-            effort = e_lo if err_lo <= err_hi else e_hi
-        else:
-            effort = e_lo
+    for view, effort in zip(views, efforts):
         strategy = EffortDistribution.point(effort)
         outcomes.append(
             GroupOutcome(
@@ -210,7 +213,7 @@ def _pinned_outcomes(
     views: tuple[GroupView, ...],
     curves: dict[str, ResponseCurve],
     alpha: float,
-) -> tuple[tuple[GroupOutcome, ...], str]:
+) -> tuple[GroupOutcome, ...]:
     """Outcomes when the budget pins the threshold on dropout(s) at ``theta``."""
     rate = {}
     for view in views:
@@ -294,7 +297,7 @@ def _pinned_outcomes(
                 tau=tau if view.label == mixer.label else None,
             )
         )
-    return tuple(outcomes), mixer.label
+    return tuple(outcomes)
 
 
 def solve_unconstrained(
@@ -350,12 +353,23 @@ def solve_unconstrained(
 
     if pinned is not None:
         theta, group_list = pinned
-        outcomes, _ = _pinned_outcomes(theta, group_list, views, by_label, alpha)
+        outcomes = _pinned_outcomes(theta, group_list, views, by_label, alpha)
         regime = "dropout_pinned"
     else:
+        # No dropout lies inside (lo, hi): a group whose dropout lies above
+        # it plays its high maximum throughout, every other group its low one.
+        mid = 0.5 * (lo + hi)
+        group_curves = [by_label[v.label] for v in views]
+        sides = [-1 if c.info and c.info.theta_d > mid else 0 for c in group_curves]
+
+        def efforts(theta: float) -> list[float]:
+            return [c.best_response(theta)[side] for c, side in zip(group_curves, sides)]
+
         def excess(theta: float) -> float:
-            m_lo, m_hi = _mass_interval(theta, views, by_label)
-            return 0.5 * (m_lo + m_hi) - alpha
+            mass = 0.0
+            for view, effort in zip(views, efforts(theta)):
+                mass += view.share * normal_cdf((effort - theta) / view.sigma)
+            return mass - alpha
 
         # Brent's method on the excess mass, continuous and decreasing here.
         theta = find_root_seeded(
@@ -364,7 +378,7 @@ def solve_unconstrained(
             excess(hi) if f_hi is None else f_hi,
             _THETA_WIDTH_REL * max(1.0, abs(lo), abs(hi)),
         )
-        outcomes = _pure_outcomes(theta, views, by_label, alpha)
+        outcomes = _pure_outcomes(theta, views, efforts(theta))
         regime = "smooth"
 
     budget = sum(v.share * o.selection_rate for v, o in zip(views, outcomes))

@@ -197,7 +197,8 @@ def find_root_seeded(
 def find_decreasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a decreasing ``f``: each end of ``[lo, hi]`` moves out by
     doubling steps from ``max(1, hi - lo)`` until it brackets a root (at most
-    64 times), and the final end values seed :func:`find_root_seeded`."""
+    64 times), and the final end values seed :func:`find_root_seeded`.  The
+    ends may coincide; an exact zero at the lower end returns that end."""
     span = max(1.0, hi - lo)
     for _ in range(64):
         f_lo = f(lo)
@@ -207,6 +208,8 @@ def find_decreasing_root(f: Callable[[float], float], lo: float, hi: float) -> f
         span *= 2.0
     else:
         raise NoConvergence("could not bracket the root from below")
+    if f_lo == 0.0:
+        return lo
     span = max(1.0, hi - lo)
     for _ in range(64):
         f_hi = f(hi)

@@ -140,11 +140,21 @@ class TestSweep:
         assert cli.main(["sweep", "--config", spec, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_grid_validation(self, tmp_path):
-        spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 1.5]))
-        assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 1
-        spec = write_json(tmp_path / "one.json", sweep_spec_dict([0.1]))
-        assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 1
+    def test_grid_validation(self, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "o.csv"
+        for grid, message in [
+            ([0.1, 1.5], "alpha grid value 1.5 outside (0, 1)"),
+            ([0.1], "sweep grid needs at least 2 points"),
+            # An unknown scale must not fall back to a linear grid.
+            ({"lo": 0.1, "hi": 0.4, "count": 3, "scale": "logarithmic"},
+             "malformed sweep grid: unknown grid scale 'logarithmic'"),
+            # A missing end is an input error, not a KeyError traceback.
+            ({"lo": 0.1, "count": 3}, "sweep grid has no 'hi' entry"),
+        ]:
+            write_json(spec, sweep_spec_dict(grid))
+            assert cli.main(["sweep", "--config", str(spec), "--out", str(out)]) == 1
+            assert not out.exists()
+            assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
     def test_point_failure_leaves_empty_cells(self, tmp_path, monkeypatch, capsys):
         import stratselect.cli as cli_module
@@ -451,6 +461,17 @@ class TestDynamics:
         ]) == 0
         assert sorted(calls) == ["H", "L"]
 
+    def test_zero_steps_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "dyn.csv"
+        assert cli.main([
+            "dynamics",
+            "--config", str(SCENARIOS / "noise_gap_s10.json"),
+            "--steps", "0",
+            "--out", str(out),
+        ]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --steps must be at least 1, got 0\n"
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -468,3 +489,9 @@ class TestVerify:
         assert cli.main(["verify", "--samples", "50000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_too_few_samples_is_an_input_error(self, capsys):
+        assert cli.main(["verify", "--samples", "999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be at least 1000, got 999\n"

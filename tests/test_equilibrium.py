@@ -237,6 +237,31 @@ class TestUnconstrained:
         theta, _ = grid_oracle(config, steps=30)
         assert report.threshold == pytest.approx(theta, abs=1e-4)
 
+    @pytest.mark.parametrize("k", [-9e-10, -5e-10, -1e-10, 1e-10, 5e-10, 9e-10])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_smooth_crossing_next_to_a_dropout(self, groups, k):
+        # The crossing lies within 1e-9 (relative) of H's dropout, where the
+        # walk reads both tied efforts.  Inside the segment H keeps the side
+        # of its dropout that the crossing lies on, so the solve must land on
+        # the crossing itself and not on the edge of that match band.
+        config = two_group_config(5.0, 0.5, sigma_h=0.5, sigma_l=1.5)
+        if groups == 1:
+            h = dataclasses.replace(config.groups[0], share=1.0)
+            config = dataclasses.replace(config, groups=(h,))
+        views = effective_groups(config)
+        theta_d = dropout_threshold(views[0], config.reward).theta_d
+        crossing = theta_d * (1.0 + k)
+        side = 0 if k > 0 else -1  # low effort above the dropout, high below
+        alpha = sum(
+            v.share * normal_cdf(
+                (best_response(crossing, v, config.reward)[side] - crossing) / v.sigma
+            )
+            for v in views
+        )
+        report = solve_unconstrained(dataclasses.replace(config, alpha=alpha))
+        assert report.regime == "smooth"
+        assert abs(report.threshold - crossing) <= 1e-13 * abs(crossing)
+
     def test_unique_across_sub_brackets(self, noise_gap_config):
         report = solve_unconstrained(noise_gap_config)
         lo, hi = solver_bracket(noise_gap_config)

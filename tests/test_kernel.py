@@ -244,6 +244,11 @@ class TestFindDecreasingRoot:
         find_decreasing_root(f, 0.0, 1.0)
         assert calls.count(0.0) == calls.count(1.0) == 1
 
+    @pytest.mark.parametrize("start", [0.25, 0.5, 0.75])
+    def test_coinciding_ends(self, start):
+        root = find_decreasing_root(lambda x: 0.5 - x, start, start)
+        assert root == pytest.approx(0.5, abs=1e-12)
+
     @pytest.mark.parametrize("value", [-1.0, 1.0])
     def test_gives_up_after_64_doublings(self, value):
         calls = []
