@@ -64,7 +64,6 @@ from .model import (
     config_to_dict,
     correlation_coefficient,
     effective_groups,
-    load_config,
     posterior_variance,
     validate,
 )

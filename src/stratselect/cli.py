@@ -8,10 +8,10 @@ thresholds along a reward grid, CSV), ``dynamics`` (one trajectory, CSV) and
 Exit codes: 0 success, 1 input error (a game or reward-grid point outside
 the supported range included, see ``model.MAX_REWARD_RATIO``), 2 computation
 error.  CSV output is byte-identical across runs for identical inputs; every
-CSV starts with a ``# config_hash=`` comment binding it to the game instance.  ``sweep``,
-``solve`` and ``verify`` build each group's response curve (its window and
-dropout threshold) once per reward per command and share it between both
-solvers and across the grid.
+CSV starts with a ``# config_hash=`` comment binding it to the game instance.
+Every subcommand builds each group's response curve (its window and dropout
+threshold) once per reward: groups of the same cost and spread share it, and
+so do both solvers, the grid points and the dynamics steps.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .best_response import SubcriticalReward, dropout_threshold
+from .best_response import SubcriticalReward
 from .dynamics import run as run_dynamics
 from .equilibrium import (
     CurveMemo,
     SolverError,
+    memo_curve,
     solve_demographic_parity,
     solve_unconstrained,
 )
@@ -306,6 +307,7 @@ def cmd_dropout(args: argparse.Namespace) -> int:
     _check_rewards(args.config, config, grid)
     views = effective_groups(config)
     labels = [v.label for v in views]
+    curves: CurveMemo = {}
     columns = ["S"]
     for label in labels:
         columns += [
@@ -322,7 +324,7 @@ def cmd_dropout(args: argparse.Namespace) -> int:
             row = {"S": reward}
             for view in views:
                 try:
-                    info = dropout_threshold(view, reward)
+                    info = memo_curve(view, reward, curves).dropout()
                 except SubcriticalReward:
                     print(
                         f"warning: S={reward!r} is subcritical for group "
@@ -433,8 +435,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for view in views:
         theta = 0.5 * un.threshold
-        curve = curves[(view.cost, view.sigma, config.reward)]
-        brs = curve.best_response(theta)
+        brs = memo_curve(view, config.reward, curves).best_response(theta)
         grid_best = grid_argmax_payoff(theta, view, config.reward, 10_000)
         step = ((2.0 * config.reward / view.cost) ** 0.5 + 6.0 * view.sigma) / 9_999
         closest = min(brs, key=lambda b: abs(b - grid_best))

@@ -185,7 +185,8 @@ def run(
         if len(init) != len(views):
             raise ValueError("need one initial strategy per group")
 
-    curves = tuple(ResponseCurve(v, config.reward) for v in views)
+    memo: CurveMemo = {}  # twin groups share one curve
+    curves = tuple(memo_curve(v, config.reward, memo) for v in views)
     theta0 = mixture_quantile([s.support for s in init], views, config.alpha)
     state = DynamicsState(
         strategies=init,

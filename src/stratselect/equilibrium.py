@@ -12,6 +12,11 @@ segment every group keeps one side of its dropout, the high maximum when the
 dropout lies above the segment and the low one otherwise, so all groups play
 pure strategies and the mass is continuous up to the segment's ends.
 
+A threshold hits a group's dropout only when it is that very double; twin
+groups share one curve and so one dropout.  One rate table per threshold,
+each group's low and high effort and selection rate, serves the walk, the
+smooth crossing and the outcomes of both regimes.
+
 The threshold a profile of strategies induces, the (1 - alpha)-quantile of
 the decision-statistic mixture, is found by :func:`mixture_quantile`: the
 solver bracket is that quantile at zero effort and at the payoff-feasibility
@@ -33,7 +38,7 @@ import numpy as np
 from .best_response import ResponseCurve, payoff
 from .kernel import find_decreasing_root, find_root_seeded
 from .kernel import normal_cdf, normal_quantile
-from .metrics import quality_from_outcomes, selection_rate
+from .metrics import quality_from_outcomes
 from .model import (
     EffortDistribution,
     EquilibriumReport,
@@ -55,11 +60,6 @@ __all__ = [
     "CurveMemo",
 ]
 
-# A threshold this close (relative) to a group's dropout counts as hitting it:
-# the walk's events, the pinned outcomes and excess_mass read both tied
-# efforts there.
-DROPOUT_MATCH_REL = 1e-9
-
 # The reported selection rates must reproduce alpha this tightly.
 BUDGET_TOL = 1e-8
 
@@ -77,9 +77,9 @@ class SolverError(RuntimeError):
 class ExcessMassEvaluation:
     """Selected mass at a threshold, as an interval.
 
-    The interval is degenerate except when the threshold hits some group's
-    dropout, where ``mass_lo``/``mass_hi`` use that group's low/high tied
-    best response.
+    The interval is degenerate except at some group's dropout, or within a
+    payoff tie of it, where ``mass_lo``/``mass_hi`` use that group's low/high
+    tied best response.
     """
 
     theta: float
@@ -105,45 +105,60 @@ def memo_curve(view: GroupView, reward: float, memo: CurveMemo | None) -> Respon
 
 def _curves(
     views: tuple[GroupView, ...], reward: float, memo: CurveMemo | None = None
-) -> dict[str, ResponseCurve]:
+) -> list[ResponseCurve]:
     """Each group's curve from ``memo`` (a fresh one when None), with its
-    dropout searched unless the reward is subcritical for it."""
+    dropout searched unless the reward is subcritical for it.  Twin groups
+    share one curve and so one dropout double."""
     memo = {} if memo is None else memo
-    curves = {}
-    for view in views:
-        curve = curves[view.label] = memo_curve(view, reward, memo)
+    curves = [memo_curve(view, reward, memo) for view in views]
+    for curve in curves:
         if curve.window is not None:
             curve.dropout()
     return curves
 
 
-def _effort_pair(theta: float, curve: ResponseCurve) -> tuple[float, float]:
-    """Low/high candidate efforts at ``theta`` (equal off the dropout)."""
-    info = curve.info
-    if info is not None and abs(theta - info.theta_d) <= DROPOUT_MATCH_REL * max(
-        1.0, abs(info.theta_d)
-    ):
-        return info.br_min, info.br_max
-    brs = curve.best_response(theta)
-    return brs[0], brs[-1]
+# Per group at one threshold: (rate_lo, rate_hi, effort_lo, effort_hi).
+RateTable = list[tuple[float, float, float, float]]
 
 
-def _mass_interval(
-    theta: float, views: tuple[GroupView, ...], curves: dict[str, ResponseCurve]
-) -> tuple[float, float]:
-    lo = hi = 0.0
-    for view in views:
-        e_lo, e_hi = _effort_pair(theta, curves[view.label])
-        lo += view.share * normal_cdf((e_lo - theta) / view.sigma)
-        hi += view.share * normal_cdf((e_hi - theta) / view.sigma)
-    return lo, hi
+def _rates(
+    theta: float, views: tuple[GroupView, ...], curves: list[ResponseCurve]
+) -> RateTable:
+    """Each group's low and high candidate efforts at ``theta`` and their
+    selection rates: the tied pair when ``theta`` is the group's dropout,
+    the ends of its best response otherwise (equal off a payoff tie)."""
+    table = []
+    for view, curve in zip(views, curves):
+        info = curve.info
+        if info is not None and theta == info.theta_d:
+            e_lo, e_hi = info.br_min, info.br_max
+        else:
+            brs = curve.best_response(theta)
+            e_lo, e_hi = brs[0], brs[-1]
+        x_lo = normal_cdf((e_lo - theta) / view.sigma)
+        x_hi = x_lo if e_hi == e_lo else normal_cdf((e_hi - theta) / view.sigma)
+        table.append((x_lo, x_hi, e_lo, e_hi))
+    return table
+
+
+def _mass(views: tuple[GroupView, ...], table: RateTable, sides: Sequence[int]) -> float:
+    """Selected mass when group ``i`` plays its low effort if ``sides[i]``
+    is 0 and its high one if it is 1."""
+    mass = 0.0
+    for view, rates, side in zip(views, table, sides):
+        mass += view.share * rates[side]
+    return mass
 
 
 def excess_mass(theta: float, config: GameConfig) -> ExcessMassEvaluation:
     """Selected mass when every group best-responds to ``theta``."""
     views = effective_groups(config)
-    lo, hi = _mass_interval(theta, views, _curves(views, config.reward))
-    return ExcessMassEvaluation(theta=theta, mass_lo=lo, mass_hi=hi)
+    table = _rates(theta, views, _curves(views, config.reward))
+    return ExcessMassEvaluation(
+        theta=theta,
+        mass_lo=_mass(views, table, [0] * len(views)),
+        mass_hi=_mass(views, table, [1] * len(views)),
+    )
 
 
 def mixture_quantile(
@@ -189,98 +204,14 @@ def solver_bracket(config: GameConfig) -> tuple[float, float]:
     )
 
 
-def _pure_outcomes(
-    theta: float, views: tuple[GroupView, ...], efforts: Sequence[float]
+def _outcomes(
+    theta: float, views: tuple[GroupView, ...], table: RateTable,
+    weights: Sequence[float], mixer: int | None = None,
 ) -> tuple[GroupOutcome, ...]:
+    """Outcomes when group ``i`` puts weight ``weights[i]`` on its high
+    effort of ``table``; the ``mixer`` reports its weight as ``tau``."""
     outcomes = []
-    for view, effort in zip(views, efforts):
-        strategy = EffortDistribution.point(effort)
-        outcomes.append(
-            GroupOutcome(
-                label=view.label,
-                threshold=theta,
-                strategy=strategy,
-                avg_effort=effort,
-                selection_rate=selection_rate(strategy, theta, view),
-            )
-        )
-    return tuple(outcomes)
-
-
-def _pinned_outcomes(
-    theta: float,
-    hit: list[GroupView],
-    views: tuple[GroupView, ...],
-    curves: dict[str, ResponseCurve],
-    alpha: float,
-) -> tuple[GroupOutcome, ...]:
-    """Outcomes when the budget pins the threshold on dropout(s) at ``theta``."""
-    rate = {}
-    for view in views:
-        e_lo, e_hi = _effort_pair(theta, curves[view.label])
-        rate[view.label] = (
-            normal_cdf((e_lo - theta) / view.sigma),
-            normal_cdf((e_hi - theta) / view.sigma),
-            e_lo,
-            e_hi,
-        )
-
-    def gap(view: GroupView) -> float:
-        lo, hi, _, _ = rate[view.label]
-        return hi - lo
-
-    # Largest rate gap first; sorted() is stable, so the first group wins ties.
-    mixers = sorted(hit, key=gap, reverse=True)
-    if gap(mixers[0]) <= 0.0:
-        raise SolverError(
-            f"degenerate mixing interval for group {mixers[0].label!r}"
-        )
-
-    # Coinciding dropouts are not covered by the theory.  Try each hit group
-    # as the mixer in turn and park the others on one side each, preferring
-    # low effort, until a feasible mixing weight exists.  The group with the
-    # largest share * gap always admits a parking, so some choice succeeds
-    # for every alpha between the all-low and all-high masses.
-    base = sum(v.share * rate[v.label][0] for v in views if v not in hit)
-    tau = None
-    for mixer in mixers:
-        x_lo, x_hi, _, _ = rate[mixer.label]
-        if x_hi - x_lo <= 0.0:
-            break  # so is every later gap
-        others_hit = [v for v in hit if v.label != mixer.label]
-        for sides in itertools.product((0, 1), repeat=len(others_hit)):
-            mass = base + sum(
-                v.share * rate[v.label][side]
-                for v, side in zip(others_hit, sides)
-            )
-            candidate = (alpha - mass - mixer.share * x_lo) / (
-                mixer.share * (x_hi - x_lo)
-            )
-            if -TAU_SLACK <= candidate <= 1.0 + TAU_SLACK:
-                tau = candidate
-                break
-        if tau is not None:
-            break
-    if tau is None:
-        raise SolverError(
-            f"no feasible mixing weight at pinned threshold {theta!r}"
-        )
-    if len(hit) > 1:
-        warnings.warn(
-            f"dropout thresholds of {[v.label for v in hit]} coincide at "
-            f"{theta!r}; assigning the mixed strategy to {mixer.label!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    tau = min(max(tau, 0.0), 1.0)
-
-    # The mixer puts weight tau on its high effort, every other group 0 or 1.
-    weight = {v.label: side for v, side in zip(others_hit, sides)}
-    weight[mixer.label] = tau
-    outcomes = []
-    for view in views:
-        x_l, x_h, m_l, m_h = rate[view.label]
-        w = weight.get(view.label, 0)
+    for i, (view, (x_l, x_h, m_l, m_h), w) in enumerate(zip(views, table, weights)):
         if w == 0.0:
             strategy = EffortDistribution.point(m_l)
         elif w == 1.0:
@@ -294,10 +225,69 @@ def _pinned_outcomes(
                 strategy=strategy,
                 avg_effort=strategy.mean(),
                 selection_rate=(1.0 - w) * x_l + w * x_h,
-                tau=tau if view.label == mixer.label else None,
+                tau=w if i == mixer else None,
             )
         )
     return tuple(outcomes)
+
+
+def _pinned_outcomes(
+    theta: float, hit: list[int], views: tuple[GroupView, ...], table: RateTable, alpha: float
+) -> tuple[GroupOutcome, ...]:
+    """Outcomes when the budget pins the threshold on the dropout that the
+    groups ``hit`` share at ``theta``; ``table`` holds the rates there."""
+
+    def gap(i: int) -> float:
+        return table[i][1] - table[i][0]
+
+    # Largest rate gap first; sorted() is stable, so the first group wins ties.
+    mixers = sorted(hit, key=gap, reverse=True)
+    if gap(mixers[0]) <= 0.0:
+        raise SolverError(
+            f"degenerate mixing interval for group {views[mixers[0]].label!r}"
+        )
+
+    # Coinciding dropouts are not covered by the theory.  Try each hit group
+    # as the mixer in turn and park the others on one side each, preferring
+    # low effort, until a feasible mixing weight exists.  The group with the
+    # largest share * gap always admits a parking, so some choice succeeds
+    # for every alpha between the all-low and all-high masses.
+    base = sum(v.share * table[i][0] for i, v in enumerate(views) if i not in hit)
+    tau = None
+    for mixer in mixers:
+        x_lo, x_hi, _, _ = table[mixer]
+        if x_hi - x_lo <= 0.0:
+            break  # so is every later gap
+        share = views[mixer].share
+        others_hit = [i for i in hit if i != mixer]
+        for sides in itertools.product((0, 1), repeat=len(others_hit)):
+            mass = base + sum(
+                views[i].share * table[i][side] for i, side in zip(others_hit, sides)
+            )
+            candidate = (alpha - mass - share * x_lo) / (share * (x_hi - x_lo))
+            if -TAU_SLACK <= candidate <= 1.0 + TAU_SLACK:
+                tau = candidate
+                break
+        if tau is not None:
+            break
+    if tau is None:
+        raise SolverError(
+            f"no feasible mixing weight at pinned threshold {theta!r}"
+        )
+    if len(hit) > 1:
+        warnings.warn(
+            f"dropout thresholds of {[views[i].label for i in hit]} coincide at "
+            f"{theta!r}; assigning the mixed strategy to {views[mixer].label!r}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    # The mixer puts weight tau on its high effort, every other group 0 or 1.
+    weights = [0] * len(views)
+    for i, side in zip(others_hit, sides):
+        weights[i] = side
+    weights[mixer] = min(max(tau, 0.0), 1.0)
+    return _outcomes(theta, views, table, weights, mixer)
 
 
 def solve_unconstrained(
@@ -316,60 +306,43 @@ def solve_unconstrained(
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     views = effective_groups(config)
-    reward, alpha = config.reward, config.alpha
-    by_label = _curves(views, reward, curves)
+    alpha = config.alpha
+    curves = _curves(views, config.reward, curves)
     theta_lo, theta_hi = bracket if bracket is not None else solver_bracket(config)
 
-    events: list[tuple[float, list[GroupView]]] = []
-    for view in views:
-        info = by_label[view.label].info
-        if info is None or not theta_lo < info.theta_d < theta_hi:
-            continue
-        for theta_d, group_list in events:
-            if abs(info.theta_d - theta_d) <= DROPOUT_MATCH_REL * max(
-                1.0, abs(theta_d)
-            ):
-                group_list.append(view)
-                break
-        else:
-            events.append((info.theta_d, [view]))
-    events.sort(key=lambda item: item[0])
+    # Groups sharing a dropout share its double: twins share one curve.
+    events: dict[float, list[int]] = {}
+    for i, curve in enumerate(curves):
+        if curve.info is not None and theta_lo < curve.info.theta_d < theta_hi:
+            events.setdefault(curve.info.theta_d, []).append(i)
 
     # Walk the dropouts up to the segment free of jumps that holds the
     # crossing, unless a jump straddles alpha.  f_lo/f_hi are the excess mass
     # inside the segment at its ends: just above a dropout the low tied
     # effort plays, just below one the high one; None at a bracket end.
+    lows, highs = [0] * len(views), [1] * len(views)
     lo, hi, f_lo, f_hi = theta_lo, theta_hi, None, None
-    pinned: tuple[float, list[GroupView]] | None = None
-    for theta_d, group_list in events:
-        m_lo, m_hi = _mass_interval(theta_d, views, by_label)
+    outcomes = None
+    for theta_d, hit in sorted(events.items()):
+        table = _rates(theta_d, views, curves)
+        m_lo, m_hi = _mass(views, table, lows), _mass(views, table, highs)
         if alpha > m_hi:
             hi, f_hi = theta_d, m_hi - alpha
             break
         if m_lo <= alpha <= m_hi:
-            pinned = (theta_d, group_list)
+            theta, regime = theta_d, "dropout_pinned"
+            outcomes = _pinned_outcomes(theta, hit, views, table, alpha)
             break
         lo, f_lo = theta_d, m_lo - alpha
 
-    if pinned is not None:
-        theta, group_list = pinned
-        outcomes = _pinned_outcomes(theta, group_list, views, by_label, alpha)
-        regime = "dropout_pinned"
-    else:
+    if outcomes is None:
         # No dropout lies inside (lo, hi): a group whose dropout lies above
         # it plays its high maximum throughout, every other group its low one.
         mid = 0.5 * (lo + hi)
-        group_curves = [by_label[v.label] for v in views]
-        sides = [-1 if c.info and c.info.theta_d > mid else 0 for c in group_curves]
-
-        def efforts(theta: float) -> list[float]:
-            return [c.best_response(theta)[side] for c, side in zip(group_curves, sides)]
+        sides = [int(c.info is not None and c.info.theta_d > mid) for c in curves]
 
         def excess(theta: float) -> float:
-            mass = 0.0
-            for view, effort in zip(views, efforts(theta)):
-                mass += view.share * normal_cdf((effort - theta) / view.sigma)
-            return mass - alpha
+            return _mass(views, _rates(theta, views, curves), sides) - alpha
 
         # Brent's method on the excess mass, continuous and decreasing here.
         theta = find_root_seeded(
@@ -378,7 +351,7 @@ def solve_unconstrained(
             excess(hi) if f_hi is None else f_hi,
             _THETA_WIDTH_REL * max(1.0, abs(lo), abs(hi)),
         )
-        outcomes = _pure_outcomes(theta, views, efforts(theta))
+        outcomes = _outcomes(theta, views, _rates(theta, views, curves), sides)
         regime = "smooth"
 
     budget = sum(v.share * o.selection_rate for v, o in zip(views, outcomes))
@@ -428,7 +401,6 @@ def solve_demographic_parity(
 def max_deviation_gain(
     report: EquilibriumReport,
     config: GameConfig,
-    grid_points: int = 10_000,
 ) -> dict[str, float]:
     """Best payoff improvement any candidate could find on an effort grid.
 
@@ -442,7 +414,7 @@ def max_deviation_gain(
         view = views[outcome.label]
         theta = outcome.threshold
         hi = (2.0 * config.reward / view.cost) ** 0.5 + 6.0 * view.sigma
-        grid = np.linspace(0.0, hi, grid_points)
+        grid = np.linspace(0.0, hi, 10_000)
         values = config.reward * normal_cdf(
             (grid - theta) / view.sigma
         ) - 0.5 * view.cost * grid * grid

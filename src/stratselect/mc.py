@@ -136,8 +136,9 @@ def mc_selection_quality(
     value = np.zeros(n)
     edges = np.cumsum([v.share for v in views])
     lower = 0.0
-    for view, strategy, theta, edge in zip(views, strategies, thresholds, edges):
-        params = _params_for(config, view.label)
+    for view, params, strategy, theta, edge in zip(
+        views, config.groups, strategies, thresholds, edges
+    ):
         eta = params.eta_sq if params.eta_sq is not None else config.eta_sq
         stat_var = posterior_variance(params, config.eta_sq, config.dm_mode)
         mask = (u_group >= lower) & (u_group < edge)
@@ -173,13 +174,6 @@ def mc_selection_quality(
             )
         value[mask] = quality * (stat >= theta)
     return _estimate(value, seed)
-
-
-def _params_for(config: GameConfig, label: str) -> GroupParams:
-    for g in config.groups:
-        if g.label == label:
-            return g
-    raise KeyError(label)
 
 
 def _sample_efforts(strategy: EffortDistribution, u: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "config_hash",
-    "load_config",
 ]
 
 DmMode = Literal["bayesian", "oblivious"]
@@ -369,8 +368,3 @@ def config_hash(config: GameConfig) -> str:
         config_to_dict(config), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def load_config(path: str) -> GameConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))

@@ -328,6 +328,17 @@ class TestDropoutMemo:
             # No memo outlives a command: the rerun searches again.
             assert sorted(dropout_calls) == [("A", 100.0), ("B", 100.0), ("C", 100.0)]
 
+    def test_dropout_searches_twin_groups_once(self, tmp_path, dropout_calls):
+        # A and B share (cost, spread) and so one curve: one search per reward.
+        path = write_json(tmp_path / "game.json", MEMO_GAMES["twin_groups"])
+        out = tmp_path / "dropout.csv"
+        argv = ["dropout", "--config", path, "--grid", "100:1000:2:log", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert sorted(dropout_calls) == [("A", 100.0), ("A", 1000.0), ("C", 100.0), ("C", 1000.0)]
+        for row in read_sweep(out):
+            for column in ("theta_d", "br_min", "br_max", "scaled"):
+                assert row[f"{column}_A"] == row[f"{column}_B"] != ""
+
     def test_solve_searches_each_group_once(self, tmp_path, capsys, dropout_calls):
         path = write_json(tmp_path / "game.json", MEMO_GAMES["three_groups"])
         assert cli.main(["solve", "--config", path]) == 0

@@ -164,6 +164,29 @@ class TestRun:
         assert [s.theta for s in one.states] == [s.theta for s in two.states]
         assert one.convergence == two.convergence
 
+    def test_twin_groups_share_one_curve(self, monkeypatch):
+        # A and B share (cost, spread), so each step solves two best
+        # responses, not three.
+        taus = []
+        real = ResponseCurve._best_response
+
+        def counted(curve, tau):
+            taus.append(tau)
+            return real(curve, tau)
+
+        monkeypatch.setattr(ResponseCurve, "_best_response", counted)
+        config = GameConfig(
+            reward=100.0, alpha=0.2, eta_sq=1.0,
+            groups=(
+                GroupParams("A", 0.2, 1.0, sigma_tilde=0.5),
+                GroupParams("B", 0.3, 1.0, sigma_tilde=0.5),
+                GroupParams("C", 0.5, 1.5, sigma_tilde=1.0),
+            ),
+        )
+        trace = run(config, mode="fp", max_steps=200)
+        assert trace.convergence.status == "max_steps_reached"
+        assert len(taus) == 2 * 200
+
     def test_max_steps_status(self, noise_gap_config):
         trace = run(noise_gap_config, mode="fp", max_steps=5)
         assert trace.convergence.status == "max_steps_reached"

@@ -150,6 +150,26 @@ class TestExcessMass:
         assert ev.mass_hi == pytest.approx(x_hi, abs=1e-12)
         assert ev.mass_lo < config.alpha < ev.mass_hi
 
+    def test_dropout_hit_only_by_its_own_double(self):
+        # The tied pair of the dropout search plays only at the dropout
+        # double itself.  Any other threshold, however close, reads the ends
+        # of its own best response, which still tie there and so straddle.
+        config = GameConfig(
+            reward=10.0, alpha=0.3, eta_sq=1.0,
+            groups=(GroupParams("A", 1.0, 1.0, sigma_tilde=1.0),),
+        )
+        view = effective_groups(config)[0]
+        d = dropout_threshold(view, 10.0).theta_d
+        near = (math.nextafter(d, -math.inf), math.nextafter(d, math.inf),
+                d * (1.0 - 1e-12), d * (1.0 + 1e-12))
+        for theta in near:
+            ev = excess_mass(theta, config)
+            brs = best_response(theta, view, 10.0)
+            assert ev.mass_lo < ev.mass_hi
+            assert (ev.mass_lo, ev.mass_hi) == (
+                normal_cdf(brs[0] - theta), normal_cdf(brs[-1] - theta)
+            )
+
     def test_interval_ordering(self, noise_gap_config):
         for theta in np.linspace(-2.0, 6.0, 25):
             ev = excess_mass(float(theta), noise_gap_config)
