@@ -38,6 +38,7 @@ from .equilibrium import (
 from .kernel import DomainError, NoBracket, NoConvergence
 from .mc import (
     MIN_SAMPLES,
+    effort_grid,
     grid_argmax_payoff,
     mc_selection_probability,
     mc_selection_quality,
@@ -108,6 +109,8 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
     scale: the grid of ``--grid lo:hi:count[:log]`` and of a sweep spec's
     ``{"lo", "hi", "count", "scale"}``.  Raises ValueError when malformed."""
     lo, hi = float(lo), float(hi)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"grid ends must be finite, got {lo!r} and {hi!r}")
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"grid count must be an integer of at least 1, got {count!r}")
     if scale == "log":
@@ -436,8 +439,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for view in views:
         theta = 0.5 * un.threshold
         brs = memo_curve(view, config.reward, curves).best_response(theta)
-        grid_best = grid_argmax_payoff(theta, view, config.reward, 10_000)
-        step = ((2.0 * config.reward / view.cost) ** 0.5 + 6.0 * view.sigma) / 9_999
+        grid_best = grid_argmax_payoff(theta, view, config.reward)
+        step = effort_grid(view, config.reward)[1]
         closest = min(brs, key=lambda b: abs(b - grid_best))
         checks.append(
             (f"best_response[{view.label}, theta={theta:.3g}]",

@@ -5,17 +5,19 @@ threshold ``t``, ``h(t) = sum_G p_G * Phi((br_G(t) - t) / s_G) - alpha``, is
 strictly decreasing with downward jumps exactly at the groups' dropout
 thresholds.  Walking the dropouts inside a bracket that provably contains
 the fixed point either finds one whose jump straddles alpha, in which case
-the pinned group splits between its two tied best responses with the weight
-that makes the selection budget bind, or a segment free of jumps where the
-curve crosses alpha smoothly and Brent's method finds the crossing.  On that
-segment every group keeps one side of its dropout, the high maximum when the
-dropout lies above the segment and the low one otherwise, so all groups play
-pure strategies and the mass is continuous up to the segment's ends.
+every group tied there splits between its two tied best responses with the
+one weight that makes the selection budget bind, or a segment free of jumps
+where the curve crosses alpha smoothly and Brent's method finds the
+crossing.  On that segment every group keeps one side of its dropout, the
+high maximum when the dropout lies above the segment and the low one
+otherwise, so all groups play pure strategies and the mass is continuous up
+to the segment's ends.
 
 A threshold hits a group's dropout only when it is that very double; twin
-groups share one curve and so one dropout.  One rate table per threshold,
-each group's low and high effort and selection rate, serves the walk, the
-smooth crossing and the outcomes of both regimes.
+groups (same cost and spread) share one curve and so one dropout, where they
+mix alike and ``mixing_group`` names the first of them.  One rate table per
+threshold, each group's low and high effort and selection rate, serves the
+walk, the smooth crossing and the outcomes of both regimes.
 
 The threshold a profile of strategies induces, the (1 - alpha)-quantile of
 the decision-statistic mixture, is found by :func:`mixture_quantile`: the
@@ -28,16 +30,13 @@ group (each selecting its own top fraction), solved with the same machinery.
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
-
-import numpy as np
 
 from .best_response import ResponseCurve, payoff
 from .kernel import find_decreasing_root, find_root_seeded
 from .kernel import normal_cdf, normal_quantile
+from .mc import effort_grid
 from .metrics import quality_from_outcomes
 from .model import (
     EffortDistribution,
@@ -206,10 +205,10 @@ def solver_bracket(config: GameConfig) -> tuple[float, float]:
 
 def _outcomes(
     theta: float, views: tuple[GroupView, ...], table: RateTable,
-    weights: Sequence[float], mixer: int | None = None,
+    weights: Sequence[float], mixing: Sequence[int] = (),
 ) -> tuple[GroupOutcome, ...]:
     """Outcomes when group ``i`` puts weight ``weights[i]`` on its high
-    effort of ``table``; the ``mixer`` reports its weight as ``tau``."""
+    effort of ``table``; the groups in ``mixing`` report it as ``tau``."""
     outcomes = []
     for i, (view, (x_l, x_h, m_l, m_h), w) in enumerate(zip(views, table, weights)):
         if w == 0.0:
@@ -225,69 +224,38 @@ def _outcomes(
                 strategy=strategy,
                 avg_effort=strategy.mean(),
                 selection_rate=(1.0 - w) * x_l + w * x_h,
-                tau=w if i == mixer else None,
+                tau=w if i in mixing else None,
             )
         )
     return tuple(outcomes)
 
 
 def _pinned_outcomes(
-    theta: float, hit: list[int], views: tuple[GroupView, ...], table: RateTable, alpha: float
+    theta: float, views: tuple[GroupView, ...], table: RateTable, alpha: float
 ) -> tuple[GroupOutcome, ...]:
-    """Outcomes when the budget pins the threshold on the dropout that the
-    groups ``hit`` share at ``theta``; ``table`` holds the rates there."""
-
-    def gap(i: int) -> float:
-        return table[i][1] - table[i][0]
-
-    # Largest rate gap first; sorted() is stable, so the first group wins ties.
-    mixers = sorted(hit, key=gap, reverse=True)
-    if gap(mixers[0]) <= 0.0:
-        raise SolverError(
-            f"degenerate mixing interval for group {views[mixers[0]].label!r}"
-        )
-
-    # Coinciding dropouts are not covered by the theory.  Try each hit group
-    # as the mixer in turn and park the others on one side each, preferring
-    # low effort, until a feasible mixing weight exists.  The group with the
-    # largest share * gap always admits a parking, so some choice succeeds
-    # for every alpha between the all-low and all-high masses.
-    base = sum(v.share * table[i][0] for i, v in enumerate(views) if i not in hit)
-    tau = None
-    for mixer in mixers:
-        x_lo, x_hi, _, _ = table[mixer]
-        if x_hi - x_lo <= 0.0:
-            break  # so is every later gap
-        share = views[mixer].share
-        others_hit = [i for i in hit if i != mixer]
-        for sides in itertools.product((0, 1), repeat=len(others_hit)):
-            mass = base + sum(
-                views[i].share * table[i][side] for i, side in zip(others_hit, sides)
-            )
-            candidate = (alpha - mass - share * x_lo) / (share * (x_hi - x_lo))
-            if -TAU_SLACK <= candidate <= 1.0 + TAU_SLACK:
-                tau = candidate
-                break
-        if tau is not None:
-            break
-    if tau is None:
-        raise SolverError(
-            f"no feasible mixing weight at pinned threshold {theta!r}"
-        )
-    if len(hit) > 1:
-        warnings.warn(
-            f"dropout thresholds of {[views[i].label for i in hit]} coincide at "
-            f"{theta!r}; assigning the mixed strategy to {views[mixer].label!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    # The mixer puts weight tau on its high effort, every other group 0 or 1.
-    weights = [0] * len(views)
-    for i, side in zip(others_hit, sides):
-        weights[i] = side
-    weights[mixer] = min(max(tau, 0.0), 1.0)
-    return _outcomes(theta, views, table, weights, mixer)
+    """Outcomes when the budget pins the threshold on a dropout at ``theta``;
+    ``table`` holds the rates there.  Every group tied there (two distinct
+    rates) mixes its tied efforts with the one weight that makes the budget
+    bind, so groups of the same cost and spread play alike; every other
+    group plays its one effort."""
+    tied = [i for i, (x_lo, x_hi, _, _) in enumerate(table) if x_hi > x_lo]
+    base = low = gap = 0.0
+    for i, (view, (x_lo, x_hi, _, _)) in enumerate(zip(views, table)):
+        if i in tied:
+            low += view.share * x_lo
+            gap += view.share * (x_hi - x_lo)
+        else:
+            base += view.share * x_lo
+    if not tied:
+        raise SolverError(f"degenerate mixing interval at pinned threshold {theta!r}")
+    # The walk pins only when alpha lies between the all-low and all-high
+    # masses, so tau lies in [0, 1] up to rounding.
+    tau = (alpha - base - low) / gap
+    if not -TAU_SLACK <= tau <= 1.0 + TAU_SLACK:
+        raise SolverError(f"no feasible mixing weight at pinned threshold {theta!r}")
+    tau = min(max(tau, 0.0), 1.0)
+    weights = [tau if i in tied else 0.0 for i in range(len(views))]
+    return _outcomes(theta, views, table, weights, tied)
 
 
 def solve_unconstrained(
@@ -311,10 +279,10 @@ def solve_unconstrained(
     theta_lo, theta_hi = bracket if bracket is not None else solver_bracket(config)
 
     # Groups sharing a dropout share its double: twins share one curve.
-    events: dict[float, list[int]] = {}
-    for i, curve in enumerate(curves):
-        if curve.info is not None and theta_lo < curve.info.theta_d < theta_hi:
-            events.setdefault(curve.info.theta_d, []).append(i)
+    events = sorted({
+        c.info.theta_d for c in curves
+        if c.info is not None and theta_lo < c.info.theta_d < theta_hi
+    })
 
     # Walk the dropouts up to the segment free of jumps that holds the
     # crossing, unless a jump straddles alpha.  f_lo/f_hi are the excess mass
@@ -323,7 +291,7 @@ def solve_unconstrained(
     lows, highs = [0] * len(views), [1] * len(views)
     lo, hi, f_lo, f_hi = theta_lo, theta_hi, None, None
     outcomes = None
-    for theta_d, hit in sorted(events.items()):
+    for theta_d in events:
         table = _rates(theta_d, views, curves)
         m_lo, m_hi = _mass(views, table, lows), _mass(views, table, highs)
         if alpha > m_hi:
@@ -331,7 +299,7 @@ def solve_unconstrained(
             break
         if m_lo <= alpha <= m_hi:
             theta, regime = theta_d, "dropout_pinned"
-            outcomes = _pinned_outcomes(theta, hit, views, table, alpha)
+            outcomes = _pinned_outcomes(theta, views, table, alpha)
             break
         lo, f_lo = theta_d, m_lo - alpha
 
@@ -402,19 +370,17 @@ def max_deviation_gain(
     report: EquilibriumReport,
     config: GameConfig,
 ) -> dict[str, float]:
-    """Best payoff improvement any candidate could find on an effort grid.
+    """Best payoff improvement any candidate could find on its group's
+    :func:`~stratselect.mc.effort_grid`.
 
-    At a Nash equilibrium this is nonpositive up to solver residuals.  The
-    grid spans ``[0, sqrt(2 S / C) + 6 sigma]`` per group, which contains
-    every best response.
+    At a Nash equilibrium this is nonpositive up to solver residuals.
     """
     views = {v.label: v for v in effective_groups(config)}
     gains = {}
     for outcome in report.outcomes:
         view = views[outcome.label]
         theta = outcome.threshold
-        hi = (2.0 * config.reward / view.cost) ** 0.5 + 6.0 * view.sigma
-        grid = np.linspace(0.0, hi, 10_000)
+        grid = effort_grid(view, config.reward)
         values = config.reward * normal_cdf(
             (grid - theta) / view.sigma
         ) - 0.5 * view.cost * grid * grid

@@ -37,6 +37,7 @@ __all__ = [
     "McEstimate",
     "mc_selection_probability",
     "mc_selection_quality",
+    "effort_grid",
     "grid_argmax_payoff",
 ]
 
@@ -185,18 +186,22 @@ def _sample_efforts(strategy: EffortDistribution, u: np.ndarray) -> np.ndarray:
     return efforts[np.clip(idx, 0, len(efforts) - 1)]
 
 
+def effort_grid(group: GroupView, reward: float, grid_points: int = 10_000) -> np.ndarray:
+    """The uniform effort grid of the grid oracles: ``grid_points`` points on
+    ``[0, sqrt(2 reward / cost) + 6 sigma]``, which contains every best
+    response."""
+    hi = math.sqrt(2.0 * reward / group.cost) + 6.0 * group.sigma
+    return np.linspace(0.0, hi, max(int(grid_points), 1))
+
+
 def grid_argmax_payoff(
     theta: float,
     group: GroupView,
     reward: float,
     grid_points: int = 10_000,
 ) -> float:
-    """Brute-force best response on a uniform effort grid.
-
-    The grid covers ``[0, sqrt(2 reward / cost) + 6 sigma]``, which contains
-    every best response; ties resolve to the smallest effort.
-    """
-    hi = math.sqrt(2.0 * reward / group.cost) + 6.0 * group.sigma
-    grid = np.linspace(0.0, hi, max(int(grid_points), 1))
+    """Brute-force best response on :func:`effort_grid`; ties resolve to the
+    smallest effort."""
+    grid = effort_grid(group, reward, grid_points)
     values = reward * normal_cdf((grid - theta) / group.sigma) - 0.5 * group.cost * grid**2
     return float(grid[int(np.argmax(values))])

@@ -246,19 +246,25 @@ class EquilibriumReport:
         }
 
 
+def _reward_ratio(reward: float, cost: float, sigma_sq: float) -> float:
+    """``reward / (cost * sigma_sq)``, infinite when the product underflows."""
+    scale = cost * sigma_sq
+    return reward / scale if scale > 0.0 else math.inf
+
+
 def in_supported_range(reward: float, cost: float, sigma_sq: float) -> bool:
     """Whether ``reward / (cost * sigma_sq)`` is at most :data:`MAX_REWARD_RATIO`."""
-    return reward / (cost * sigma_sq) <= MAX_REWARD_RATIO
+    return _reward_ratio(reward, cost, sigma_sq) <= MAX_REWARD_RATIO
 
 
 def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[str]:
     problems: list[str] = []
-    if not config.reward > 0.0:
-        problems.append(f"reward must be positive, got {config.reward!r}")
+    if not 0.0 < config.reward < math.inf:
+        problems.append(f"reward must be positive and finite, got {config.reward!r}")
     if not 0.0 < config.alpha < 1.0:
         problems.append(f"alpha must lie in (0, 1), got {config.alpha!r}")
-    if not config.eta_sq > 0.0:
-        problems.append(f"eta_sq must be positive, got {config.eta_sq!r}")
+    if not 0.0 < config.eta_sq < math.inf:
+        problems.append(f"eta_sq must be positive and finite, got {config.eta_sq!r}")
     if config.dm_mode not in ("bayesian", "oblivious"):
         problems.append(f"dm_mode must be bayesian or oblivious, got {config.dm_mode!r}")
     if len(config.groups) < min_groups:
@@ -274,17 +280,19 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
         if not 0.0 < g.share <= share_hi:
             bound = "(0, 1)" if share_hi < 1.0 else "(0, 1]"
             problems.append(f"{prefix}.share must lie in {bound}, got {g.share!r}")
-        if not g.cost > 0.0:
-            problems.append(f"{prefix}.cost must be positive, got {g.cost!r}")
-        if g.noise_var < 0.0:
+        if not 0.0 < g.cost < math.inf:
+            problems.append(f"{prefix}.cost must be positive and finite, got {g.cost!r}")
+        if not 0.0 <= g.noise_var < math.inf:
             problems.append(
-                f"{prefix}.noise_var must be nonnegative, got {g.noise_var!r}"
+                f"{prefix}.noise_var must be nonnegative and finite, got {g.noise_var!r}"
             )
-        if g.eta_sq is not None and not g.eta_sq > 0.0:
-            problems.append(f"{prefix}.eta_sq must be positive, got {g.eta_sq!r}")
-        if g.sigma_tilde is not None and not g.sigma_tilde > 0.0:
+        if g.eta_sq is not None and not 0.0 < g.eta_sq < math.inf:
             problems.append(
-                f"{prefix}.sigma_tilde must be positive, got {g.sigma_tilde!r}"
+                f"{prefix}.eta_sq must be positive and finite, got {g.eta_sq!r}"
+            )
+        if g.sigma_tilde is not None and not 0.0 < g.sigma_tilde < math.inf:
+            problems.append(
+                f"{prefix}.sigma_tilde must be positive and finite, got {g.sigma_tilde!r}"
             )
         total += g.share
     if config.groups and abs(total - 1.0) > SHARE_TOL:
@@ -293,11 +301,17 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
         return problems
     for g in config.groups:
         sigma_sq = posterior_variance(g, config.eta_sq, config.dm_mode)
-        if not in_supported_range(config.reward, g.cost, sigma_sq):
+        if not 0.0 < sigma_sq < math.inf:
+            source = "sigma_tilde" if g.sigma_tilde is not None else "eta_sq and noise_var"
+            problems.append(
+                f"groups[{g.label!r}]: the variance {sigma_sq!r} from {source} "
+                f"must be positive and finite"
+            )
+        elif not in_supported_range(config.reward, g.cost, sigma_sq):
             problems.append(
                 f"groups[{g.label!r}]: reward {config.reward!r} is "
-                f"{config.reward / (g.cost * sigma_sq):.4g} times cost * sigma**2, "
-                f"above the supported {MAX_REWARD_RATIO:g}"
+                f"{_reward_ratio(config.reward, g.cost, sigma_sq):.4g} times "
+                f"cost * sigma**2, above the supported {MAX_REWARD_RATIO:g}"
             )
     return problems
 

@@ -1,6 +1,10 @@
 import csv
 import importlib
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +85,28 @@ class TestSolve:
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top, group, message", [
+        # Its square underflows to 0.0.
+        ({}, {"sigma_tilde": 1e-200},
+         "groups['H']: the variance 0.0 from sigma_tilde must be positive and finite"),
+        ({}, {"noise_var": math.inf},
+         "groups['H'].noise_var must be nonnegative and finite, got inf"),
+        ({}, {"cost": math.inf}, "groups['H'].cost must be positive and finite, got inf"),
+        ({"eta_sq": math.inf}, {}, "eta_sq must be positive and finite, got inf"),
+        # cost * sigma**2 underflows to 0.0.
+        ({}, {"cost": 1e-200, "sigma_tilde": 1e-160},
+         "groups['H']: reward 10.0 is inf times cost * sigma**2, above the supported 1e+20"),
+    ], ids=["sigma_tilde", "noise_var", "cost", "eta_sq", "cost_times_variance"])
+    def test_non_finite_or_vanishing_field_is_named(self, tmp_path, capsys, top, group, message):
+        # json writes and reads inf as Infinity.
+        groups = [
+            {"label": "H", "share": 0.5, "cost": 1.0, "noise_var": 1.0, **group},
+            {"label": "L", "share": 0.5, "cost": 1.0},
+        ]
+        path = write_json(tmp_path / "bad.json", base_config_dict(groups=groups, **top))
+        assert cli.main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_missing_file(self, capsys):
         rc = cli.main(["solve", "--config", "/nonexistent/x.json"])
         assert rc == 1
@@ -150,6 +176,9 @@ class TestSweep:
              "malformed sweep grid: unknown grid scale 'logarithmic'"),
             # A missing end is an input error, not a KeyError traceback.
             ({"lo": 0.1, "count": 3}, "sweep grid has no 'hi' entry"),
+            # Rejected before numpy can warn on stderr.
+            ({"lo": 0.1, "hi": math.inf, "count": 3},
+             "malformed sweep grid: grid ends must be finite, got 0.1 and inf"),
         ]:
             write_json(spec, sweep_spec_dict(grid))
             assert cli.main(["sweep", "--config", str(spec), "--out", str(out)]) == 1
@@ -344,7 +373,6 @@ class TestDropoutMemo:
         assert cli.main(["solve", "--config", path]) == 0
         assert sorted(dropout_calls) == [("A", 100.0), ("B", 100.0), ("C", 100.0)]
 
-    @pytest.mark.filterwarnings("ignore:dropout thresholds of")
     @pytest.mark.parametrize("sweep", sorted(MEMO_SWEEPS))
     def test_memoised_sweep_matches_fresh_solves(self, tmp_path, monkeypatch, sweep):
         game, axis, grid = MEMO_SWEEPS[sweep]
@@ -378,6 +406,31 @@ class TestDropoutMemo:
                 assert row[column] == repr(expected_value), (value, column)
 
 
+def test_twin_sweep_reruns_alike_in_one_process(tmp_path):
+    # Python prints a warning once per call site and process, so a solver
+    # that warned would write stderr on the first run only.  The default
+    # warning filters hold in a fresh interpreter.
+    spec = write_json(
+        tmp_path / "spec.json",
+        {**sweep_spec_dict(MEMO_GRID), "base_config": MEMO_GAMES["twin_groups"]},
+    )
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    code = (
+        "import sys; from stratselect import cli; "
+        "sys.exit(max(cli.main(['sweep', '--config', sys.argv[1], '--out', out]) "
+        "for out in sys.argv[2:]))"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", code, spec, str(a), str(b)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert a.read_bytes() == b.read_bytes()
+
+
 class TestDropout:
     def test_trend_and_columns(self, tmp_path):
         out = tmp_path / "drop.csv"
@@ -399,6 +452,16 @@ class TestDropout:
         th = [float(r.split(",")[header.index("theta_d_H")]) for r in lines[2:]]
         tl = [float(r.split(",")[header.index("theta_d_L")]) for r in lines[2:]]
         assert all(h > l for h, l in zip(th, tl))
+
+    @pytest.mark.parametrize("grid", ["1:inf:3:log", "nan:10:3"])
+    def test_non_finite_grid_end_is_an_input_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "drop.csv"
+        argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+                "--grid", grid, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad grid {grid!r}: grid ends must be finite")
 
     def test_subcritical_rows_are_blank(self, tmp_path, capsys):
         out = tmp_path / "drop.csv"

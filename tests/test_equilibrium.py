@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import stratselect.equilibrium as equilibrium
@@ -23,7 +26,7 @@ from stratselect.equilibrium import (
 from stratselect.kernel import normal_cdf, normal_pdf
 from stratselect.mc import grid_argmax_payoff
 from stratselect.metrics import asymptotic_predictions
-from stratselect.model import GameConfig, GroupParams, effective_groups
+from stratselect.model import GameConfig, GroupParams, effective_groups, validate
 
 from conftest import two_group_config
 
@@ -380,14 +383,11 @@ class TestUnconstrained:
         assert all(b < a for a, b in zip(above_gaps, above_gaps[1:]))
         assert above_gaps[-1] < 0.01
 
-    @pytest.mark.parametrize(
-        "alpha, mixer", [(0.1, "A"), (0.15, "A"), (0.2, "B"), (0.25, "B"), (0.3, "A")]
-    )
-    def test_coinciding_dropouts_pick_a_feasible_mixer(self, alpha, mixer):
+    @pytest.mark.parametrize("alpha", [0.1, 0.15, 0.2, 0.25, 0.3])
+    def test_coinciding_dropouts_mix_alike(self, alpha):
         # A and B share (cost, spread) and so a dropout, which pins the
-        # threshold for every alpha here.  With B parked at either tied
-        # effort, A (share 0.2) cannot reach alpha 0.2 or 0.25; B (share 0.3)
-        # can, with A parked low.  A stays the mixer wherever it suffices.
+        # threshold for every alpha here.  Both mix their tied efforts with
+        # one weight, so they play alike; C plays one effort.
         config = GameConfig(
             reward=100.0, alpha=alpha, eta_sq=1.0,
             groups=(
@@ -396,17 +396,18 @@ class TestUnconstrained:
                 GroupParams("C", 0.5, 1.5, sigma_tilde=1.0),
             ),
         )
-        with pytest.warns(RuntimeWarning, match=f"mixed strategy to '{mixer}'"):
-            report = solve_unconstrained(config)
+        report = solve_unconstrained(config)
         assert report.regime == "dropout_pinned"
-        taus = {o.label: o.tau for o in report.outcomes}
-        assert [label for label, tau in taus.items() if tau is not None] == [mixer]
-        assert 0.0 < taus[mixer] < 1.0
+        a, b, c = report.outcomes
+        assert 0.0 < a.tau < 1.0
+        assert (a.tau, a.strategy, a.selection_rate) == (b.tau, b.strategy, b.selection_rate)
+        assert c.tau is None
+        assert report.mixing_group == "A"
         views = effective_groups(config)
         total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
         assert abs(total - alpha) <= 1e-8
         # The tied maxima agree to about an ulp of the payoff, and the grid
-        # point m = 0 sits on the low one, so the grid may beat the mixer by
+        # point m = 0 sits on the low one, so the grid may beat the mixers by
         # that much.
         drop = dropout_threshold(views[0], config.reward)
         ties = [payoff(m, drop.theta_d, views[0], config.reward)
@@ -458,10 +459,10 @@ class TestDemographicParity:
             )
         assert dp.quality == pytest.approx(un.quality, abs=1e-8)
 
-    def test_symmetric_coincident_dropouts_warn_but_agree(self):
+    def test_symmetric_coincident_dropouts_match_parity(self):
         # Past the critical reward both identical groups drop out at the same
-        # threshold; the unconstrained solver must pick one mixer, warn, and
-        # still reproduce the parity thresholds and quality.
+        # threshold and the budget pins it there.  Both mix alike, each at
+        # rate alpha, which is the parity outcome itself.
         g = dict(share=0.5, cost=1.0, noise_var=0.5)
         config = GameConfig(
             reward=6.0,
@@ -469,13 +470,17 @@ class TestDemographicParity:
             eta_sq=1.0,
             groups=(GroupParams("A", **g), GroupParams("B", **g)),
         )
-        with pytest.warns(RuntimeWarning, match="coincide"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             un = solve_unconstrained(config)
-        dp = solve_demographic_parity(config)
+            dp = solve_demographic_parity(config)
         assert un.regime == "dropout_pinned"
         for outcome in dp.outcomes:
-            assert outcome.threshold == pytest.approx(un.threshold, abs=1e-8)
-        assert dp.quality == pytest.approx(un.quality, abs=1e-8)
+            mine = un.outcome(outcome.label)
+            assert mine.threshold == outcome.threshold
+            assert mine.selection_rate == outcome.selection_rate
+            assert mine.avg_effort == outcome.avg_effort
+        assert un.quality == dp.quality
 
     def test_large_reward_mixing_weights_near_alpha(self):
         config = two_group_config(1e4, 0.3, cost_h=1.5)
@@ -488,3 +493,53 @@ class TestDemographicParity:
         report = solve_demographic_parity(config)
         ratio = report.outcome("H").avg_effort / report.outcome("L").avg_effort
         assert ratio == pytest.approx(math.sqrt(1.0 / 1.5), abs=0.05)
+
+
+COSTS = st.floats(math.log10(0.2), math.log10(5.0)).map(lambda e: 10.0**e)
+NOISES = st.floats(0.0, 4.0)
+
+
+@st.composite
+def twin_games(draw):
+    """Games of 2-4 groups, at least one pair of them twins (same cost and
+    noise, so the same spread and dropout), at a reward from a tenth to a
+    thousand times the twins' critical reward."""
+    kinds = [(draw(COSTS), draw(NOISES))]
+    kinds.append(kinds[0])
+    for _ in range(draw(st.integers(0, 2))):
+        kinds.append(draw(st.sampled_from(kinds) | st.tuples(COSTS, NOISES)))
+    order = draw(st.permutations(range(len(kinds))))
+    weights = [draw(st.floats(0.1, 1.0)) for _ in kinds]
+    groups = tuple(
+        GroupParams(f"G{i}", w / sum(weights), cost, noise_var=noise)
+        for i, (w, (cost, noise)) in enumerate(zip(weights, [kinds[j] for j in order]))
+    )
+    config = GameConfig(
+        reward=1.0, alpha=draw(st.floats(0.02, 0.98)), eta_sq=1.0, groups=groups,
+        dm_mode=draw(st.sampled_from(["bayesian", "oblivious"])),
+    )
+    twin = effective_groups(config)[order.index(0)]
+    reward = critical_reward(twin) * 10.0 ** draw(st.floats(-1.0, 3.0))
+    return dataclasses.replace(config, reward=reward)
+
+
+class TestTwinGroups:
+    """Groups of the same cost and spread get the same outcome, whichever
+    regime the game is in."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=twin_games())
+    def test_twins_play_alike(self, config):
+        assert validate(config) == []
+        views = effective_groups(config)
+        un, dp = solve_unconstrained(config), solve_demographic_parity(config)
+        budget = sum(v.share * o.selection_rate for v, o in zip(views, un.outcomes))
+        assert abs(budget - config.alpha) <= 1e-8
+        assert all(abs(o.selection_rate - config.alpha) <= 1e-8 for o in dp.outcomes)
+        for report in (un, dp):
+            first = {}
+            for view, outcome in zip(views, report.outcomes):
+                unlabelled = dataclasses.replace(outcome, label="")
+                assert first.setdefault((view.cost, view.sigma), unlabelled) == unlabelled
+            gains = max_deviation_gain(report, config)
+            assert max(gains.values()) <= 1e-7 * config.reward, gains
