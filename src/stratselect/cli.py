@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -102,6 +103,22 @@ def _load_config(path: str) -> GameConfig:
     if problems:
         raise InputError(f"{path}: " + "; ".join(problems))
     return config
+
+
+@contextmanager
+def _csv_out(path: str, config: GameConfig, columns: Sequence[str], *comments: str):
+    """A CSV writer on ``path`` after the ``# config_hash=`` line, one ``#``
+    line per comment and the header; an unwritable path is an InputError."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        for line in (f"config_hash={config_hash(config)}", *comments):
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        yield writer
 
 
 def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float]:
@@ -289,10 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curves: CurveMemo = {}
     results = [_sweep_row(spec, v, curves) for v in spec.grid]
     columns = _sweep_columns(spec)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(spec.base_config)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+    with _csv_out(args.out, spec.base_config, columns) as writer:
         for row, warning in results:
             if warning:
                 print(f"warning: {warning}", file=sys.stderr)
@@ -311,18 +325,11 @@ def cmd_dropout(args: argparse.Namespace) -> int:
     views = effective_groups(config)
     labels = [v.label for v in views]
     curves: CurveMemo = {}
-    columns = ["S"]
-    for label in labels:
-        columns += [
-            f"theta_d_{label}",
-            f"br_min_{label}",
-            f"br_max_{label}",
-            f"scaled_{label}",
-        ]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(config)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+    columns = ["S"] + [
+        f"{column}_{label}" for label in labels
+        for column in ("theta_d", "br_min", "br_max", "scaled")
+    ]
+    with _csv_out(args.out, config, columns) as writer:
         for reward in grid:
             row = {"S": reward}
             for view in views:
@@ -352,6 +359,8 @@ def cmd_dropout(args: argparse.Namespace) -> int:
 def cmd_dynamics(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise InputError(f"--steps must be at least 1, got {args.steps}")
+    if not 0.0 <= args.tol < float("inf"):
+        raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     config = _load_config(args.config)
     trace = run_dynamics(
         config, mode=args.mode, max_steps=args.steps, tol=args.tol
@@ -362,16 +371,12 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     for label in labels:
         columns += [f"avg_effort_{label}", f"rate_{label}"]
     conv = trace.convergence
-    summary = f"# convergence={conv.status}"
+    summary = f"convergence={conv.status}"
     if conv.period is not None:
         summary += f" period={conv.period}"
     if conv.theta is not None:
         summary += f" theta={conv.theta!r}"
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(config)}\n")
-        fh.write(summary + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+    with _csv_out(args.out, config, columns, summary) as writer:
         for state in trace.states:
             row = [str(state.t), _fmt(state.theta), _fmt(state.belief)]
             for view, strategy in zip(views, state.strategies):

@@ -143,12 +143,7 @@ def _detect_cycle(thetas: list[float]) -> int | None:
             return None
         if abs(thetas[-1] - thetas[-1 - p]) > CYCLE_TOL:
             continue
-        ok = True
-        for i in range(1, 2 * p + 1):
-            if abs(thetas[-i] - thetas[-i - p]) > CYCLE_TOL:
-                ok = False
-                break
-        if ok:
+        if not any(abs(thetas[-i] - thetas[-i - p]) > CYCLE_TOL for i in range(1, 2 * p + 1)):
             window = thetas[-p:]
             if max(window) - min(window) >= CYCLE_MIN_AMPLITUDE:
                 return p
@@ -172,6 +167,8 @@ def run(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if mode not in ("br", "fp"):
         raise ValueError(f"unknown mode {mode!r}")
     problems = solver_violations(config)

@@ -24,8 +24,8 @@ the decision-statistic mixture, is found by :func:`mixture_quantile`: the
 solver bracket is that quantile at zero effort and at the payoff-feasibility
 bound, and the dynamics take every new threshold from it.
 
-The demographic-parity game decomposes into one single-group instance per
-group (each selecting its own top fraction), solved with the same machinery.
+Under demographic parity each group selects its own top fraction alpha, so
+each group's threshold is read off its response curve with no search.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .best_response import ResponseCurve, payoff
-from .kernel import find_decreasing_root, find_root_seeded
-from .kernel import normal_cdf, normal_quantile
+from .kernel import ROOT_XTOL, find_root_seeded
+from .kernel import normal_cdf, normal_pdf, normal_quantile
 from .mc import effort_grid
 from .metrics import quality_from_outcomes
 from .model import (
@@ -167,9 +167,11 @@ def mixture_quantile(
 ) -> float:
     """The threshold a strategy profile induces: the (1 - alpha)-quantile of
     the decision-statistic mixture in which group ``views[i]`` plays the
-    ``(effort, weight)`` pairs ``supports[i]``.  It lies between the
-    quantiles ``m + s * normal_quantile(1 - alpha)`` of the mixture's
-    components, which seed the search."""
+    ``(effort, weight)`` pairs ``supports[i]``.  Below every component
+    quantile ``m + s * normal_quantile(1 - alpha)`` each component's CDF is
+    at most ``1 - alpha``, above all of them at least, so the least and the
+    greatest bracket the root; an end whose excess has the wrong sign is
+    within rounding of it."""
     target = 1.0 - alpha
 
     def excess(theta: float) -> float:
@@ -183,7 +185,16 @@ def mixture_quantile(
 
     z = normal_quantile(target)
     seeds = [m + view.sigma * z for view, support in zip(views, supports) for m, _ in support]
-    return find_decreasing_root(excess, min(seeds), max(seeds))
+    lo, hi = min(seeds), max(seeds)
+    if lo == hi:
+        return lo
+    f_lo = excess(lo)
+    if f_lo <= 0.0:
+        return lo
+    f_hi = excess(hi)
+    if f_hi >= 0.0:
+        return hi
+    return find_root_seeded(excess, lo, hi, f_lo, f_hi, ROOT_XTOL)
 
 
 def solver_bracket(config: GameConfig) -> tuple[float, float]:
@@ -341,21 +352,35 @@ def solve_demographic_parity(
 ) -> EquilibriumReport:
     """Equilibrium when every group is selected at rate alpha.
 
-    The parity constraint removes cross-group competition, so each group is
-    solved as a stand-alone population of mass one facing the same reward
-    and selection size.  Every subgame shares the ``curves`` memo (see
+    Parity removes cross-group competition: each group is a population of
+    mass one whose rate ``Phi(z) = alpha`` fixes ``z* = normal_quantile(alpha)``.
+    A group whose tied best responses at its dropout have rates around alpha
+    mixes them there.  Any other plays the stationary point ``mu = phi(z*) /
+    eps`` at ``tau = mu - z*``, which is then its best response: no root is
+    solved, and the curve comes from the ``curves`` memo (see
     :func:`solve_unconstrained`).
     """
     problems = solver_violations(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     views = effective_groups(config)
-    curves = {} if curves is None else curves
+    alpha = config.alpha
+    z = normal_quantile(alpha)
     outcomes = []
-    for params in config.groups:
-        sub = replace(config, groups=(replace(params, share=1.0),))
-        sub_report = solve_unconstrained(sub, curves=curves)
-        outcomes.append(sub_report.outcomes[0])
+    for view, curve in zip(views, _curves(views, config.reward, curves)):
+        solo, info = (replace(view, share=1.0),), curve.info
+        table = None if info is None else _rates(info.theta_d, solo, [curve])
+        if table is not None and table[0][0] <= alpha <= table[0][1]:
+            outcome, = _pinned_outcomes(info.theta_d, solo, table, alpha)
+        else:
+            mu = normal_pdf(z) / curve.eps
+            theta, effort = view.sigma * (mu - z), view.sigma * mu
+            rate = normal_cdf((effort - theta) / view.sigma)
+            outcome, = _outcomes(theta, solo, [(rate, rate, effort, effort)], [0.0])
+        if abs(outcome.selection_rate - alpha) > BUDGET_TOL:
+            raise SolverError(f"group {view.label!r} selected at rate "
+                              f"{outcome.selection_rate!r} at theta={outcome.threshold!r}")
+        outcomes.append(outcome)
     outcomes = tuple(outcomes)
     return EquilibriumReport(
         mode="demographic_parity",

@@ -30,7 +30,6 @@ __all__ = [
     "lambert_w",
     "find_root",
     "find_root_seeded",
-    "find_decreasing_root",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -192,34 +191,6 @@ def find_root_seeded(
             f"f({lo!r}) = {f_lo!r} and f({hi!r}) = {f_hi!r} have the same sign"
         )
     return float(_brent(f, lo, hi, f_lo, f_hi, xtol, _MIN_RTOL, max_iter))
-
-
-def find_decreasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a decreasing ``f``: each end of ``[lo, hi]`` moves out by
-    doubling steps from ``max(1, hi - lo)`` until it brackets a root (at most
-    64 times), and the final end values seed :func:`find_root_seeded`.  The
-    ends may coincide; an exact zero at the lower end returns that end."""
-    span = max(1.0, hi - lo)
-    for _ in range(64):
-        f_lo = f(lo)
-        if not f_lo < 0.0:
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise NoConvergence("could not bracket the root from below")
-    if f_lo == 0.0:
-        return lo
-    span = max(1.0, hi - lo)
-    for _ in range(64):
-        f_hi = f(hi)
-        if not f_hi > 0.0:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise NoConvergence("could not bracket the root from above")
-    return find_root_seeded(f, lo, hi, f_lo, f_hi, ROOT_XTOL)
 
 
 def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, max_iter):

@@ -326,7 +326,7 @@ def validate(config: GameConfig) -> list[str]:
 
 def solver_violations(config: GameConfig) -> list[str]:
     """Like :func:`validate` but admitting single-group instances of share
-    one, which the demographic-parity decomposition solves internally."""
+    one: a one-group game is a group's parity subgame on its own."""
     return _violations(config, min_groups=1, share_hi=1.0)
 
 

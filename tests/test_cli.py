@@ -557,6 +557,35 @@ class TestDynamics:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        # --tol inf would report a cycling run as converged.
+        out = tmp_path / "dyn.csv"
+        assert cli.main([
+            "dynamics",
+            "--config", str(SCENARIOS / "noise_gap_s10.json"),
+            "--tol", tol,
+            "--out", str(out),
+        ]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --tol must be finite and nonnegative, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "dropout", "dynamics"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+    game = str(SCENARIOS / "noise_gap_s10.json")
+    argv = {
+        "sweep": ["--config", write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2]))],
+        "dropout": ["--config", game, "--grid", "100:1000:2:log"],
+        "dynamics": ["--config", game, "--steps", "5"],
+    }[command]
+    out = tmp_path / "missing" / "out.csv"
+    assert cli.main([command, *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys):

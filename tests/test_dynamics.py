@@ -198,6 +198,11 @@ class TestRun:
         with pytest.raises(ValueError):
             run(noise_gap_config, max_steps=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_rejects_a_tol_that_cannot_fire_or_always_fires(self, noise_gap_config, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            run(noise_gap_config, tol=tol)
+
     def test_custom_init(self, small_reward_config):
         init = (EffortDistribution.point(0.5), EffortDistribution.point(0.1))
         trace = run(small_reward_config, mode="br", max_steps=300, init=init)

@@ -19,14 +19,21 @@ from stratselect.best_response import (
 from stratselect.equilibrium import (
     excess_mass,
     max_deviation_gain,
+    mixture_quantile,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
 )
-from stratselect.kernel import normal_cdf, normal_pdf
+from stratselect.kernel import normal_cdf, normal_pdf, normal_quantile
 from stratselect.mc import grid_argmax_payoff
 from stratselect.metrics import asymptotic_predictions
-from stratselect.model import GameConfig, GroupParams, effective_groups, validate
+from stratselect.model import (
+    GameConfig,
+    GroupParams,
+    GroupView,
+    effective_groups,
+    validate,
+)
 
 from conftest import two_group_config
 
@@ -494,6 +501,22 @@ class TestDemographicParity:
         ratio = report.outcome("H").avg_effort / report.outcome("L").avg_effort
         assert ratio == pytest.approx(math.sqrt(1.0 / 1.5), abs=0.05)
 
+    @pytest.mark.parametrize("game", ["noise_gap_config", "small_reward_config"])
+    def test_reads_each_group_off_its_curve(self, game, request, monkeypatch):
+        # noise_gap_config pins both groups on their dropouts,
+        # small_reward_config has no dropout: neither runs a search.
+        config = request.getfixturevalue(game)
+        expected = solve_demographic_parity(config)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the parity solve ran a search")
+
+        for name in ("solver_bracket", "find_root_seeded", "solve_unconstrained"):
+            monkeypatch.setattr(equilibrium, name, forbidden)
+        report = solve_demographic_parity(config)
+        assert report == expected
+        assert all((o.tau is None) == (game == "small_reward_config") for o in report.outcomes)
+
 
 COSTS = st.floats(math.log10(0.2), math.log10(5.0)).map(lambda e: 10.0**e)
 NOISES = st.floats(0.0, 4.0)
@@ -543,3 +566,94 @@ class TestTwinGroups:
                 assert first.setdefault((view.cost, view.sigma), unlabelled) == unlabelled
             gains = max_deviation_gain(report, config)
             assert max(gains.values()) <= 1e-7 * config.reward, gains
+
+
+@st.composite
+def parity_games(draw):
+    """Games of 1-4 groups in either mode, at a reward from a tenth to a
+    thousand times the first group's critical reward, so groups fall on both
+    sides of theirs."""
+    count = draw(st.integers(1, 4))
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    groups = tuple(
+        GroupParams(f"G{i}", w / sum(weights), draw(COSTS), noise_var=draw(NOISES))
+        for i, w in enumerate(weights)
+    )
+    config = GameConfig(
+        reward=1.0, alpha=draw(st.floats(0.02, 0.98)), eta_sq=1.0, groups=groups,
+        dm_mode=draw(st.sampled_from(["bayesian", "oblivious"])),
+    )
+    reward = critical_reward(effective_groups(config)[0]) * 10.0 ** draw(st.floats(-1.0, 3.0))
+    return dataclasses.replace(config, reward=reward)
+
+
+@settings(max_examples=500, deadline=None)
+@given(config=parity_games())
+def test_parity_outcomes_match_one_group_solves(config):
+    """Each group's parity outcome is the unconstrained equilibrium of the
+    group alone at share one: the same doubles when pinned on its dropout,
+    the same point up to the one-group solve's own error when smooth."""
+    report = solve_demographic_parity(config)
+    z = normal_quantile(config.alpha)
+    for params, view, outcome in zip(config.groups, effective_groups(config), report.outcomes):
+        solo = dataclasses.replace(config, groups=(dataclasses.replace(params, share=1.0),))
+        alone = solve_unconstrained(solo).outcomes[0]
+        assert abs(outcome.selection_rate - config.alpha) <= 1e-14
+        assert (outcome.tau is None) == (alone.tau is None)
+        if outcome.tau is not None:
+            assert (outcome.tau, outcome.threshold) == (alone.tau, alone.threshold)
+            continue
+        # The one-group solve reads its effort off a root of the first-order
+        # condition at its threshold; near the critical reward that root is
+        # ill-conditioned, and its budget residual over the density measures
+        # how far the effort is off.
+        residual = abs(alone.selection_rate - config.alpha)
+        effort_error = view.sigma * residual / normal_pdf(z)
+        tol = 1e-12 * max(1.0, abs(alone.threshold))
+        assert abs(outcome.threshold - alone.threshold) <= tol
+        assert abs(outcome.avg_effort - alone.avg_effort) <= tol + 2.0 * effort_error
+        assert abs(outcome.selection_rate - alone.selection_rate) <= tol + residual
+
+
+class TestMixtureQuantile:
+    def test_one_component_is_its_quantile(self, monkeypatch):
+        calls = []
+        real = equilibrium.normal_cdf
+
+        def counted(z):
+            calls.append(z)
+            return real(z)
+
+        monkeypatch.setattr(equilibrium, "normal_cdf", counted)
+        view = GroupView("A", 1.0, 1.0, 0.7)
+        mixture_quantile([((2.5, 1.0),)], [view], 0.2)
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(
+                st.floats(0.1, 10.0),
+                st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.01, 1.0)),
+                         min_size=1, max_size=3),
+            ),
+            min_size=1, max_size=4,
+        ).filter(lambda groups: sum(len(points) for _, points in groups) >= 2),
+        alpha=st.floats(0.02, 0.98),
+    )
+    def test_root_lies_between_the_component_quantiles(self, groups, alpha):
+        # The CDF bound is Brent's 1e-12 on theta times the largest density,
+        # 1 / (0.1 * sqrt(2 pi)).
+        views = [GroupView(f"G{i}", 1.0 / len(groups), 1.0, s) for i, (s, _) in enumerate(groups)]
+        supports = [
+            tuple((m, w / sum(w for _, w in points)) for m, w in points) for _, points in groups
+        ]
+        theta = mixture_quantile(supports, views, alpha)
+        z = normal_quantile(1.0 - alpha)
+        seeds = [m + v.sigma * z for v, support in zip(views, supports) for m, _ in support]
+        assert min(seeds) <= theta <= max(seeds)
+        cdf = sum(
+            v.share * w * normal_cdf((theta - m) / v.sigma)
+            for v, support in zip(views, supports) for m, w in support
+        )
+        assert abs(cdf - (1.0 - alpha)) <= 1e-11

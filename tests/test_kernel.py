@@ -14,7 +14,6 @@ from stratselect.kernel import (
     DomainError,
     NoBracket,
     NoConvergence,
-    find_decreasing_root,
     find_root,
     find_root_seeded,
     lambert_w,
@@ -225,41 +224,6 @@ class TestFindRootSeeded:
     def test_checks_the_seeds(self, lo, hi, f_lo, f_hi, error):
         with pytest.raises(error):
             find_root_seeded(lambda x: x - 0.5, lo, hi, f_lo, f_hi, 1e-12)
-
-
-class TestFindDecreasingRoot:
-    @pytest.mark.parametrize("root", [-1e6, -3.0, 0.25, 7.0, 1e6])
-    def test_grows_the_bracket_to_the_root(self, root):
-        assert find_decreasing_root(lambda x: root - x, 0.0, 1.0) == pytest.approx(
-            root, abs=1e-9
-        )
-
-    def test_evaluates_each_end_once(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return 0.5 - x
-
-        find_decreasing_root(f, 0.0, 1.0)
-        assert calls.count(0.0) == calls.count(1.0) == 1
-
-    @pytest.mark.parametrize("start", [0.25, 0.5, 0.75])
-    def test_coinciding_ends(self, start):
-        root = find_decreasing_root(lambda x: 0.5 - x, start, start)
-        assert root == pytest.approx(0.5, abs=1e-12)
-
-    @pytest.mark.parametrize("value", [-1.0, 1.0])
-    def test_gives_up_after_64_doublings(self, value):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return value
-
-        with pytest.raises(NoConvergence, match="could not bracket"):
-            find_decreasing_root(f, 0.0, 1.0)
-        assert len(calls) <= 66
 
 
 # Continuous functions of x with parameters (a, c, p): the first is shaped
