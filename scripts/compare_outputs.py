@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two ``run_scenarios.py`` output directories cell by cell.
 
-Usage: ``python scripts/compare_outputs.py A B``
+Usage: ``python scripts/compare_outputs.py A B [--max-rel X]``
 
 A cell is a CSV field (``*.csv``), a leaf of the JSON document
 (``*.json``) or a whitespace-separated token of any other file.  For each
@@ -9,7 +9,8 @@ file the table gives changed/total cells and the largest relative
 difference ``|a - b| / max(|a|, |b|)`` over the numeric cells that changed;
 a changed cell that is not a number on both sides, a file present on one
 side only, or a different number of cells counts as ``inf``.  Exits 0 when
-no cell changed and 1 otherwise.
+no cell changed, or with ``--max-rel X`` when every changed cell is numeric
+and within ``X``, and 1 otherwise.
 """
 
 import argparse
@@ -83,12 +84,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path)
     parser.add_argument("b", type=Path)
+    parser.add_argument(
+        "--max-rel", type=float, default=None, metavar="X",
+        help="also exit 0 when every changed cell is numeric and within X",
+    )
     args = parser.parse_args(argv)
     rows = compare(args.a, args.b)
     width = max([len("file")] + [len(name) for name, *_ in rows])
     print(f"{'file':<{width}}  {'changed/total':>15}  {'max_rel_diff':>12}")
     for name, changed, total, rel in rows:
         print(f"{name:<{width}}  {f'{changed}/{total}':>15}  {rel:>12.3g}")
+    if args.max_rel is not None:
+        return 1 if any(rel > args.max_rel for *_, rel in rows) else 0
     return 1 if any(changed for _, changed, _, _ in rows) else 0
 
 

@@ -23,14 +23,26 @@ A :class:`ResponseCurve` holds ``eps``, ``s``, the window and, from the first
 threshold inside it, the dropout.  It converts units only at its boundary:
 ``tau = t / s`` in, ``m = s * mu`` out.  A root is bracketed in ``mu`` where
 ``mu`` can be tiny next to ``tau`` (the low maximum, and the one maximum
-below the window), and in ``z`` where ``mu - tau`` would cancel (the minimum
-and the high maximum).  Inside the window a best response solves only the
-maximum that wins: the high one below ``tau_d``, the low one above.  The tie
-test ``|gap| <= PAYOFF_TIE_REL`` fires only within ``PAYOFF_TIE_REL /
-|phi(z_high) - phi(z_low)|`` of ``tau_d``; a band ``TIE_BAND`` times wider
-keeps the three-root solve.  Both paths solve a root on the same bracket, so
-a best response is the same double.  A curve remembers its last two
-evaluations: a Brent search ends on one.
+outside the window), and in ``z`` where ``mu - tau`` would cancel (the
+minimum and the high maximum).  Each root is Newton's method on ``g``,
+started at a fixed point of its bracket from which ``g'' = (z**2 - 1) *
+phi(z)`` keeps one sign up to the root, so the steps approach it from one
+side: ``mu = 0`` for the low maximum (``z < z1 < -1``), the inflection point
+``z = 1`` for the high one (``z > z2 > -1``, ``mu = 0`` if that is lower) and
+``z = -1`` for the minimum.  The sign of ``g`` against the branch's known
+direction narrows the bracket, a step that would leave it bisects it, and
+the iteration stops on a step within a few ulps of ``|x| + 1``.  So a root
+depends on ``eps``, ``tau`` and its bracket alone, never on earlier calls.
+
+Inside the window a best response solves only the maximum that wins: the
+high one below ``tau_d``, the low one above.  The tie test ``|gap| <=
+PAYOFF_TIE_REL`` fires only within ``PAYOFF_TIE_REL / |phi(z_high) -
+phi(z_low)|`` of ``tau_d``; a band ``TIE_BAND`` times wider solves both
+maxima and compares them, as the dropout search does; only
+:meth:`ResponseCurve.stationary_points` solves the minimum.  Both paths
+solve a root on the same bracket, so a best response is the same double.  A
+curve remembers its last two pairs of maxima: the dropout's Brent search
+ends on one.
 """
 
 from __future__ import annotations
@@ -42,9 +54,9 @@ from .kernel import (
     _BRANCH_POINT,
     _INV_SQRT_2PI,
     _MIN_RTOL,
+    MAX_ITER,
     NoBracket,
     NoConvergence,
-    find_root,
     find_root_seeded,
     lambert_w,
     normal_cdf,
@@ -79,6 +91,10 @@ TIE_BAND = 1e3
 # Thresholds within this (relative) of a window edge are treated as on it; a
 # window whose edges are that close has numerically merged into one point.
 DEGENERATE_WINDOW = 1e-9
+
+# A stationary point's Newton iteration stops on a step within this of
+# ``|x| + 1``.
+_NEWTON_TOL = _MIN_RTOL
 
 
 class SubcriticalReward(ValueError):
@@ -187,35 +203,56 @@ class ResponseCurve:
                 self.window = None
             # Brackets of the low maximum, in mu, and of the high one, in z:
             # phi(z) < eps * mu where z >= z_top = sqrt(-2 log eps) and mu >= 1.
-            self.low = (0.0, -1.0 / z1, True)
-            self.high = (z2, math.sqrt(-2.0 * math.log(eps)), False)
+            # The last entry is where Newton starts: mu = 0 and z = 1.
+            self.low = (0.0, -1.0 / z1, True, 0.0)
+            self.high = (z2, math.sqrt(-2.0 * math.log(eps)), False, 1.0)
         self.info: DropoutInfo | None = None
         self.band: tuple[float, float] | None = None
-        self._points: list = []
+        self._maxima: list = []
         self._responses: list = []
 
-    def _root(self, tau: float, lo: float, hi: float, in_mu: bool) -> tuple[float, float]:
+    def _root(
+        self, tau: float, lo: float, hi: float, in_mu: bool, start: float, falls: bool = True
+    ) -> tuple[float, float]:
         """``(z, mu)`` of the stationary point on ``[lo, hi]``, an interval
-        in ``x = mu`` when ``in_mu`` and in ``x = z`` otherwise."""
+        in ``x = mu`` when ``in_mu`` and in ``x = z`` otherwise, where ``g``
+        changes sign once: from + to - when ``falls``, from - to + otherwise.
+
+        Newton's method from ``start``.  Each evaluation replaces the end of
+        the bracket on its side of the root, known from the sign of ``g`` and
+        the branch's direction (the slope is about 0 near a turning point, so
+        it cannot tell), and a step that would leave the bracket bisects it.
+        """
         eps = self.eps
         dz, dmu = (-tau, 0.0) if in_mu else (0.0, tau)  # z = x + dz, mu = x + dmu
-
-        def g(x: float) -> float:
-            z = x + dz
-            return _INV_SQRT_2PI * math.exp(-0.5 * z * z) - eps * (x + dmu)
-
-        x = find_root(g, lo, hi)
-        # Two guarded Newton steps push the FOC residual to machine level.
-        for _ in range(2):
+        x = start
+        for _ in range(MAX_ITER):
             z = x + dz
             pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-            deriv = -z * pdf - eps
-            if deriv == 0.0:
+            g = pdf - eps * (x + dmu)
+            if g == 0.0:
                 break
-            candidate = x - (pdf - eps * (x + dmu)) / deriv
-            if not lo <= candidate <= hi:
+            if (g > 0.0) == falls:
+                lo = x
+            else:
+                hi = x
+            # Relative far from x = 0, absolute near it, where a root can be 0
+            # to double precision.
+            tol = _NEWTON_TOL * (abs(x) + 1.0)
+            slope = -z * pdf - eps
+            step = x - g / slope if slope != 0.0 else math.inf
+            if abs(step - x) > tol and not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            # Stops on a converged Newton step, or on a bracket down to
+            # adjacent doubles, where the two ends would otherwise alternate.
+            done = abs(step - x) <= tol
+            x = step
+            if done:
                 break
-            x = candidate
+        else:
+            raise NoConvergence(
+                f"no stationary point at tau = {tau!r}, eps = {eps!r} after {MAX_ITER} steps"
+            )
         return x + dz, x + dmu
 
     def _utility(self, point: tuple[float, float]) -> float:
@@ -224,24 +261,37 @@ class ResponseCurve:
 
     def stationary_points(self, theta: float) -> StationaryPoints:
         """All stationary points of the payoff at threshold ``theta``."""
-        points = _recall(self._points, self._stationary_points, theta / self.sigma)
+        points = self._stationary_points(theta / self.sigma)
         kinds = ("local_max",) if len(points) == 1 else ("local_max", "local_min", "local_max")
         return StationaryPoints(
             tuple((self.sigma * mu, kind) for (_, mu), kind in zip(points, kinds))
         )
 
     def _stationary_points(self, tau: float) -> tuple[tuple[float, float], ...]:
-        if self.window is None:  # the one maximum has mu = phi(z) / eps <= phi(0) / eps
-            return (self._root(tau, 0.0, _INV_SQRT_2PI / self.eps + 1.0, True),)
+        maxima = _recall(self._maxima, self._local_maxima, tau)
+        if len(maxima) == 1:
+            return maxima
+        # The minimum, where g rises, starts at g's inflection point z = -1.
         z1, z2, _, _ = self.window
+        return (maxima[0], self._root(tau, z1, z2, False, -1.0, False), maxima[1])
+
+    def _local_maxima(self, tau: float) -> tuple[tuple[float, float], ...]:
+        """The one local maximum, or the low and the high one inside the window."""
+        if self.window is None:  # the one maximum has mu = phi(z) / eps <= phi(0) / eps
+            # Newton starts at mu = 0 when it lies below z = -1, that is when
+            # g(z = -1) = phi(1) - eps * (tau - 1) < 0, and at z = 1 otherwise.
+            cap = _INV_SQRT_2PI / self.eps + 1.0
+            below = self.eps * (tau - 1.0) * CRITICAL_REWARD_FACTOR > 1.0
+            start = 0.0 if below else min(max(tau + 1.0, 0.0), cap)
+            return (self._root(tau, 0.0, cap, True, start),)
         if tau <= self.inner[0]:  # on or below the lower edge: the high maximum
-            z_top = self.high[1]  # so the FOC is negative at mu = max(tau, 0) + z_top
-            return (self._root(tau, max(tau + z2, 0.0), max(tau, 0.0) + z_top, True),)
+            z2, z_top = self.high[:2]  # so the FOC is negative at mu = max(tau, 0) + z_top
+            lo, hi = max(tau + z2, 0.0), max(tau, 0.0) + z_top
+            # Newton starts at z = 1, or at mu = 0 where that is higher.
+            return (self._root(tau, lo, hi, True, max(tau + 1.0, 0.0)),)
         if tau >= self.inner[1]:  # on or above the upper edge: the low maximum
             return (self._root(tau, *self.low),)
-        return (
-            self._root(tau, *self.low), self._root(tau, z1, z2, False), self._root(tau, *self.high)
-        )
+        return (self._root(tau, *self.low), self._root(tau, *self.high))
 
     def best_response(self, theta: float) -> tuple[float, ...]:
         """Globally optimal effort(s) at threshold ``theta``, ascending.
@@ -267,10 +317,10 @@ class ResponseCurve:
         return self._compare_maxima(tau)
 
     def _compare_maxima(self, tau: float) -> tuple[tuple[float, float], ...]:
-        points = _recall(self._points, self._stationary_points, tau)
-        if len(points) == 1:
-            return points
-        low, high = points[0], points[-1]
+        maxima = _recall(self._maxima, self._local_maxima, tau)
+        if len(maxima) == 1:
+            return maxima
+        low, high = maxima
         u_low, u_high = self._utility(low), self._utility(high)
         if abs(u_high - u_low) <= PAYOFF_TIE_REL:
             return (low, high)
@@ -298,10 +348,10 @@ class ResponseCurve:
         merged_low, merged_high = (z1, -1.0 / z1), (z2, -1.0 / z2)
 
         def gap(tau: float) -> float:
-            points = _recall(self._points, self._stationary_points, tau)
-            if len(points) == 1:
-                points = (merged_low, *points) if tau <= self.inner[0] else (*points, merged_high)
-            return self._utility(points[-1]) - self._utility(points[0])
+            maxima = _recall(self._maxima, self._local_maxima, tau)
+            if len(maxima) == 1:
+                maxima = (merged_low, *maxima) if tau <= self.inner[0] else (*maxima, merged_high)
+            return self._utility(maxima[-1]) - self._utility(maxima[0])
 
         # gap(tau1) > 0 > gap(tau2).
         tau_d = find_root_seeded(gap, tau1, tau2, gap(tau1), gap(tau2), _MIN_RTOL)

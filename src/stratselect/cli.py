@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -106,19 +108,47 @@ def _load_config(path: str) -> GameConfig:
 
 
 @contextmanager
-def _csv_out(path: str, config: GameConfig, columns: Sequence[str], *comments: str):
-    """A CSV writer on ``path`` after the ``# config_hash=`` line, one ``#``
-    line per comment and the header; an unwritable path is an InputError."""
+def _csv_out(path: str):
+    """A text file that replaces ``path`` when the block succeeds.
+
+    It is created next to ``path`` (the file a symlink names) before the
+    block runs, so an unwritable path is an InputError before any work, and
+    removed when the block raises, so a failed command leaves ``path`` as it
+    was.  The result has the mode ``open(path, "w")`` gives: the existing
+    file's, or ``0o666`` less the umask.
+    """
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
+        raise InputError(f"cannot write {path}: it is a directory")
+    tmp = os.path.join(
+        os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(4).hex()}.tmp"
+    )
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        for line in (f"config_hash={config_hash(config)}", *comments):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        yield writer
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        if os.path.exists(target):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _csv_writer(fh, config: GameConfig, columns: Sequence[str], *comments: str):
+    """A CSV writer on ``fh`` after the ``# config_hash=`` line, one ``#``
+    line per comment and the header."""
+    for line in (f"config_hash={config_hash(config)}", *comments):
+        fh.write(f"# {line}\n")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    return writer
 
 
 def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float]:
@@ -303,10 +333,11 @@ def _sweep_columns(spec: SweepSpec) -> list[str]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_sweep(args.config)
-    curves: CurveMemo = {}
-    results = [_sweep_row(spec, v, curves) for v in spec.grid]
     columns = _sweep_columns(spec)
-    with _csv_out(args.out, spec.base_config, columns) as writer:
+    with _csv_out(args.out) as fh:
+        curves: CurveMemo = {}
+        results = [_sweep_row(spec, v, curves) for v in spec.grid]
+        writer = _csv_writer(fh, spec.base_config, columns)
         for row, warning in results:
             if warning:
                 print(f"warning: {warning}", file=sys.stderr)
@@ -329,7 +360,8 @@ def cmd_dropout(args: argparse.Namespace) -> int:
         f"{column}_{label}" for label in labels
         for column in ("theta_d", "br_min", "br_max", "scaled")
     ]
-    with _csv_out(args.out, config, columns) as writer:
+    with _csv_out(args.out) as fh:
+        writer = _csv_writer(fh, config, columns)
         for reward in grid:
             row = {"S": reward}
             for view in views:
@@ -362,21 +394,22 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     if not 0.0 <= args.tol < float("inf"):
         raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     config = _load_config(args.config)
-    trace = run_dynamics(
-        config, mode=args.mode, max_steps=args.steps, tol=args.tol
-    )
     views = effective_groups(config)
     labels = [v.label for v in views]
     columns = ["t", "theta", "theta_belief"]
     for label in labels:
         columns += [f"avg_effort_{label}", f"rate_{label}"]
-    conv = trace.convergence
-    summary = f"convergence={conv.status}"
-    if conv.period is not None:
-        summary += f" period={conv.period}"
-    if conv.theta is not None:
-        summary += f" theta={conv.theta!r}"
-    with _csv_out(args.out, config, columns, summary) as writer:
+    with _csv_out(args.out) as fh:
+        trace = run_dynamics(
+            config, mode=args.mode, max_steps=args.steps, tol=args.tol
+        )
+        conv = trace.convergence
+        summary = f"convergence={conv.status}"
+        if conv.period is not None:
+            summary += f" period={conv.period}"
+        if conv.theta is not None:
+            summary += f" theta={conv.theta!r}"
+        writer = _csv_writer(fh, config, columns, summary)
         for state in trace.states:
             row = [str(state.t), _fmt(state.theta), _fmt(state.belief)]
             for view, strategy in zip(views, state.strategies):

@@ -149,10 +149,13 @@ def _mass(views: tuple[GroupView, ...], table: RateTable, sides: Sequence[int]) 
     return mass
 
 
-def excess_mass(theta: float, config: GameConfig) -> ExcessMassEvaluation:
-    """Selected mass when every group best-responds to ``theta``."""
+def excess_mass(
+    theta: float, config: GameConfig, *, curves: CurveMemo | None = None
+) -> ExcessMassEvaluation:
+    """Selected mass when every group best-responds to ``theta``.
+    ``curves`` is a memo of response curves, as for the solvers."""
     views = effective_groups(config)
-    table = _rates(theta, views, _curves(views, config.reward))
+    table = _rates(theta, views, _curves(views, config.reward, curves))
     return ExcessMassEvaluation(
         theta=theta,
         mass_lo=_mass(views, table, [0] * len(views)),

@@ -7,7 +7,12 @@ branches of the Lambert W function are Halley-polished so that ``w * exp(w)``
 reproduces the argument to ~1e-14 relative.  Root finding is Brent's method,
 run in this module: a line-by-line port of scipy's ``brentq`` loop that
 returns the same double, seeded with bracket-end values its caller already
-has, so each end is evaluated once.  Only ``scipy.special`` is imported.
+has, so each end is evaluated once.  It serves the searches whose function
+has no cheap slope: the dropout search, the smooth equilibrium crossing and
+the induced threshold (``equilibrium.mixture_quantile``).  A stationary point
+of the candidate's payoff, whose slope is known in closed form, is solved by
+Newton's method in ``best_response`` instead.  Only ``scipy.special`` is
+imported.
 Everything is a pure function of its arguments and safe to call
 concurrently.
 """

@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 
@@ -21,6 +22,7 @@ from stratselect.best_response import (
     selection_probability,
     stationary_points,
 )
+from stratselect.equilibrium import solve_demographic_parity, solve_unconstrained
 from stratselect.kernel import NoConvergence, normal_cdf, normal_pdf
 from stratselect.model import (
     MAX_REWARD_RATIO,
@@ -30,6 +32,8 @@ from stratselect.model import (
     effective_groups,
     validate,
 )
+
+best_response_module = importlib.import_module("stratselect.best_response")
 
 
 def foc_residual(m, theta, group, reward):
@@ -247,13 +251,13 @@ class TestDropoutSearch:
     @pytest.mark.parametrize("reward", [10.0, 1000.0])
     def test_stationary_point_solves(self, unit_group, reward, monkeypatch):
         calls = []
-        real = ResponseCurve._stationary_points
+        real = ResponseCurve._local_maxima
 
         def counted(curve, theta):
             calls.append(theta)
             return real(curve, theta)
 
-        monkeypatch.setattr(ResponseCurve, "_stationary_points", counted)
+        monkeypatch.setattr(ResponseCurve, "_local_maxima", counted)
         dropout_threshold(unit_group, reward)
         assert len(calls) <= 16
         # The final check reads the last evaluation instead of solving again.
@@ -385,7 +389,7 @@ class TestResponseCurve:
         assert len(curve.best_response(theta_d + 2.0 * half)) == 1
         assert len(roots) == 2
         assert len(curve.best_response(theta_d + 0.5 * half)) == 1
-        assert len(roots) == 5  # inside the band: all three stationary points
+        assert len(roots) == 4  # inside the band: both maxima
 
     def test_failed_dropout_search_keeps_three_roots(self, unit_group, monkeypatch):
         def fail(curve):
@@ -412,3 +416,132 @@ class TestDerivativeIdentity:
             assert analytic < 1.0
             if m <= theta:
                 assert analytic <= 0.0
+
+
+class CountingMath:
+    """``math`` with a count of ``exp`` calls: in ``best_response`` each is
+    one evaluation of the first-order condition."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return math.exp(x)
+
+
+class RecordingCurve(ResponseCurve):
+    """A curve that records each root with the bracket it was solved on."""
+
+    def __init__(self, group, reward):
+        super().__init__(group, reward)
+        self.roots = []
+
+    def _root(self, tau, lo, hi, in_mu, *rest):
+        point = super()._root(tau, lo, hi, in_mu, *rest)
+        self.roots.append((lo, hi, point[1] if in_mu else point[0], point))
+        return point
+
+
+def scaled_residual_ok(eps, point):
+    """``g = phi(z) - eps * mu`` within a few ulps of its larger term: the
+    rounding of ``exp(-z**2 / 2)`` grows with ``z**2``, and a subnormal term
+    has few bits."""
+    z, mu = point
+    pdf = normal_pdf(z)
+    bound = 4.0 * sys.float_info.epsilon * (1.0 + z * z) * max(pdf, eps * mu)
+    return abs(pdf - eps * mu) <= bound + 8.0 * math.ulp(0.0)
+
+
+def scaled_threshold(curve, where, u):
+    """A threshold ``tau`` inside, at the edges of or outside the window,
+    placed by ``u`` in [0, 1]."""
+    if curve.window is None:
+        return {"below": -60.0 * u, "above": 10.0 ** (6.0 * u)}.get(where, 10.0 * u)
+    _, _, tau1, tau2 = curve.window
+    return {
+        "inside": tau1 + u * (tau2 - tau1),
+        "log_inside": tau1 * (tau2 / tau1) ** u,
+        "at_edges": tau1 if u < 0.5 else tau2,
+        "lower_edge": tau1 * (1.0 + 4e-9 * (u - 0.5)),
+        "upper_edge": tau2 * (1.0 + 4e-9 * (u - 0.5)),
+        "below": tau1 - 60.0 * u,
+        "above": tau2 * 10.0 ** (3.0 * u),
+    }[where]
+
+
+class TestNewtonRoots:
+    """Every stationary point is a safeguarded Newton iteration on the
+    first-order condition, started at a fixed point of its bracket."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        log_eps=st.floats(-20.0, 1.0),  # the supported range, and past phi(1) ~ 0.242
+        where=st.sampled_from(
+            ["inside", "log_inside", "at_edges", "lower_edge", "upper_edge", "below", "above"]
+        ),
+        u=st.floats(0.0, 1.0),
+        other=st.floats(0.0, 1.0),
+    )
+    def test_roots_in_bracket_at_machine_residual(self, log_eps, where, u, other):
+        eps = 10.0**log_eps
+        group = GroupView("A", 1.0, eps, 1.0)  # at reward 1 the cost is eps
+        curve = RecordingCurve(group, 1.0)
+        tau = scaled_threshold(curve, where, u)
+        points = curve.stationary_points(tau)
+        assert len(curve.roots) == len(points.points)
+        for lo, hi, x, point in curve.roots:
+            assert lo <= x <= hi
+            assert scaled_residual_ok(eps, point), (point, lo, hi)
+        # A root depends on (eps, tau, bracket) alone, not on earlier calls.
+        used = ResponseCurve(group, 1.0)
+        used.best_response(scaled_threshold(used, "log_inside", other))
+        assert used.stationary_points(tau) == points
+        assert used.best_response(tau) == ResponseCurve(group, 1.0).best_response(tau)
+
+    def test_low_maximum_at_zero_effort(self):
+        # phi(-1507) underflows: the low maximum is mu = 0 to double
+        # precision, and its first evaluation, at mu = 0, finds it.
+        curve = RecordingCurve(GroupView("A", 1.0, 2.6e-4, 1.0), 1.0)
+        assert curve.window[2] < 1507.0 < curve.window[3]
+        low, minimum, high = curve.stationary_points(1507.0).points
+        assert low == (0.0, "local_max")
+        assert curve.best_response(1507.0) == (0.0,)
+        for lo, hi, x, point in curve.roots:
+            assert lo <= x <= hi
+            assert scaled_residual_ok(2.6e-4, point)
+
+    def test_minimum_between_turning_points(self, unit_group):
+        # g rises on [z1, z2], with a slope of about 0 at either end: the
+        # minimum's bracket follows the sign of g, never its local slope.
+        curve = ResponseCurve(unit_group, 10.0)
+        z1, z2, _, _ = curve.window
+        lo, hi = curve.inner
+        thresholds = [math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
+        thresholds += [lo + f * (hi - lo) for f in (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6)]
+        for tau in thresholds:
+            _, minimum, _ = curve._stationary_points(tau)
+            assert z1 <= minimum[0] <= z2
+            assert scaled_residual_ok(curve.eps, minimum)
+
+    @pytest.mark.parametrize("dm_mode", ["bayesian", "oblivious"])
+    def test_one_group_with_adjacent_double_roots(self, dm_mode):
+        # An iteration here ended on a bracket of two adjacent doubles,
+        # whose ends a Newton step would swap for ever.
+        config = GameConfig(
+            reward=18.7278, alpha=0.5, eta_sq=1.0, dm_mode=dm_mode,
+            groups=(GroupParams("A", 1.0, math.sqrt(10.0), noise_var=0.0),),
+        )
+        for solve in (solve_unconstrained, solve_demographic_parity):
+            (outcome,) = solve(config).outcomes
+            assert outcome.selection_rate == pytest.approx(0.5, abs=1e-9)
+
+    def test_dropout_search_evaluations(self, unit_group, monkeypatch):
+        # Brent plus two Newton steps per root took 217 evaluations here.
+        counter = CountingMath()
+        monkeypatch.setattr(best_response_module, "math", counter)
+        dropout_threshold(unit_group, 10.0)
+        assert counter.exp_calls <= 100

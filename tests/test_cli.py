@@ -573,7 +573,13 @@ class TestDynamics:
 
 
 @pytest.mark.parametrize("command", ["sweep", "dropout", "dynamics"])
-def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+def test_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, command):
+    # The path is checked before any work: none of it may run.
+    def no_work(*args, **kwargs):
+        raise RuntimeError("work started before --out was opened")
+
+    for name in ("solve_unconstrained", "memo_curve", "run_dynamics"):
+        monkeypatch.setattr(cli, name, no_work)
     game = str(SCENARIOS / "noise_gap_s10.json")
     argv = {
         "sweep": ["--config", write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2]))],
@@ -585,6 +591,33 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+def test_failed_dynamics_keeps_the_existing_out(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverError("synthetic failure")
+
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    out.write_bytes(b"earlier output\r\n")
+    out.chmod(0o640)
+    argv = ["dynamics", "--config", str(SCENARIOS / "noise_gap_s10.json"), "--steps", "3"]
+    monkeypatch.setattr(cli, "run_dynamics", fail)
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "computation failed: synthetic failure\n"
+    assert out.read_bytes() == b"earlier output\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    # A run that succeeds replaces the file and keeps its mode, as writing
+    # into it would; a new file gets 0o666 less the umask.
+    monkeypatch.undo()
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert cli.main([*argv, "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_mode & 0o777 == 0o640
+    umask = os.umask(0)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "out.csv"]
 
 
 class TestVerify:

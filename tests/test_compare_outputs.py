@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GAME = str(ROOT / "scenarios" / "noise_gap_s10.json")
 
 
-def compare(a, b):
+def compare(a, b, *flags):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(a), str(b)],
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(a), str(b), *flags],
         capture_output=True, text=True,
     )
 
@@ -51,3 +51,19 @@ def test_identical_directories_have_no_changed_cells(tmp_path, capsys):
     a, b = float(cell), float(moved)
     assert float(rows["dropout.csv"][1]) == pytest.approx(abs(a - b) / max(a, b), rel=1e-2)
     assert rows["game.solve.json"][0].startswith("0/")
+
+
+def test_max_rel_passes_only_small_numeric_changes(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "x.csv").write_text("t,theta\n1,2.0\n2,4.0\n", encoding="utf-8")
+    (b / "x.csv").write_text("t,theta\n1,2.0000000000002\n2,4.0\n", encoding="utf-8")
+    assert compare(a, b).returncode == 1
+    assert compare(a, b, "--max-rel", "1e-12").returncode == 0
+    assert compare(a, b, "--max-rel", "1e-14").returncode == 1
+    (b / "x.csv").write_text("t,theta\n1,2.0\n2,nope\n", encoding="utf-8")
+    assert compare(a, b, "--max-rel", "1e300").returncode == 1
+    (b / "x.csv").write_text("t,theta\n1,2.0\n2,4.0\n", encoding="utf-8")
+    (b / "extra.csv").write_text("1\n", encoding="utf-8")
+    assert compare(a, b, "--max-rel", "1e300").returncode == 1

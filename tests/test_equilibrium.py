@@ -181,9 +181,31 @@ class TestExcessMass:
             )
 
     def test_interval_ordering(self, noise_gap_config):
+        curves = {}
         for theta in np.linspace(-2.0, 6.0, 25):
-            ev = excess_mass(float(theta), noise_gap_config)
+            ev = excess_mass(float(theta), noise_gap_config, curves=curves)
             assert 0.0 <= ev.mass_lo <= ev.mass_hi <= 1.0
+
+    def test_memo_searches_each_dropout_once(self, noise_gap_config, monkeypatch):
+        searches = []
+        real = ResponseCurve.dropout
+
+        def counted(curve):
+            if curve.info is None:
+                searches.append(curve.group.label)
+            return real(curve)
+
+        monkeypatch.setattr(ResponseCurve, "dropout", counted)
+        curves = {}
+        fresh = [excess_mass(float(t), noise_gap_config) for t in np.linspace(-2.0, 6.0, 25)]
+        assert len(searches) == 50
+        searches.clear()
+        shared = [
+            excess_mass(float(t), noise_gap_config, curves=curves)
+            for t in np.linspace(-2.0, 6.0, 25)
+        ]
+        assert sorted(searches) == ["H", "L"]
+        assert shared == fresh
 
 
 class TestUnconstrained:
@@ -306,7 +328,8 @@ class TestUnconstrained:
     def test_mass_curve_non_increasing(self, noise_gap_config):
         lo, hi = solver_bracket(noise_gap_config)
         grid = np.linspace(lo, hi, 120)
-        upper = [excess_mass(float(t), noise_gap_config).mass_hi for t in grid]
+        curves = {}
+        upper = [excess_mass(float(t), noise_gap_config, curves=curves).mass_hi for t in grid]
         assert all(b <= a + 1e-10 for a, b in zip(upper, upper[1:]))
 
     def test_three_groups(self):
@@ -613,6 +636,25 @@ def test_parity_outcomes_match_one_group_solves(config):
         assert abs(outcome.threshold - alone.threshold) <= tol
         assert abs(outcome.avg_effort - alone.avg_effort) <= tol + 2.0 * effort_error
         assert abs(outcome.selection_rate - alone.selection_rate) <= tol + residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=parity_games(), below=st.floats(0.0, 1.0), above=st.floats(0.0, 1.0))
+def test_threshold_does_not_depend_on_the_bracket(config, below, above):
+    """A bracket widened on either side finds the same equilibrium: the
+    same dropout double when pinned, the same crossing up to Brent's
+    tolerance, which scales with the bracket, when smooth."""
+    lo, hi = solver_bracket(config)
+    wide = (lo - below * (hi - lo), hi + above * (hi - lo))
+    curves = {}
+    report = solve_unconstrained(config, curves=curves)
+    widened = solve_unconstrained(config, bracket=wide, curves=curves)
+    assert widened.regime == report.regime
+    if report.regime == "dropout_pinned":
+        assert widened.threshold == report.threshold
+    else:
+        tol = 1e-12 * max(1.0, abs(report.threshold))
+        assert abs(widened.threshold - report.threshold) <= tol
 
 
 class TestMixtureQuantile:
