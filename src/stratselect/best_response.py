@@ -28,11 +28,12 @@ minimum and the high maximum).  Each root is Newton's method on ``g``,
 started at a fixed point of its bracket from which ``g'' = (z**2 - 1) *
 phi(z)`` keeps one sign up to the root, so the steps approach it from one
 side: ``mu = 0`` for the low maximum (``z < z1 < -1``), the inflection point
-``z = 1`` for the high one (``z > z2 > -1``, ``mu = 0`` if that is lower) and
-``z = -1`` for the minimum.  The sign of ``g`` against the branch's known
-direction narrows the bracket, a step that would leave it bisects it, and
-the iteration stops on a step within a few ulps of ``|x| + 1``.  So a root
-depends on ``eps``, ``tau`` and its bracket alone, never on earlier calls.
+``z = 1`` for the high one (``z > z2 > -1``, ``mu = 0`` where that is
+higher) and ``z = -1`` for the minimum.  The sign of ``g`` against the
+branch's known direction narrows the bracket, a step that would leave it
+bisects it, and the iteration stops on a step within a few ulps of
+``|x| + 1``.  So a root depends on ``eps``, ``tau`` and its bracket alone,
+never on earlier calls.
 
 Inside the window a best response solves only the maximum that wins: the
 high one below ``tau_d``, the low one above.  The tie test ``|gap| <=
@@ -91,10 +92,6 @@ TIE_BAND = 1e3
 # Thresholds within this (relative) of a window edge are treated as on it; a
 # window whose edges are that close has numerically merged into one point.
 DEGENERATE_WINDOW = 1e-9
-
-# A stationary point's Newton iteration stops on a step within this of
-# ``|x| + 1``.
-_NEWTON_TOL = _MIN_RTOL
 
 
 class SubcriticalReward(ValueError):
@@ -236,9 +233,9 @@ class ResponseCurve:
                 lo = x
             else:
                 hi = x
-            # Relative far from x = 0, absolute near it, where a root can be 0
-            # to double precision.
-            tol = _NEWTON_TOL * (abs(x) + 1.0)
+            # The stop is relative far from x = 0 and absolute near it, where a
+            # root can be 0 to double precision.
+            tol = _MIN_RTOL * (abs(x) + 1.0)
             slope = -z * pdf - eps
             step = x - g / slope if slope != 0.0 else math.inf
             if abs(step - x) > tol and not lo < step < hi:

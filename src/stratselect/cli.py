@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import stat
@@ -109,36 +110,39 @@ def _load_config(path: str) -> GameConfig:
 
 @contextmanager
 def _csv_out(path: str):
-    """A text file that replaces ``path`` when the block succeeds.
+    """A text file on ``path`` that a failed block leaves as it was.
 
-    It is created next to ``path`` (the file a symlink names) before the
-    block runs, so an unwritable path is an InputError before any work, and
-    removed when the block raises, so a failed command leaves ``path`` as it
-    was.  The result has the mode ``open(path, "w")`` gives: the existing
-    file's, or ``0o666`` less the umask.
+    ``path`` is opened before the block runs, so an unwritable path is an
+    InputError before any work.  A file the call creates is removed when the
+    block raises.  An existing regular file is written in place only when
+    the block succeeds, so it keeps its inode, owner and mode.  Anything
+    else, such as a FIFO or a device, is written as the block goes, as
+    ``open(path, "w")`` would.
     """
-    target = os.path.realpath(path)
-    if os.path.isdir(target):
-        raise InputError(f"cannot write {path}: it is a directory")
-    tmp = os.path.join(
-        os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(4).hex()}.tmp"
-    )
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            created = True
+        except FileExistsError:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            created = False
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        if os.path.exists(target):
-            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+    fh = open(fd, "w", encoding="utf-8", newline="")
+    if created or not stat.S_ISREG(os.fstat(fd).st_mode):
         try:
-            os.replace(tmp, target)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
-    except BaseException:
-        os.unlink(tmp)
-        raise
+            with fh:
+                yield fh
+        except BaseException:
+            if created:
+                os.unlink(path)
+            raise
+        return
+    buf = io.StringIO(newline="")
+    with fh:
+        yield buf
+        fh.truncate(0)
+        fh.write(buf.getvalue())
 
 
 def _csv_writer(fh, config: GameConfig, columns: Sequence[str], *comments: str):

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -600,6 +601,7 @@ def test_failed_dynamics_keeps_the_existing_out(tmp_path, monkeypatch, capsys):
     out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
     out.write_bytes(b"earlier output\r\n")
     out.chmod(0o640)
+    inode = out.stat().st_ino
     argv = ["dynamics", "--config", str(SCENARIOS / "noise_gap_s10.json"), "--steps", "3"]
     monkeypatch.setattr(cli, "run_dynamics", fail)
     assert cli.main([*argv, "--out", str(out)]) == 2
@@ -607,17 +609,54 @@ def test_failed_dynamics_keeps_the_existing_out(tmp_path, monkeypatch, capsys):
     assert out.read_bytes() == b"earlier output\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
-    # A run that succeeds replaces the file and keeps its mode, as writing
-    # into it would; a new file gets 0o666 less the umask.
+    # A run that succeeds writes into the file, which keeps its inode and
+    # mode; a new file gets 0o666 less the umask.
     monkeypatch.undo()
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert cli.main([*argv, "--out", str(fresh)]) == 0
     assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode
     assert out.stat().st_mode & 0o777 == 0o640
     umask = os.umask(0)
     os.umask(umask)
     assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "out.csv"]
+
+
+def test_read_only_out_is_not_replaced(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier output\n")
+    out.chmod(0o444)
+    inode = out.stat().st_ino
+    argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+            "--grid", "100:1000:2:log", "--out", str(out)]
+    writable = os.access(out, os.W_OK)  # a superuser may write it anyway
+    assert cli.main(argv) == (0 if writable else 1)
+    if not writable:
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert out.read_bytes() == b"earlier output\n"
+    assert out.stat().st_ino == inode
+    assert out.stat().st_mode & 0o777 == 0o444
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_may_be_a_fifo(tmp_path):
+    # A FIFO, like a device, is written as it is, never replaced by a file.
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain.csv"
+    os.mkfifo(fifo)
+    argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+            "--grid", "100:1000:2:log", "--out"]
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main([*argv, str(fifo)]) == 0
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert cli.main([*argv, str(plain)]) == 0
+    assert written == plain.read_bytes()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "plain.csv"]
 
 
 class TestVerify:
