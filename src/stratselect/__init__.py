@@ -1,5 +1,6 @@
 """Selection contests with strategic candidates: equilibria, fairness
-metrics, dynamics, and the Monte Carlo oracles that validate them."""
+metrics and dynamics, on the standard library.  The Monte Carlo oracles that
+validate them need numpy and scipy; import them from ``stratselect.mc``."""
 
 from .best_response import (
     DropoutInfo,
@@ -19,7 +20,6 @@ from .equilibrium import (
     ExcessMassEvaluation,
     SolverError,
     excess_mass,
-    max_deviation_gain,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
@@ -33,12 +33,6 @@ from .kernel import (
     normal_cdf,
     normal_pdf,
     normal_quantile,
-)
-from .mc import (
-    McEstimate,
-    grid_argmax_payoff,
-    mc_selection_probability,
-    mc_selection_quality,
 )
 from .metrics import (
     AmbiguousRegime,

@@ -258,16 +258,19 @@ def _load_sweep(path: str) -> SweepSpec:
             raise InputError(f"{path}: alpha grid value {value!r} outside (0, 1)")
         if axis == "reward" and not value > 0.0:
             raise InputError(f"{path}: reward grid value {value!r} not positive")
-    solvers = tuple(data.get("solvers", ("unconstrained", "demographic_parity")))
+    known = ("unconstrained", "demographic_parity")
+    solvers = data.get("solvers", list(known))
+    if not isinstance(solvers, list) or not solvers:
+        raise InputError(f"{path}: solvers must be a nonempty list, got {solvers!r}")
     for solver in solvers:
-        if solver not in ("unconstrained", "demographic_parity"):
-            raise InputError(f"{path}: unknown solver {solver!r}")
+        if solver not in known:
+            raise InputError(f"{path}: unknown solver {solver!r} in solvers")
     problems = validate(base)
     if problems:
         raise InputError(f"{path}: base_config: " + "; ".join(problems))
     if axis == "reward":
         _check_rewards(path, base, grid)
-    return SweepSpec(axis=axis, grid=tuple(grid), base_config=base, solvers=solvers)
+    return SweepSpec(axis=axis, grid=tuple(grid), base_config=base, solvers=tuple(solvers))
 
 
 def _check_rewards(path: str, config: GameConfig, rewards: Sequence[float]) -> None:

@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .best_response import ResponseCurve, payoff
+from .best_response import ResponseCurve
 from .kernel import ROOT_XTOL, find_root_seeded
 from .kernel import normal_cdf, normal_pdf, normal_quantile
-from .mc import effort_grid
 from .metrics import quality_from_outcomes
 from .model import (
     EffortDistribution,
@@ -55,7 +54,6 @@ __all__ = [
     "solver_bracket",
     "solve_unconstrained",
     "solve_demographic_parity",
-    "max_deviation_gain",
     "CurveMemo",
 ]
 
@@ -392,29 +390,3 @@ def solve_demographic_parity(
         outcomes=outcomes,
         quality=quality_from_outcomes(views, outcomes),
     )
-
-
-def max_deviation_gain(
-    report: EquilibriumReport,
-    config: GameConfig,
-) -> dict[str, float]:
-    """Best payoff improvement any candidate could find on its group's
-    :func:`~stratselect.mc.effort_grid`.
-
-    At a Nash equilibrium this is nonpositive up to solver residuals.
-    """
-    views = {v.label: v for v in effective_groups(config)}
-    gains = {}
-    for outcome in report.outcomes:
-        view = views[outcome.label]
-        theta = outcome.threshold
-        grid = effort_grid(view, config.reward)
-        values = config.reward * normal_cdf(
-            (grid - theta) / view.sigma
-        ) - 0.5 * view.cost * grid * grid
-        current = sum(
-            w * payoff(m, theta, view, config.reward)
-            for m, w in outcome.strategy.support
-        )
-        gains[outcome.label] = float(values.max() - current)
-    return gains

@@ -1,18 +1,20 @@
 """Special functions and bracketed root finding shared by every solver.
 
-The normal CDF goes through ``erfc`` (relative error near machine precision
-over the range that matters here), the quantile is scipy's rational
-approximation tightened with one guarded Newton step, and the two real
-branches of the Lambert W function are Halley-polished so that ``w * exp(w)``
-reproduces the argument to ~1e-14 relative.  Root finding is Brent's method,
-run in this module: a line-by-line port of scipy's ``brentq`` loop that
-returns the same double, seeded with bracket-end values its caller already
-has, so each end is evaluated once.  It serves the searches whose function
-has no cheap slope: the dropout search, the smooth equilibrium crossing and
-the induced threshold (``equilibrium.mixture_quantile``).  A stationary point
-of the candidate's payoff, whose slope is known in closed form, is solved by
-Newton's method in ``best_response`` instead.  Only ``scipy.special`` is
-imported.
+Every function here takes and returns Python floats and runs on the
+standard library; the array versions the Monte Carlo oracles need live in
+``mc``.  The normal CDF goes through ``erfc`` (relative error near machine
+precision over the range that matters here), the quantile is the standard
+library's ``NormalDist.inv_cdf`` (Wichura's AS241, a few ulps from exact),
+and the two real branches of the Lambert W function are Newton iterations on
+the log form ``w + log(w / x) = 0``, which stays finite from the branch fold
+down to subnormal ``x``.  Root finding is Brent's method, run in this
+module: a line-by-line port of scipy's ``brentq`` loop that returns the same
+double, seeded with bracket-end values its caller already has, so each end
+is evaluated once.  It serves the searches whose function has no cheap
+slope: the dropout search, the smooth equilibrium crossing and the induced
+threshold (``equilibrium.mixture_quantile``).  A stationary point of the
+candidate's payoff, whose slope is known in closed form, is solved by
+Newton's method in ``best_response`` instead.
 Everything is a pure function of its arguments and safe to call
 concurrently.
 """
@@ -20,10 +22,9 @@ concurrently.
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal, Union
-
-import numpy as np
-from scipy import special
+import statistics
+import sys
+from typing import Callable, Literal
 
 __all__ = [
     "DomainError",
@@ -39,13 +40,13 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = statistics.NormalDist()
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real W branches meet
-_MIN_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's smallest brentq rtol
+_MIN_RTOL = 4.0 * sys.float_info.epsilon  # scipy's smallest brentq rtol
 ROOT_XTOL = 1e-12  # find_root's absolute tolerance on the unknown
-MAX_ITER = 200  # Brent iterations before NoConvergence
+MAX_ITER = 200  # Brent iterations before NoConvergence; lambert_w's cap
 
 WBranch = Literal["principal", "minus_one"]
-ArrayLike = Union[float, np.ndarray]
 
 
 class DomainError(ValueError):
@@ -60,57 +61,25 @@ class NoConvergence(RuntimeError):
     """An iterative routine exhausted its iteration budget."""
 
 
-def normal_pdf(z: ArrayLike) -> ArrayLike:
-    """Standard normal density.  Accepts floats or numpy arrays."""
-    if isinstance(z, np.ndarray):
-        return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+def normal_pdf(z: float) -> float:
+    """Standard normal density."""
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
-def normal_cdf(z: ArrayLike) -> ArrayLike:
+def normal_cdf(z: float) -> float:
     """Standard normal CDF, strictly increasing onto (0, 1)."""
-    if isinstance(z, np.ndarray):
-        return special.ndtr(z)
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def normal_quantile(p: ArrayLike) -> ArrayLike:
-    """Inverse of :func:`normal_cdf` on (0, 1).
+def normal_quantile(p: float) -> float:
+    """Inverse of :func:`normal_cdf` on (0, 1): ``NormalDist().inv_cdf``,
+    within a few ulps of the exact quantile down to ``p = 1e-300``.
 
-    Raises :class:`DomainError` outside the open unit interval.  A Newton
-    step on top of the rational initial guess keeps the round trip
-    ``normal_quantile(normal_cdf(z)) == z`` tight for moderate ``z``.
+    Raises :class:`DomainError` outside the open unit interval.
     """
-    if isinstance(p, np.ndarray):
-        if p.size and (np.any(p <= 0.0) or np.any(p >= 1.0)):
-            raise DomainError("normal_quantile requires p in (0, 1)")
-        x = special.ndtri(p)
-        # Clamping the density keeps far-tail lanes (where the step is already
-        # negligible relative to |x|) free of overflow.
-        x -= (special.ndtr(x) - p) / np.maximum(normal_pdf(x), 1e-300)
-        return x
     if not 0.0 < p < 1.0:
         raise DomainError(f"normal_quantile requires p in (0, 1), got {p!r}")
-    x = float(special.ndtri(p))
-    if 1e-10 < p < 1.0 - 1e-10:
-        x -= (normal_cdf(x) - p) / normal_pdf(x)
-    return x
-
-
-def _halley_polish(w: float, x: float) -> float:
-    # Halley steps degenerate at the branch fold w = -1; the initial guess is
-    # already best possible there, so bail out instead of dividing by ~0.
-    for _ in range(8):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        if abs(f) <= 1e-15 * max(1.0, abs(x)) or abs(wp1) < 1e-6:
-            break
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0.0:
-            break
-        w -= f / denom
-    return w
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def lambert_w(branch: WBranch, x: float) -> float:
@@ -136,17 +105,36 @@ def lambert_w(branch: WBranch, x: float) -> float:
         return -1.0
     if x == 0.0:
         return 0.0
+    principal = branch == "principal"
+    log_minus_x = 0.0 if principal else math.log(-x)
     p_sq = 2.0 * (math.e * x + 1.0)
-    if p_sq <= 1e-4:
-        # Fold series in p = sqrt(2 (e x + 1)); more accurate than the
-        # generic algorithm this close to -1/e, where Halley degenerates.
-        p = math.sqrt(p_sq)
-        if branch == "minus_one":
-            p = -p
-        return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
-    k = 0 if branch == "principal" else -1
-    w = float(special.lambertw(complex(x, 0.0), k).real)
-    return _halley_polish(w, x)
+    if x < -0.25:
+        # Fold series in p = sqrt(2 (e x + 1)): the answer within p_sq <= 1e-4
+        # of -1/e, where Newton's slope (w + 1) / w vanishes, and the start
+        # point further out.
+        p = math.sqrt(p_sq) if principal else -math.sqrt(p_sq)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
+        if p_sq <= 1e-4:
+            return w
+    elif principal:
+        w = math.log1p(x)
+    else:
+        w = log_minus_x - math.log(-log_minus_x)
+    # Newton on w + log(w / x) = 0.  On the principal branch w / x = exp(-w)
+    # is at most e; on the -1 branch it overflows for |x| < 4e-306, so the
+    # logarithm is split there.  The no-progress stop ends the iteration
+    # next to the fold, where rounding keeps the step from reaching an ulp.
+    last = math.inf
+    for _ in range(MAX_ITER):
+        log_ratio = math.log(w / x) if principal else math.log(-w) - log_minus_x
+        step = w * (w + log_ratio) / (w + 1.0)
+        if abs(step) >= last:
+            break
+        w -= step
+        if abs(step) <= _MIN_RTOL * abs(w):
+            break
+        last = abs(step)
+    return w
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:

@@ -1,9 +1,11 @@
 """Monte Carlo and brute-force oracles for the analytic formulas.
 
-Sampling is counter-based (Philox keyed by ``(seed, stream)``) so estimates
-are bit-reproducible and independent streams can run in parallel.  Normal
-draws go through the inverse CDF of the audited kernel quantile rather than
-a separate sampler.
+Every array in the package lives here: this module and the CLI's grids are
+the only users of numpy and scipy, and the solvers run on the standard
+library.  Sampling is counter-based (Philox keyed by ``(seed, stream)``) so
+estimates are bit-reproducible and independent streams can run in parallel.
+Normal draws go through the inverse CDF, scipy's ``ndtri`` tightened with
+one Newton step, rather than a separate sampler.
 
 The selection-probability oracle simulates the actual observation chain
 (latent quality, noisy estimate, posterior mean) whenever a group is
@@ -20,11 +22,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .kernel import normal_cdf, normal_quantile
+from .best_response import payoff
 from .model import (
     DmMode,
     EffortDistribution,
+    EquilibriumReport,
     GameConfig,
     GroupParams,
     GroupView,
@@ -39,11 +43,13 @@ __all__ = [
     "mc_selection_quality",
     "effort_grid",
     "grid_argmax_payoff",
+    "max_deviation_gain",
 ]
 
 MIN_SAMPLES = 1_000
 
 _TWO53 = float(1 << 53)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,12 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
     # Uniforms strictly inside (0, 1) so the quantile never sees an endpoint.
     u = (gen.integers(0, 1 << 53, size=n, dtype=np.uint64) + 0.5) / _TWO53
-    return normal_quantile(u)
+    x = ndtri(u)
+    # One Newton step through ndtr.  Clamping the density keeps far-tail
+    # lanes (where the step is already negligible relative to |x|) free of
+    # overflow.
+    x -= (ndtr(x) - u) / np.maximum(_INV_SQRT_2PI * np.exp(-0.5 * x * x), 1e-300)
+    return x
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -194,6 +205,13 @@ def effort_grid(group: GroupView, reward: float, grid_points: int = 10_000) -> n
     return np.linspace(0.0, hi, max(int(grid_points), 1))
 
 
+def _grid_payoffs(
+    theta: float, group: GroupView, reward: float, grid_points: int = 10_000
+) -> tuple[np.ndarray, np.ndarray]:
+    grid = effort_grid(group, reward, grid_points)
+    return grid, reward * ndtr((grid - theta) / group.sigma) - 0.5 * group.cost * grid**2
+
+
 def grid_argmax_payoff(
     theta: float,
     group: GroupView,
@@ -202,6 +220,28 @@ def grid_argmax_payoff(
 ) -> float:
     """Brute-force best response on :func:`effort_grid`; ties resolve to the
     smallest effort."""
-    grid = effort_grid(group, reward, grid_points)
-    values = reward * normal_cdf((grid - theta) / group.sigma) - 0.5 * group.cost * grid**2
+    grid, values = _grid_payoffs(theta, group, reward, grid_points)
     return float(grid[int(np.argmax(values))])
+
+
+def max_deviation_gain(
+    report: EquilibriumReport,
+    config: GameConfig,
+) -> dict[str, float]:
+    """Best payoff improvement any candidate could find on its group's
+    :func:`effort_grid`.
+
+    At a Nash equilibrium this is nonpositive up to solver residuals.
+    """
+    views = {v.label: v for v in effective_groups(config)}
+    gains = {}
+    for outcome in report.outcomes:
+        view = views[outcome.label]
+        theta = outcome.threshold
+        _, values = _grid_payoffs(theta, view, config.reward)
+        current = sum(
+            w * payoff(m, theta, view, config.reward)
+            for m, w in outcome.strategy.support
+        )
+        gains[outcome.label] = float(values.max() - current)
+    return gains

@@ -21,13 +21,13 @@ from stratselect.best_response import (
 )
 from stratselect.dynamics import run as run_dynamics
 from stratselect.equilibrium import (
-    max_deviation_gain,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
 )
 from stratselect.mc import (
     grid_argmax_payoff,
+    max_deviation_gain,
     mc_selection_probability,
     mc_selection_quality,
 )

@@ -24,6 +24,7 @@ from stratselect.best_response import (
 )
 from stratselect.equilibrium import solve_demographic_parity, solve_unconstrained
 from stratselect.kernel import NoConvergence, normal_cdf, normal_pdf
+from stratselect.mc import effort_grid, grid_argmax_payoff
 from stratselect.model import (
     MAX_REWARD_RATIO,
     GameConfig,
@@ -130,19 +131,17 @@ class TestBestResponse:
         # At theta=0, S=C=sigma=1 the response solves m = pdf(m).
         (m,) = best_response(0.0, unit_group, 1.0)
         assert m == pytest.approx(0.37223889803561864, abs=1e-10)
-        grid = np.linspace(0.0, (2.0) ** 0.5 + 6.0, 10_000)
-        values = 1.0 * normal_cdf(grid) - 0.5 * grid**2
-        assert abs(grid[np.argmax(values)] - m) <= grid[1] - grid[0]
+        step = effort_grid(unit_group, 1.0)[1]
+        assert abs(grid_argmax_payoff(0.0, unit_group, 1.0) - m) <= step
 
     def test_beats_grid_along_thresholds(self, unit_group):
         reward = 10.0
-        hi = math.sqrt(2.0 * reward) + 6.0
-        grid = np.linspace(0.0, hi, 10_000)
         for theta in np.linspace(-1.0, 5.5, 14):
-            brs = best_response(float(theta), unit_group, reward)
-            values = reward * normal_cdf(grid - theta) - 0.5 * grid**2
-            best_grid = values.max()
-            best_ours = max(payoff(m, float(theta), unit_group, reward) for m in brs)
+            theta = float(theta)
+            brs = best_response(theta, unit_group, reward)
+            m_grid = grid_argmax_payoff(theta, unit_group, reward)
+            best_grid = payoff(m_grid, theta, unit_group, reward)
+            best_ours = max(payoff(m, theta, unit_group, reward) for m in brs)
             assert best_ours >= best_grid - 1e-7 * reward
 
     def test_collapse_above_dropout(self, unit_group):

@@ -186,6 +186,24 @@ class TestSweep:
             assert not out.exists()
             assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
+    @pytest.mark.parametrize("solvers, message", [
+        (5, "solvers must be a nonempty list, got 5"),
+        (None, "solvers must be a nonempty list, got None"),
+        # An empty list wrote a CSV whose cells were all blank.
+        ([], "solvers must be a nonempty list, got []"),
+        ("unconstrained", "solvers must be a nonempty list, got 'unconstrained'"),
+        ({"unconstrained": 1}, "solvers must be a nonempty list, got {'unconstrained': 1}"),
+        (["unconstrained", "bogus"], "unknown solver 'bogus' in solvers"),
+    ])
+    def test_solvers_validation(self, tmp_path, capsys, solvers, message):
+        spec = write_json(
+            tmp_path / "spec.json", {**sweep_spec_dict([0.1, 0.2]), "solvers": solvers}
+        )
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+
     def test_point_failure_leaves_empty_cells(self, tmp_path, monkeypatch, capsys):
         import stratselect.cli as cli_module
 

@@ -18,14 +18,13 @@ from stratselect.best_response import (
 )
 from stratselect.equilibrium import (
     excess_mass,
-    max_deviation_gain,
     mixture_quantile,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
 )
 from stratselect.kernel import normal_cdf, normal_pdf, normal_quantile
-from stratselect.mc import grid_argmax_payoff
+from stratselect.mc import grid_argmax_payoff, max_deviation_gain
 from stratselect.metrics import asymptotic_predictions
 from stratselect.model import (
     GameConfig,

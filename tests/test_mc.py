@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from stratselect import mc
 from stratselect.best_response import best_response
 from stratselect.mc import (
     grid_argmax_payoff,
@@ -19,6 +22,13 @@ from stratselect.model import (
 )
 
 N = 200_000
+
+
+def test_normal_draws_are_pinned():
+    # Every oracle estimate and the verify table rest on these doubles; a
+    # change to the sampler's arithmetic moves them.
+    draws = mc._normals(mc._generator(0, 0), 100_000)
+    assert hashlib.sha256(draws.tobytes()).hexdigest().startswith("d1fe64db008e37d4")
 
 
 class TestSelectionProbabilityOracle:

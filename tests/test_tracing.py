@@ -3,6 +3,9 @@ deleted function would crash it before the first operation."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +24,20 @@ def traced_names():
 def test_traced_name_is_a_function(module_name, attr):
     module = importlib.import_module(f"stratselect.{module_name}")
     assert callable(getattr(module, attr, None)), f"stratselect.{module_name}.{attr}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # The tracer looks each traced module up in sys.modules after importing
+    # only the CLI, so a module the CLI stopped importing at load time would
+    # crash the traced run with a KeyError.
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = sorted({f"stratselect.{module_name}" for module_name, _ in traced_names()})
+    code = (
+        "import sys, stratselect.cli; "
+        "sys.exit(sorted(set(sys.argv[1:]) - set(sys.modules)) or None)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *modules], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
