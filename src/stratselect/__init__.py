@@ -14,7 +14,7 @@ from .best_response import (
     selection_probability,
     stationary_points,
 )
-from .dynamics import DynamicsState, DynamicsTrace, br_step, fp_step, induced_threshold
+from .dynamics import DynamicsState, DynamicsTrace, induced_threshold
 from .dynamics import run as run_dynamics
 from .equilibrium import (
     ExcessMassEvaluation,

@@ -19,8 +19,8 @@ Thresholds inside ``(tau1, tau2)`` have a low maximum (``z < z1``, so
 The payoff gap between the maxima falls in ``tau`` at rate ``phi(z_high) -
 phi(z_low)`` (envelope theorem); its zero is the dropout ``tau_d(eps)``.
 
-A :class:`ResponseCurve` holds ``eps``, ``s``, the window and, from the first
-threshold inside it, the dropout.  It converts units only at its boundary:
+A :class:`ResponseCurve` holds ``eps``, ``s``, the window and the dropout,
+searched when the curve is made.  It converts units only at its boundary:
 ``tau = t / s`` in, ``m = s * mu`` out.  A root is bracketed in ``mu`` where
 ``mu`` can be tiny next to ``tau`` (the low maximum, and the one maximum
 outside the window), and in ``z`` where ``mu - tau`` would cancel (the
@@ -43,7 +43,7 @@ maxima and compares them, as the dropout search does; only
 :meth:`ResponseCurve.stationary_points` solves the minimum.  Both paths
 solve a root on the same bracket, so a best response is the same double.  A
 curve remembers its last two pairs of maxima: the dropout's Brent search
-ends on one.
+ends on one.  A dropout search that fails raises from the constructor.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .kernel import (
     _INV_SQRT_2PI,
     _MIN_RTOL,
     MAX_ITER,
-    NoBracket,
     NoConvergence,
     find_root_seeded,
     lambert_w,
@@ -184,7 +183,8 @@ def _recall(memo: list, solve, key: float):
 class ResponseCurve:
     """Stationary points, best responses and the dropout of one group at one
     reward.  ``window`` is ``(z1, z2, tau1, tau2)`` in scaled units, None when
-    missing or degenerate; ``inner`` and ``band`` are in ``tau``."""
+    missing or degenerate; ``inner`` and ``band`` are in ``tau``.  ``info``
+    and ``band`` are None exactly when ``window`` is."""
 
     def __init__(self, group: GroupView, reward: float) -> None:
         if not reward > 0.0:
@@ -203,10 +203,12 @@ class ResponseCurve:
             # The last entry is where Newton starts: mu = 0 and z = 1.
             self.low = (0.0, -1.0 / z1, True, 0.0)
             self.high = (z2, math.sqrt(-2.0 * math.log(eps)), False, 1.0)
-        self.info: DropoutInfo | None = None
-        self.band: tuple[float, float] | None = None
         self._maxima: list = []
         self._responses: list = []
+        self.info: DropoutInfo | None = None
+        self.band: tuple[float, float] | None = None
+        if self.window is not None:
+            self._search_dropout()
 
     def _root(
         self, tau: float, lo: float, hi: float, in_mu: bool, start: float, falls: bool = True
@@ -301,11 +303,6 @@ class ResponseCurve:
 
     def _best_response(self, tau: float) -> tuple[tuple[float, float], ...]:
         if self.window is not None and self.inner[0] < tau < self.inner[1]:
-            if self.band is None:
-                try:  # sets the band
-                    self.dropout()
-                except (NoBracket, NoConvergence):
-                    self.band = (-math.inf, math.inf)  # keep three roots throughout
             band_lo, band_hi = self.band
             if tau < band_lo:  # the high maximum wins
                 return (self._root(tau, *self.high),)
@@ -324,21 +321,21 @@ class ResponseCurve:
         return (high,) if u_high > u_low else (low,)
 
     def dropout(self) -> DropoutInfo:
-        """The threshold where the two payoff maxima tie, searched once.
-
-        Brent's method on the (strictly decreasing) scaled payoff gap between
-        the high and low maximum over the three-root window, to Brent's own
-        relative tolerance.  Raises :class:`SubcriticalReward` when no window
-        exists or it has degenerated.
-        """
-        if self.info is not None:
-            return self.info
-        group, reward, sigma = self.group, self.reward, self.sigma
-        if self.window is None:
+        """The threshold where the two payoff maxima tie.  Raises
+        :class:`SubcriticalReward` when no window exists or it has
+        degenerated."""
+        if self.info is None:
             raise SubcriticalReward(
-                f"reward {reward!r} gives group {group.label!r} no three-root "
-                f"window (critical reward {critical_reward(group)!r})"
+                f"reward {self.reward!r} gives group {self.group.label!r} no "
+                f"three-root window (critical reward {critical_reward(self.group)!r})"
             )
+        return self.info
+
+    def _search_dropout(self) -> None:
+        """Set ``info`` and ``band``: Brent's method on the (strictly
+        decreasing) scaled payoff gap between the high and low maximum over
+        the three-root window, to Brent's own relative tolerance."""
+        group, reward, sigma = self.group, self.reward, self.sigma
         z1, z2, tau1, tau2 = self.window
         # At a window edge one maximum has merged into the minimum at a
         # turning point, where mu = phi(z) / eps = -1/z; it stands in there.
@@ -370,7 +367,6 @@ class ResponseCurve:
             window=(sigma * tau1, sigma * tau2),
             payoff_at_dropout=reward * 0.5 * (self._utility(low) + self._utility(high)),
         )
-        return self.info
 
 
 def stationary_points(theta: float, group: GroupView, reward: float) -> StationaryPoints:
@@ -379,10 +375,8 @@ def stationary_points(theta: float, group: GroupView, reward: float) -> Stationa
 
 
 def best_response(theta: float, group: GroupView, reward: float) -> tuple[float, ...]:
-    """:meth:`ResponseCurve.best_response` for one threshold: every
-    stationary point is solved, since one call cannot repay a dropout search."""
-    curve = ResponseCurve(group, reward)
-    return tuple(curve.sigma * mu for _, mu in curve._compare_maxima(theta / curve.sigma))
+    """:meth:`ResponseCurve.best_response` of a fresh curve."""
+    return ResponseCurve(group, reward).best_response(theta)
 
 
 def dropout_threshold(group: GroupView, reward: float) -> DropoutInfo:

@@ -35,7 +35,7 @@ from .dynamics import run as run_dynamics
 from .equilibrium import (
     CurveMemo,
     SolverError,
-    memo_curve,
+    response_curves,
     solve_demographic_parity,
     solve_unconstrained,
 )
@@ -362,7 +362,6 @@ def cmd_dropout(args: argparse.Namespace) -> int:
     _check_rewards(args.config, config, grid)
     views = effective_groups(config)
     labels = [v.label for v in views]
-    curves: CurveMemo = {}
     columns = ["S"] + [
         f"{column}_{label}" for label in labels
         for column in ("theta_d", "br_min", "br_max", "scaled")
@@ -371,9 +370,9 @@ def cmd_dropout(args: argparse.Namespace) -> int:
         writer = _csv_writer(fh, config, columns)
         for reward in grid:
             row = {"S": reward}
-            for view in views:
+            for view, curve in zip(views, response_curves(views, reward)):
                 try:
-                    info = memo_curve(view, reward, curves).dropout()
+                    info = curve.dropout()
                 except SubcriticalReward:
                     print(
                         f"warning: S={reward!r} is subcritical for group "
@@ -481,9 +480,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
          3.0 * max(est.std_error, 1e-12))
     )
 
-    for view in views:
+    for view, curve in zip(views, response_curves(views, config.reward, curves)):
         theta = 0.5 * un.threshold
-        brs = memo_curve(view, config.reward, curves).best_response(theta)
+        brs = curve.best_response(theta)
         grid_best = grid_argmax_payoff(theta, view, config.reward)
         step = effort_grid(view, config.reward)[1]
         closest = min(brs, key=lambda b: abs(b - grid_best))

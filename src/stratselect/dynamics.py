@@ -7,9 +7,10 @@ scalar threshold because payoffs depend on opponents only through it).  The
 threshold of a state is always the one induced by its strategies, i.e. the
 (1 - alpha)-quantile of the decision-statistic mixture, found by the same
 search that brackets the equilibrium solvers
-(:func:`stratselect.equilibrium.mixture_quantile`).  A threshold that lands
-exactly on a dropout is resolved as a 50/50 split between the two tied best
-responses.
+(:func:`stratselect.equilibrium.mixture_quantile`).  A threshold within a
+payoff tie of a dropout (``best_response.PAYOFF_TIE_REL``), not only exactly
+on it, is resolved as a 50/50 split between the two tied best responses.
+:func:`run` is the one entry point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .best_response import ResponseCurve
-from .equilibrium import CurveMemo, memo_curve, mixture_quantile
+from .equilibrium import mixture_quantile, response_curves
 from .model import (
     EffortDistribution,
     GameConfig,
@@ -32,8 +33,6 @@ __all__ = [
     "Convergence",
     "DynamicsTrace",
     "induced_threshold",
-    "br_step",
-    "fp_step",
     "run",
 ]
 
@@ -108,33 +107,6 @@ def _step(
     return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
 
 
-def br_step(
-    state: DynamicsState, config: GameConfig, *, curves: CurveMemo | None = None
-) -> DynamicsState:
-    """Synchronous best response against the current threshold.  ``curves``
-    is a memo of response curves to read and fill across steps; ``None``
-    builds fresh ones."""
-    views = effective_groups(config)
-    group_curves = [memo_curve(v, config.reward, curves) for v in views]
-    return _step(state.theta, state.t, views, group_curves, config.alpha)
-
-
-def fp_step(
-    history: Sequence[DynamicsState],
-    config: GameConfig,
-    *,
-    curves: CurveMemo | None = None,
-) -> DynamicsState:
-    """Best response against the mean of all past thresholds; ``curves`` as
-    in :func:`br_step`."""
-    if not history:
-        raise ValueError("fictitious play needs a nonempty history")
-    views = effective_groups(config)
-    group_curves = [memo_curve(v, config.reward, curves) for v in views]
-    belief = sum(s.theta for s in history) / len(history)
-    return _step(belief, history[-1].t, views, group_curves, config.alpha, len(history))
-
-
 def _detect_cycle(thetas: list[float]) -> int | None:
     """Smallest period p <= MAX_CYCLE_PERIOD repeated 3 times at the tail."""
     n = len(thetas)
@@ -182,8 +154,7 @@ def run(
         if len(init) != len(views):
             raise ValueError("need one initial strategy per group")
 
-    memo: CurveMemo = {}  # twin groups share one curve
-    curves = tuple(memo_curve(v, config.reward, memo) for v in views)
+    curves = response_curves(views, config.reward)
     theta0 = mixture_quantile([s.support for s in init], views, config.alpha)
     state = DynamicsState(
         strategies=init,

@@ -89,28 +89,19 @@ class ExcessMassEvaluation:
 CurveMemo = dict[tuple[float, float, float], ResponseCurve]
 
 
-def memo_curve(view: GroupView, reward: float, memo: CurveMemo | None) -> ResponseCurve:
-    """The curve of ``view`` at ``reward`` from ``memo``, built and stored on
-    a miss; a fresh curve when ``memo`` is None."""
-    if memo is None:
-        return ResponseCurve(view, reward)
-    key = (view.cost, view.sigma, reward)
-    if key not in memo:
-        memo[key] = ResponseCurve(view, reward)
-    return memo[key]
-
-
-def _curves(
-    views: tuple[GroupView, ...], reward: float, memo: CurveMemo | None = None
+def response_curves(
+    views: Sequence[GroupView], reward: float, memo: CurveMemo | None = None
 ) -> list[ResponseCurve]:
-    """Each group's curve from ``memo`` (a fresh one when None), with its
-    dropout searched unless the reward is subcritical for it.  Twin groups
-    share one curve and so one dropout double."""
+    """Each group's curve at ``reward`` from ``memo``, built and stored on a
+    miss (``None`` starts a fresh memo).  Twin groups share one curve and so
+    one dropout double."""
     memo = {} if memo is None else memo
-    curves = [memo_curve(view, reward, memo) for view in views]
-    for curve in curves:
-        if curve.window is not None:
-            curve.dropout()
+    curves = []
+    for view in views:
+        key = (view.cost, view.sigma, reward)
+        if key not in memo:
+            memo[key] = ResponseCurve(view, reward)
+        curves.append(memo[key])
     return curves
 
 
@@ -147,13 +138,10 @@ def _mass(views: tuple[GroupView, ...], table: RateTable, sides: Sequence[int]) 
     return mass
 
 
-def excess_mass(
-    theta: float, config: GameConfig, *, curves: CurveMemo | None = None
-) -> ExcessMassEvaluation:
-    """Selected mass when every group best-responds to ``theta``.
-    ``curves`` is a memo of response curves, as for the solvers."""
+def excess_mass(theta: float, config: GameConfig) -> ExcessMassEvaluation:
+    """Selected mass when every group best-responds to ``theta``."""
     views = effective_groups(config)
-    table = _rates(theta, views, _curves(views, config.reward, curves))
+    table = _rates(theta, views, response_curves(views, config.reward))
     return ExcessMassEvaluation(
         theta=theta,
         mass_lo=_mass(views, table, [0] * len(views)),
@@ -287,7 +275,7 @@ def solve_unconstrained(
         raise ValueError("invalid config: " + "; ".join(problems))
     views = effective_groups(config)
     alpha = config.alpha
-    curves = _curves(views, config.reward, curves)
+    curves = response_curves(views, config.reward, curves)
     theta_lo, theta_hi = bracket if bracket is not None else solver_bracket(config)
 
     # Groups sharing a dropout share its double: twins share one curve.
@@ -368,7 +356,7 @@ def solve_demographic_parity(
     alpha = config.alpha
     z = normal_quantile(alpha)
     outcomes = []
-    for view, curve in zip(views, _curves(views, config.reward, curves)):
+    for view, curve in zip(views, response_curves(views, config.reward, curves)):
         solo, info = (replace(view, share=1.0),), curve.info
         table = None if info is None else _rates(info.theta_d, solo, [curve])
         if table is not None and table[0][0] <= alpha <= table[0][1]:

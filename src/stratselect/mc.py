@@ -48,7 +48,6 @@ __all__ = [
 
 MIN_SAMPLES = 1_000
 
-_TWO53 = float(1 << 53)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -67,8 +66,9 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
-    # Uniforms strictly inside (0, 1) so the quantile never sees an endpoint.
-    u = (gen.integers(0, 1 << 53, size=n, dtype=np.uint64) + 0.5) / _TWO53
+    # Uniforms k / 2**53 + 2**-54, above 0 so the quantile never sees it (the
+    # top one, k = 2**53 - 1, rounds to 1.0).
+    u = gen.random(n) + 2.0**-54
     x = ndtri(u)
     # One Newton step through ndtr.  Clamping the density keeps far-tail
     # lanes (where the step is already negligible relative to |x|) free of

@@ -346,7 +346,6 @@ class TestResponseCurve:
         curve = ResponseCurve(group, reward)
         info = curve.dropout()
         theta1, theta2 = info.window
-        curve.best_response(info.theta_d)  # the first threshold inside the window
         # The curve keeps its band, centred on the dropout, in tau = theta / sigma.
         tau_lo, tau_hi = curve.band
         half = sigma * 0.5 * (tau_hi - tau_lo)
@@ -374,7 +373,6 @@ class TestResponseCurve:
     def test_one_root_outside_band(self, unit_group, monkeypatch):
         curve = ResponseCurve(unit_group, 10.0)
         theta_d = curve.dropout().theta_d
-        curve.best_response(theta_d)
         half = theta_d - curve.band[0]
         roots = []
         real = ResponseCurve._root
@@ -390,16 +388,14 @@ class TestResponseCurve:
         assert len(curve.best_response(theta_d + 0.5 * half)) == 1
         assert len(roots) == 4  # inside the band: both maxima
 
-    def test_failed_dropout_search_keeps_three_roots(self, unit_group, monkeypatch):
-        def fail(curve):
+    def test_failed_dropout_search_raises_from_the_constructor(self, unit_group, monkeypatch):
+        def fail(*args):
             raise NoConvergence("no tie")
 
-        monkeypatch.setattr(ResponseCurve, "dropout", fail)
-        curve = ResponseCurve(unit_group, 10.0)
-        _, _, theta1, theta2 = curve.window
-        theta = 0.5 * (theta1 + theta2)
-        assert curve.best_response(theta) == three_root_best_response(theta, unit_group, 10.0)
-        assert curve.band == (-math.inf, math.inf)
+        monkeypatch.setattr(best_response_module, "find_root_seeded", fail)
+        with pytest.raises(NoConvergence):
+            ResponseCurve(unit_group, 10.0)
+        assert ResponseCurve(unit_group, 1.0).info is None  # no window, no search
 
 
 class TestDerivativeIdentity:
@@ -433,11 +429,12 @@ class CountingMath:
 
 
 class RecordingCurve(ResponseCurve):
-    """A curve that records each root with the bracket it was solved on."""
+    """A curve that records each root with the bracket it was solved on,
+    from the dropout search its constructor runs onward."""
 
     def __init__(self, group, reward):
-        super().__init__(group, reward)
         self.roots = []
+        super().__init__(group, reward)
 
     def _root(self, tau, lo, hi, in_mu, *rest):
         point = super()._root(tau, lo, hi, in_mu, *rest)
@@ -489,10 +486,11 @@ class TestNewtonRoots:
         eps = 10.0**log_eps
         group = GroupView("A", 1.0, eps, 1.0)  # at reward 1 the cost is eps
         curve = RecordingCurve(group, 1.0)
+        searched = len(curve.roots)
         tau = scaled_threshold(curve, where, u)
         points = curve.stationary_points(tau)
-        assert len(curve.roots) == len(points.points)
-        for lo, hi, x, point in curve.roots:
+        assert len(curve.roots) - searched == len(points.points)
+        for lo, hi, x, point in curve.roots:  # the dropout search's roots too
             assert lo <= x <= hi
             assert scaled_residual_ok(eps, point), (point, lo, hi)
         # A root depends on (eps, tau, bracket) alone, not on earlier calls.

@@ -18,7 +18,7 @@ from stratselect.equilibrium import (
     solve_demographic_parity,
     solve_unconstrained,
 )
-from stratselect.kernel import DomainError
+from stratselect.kernel import DomainError, NoConvergence
 from stratselect.model import config_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -338,24 +338,23 @@ MEMO_SWEEPS = {
 
 @pytest.fixture
 def dropout_calls(monkeypatch):
-    """Count the dropout searches the response curves start."""
+    """Count the dropout searches the response curves run."""
     calls = []
-    real = ResponseCurve.dropout
+    real = ResponseCurve._search_dropout
 
     def counted(curve):
-        if curve.info is None:  # nothing cached: this call searches
-            calls.append((curve.group.label, curve.reward))
-        return real(curve)
+        calls.append((curve.group.label, curve.reward))
+        real(curve)
 
-    monkeypatch.setattr(ResponseCurve, "dropout", counted)
+    monkeypatch.setattr(ResponseCurve, "_search_dropout", counted)
     return calls
 
 
-real_curves = equilibrium._curves
+real_curves = equilibrium.response_curves
 
 
 def memo_free_curves(views, reward, memo=None):
-    """``equilibrium._curves`` without the memo: one curve per group."""
+    """``equilibrium.response_curves`` without the memo: one curve per group."""
     return real_curves(views, reward)
 
 
@@ -403,7 +402,7 @@ class TestDropoutMemo:
         out = tmp_path / "out.csv"
         assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
         rows = read_sweep(out)
-        monkeypatch.setattr(equilibrium, "_curves", memo_free_curves)
+        monkeypatch.setattr(equilibrium, "response_curves", memo_free_curves)
         assert len(rows) == len(grid)
         for value, row in zip(grid, rows):
             config = config_from_dict({**base, axis: value})
@@ -448,6 +447,55 @@ def test_twin_sweep_reruns_alike_in_one_process(tmp_path):
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert a.read_bytes() == b.read_bytes()
+
+
+def scenario_commands(out):
+    """Every bundled scenario through the subcommands ``run_scenarios.py``
+    uses, with short dynamics: sweeps for sweep specs, and solve, dropout
+    and both dynamics for games."""
+    commands = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        config, name = str(path), path.stem
+        if "base_config" in json.loads(path.read_text(encoding="utf-8")):
+            commands.append(["sweep", "--config", config, "--out", str(out / f"{name}.csv")])
+            continue
+        commands.append(["solve", "--config", config])
+        commands.append(["dropout", "--config", config, "--grid", "100:100000:4:log",
+                         "--out", str(out / f"{name}.dropout.csv")])
+        for mode in ("br", "fp"):
+            commands.append(["dynamics", "--config", config, "--mode", mode, "--steps", "30",
+                             "--out", str(out / f"{name}.{mode}.csv")])
+    return commands
+
+
+def test_every_scenario_reruns_alike_in_one_process(tmp_path, capsys):
+    # Pass A, pass B in the reverse order, then pass A again: nothing a
+    # command leaves behind in the process may change what a later one writes.
+    commands = scenario_commands(tmp_path)
+    passes = []
+    for order in (commands, commands[::-1], commands):
+        outputs = {}
+        for argv in order:
+            assert cli.main(argv) == 0, argv
+            captured = capsys.readouterr()
+            written = Path(argv[-1]).read_bytes() if "--out" in argv else None
+            outputs[tuple(argv)] = (captured.out, captured.err, written)
+        passes.append(outputs)
+    assert passes[0] == passes[1] == passes[2]
+
+
+@pytest.mark.parametrize("command", ["solve", "dynamics"])
+def test_failed_dropout_search_is_a_computation_error(tmp_path, monkeypatch, capsys, command):
+    # A curve searches its dropout when it is made, so the failure reaches
+    # the CLI from the first curve inside a window.
+    def fail(*args):
+        raise NoConvergence("no tie in the window")
+
+    monkeypatch.setattr(best_response_module, "find_root_seeded", fail)
+    extra = {"solve": [], "dynamics": ["--steps", "5", "--out", str(tmp_path / "out.csv")]}
+    argv = [command, "--config", str(SCENARIOS / "noise_gap_s10.json"), *extra[command]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "computation failed: no tie in the window\n"
 
 
 class TestDropout:
@@ -597,7 +645,7 @@ def test_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, command
     def no_work(*args, **kwargs):
         raise RuntimeError("work started before --out was opened")
 
-    for name in ("solve_unconstrained", "memo_curve", "run_dynamics"):
+    for name in ("solve_unconstrained", "response_curves", "run_dynamics"):
         monkeypatch.setattr(cli, name, no_work)
     game = str(SCENARIOS / "noise_gap_s10.json")
     argv = {

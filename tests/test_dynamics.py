@@ -3,13 +3,7 @@ import dataclasses
 import pytest
 
 from stratselect.best_response import ResponseCurve
-from stratselect.dynamics import (
-    DynamicsState,
-    br_step,
-    fp_step,
-    induced_threshold,
-    run,
-)
+from stratselect.dynamics import induced_threshold, run
 from stratselect.equilibrium import solve_unconstrained
 from stratselect.model import EffortDistribution, GameConfig, GroupParams
 
@@ -53,68 +47,40 @@ class TestInducedThreshold:
 
 
 class TestSteps:
+    """The first step of :func:`run`."""
+
     def test_equilibrium_is_fixed_point(self, small_reward_config):
         eq = solve_unconstrained(small_reward_config)
-        state = DynamicsState(
-            strategies=tuple(o.strategy for o in eq.outcomes),
-            theta=eq.threshold,
-            t=0,
-        )
-        stepped = br_step(state, small_reward_config)
+        init = tuple(o.strategy for o in eq.outcomes)
+        stepped = run(small_reward_config, max_steps=1, init=init).states[1]
         assert stepped.theta == pytest.approx(eq.threshold, abs=1e-8)
-        for before, after in zip(state.strategies, stepped.strategies):
+        for before, after in zip(init, stepped.strategies):
             assert after.mean() == pytest.approx(before.mean(), abs=1e-8)
 
     def test_threshold_invariant_after_step(self, small_reward_config):
-        state = DynamicsState(
-            strategies=(EffortDistribution.point(0.0), EffortDistribution.point(0.0)),
-            theta=induced_threshold(
-                [EffortDistribution.point(0.0)] * 2, small_reward_config
-            ),
-            t=0,
-        )
-        stepped = br_step(state, small_reward_config)
+        stepped = run(small_reward_config, max_steps=1).states[1]
         rebuilt = induced_threshold(stepped.strategies, small_reward_config)
         assert stepped.theta == pytest.approx(rebuilt, abs=1e-10)
 
     def test_fp_with_unit_history_equals_br(self, small_reward_config):
-        state = DynamicsState(
-            strategies=(EffortDistribution.point(0.2), EffortDistribution.point(0.4)),
-            theta=induced_threshold(
-                [EffortDistribution.point(0.2), EffortDistribution.point(0.4)],
-                small_reward_config,
-            ),
-            t=0,
-        )
-        via_br = br_step(state, small_reward_config)
-        via_fp = fp_step([state], small_reward_config)
+        init = (EffortDistribution.point(0.2), EffortDistribution.point(0.4))
+        via_br = run(small_reward_config, "br", max_steps=1, init=init).states[1]
+        via_fp = run(small_reward_config, "fp", max_steps=1, init=init).states[1]
         assert via_fp.theta == pytest.approx(via_br.theta, abs=1e-12)
         for a, b in zip(via_br.strategies, via_fp.strategies):
             assert a.support == b.support
 
-    def test_fp_requires_history(self, small_reward_config):
-        with pytest.raises(ValueError):
-            fp_step([], small_reward_config)
-
     @pytest.mark.parametrize("mode", ["br", "fp"])
-    def test_hand_steps_share_one_memo(self, noise_gap_config, monkeypatch, mode):
+    def test_run_searches_each_dropout_once(self, noise_gap_config, monkeypatch, mode):
         searches = []
-        real = ResponseCurve.dropout
+        real = ResponseCurve._search_dropout
 
         def counted(curve):
-            if curve.info is None:  # nothing cached: this call searches
-                searches.append(curve.group.label)
-            return real(curve)
+            searches.append(curve.group.label)
+            real(curve)
 
-        monkeypatch.setattr(ResponseCurve, "dropout", counted)
-        # theta = 3 lies inside both groups' three-root windows.
-        history = [DynamicsState(strategies=(EffortDistribution.point(0.0),) * 2, theta=3.0, t=0)]
-        memo = {}
-        for _ in range(20):
-            if mode == "br":
-                history.append(br_step(history[-1], noise_gap_config, curves=memo))
-            else:
-                history.append(fp_step(history, noise_gap_config, curves=memo))
+        monkeypatch.setattr(ResponseCurve, "_search_dropout", counted)
+        run(noise_gap_config, mode, max_steps=20)
         assert sorted(searches) == ["H", "L"]
 
 

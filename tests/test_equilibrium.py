@@ -180,31 +180,9 @@ class TestExcessMass:
             )
 
     def test_interval_ordering(self, noise_gap_config):
-        curves = {}
         for theta in np.linspace(-2.0, 6.0, 25):
-            ev = excess_mass(float(theta), noise_gap_config, curves=curves)
+            ev = excess_mass(float(theta), noise_gap_config)
             assert 0.0 <= ev.mass_lo <= ev.mass_hi <= 1.0
-
-    def test_memo_searches_each_dropout_once(self, noise_gap_config, monkeypatch):
-        searches = []
-        real = ResponseCurve.dropout
-
-        def counted(curve):
-            if curve.info is None:
-                searches.append(curve.group.label)
-            return real(curve)
-
-        monkeypatch.setattr(ResponseCurve, "dropout", counted)
-        curves = {}
-        fresh = [excess_mass(float(t), noise_gap_config) for t in np.linspace(-2.0, 6.0, 25)]
-        assert len(searches) == 50
-        searches.clear()
-        shared = [
-            excess_mass(float(t), noise_gap_config, curves=curves)
-            for t in np.linspace(-2.0, 6.0, 25)
-        ]
-        assert sorted(searches) == ["H", "L"]
-        assert shared == fresh
 
 
 class TestUnconstrained:
@@ -327,8 +305,7 @@ class TestUnconstrained:
     def test_mass_curve_non_increasing(self, noise_gap_config):
         lo, hi = solver_bracket(noise_gap_config)
         grid = np.linspace(lo, hi, 120)
-        curves = {}
-        upper = [excess_mass(float(t), noise_gap_config, curves=curves).mass_hi for t in grid]
+        upper = [excess_mass(float(t), noise_gap_config).mass_hi for t in grid]
         assert all(b <= a + 1e-10 for a, b in zip(upper, upper[1:]))
 
     def test_three_groups(self):
