@@ -456,25 +456,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     un = solve_unconstrained(config, curves=curves)
     checks: list[tuple[str, float, float, float]] = []
 
-    stream = 0
-    for view, params in zip(views, config.groups):
-        theta = un.threshold
-        for m in (max(theta - view.sigma, 0.0), max(theta, 0.0)):
-            analytic = metrics.selection_rate(EffortDistribution.point(m), theta, view)
-            est = mc_selection_probability(
-                m, theta, params, config.eta_sq, n, seed,
-                dm_mode=config.dm_mode, stream=stream,
-            )
-            stream += 1
-            tol = 3.0 * max(est.std_error, 1e-12)
-            checks.append(
-                (f"selection_probability[{view.label}, m={m:.3g}]",
-                 analytic, est.mean, tol)
-            )
-
     strategies = [o.strategy for o in un.outcomes]
     thresholds = [o.threshold for o in un.outcomes]
-    est = mc_selection_quality(strategies, thresholds, config, n, seed, stream=stream)
+    try:
+        stream = 0
+        for view, params in zip(views, config.groups):
+            theta = un.threshold
+            for m in (max(theta - view.sigma, 0.0), max(theta, 0.0)):
+                analytic = metrics.selection_rate(EffortDistribution.point(m), theta, view)
+                est = mc_selection_probability(
+                    m, theta, params, config.eta_sq, n, seed,
+                    dm_mode=config.dm_mode, stream=stream,
+                )
+                stream += 1
+                tol = 3.0 * max(est.std_error, 1e-12)
+                checks.append(
+                    (f"selection_probability[{view.label}, m={m:.3g}]",
+                     analytic, est.mean, tol)
+                )
+
+        est = mc_selection_quality(strategies, thresholds, config, n, seed, stream=stream)
+    except MemoryError as exc:
+        raise MemoryError(f"--samples {n}: {exc}") from exc
     checks.append(
         ("selection_quality[unconstrained]", un.quality, est.mean,
          3.0 * max(est.std_error, 1e-12))
@@ -560,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _COMPUTE_ERRORS as exc:
+    except (*_COMPUTE_ERRORS, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 

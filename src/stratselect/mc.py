@@ -4,8 +4,8 @@ Every array in the package lives here: this module and the CLI's grids are
 the only users of numpy and scipy, and the solvers run on the standard
 library.  Sampling is counter-based (Philox keyed by ``(seed, stream)``) so
 estimates are bit-reproducible and independent streams can run in parallel.
-Normal draws go through the inverse CDF, scipy's ``ndtri`` tightened with
-one Newton step, rather than a separate sampler.
+Normal draws are scipy's ``ndtri`` of the uniforms, with no Newton step:
+the inverse CDF rather than a separate sampler.
 
 The selection-probability oracle simulates the actual observation chain
 (latent quality, noisy estimate, posterior mean) whenever a group is
@@ -48,8 +48,6 @@ __all__ = [
 
 MIN_SAMPLES = 1_000
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -66,15 +64,13 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
-    # Uniforms k / 2**53 + 2**-54, above 0 so the quantile never sees it (the
-    # top one, k = 2**53 - 1, rounds to 1.0).
-    u = gen.random(n) + 2.0**-54
-    x = ndtri(u)
-    # One Newton step through ndtr.  Clamping the density keeps far-tail
-    # lanes (where the step is already negligible relative to |x|) free of
-    # overflow.
-    x -= (ndtr(x) - u) / np.maximum(_INV_SQRT_2PI * np.exp(-0.5 * x * x), 1e-300)
-    return x
+    # Uniforms k / 2**53 + 2**-54 lie above 0; the top one, k = 2**53 - 1,
+    # rounds to 1.0, so it is capped at 1 - 2**-53 and every draw is finite
+    # (|x| < 8.3).
+    u = gen.random(n)
+    u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return ndtri(u, out=u)
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -153,12 +149,14 @@ def mc_selection_quality(
     ):
         eta = params.eta_sq if params.eta_sq is not None else config.eta_sq
         stat_var = posterior_variance(params, config.eta_sq, config.dm_mode)
-        mask = (u_group >= lower) & (u_group < edge)
+        # Index gathers beat boolean masks; the in-place steps below keep the
+        # peak memory no higher than the masks'.
+        idx = np.flatnonzero((u_group >= lower) & (u_group < edge))
         lower = edge
-        if not mask.any():
+        if not idx.size:
             continue
-        efforts = _sample_efforts(strategy, u_effort[mask])
-        stat = efforts + math.sqrt(stat_var) * z_stat[mask]
+        efforts = _sample_efforts(strategy, u_effort.take(idx))
+        stat = efforts + math.sqrt(stat_var) * z_stat.take(idx)
         if config.dm_mode == "bayesian":
             # The statistic is the posterior mean, so quality = stat + resid
             # with resid independent of the statistic.
@@ -168,7 +166,7 @@ def mc_selection_quality(
                     f"group {view.label!r}: statistic spread exceeds the "
                     "latent quality spread; not realizable in bayesian mode"
                 )
-            quality = stat + math.sqrt(max(resid_var, 0.0)) * z_resid[mask]
+            quality = stat + math.sqrt(max(resid_var, 0.0)) * z_resid.take(idx)
         else:
             # Oblivious statistic is quality plus noise: Cov(W, stat) = eta,
             # so W | stat is N(m + beta (stat - m), eta - eta^2 / stat_var).
@@ -182,9 +180,10 @@ def mc_selection_quality(
             quality = (
                 efforts
                 + beta * (stat - efforts)
-                + math.sqrt(max(cond_var, 0.0)) * z_resid[mask]
+                + math.sqrt(max(cond_var, 0.0)) * z_resid.take(idx)
             )
-        value[mask] = quality * (stat >= theta)
+        quality *= stat >= theta
+        value[idx] = quality
     return _estimate(value, seed)
 
 
@@ -194,7 +193,7 @@ def _sample_efforts(strategy: EffortDistribution, u: np.ndarray) -> np.ndarray:
     cuts = np.cumsum(weights)
     cuts[-1] = 1.0  # guard the top edge against rounding
     idx = np.searchsorted(cuts, u, side="right")
-    return efforts[np.clip(idx, 0, len(efforts) - 1)]
+    return efforts[np.clip(idx, 0, len(efforts) - 1, out=idx)]
 
 
 def effort_grid(group: GroupView, reward: float, grid_points: int = 10_000) -> np.ndarray:

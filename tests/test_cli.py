@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -736,3 +737,20 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --samples must be at least 1000, got 999\n"
+
+    def test_table_is_pinned(self, capsys):
+        # The printed table rests on the oracle estimates; ulp-level changes
+        # to the normal draws do not reach its digits.
+        assert cli.main(["verify", "--samples", "20000", "--seed", "0"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "b23a2e289fcfaa2d1e96a80c382d39e2bf0efac13d1d2e1c8a663083bbbc2f32"
+        )
+
+    def test_oversized_samples_is_a_computation_error(self, capsys):
+        # 10**12 draws need 7.3 TiB in one array, which the allocator refuses
+        # outright, so nothing is allocated.
+        assert cli.main(["verify", "--samples", str(10**12)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"computation failed: --samples {10**12}: ")

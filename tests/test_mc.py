@@ -1,10 +1,13 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from stratselect import mc
 from stratselect.best_response import best_response
+from stratselect.kernel import normal_quantile
 from stratselect.mc import (
     grid_argmax_payoff,
     mc_selection_probability,
@@ -28,7 +31,42 @@ def test_normal_draws_are_pinned():
     # Every oracle estimate and the verify table rest on these doubles; a
     # change to the sampler's arithmetic moves them.
     draws = mc._normals(mc._generator(0, 0), 100_000)
-    assert hashlib.sha256(draws.tobytes()).hexdigest().startswith("d1fe64db008e37d4")
+    assert hashlib.sha256(draws.tobytes()).hexdigest().startswith("d1a280c170519598")
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose ``random(n)`` returns given doubles."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, n):
+        return np.resize(np.asarray(self.values, dtype=float), n)
+
+
+def test_top_uniform_draws_a_finite_normal():
+    # k = 2**53 - 1 is the largest uniform; plus 2**-54 it rounds to 1.0,
+    # which the sampler caps at 1 - 2**-53.
+    draws = mc._normals(_FixedUniforms([(2**53 - 1) / 2**53]), 1)
+    assert np.isfinite(draws).all()
+    assert draws[0] == ndtri(1.0 - 2.0**-53)
+
+
+def test_normal_draws_are_accurate_quantiles():
+    # Each draw is within 8 DBL_EPS (relative) of the stdlib's quantile of its
+    # uniform: over 5,000 seeded draws, and at the bottom uniform, the median
+    # and the capped top uniform.
+    eps = sys.float_info.epsilon
+    seeded = mc._generator(0, 0).random(5_000) + 2.0**-54
+    extremes = [2.0**-54, 0.5, 1.0 - 2.0**-53]
+    u = np.concatenate([seeded, extremes])
+    draws = np.concatenate([
+        mc._normals(mc._generator(0, 0), 5_000),
+        mc._normals(_FixedUniforms([0.0, 0.5, (2**53 - 1) / 2**53]), 3),
+    ])
+    for p, x in zip(u, draws):
+        exact = normal_quantile(float(p))
+        assert abs(x - exact) <= 8 * eps * abs(exact), (p, x, exact)
 
 
 class TestSelectionProbabilityOracle:
