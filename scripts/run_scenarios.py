@@ -34,33 +34,41 @@ def run(argv, capture_to=None):
         raise SystemExit(f"command failed with exit code {rc}: {argv}")
 
 
+def commands(out):
+    """Every CLI call of the bundled run, in order: its argv, and the file
+    under ``out`` that its standard output goes to, or None for a command
+    that writes its own ``--out``."""
+    calls = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        name = path.stem
+        if "base_config" in spec:
+            calls.append((["sweep", "--config", str(path), "--out", str(out / f"{name}.csv")], None))
+        else:
+            calls.append((["solve", "--config", str(path)], out / f"{name}.solve.json"))
+
+    game = str(SCENARIOS / "noise_gap_s10.json")
+    calls.append(([
+        "dropout", "--config", game, "--grid", "100:100000:4:log",
+        "--out", str(out / "noise_gap_dropout.csv"),
+    ], None))
+    for mode, steps in (("br", 500), ("fp", 5000)):
+        calls.append(([
+            "dynamics", "--config", game, "--mode", mode, "--steps", str(steps),
+            "--out", str(out / f"noise_gap_dynamics_{mode}.csv"),
+        ], None))
+    calls.append((["verify", "--samples", "1000000", "--seed", "0"], out / "verify.txt"))
+    return calls
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=str(ROOT / "results"))
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    for path in sorted(SCENARIOS.glob("*.json")):
-        spec = json.loads(path.read_text(encoding="utf-8"))
-        name = path.stem
-        if "base_config" in spec:
-            run(["sweep", "--config", str(path), "--out", str(out / f"{name}.csv")])
-        else:
-            run(["solve", "--config", str(path)], capture_to=out / f"{name}.solve.json")
-
-    game = str(SCENARIOS / "noise_gap_s10.json")
-    run([
-        "dropout", "--config", game, "--grid", "100:100000:4:log",
-        "--out", str(out / "noise_gap_dropout.csv"),
-    ])
-    for mode, steps in (("br", 500), ("fp", 5000)):
-        run([
-            "dynamics", "--config", game, "--mode", mode, "--steps", str(steps),
-            "--out", str(out / f"noise_gap_dynamics_{mode}.csv"),
-        ])
-    run(["verify", "--samples", "1000000", "--seed", "0"],
-        capture_to=out / "verify.txt")
+    for argv, capture_to in commands(out):
+        run(argv, capture_to)
     print(f"outputs written to {out}", file=sys.stderr)
 
 

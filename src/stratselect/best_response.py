@@ -57,7 +57,7 @@ from .kernel import (
     _MIN_RTOL,
     MAX_ITER,
     NoConvergence,
-    find_root_seeded,
+    find_root,
     lambert_w,
     normal_cdf,
     normal_pdf,
@@ -296,8 +296,12 @@ class ResponseCurve:
         """Globally optimal effort(s) at threshold ``theta``, ascending.
 
         The result has two elements only when the two local maxima tie within
-        ``PAYOFF_TIE_REL * reward`` — i.e. at the dropout threshold.
+        ``PAYOFF_TIE_REL * reward`` — i.e. at the dropout threshold, where
+        ``info.theta_d`` gives the pair its search tied.
         """
+        info = self.info
+        if info is not None and theta == info.theta_d:
+            return (info.br_min, info.br_max)
         maxima = _recall(self._responses, self._best_response, theta / self.sigma)
         return tuple(self.sigma * mu for _, mu in maxima)
 
@@ -348,7 +352,7 @@ class ResponseCurve:
             return self._utility(maxima[-1]) - self._utility(maxima[0])
 
         # gap(tau1) > 0 > gap(tau2).
-        tau_d = find_root_seeded(gap, tau1, tau2, gap(tau1), gap(tau2), _MIN_RTOL)
+        tau_d = find_root(gap, tau1, tau2, xtol=_MIN_RTOL)
 
         # Brent ends on a threshold it has just evaluated: a remembered one.
         maxima = self._compare_maxima(tau_d)

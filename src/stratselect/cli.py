@@ -46,6 +46,7 @@ from .mc import (
     grid_argmax_payoff,
     mc_selection_probability,
     mc_selection_quality,
+    realizability_problems,
 )
 from .metrics import (
     AmbiguousRegime,
@@ -450,6 +451,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         config = _load_config(args.config)
     else:
         config = config_from_dict(_DEFAULT_VERIFY_CONFIG)
+    problems = realizability_problems(config)
+    if problems:
+        raise InputError("; ".join(problems))
     n, seed = args.samples, args.seed
     views = effective_groups(config)
     curves: CurveMemo = {}

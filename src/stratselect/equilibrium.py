@@ -34,8 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .best_response import ResponseCurve
-from .kernel import ROOT_XTOL, find_root_seeded
-from .kernel import normal_cdf, normal_pdf, normal_quantile
+from .kernel import find_root, normal_cdf, normal_pdf, normal_quantile
 from .metrics import quality_from_outcomes
 from .model import (
     EffortDistribution,
@@ -113,16 +112,12 @@ def _rates(
     theta: float, views: tuple[GroupView, ...], curves: list[ResponseCurve]
 ) -> RateTable:
     """Each group's low and high candidate efforts at ``theta`` and their
-    selection rates: the tied pair when ``theta`` is the group's dropout,
-    the ends of its best response otherwise (equal off a payoff tie)."""
+    selection rates: the ends of its best response (equal off a payoff tie,
+    the tied pair at the group's dropout)."""
     table = []
     for view, curve in zip(views, curves):
-        info = curve.info
-        if info is not None and theta == info.theta_d:
-            e_lo, e_hi = info.br_min, info.br_max
-        else:
-            brs = curve.best_response(theta)
-            e_lo, e_hi = brs[0], brs[-1]
+        brs = curve.best_response(theta)
+        e_lo, e_hi = brs[0], brs[-1]
         x_lo = normal_cdf((e_lo - theta) / view.sigma)
         x_hi = x_lo if e_hi == e_lo else normal_cdf((e_hi - theta) / view.sigma)
         table.append((x_lo, x_hi, e_lo, e_hi))
@@ -183,7 +178,7 @@ def mixture_quantile(
     f_hi = excess(hi)
     if f_hi >= 0.0:
         return hi
-    return find_root_seeded(excess, lo, hi, f_lo, f_hi, ROOT_XTOL)
+    return find_root(excess, lo, hi, f_lo, f_hi)
 
 
 def solver_bracket(config: GameConfig) -> tuple[float, float]:
@@ -313,11 +308,8 @@ def solve_unconstrained(
             return _mass(views, _rates(theta, views, curves), sides) - alpha
 
         # Brent's method on the excess mass, continuous and decreasing here.
-        theta = find_root_seeded(
-            excess, lo, hi,
-            excess(lo) if f_lo is None else f_lo,
-            excess(hi) if f_hi is None else f_hi,
-            _THETA_WIDTH_REL * max(1.0, abs(lo), abs(hi)),
+        theta = find_root(
+            excess, lo, hi, f_lo, f_hi, _THETA_WIDTH_REL * max(1.0, abs(lo), abs(hi))
         )
         outcomes = _outcomes(theta, views, _rates(theta, views, curves), sides)
         regime = "smooth"

@@ -7,13 +7,13 @@ precision over the range that matters here), the quantile is the standard
 library's ``NormalDist.inv_cdf`` (Wichura's AS241, a few ulps from exact),
 and the two real branches of the Lambert W function are Newton iterations on
 the log form ``w + log(w / x) = 0``, which stays finite from the branch fold
-down to subnormal ``x``.  Root finding is Brent's method, run in this
-module: a line-by-line port of scipy's ``brentq`` loop that returns the same
-double, seeded with bracket-end values its caller already has, so each end
-is evaluated once.  It serves the searches whose function has no cheap
-slope: the dropout search, the smooth equilibrium crossing and the induced
-threshold (``equilibrium.mixture_quantile``).  A stationary point of the
-candidate's payoff, whose slope is known in closed form, is solved by
+down to subnormal ``x``.  Root finding is one function, :func:`find_root`:
+Brent's method, a line-by-line port of scipy's ``brentq`` loop that returns
+the same double, which takes optional bracket-end values and evaluates only
+the ends its caller did not pass.  It serves the searches whose function has
+no cheap slope: the dropout search, the smooth equilibrium crossing and the
+induced threshold (``equilibrium.mixture_quantile``).  A stationary point of
+the candidate's payoff, whose slope is known in closed form, is solved by
 Newton's method in ``best_response`` instead.
 Everything is a pure function of its arguments and safe to call
 concurrently.
@@ -35,7 +35,6 @@ __all__ = [
     "normal_quantile",
     "lambert_w",
     "find_root",
-    "find_root_seeded",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -137,44 +136,36 @@ def lambert_w(branch: WBranch, x: float) -> float:
     return w
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a continuous ``f`` on the sign-changing interval ``[lo, hi]``:
-    :func:`find_root_seeded` with ``xtol=ROOT_XTOL``, ``f`` evaluated at
-    ``lo`` and then, unless that decides the search, at ``hi``."""
-    lo, hi = float(lo), float(hi)
-    flo = fhi = 0.0  # left unevaluated when an earlier check decides
-    if lo < hi:
-        flo = f(lo)
-        if flo == flo and flo != 0.0:
-            fhi = f(hi)
-    return find_root_seeded(f, lo, hi, flo, fhi, ROOT_XTOL)
-
-
-def find_root_seeded(
+def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    f_lo: float,
-    f_hi: float,
-    xtol: float,
+    f_lo: float | None = None,
+    f_hi: float | None = None,
+    xtol: float = ROOT_XTOL,
     max_iter: int = MAX_ITER,
 ) -> float:
-    """Root of a continuous ``f`` on ``[lo, hi]`` given ``f_lo = f(lo)`` and
-    ``f_hi = f(hi)``: Brent's method, ported from scipy's ``brentq`` with the
-    smallest ``rtol`` it accepts, so it returns ``brentq``'s double with at
-    most ``xtol + rtol*|root|`` between the final bracket ends and one
-    evaluation of ``f`` per iteration.  An exact zero at an end returns that
-    end.  Raises :class:`NoBracket` on an empty interval or ``f_lo``, ``f_hi``
-    of one sign, and :class:`NoConvergence` when ``f`` is NaN at an end or
-    an iterate or past ``max_iter`` iterations.
+    """Root of a continuous ``f`` on ``[lo, hi]``: Brent's method, ported
+    from scipy's ``brentq`` with the smallest ``rtol`` it accepts, so it
+    returns ``brentq``'s double with at most ``xtol + rtol*|root|`` between
+    the final bracket ends and one evaluation of ``f`` per iteration.  An end
+    value ``f_lo``, ``f_hi`` left ``None`` is evaluated, ``f(hi)`` only when
+    ``f(lo)`` does not decide; an exact zero at an end returns that end.
+    Raises :class:`NoBracket` on an empty interval or end values of one sign,
+    and :class:`NoConvergence` when ``f`` is NaN at an end or an iterate or
+    past ``max_iter`` iterations.
     """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise NoBracket(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if f_lo is None:
+        f_lo = f(lo)
     if f_lo != f_lo:
         raise NoConvergence(f"f({lo!r}) is NaN")
     if f_lo == 0.0:
         return lo
+    if f_hi is None:
+        f_hi = f(hi)
     if f_hi != f_hi:
         raise NoConvergence(f"f({hi!r}) is NaN")
     if f_hi == 0.0:

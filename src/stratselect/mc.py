@@ -41,6 +41,7 @@ __all__ = [
     "McEstimate",
     "mc_selection_probability",
     "mc_selection_quality",
+    "realizability_problems",
     "effort_grid",
     "grid_argmax_payoff",
     "max_deviation_gain",
@@ -112,6 +113,32 @@ def mc_selection_probability(
     return _estimate(hits, seed)
 
 
+def _variances(params: GroupParams, config: GameConfig) -> tuple[float, float, float]:
+    """A group's latent quality variance, statistic variance and variance of
+    quality given the statistic, negative when no joint law has them."""
+    eta = params.eta_sq if params.eta_sq is not None else config.eta_sq
+    stat_var = posterior_variance(params, config.eta_sq, config.dm_mode)
+    if config.dm_mode == "bayesian":
+        return eta, stat_var, eta - stat_var
+    return eta, stat_var, eta - eta * eta / stat_var
+
+
+def realizability_problems(config: GameConfig) -> list[str]:
+    """One message per group whose statistic :func:`mc_selection_quality`
+    cannot draw jointly with latent quality: ``sigma_tilde**2`` above the
+    group's ``eta_sq`` in bayesian mode or below it in oblivious mode."""
+    relation = "exceeds" if config.dm_mode == "bayesian" else "is below"
+    problems = []
+    for params in config.groups:
+        eta, stat_var, resid_var = _variances(params, config)
+        if resid_var < -1e-12:
+            problems.append(
+                f"group {params.label!r}: statistic variance {stat_var!r} {relation} the "
+                f"latent quality variance {eta!r}; not realizable in {config.dm_mode} mode"
+            )
+    return problems
+
+
 def mc_selection_quality(
     strategies: Sequence[EffortDistribution],
     thresholds: Sequence[float] | float,
@@ -134,6 +161,9 @@ def mc_selection_quality(
         thresholds = [float(thresholds)] * len(views)
     if len(thresholds) != len(views):
         raise ValueError("need one threshold per group")
+    problems = realizability_problems(config)
+    if problems:
+        raise ValueError("; ".join(problems))
 
     gen = _generator(seed, stream)
     u_group = gen.random(n)
@@ -144,11 +174,9 @@ def mc_selection_quality(
     value = np.zeros(n)
     edges = np.cumsum([v.share for v in views])
     lower = 0.0
-    for view, params, strategy, theta, edge in zip(
-        views, config.groups, strategies, thresholds, edges
-    ):
-        eta = params.eta_sq if params.eta_sq is not None else config.eta_sq
-        stat_var = posterior_variance(params, config.eta_sq, config.dm_mode)
+    for params, strategy, theta, edge in zip(config.groups, strategies, thresholds, edges):
+        eta, stat_var, resid_var = _variances(params, config)
+        resid_sd = math.sqrt(max(resid_var, 0.0))
         # Index gathers beat boolean masks; the in-place steps below keep the
         # peak memory no higher than the masks'.
         idx = np.flatnonzero((u_group >= lower) & (u_group < edge))
@@ -160,28 +188,12 @@ def mc_selection_quality(
         if config.dm_mode == "bayesian":
             # The statistic is the posterior mean, so quality = stat + resid
             # with resid independent of the statistic.
-            resid_var = eta - stat_var
-            if resid_var < -1e-12:
-                raise ValueError(
-                    f"group {view.label!r}: statistic spread exceeds the "
-                    "latent quality spread; not realizable in bayesian mode"
-                )
-            quality = stat + math.sqrt(max(resid_var, 0.0)) * z_resid.take(idx)
+            quality = stat + resid_sd * z_resid.take(idx)
         else:
             # Oblivious statistic is quality plus noise: Cov(W, stat) = eta,
             # so W | stat is N(m + beta (stat - m), eta - eta^2 / stat_var).
             beta = eta / stat_var
-            cond_var = eta - eta * eta / stat_var
-            if cond_var < -1e-12:
-                raise ValueError(
-                    f"group {view.label!r}: statistic spread below the latent "
-                    "quality spread; not realizable in oblivious mode"
-                )
-            quality = (
-                efforts
-                + beta * (stat - efforts)
-                + math.sqrt(max(cond_var, 0.0)) * z_resid.take(idx)
-            )
+            quality = efforts + beta * (stat - efforts) + resid_sd * z_resid.take(idx)
         quality *= stat >= theta
         value[idx] = quality
     return _estimate(value, seed)

@@ -389,10 +389,10 @@ class TestResponseCurve:
         assert len(roots) == 4  # inside the band: both maxima
 
     def test_failed_dropout_search_raises_from_the_constructor(self, unit_group, monkeypatch):
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise NoConvergence("no tie")
 
-        monkeypatch.setattr(best_response_module, "find_root_seeded", fail)
+        monkeypatch.setattr(best_response_module, "find_root", fail)
         with pytest.raises(NoConvergence):
             ResponseCurve(unit_group, 10.0)
         assert ResponseCurve(unit_group, 1.0).info is None  # no window, no search

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -469,6 +470,41 @@ def scenario_commands(out):
     return commands
 
 
+def load_run_scenarios():
+    path = SCENARIOS.parent / "scripts" / "run_scenarios.py"
+    spec = importlib.util.spec_from_file_location("run_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of each file scripts/run_scenarios.py writes; verify.txt rests on
+# the Monte Carlo draws and TestVerify.test_table_is_pinned pins its table.
+BUNDLED_OUTPUTS = {
+    "cost_gap_s10.solve.json": "43a9cae645937430d7706719e4957db921211b5e41b6a742fa9db2f967676d0b",
+    "noise_gap_dropout.csv": "eceaf5f5d73a7c00925cc83a6f3ad62e50ae4d34d81f57fdaa728de000182fdf",
+    "noise_gap_dynamics_br.csv": "65304c77f10732f3dfa0a4e5164add3a7b081003ea8b9d502ce81a226a394e68",
+    "noise_gap_dynamics_fp.csv": "54ce431a8f4501291581727317d808a4dfc4b369a4f1b2597af53b0ec526fba8",
+    "noise_gap_s10.solve.json": "4c60284b6293bd3794ddbd858b8baab639213d857e5f72d7834d9f42c5ab281b",
+    "noise_gap_small_reward.solve.json": "44a6f5a3b3a7a7806a58856573975d2671a9f2c34b1d3d309b373908b9241e58",
+    "sweep_cost_gap_s1000.csv": "479ea7147e6ba5587a46d33218253e8b8f62b960b020bde90260a918aec0d414",
+    "sweep_equal_cost_s1000.csv": "5e54a8de2348b52f68a7c405ef8eeb1881065d6a195d118413f0b32195b15984",
+    "sweep_small_reward.csv": "e42487b144ee15d1908122d06d9d58383da8e7f9a823d3199498f45100392066",
+}
+
+
+def test_bundled_outputs_are_pinned(tmp_path):
+    run_scenarios = load_run_scenarios()
+    for argv, capture_to in run_scenarios.commands(tmp_path):
+        if argv[0] != "verify":
+            run_scenarios.run(argv, capture_to)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == BUNDLED_OUTPUTS
+
+
 def test_every_scenario_reruns_alike_in_one_process(tmp_path, capsys):
     # Pass A, pass B in the reverse order, then pass A again: nothing a
     # command leaves behind in the process may change what a later one writes.
@@ -489,10 +525,10 @@ def test_every_scenario_reruns_alike_in_one_process(tmp_path, capsys):
 def test_failed_dropout_search_is_a_computation_error(tmp_path, monkeypatch, capsys, command):
     # A curve searches its dropout when it is made, so the failure reaches
     # the CLI from the first curve inside a window.
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise NoConvergence("no tie in the window")
 
-    monkeypatch.setattr(best_response_module, "find_root_seeded", fail)
+    monkeypatch.setattr(best_response_module, "find_root", fail)
     extra = {"solve": [], "dynamics": ["--steps", "5", "--out", str(tmp_path / "out.csv")]}
     argv = [command, "--config", str(SCENARIOS / "noise_gap_s10.json"), *extra[command]]
     assert cli.main(argv) == 2
@@ -745,6 +781,35 @@ class TestVerify:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
             "b23a2e289fcfaa2d1e96a80c382d39e2bf0efac13d1d2e1c8a663083bbbc2f32"
+        )
+
+    @pytest.mark.parametrize(
+        "dm_mode, sigma_tilde, relation",
+        [("bayesian", 2.0, "exceeds"), ("oblivious", 0.5, "is below")],
+    )
+    def test_unrealizable_sigma_tilde_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch, dm_mode, sigma_tilde, relation
+    ):
+        # The oracle draws latent quality given the statistic, which needs
+        # sigma_tilde**2 <= eta_sq in bayesian mode and >= eta_sq in
+        # oblivious mode.  The check runs before any draw.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("verify drew samples")
+
+        monkeypatch.setattr(cli, "mc_selection_probability", no_draws)
+        path = write_json(tmp_path / "game.json", {
+            "reward": 10.0, "alpha": 0.2, "eta_sq": 1.0, "dm_mode": dm_mode,
+            "groups": [
+                {"label": "H", "share": 0.4, "cost": 1.0, "sigma_tilde": sigma_tilde},
+                {"label": "L", "share": 0.6, "cost": 1.4, "noise_var": 0.5},
+            ],
+        })
+        assert cli.main(["verify", "--config", path, "--samples", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: group 'H': statistic variance {sigma_tilde**2!r} {relation} "
+            f"the latent quality variance 1.0; not realizable in {dm_mode} mode\n"
         )
 
     def test_oversized_samples_is_a_computation_error(self, capsys):

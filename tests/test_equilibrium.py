@@ -510,7 +510,7 @@ class TestDemographicParity:
         def forbidden(*args, **kwargs):
             raise AssertionError("the parity solve ran a search")
 
-        for name in ("solver_bracket", "find_root_seeded", "solve_unconstrained"):
+        for name in ("solver_bracket", "find_root", "solve_unconstrained"):
             monkeypatch.setattr(equilibrium, name, forbidden)
         report = solve_demographic_parity(config)
         assert report == expected

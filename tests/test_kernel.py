@@ -17,7 +17,6 @@ from stratselect.kernel import (
     NoBracket,
     NoConvergence,
     find_root,
-    find_root_seeded,
     lambert_w,
     normal_cdf,
     normal_pdf,
@@ -196,7 +195,7 @@ class TestFindRoot:
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
-            find_root_seeded(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0), 1e-15, 2)
+            find_root(math.cos, 1.0, 2.0, xtol=1e-15, max_iter=2)
 
     def test_endpoint_root(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
@@ -228,6 +227,8 @@ class TestFindRoot:
 
 
 class TestFindRootSeeded:
+    """``find_root`` given the end values its caller already has."""
+
     def test_matches_find_root_without_evaluating_the_ends(self):
         calls = []
 
@@ -237,13 +238,33 @@ class TestFindRootSeeded:
 
         expected = find_root(f, -1.0, 1.0)
         calls.clear()
-        root = find_root_seeded(f, -1.0, 1.0, f(-1.0), f(1.0), 1e-12)
+        root = find_root(f, -1.0, 1.0, f(-1.0), f(1.0))
         assert root == expected
         assert calls.count(-1.0) == calls.count(1.0) == 1
 
+    @pytest.mark.parametrize("seed_lo, seed_hi", [(True, False), (False, True)])
+    def test_evaluates_only_the_missing_end(self, seed_lo, seed_hi):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.expm1(x) - 0.5
+
+        expected = find_root(f, -1.0, 1.0)
+        f_lo = f(-1.0) if seed_lo else None
+        f_hi = f(1.0) if seed_hi else None
+        calls.clear()
+        assert find_root(f, -1.0, 1.0, f_lo, f_hi) == expected
+        assert calls.count(-1.0) == (0 if seed_lo else 1)
+        assert calls.count(1.0) == (0 if seed_hi else 1)
+
+    def test_lower_end_that_decides_skips_the_upper(self):
+        # f(lo) = 0 decides the search, so f(hi), which is NaN, is never evaluated.
+        assert find_root(lambda x: x if x < 1.0 else math.nan, 0.0, 1.0) == 0.0
+
     def test_zero_seed_returns_that_end(self):
         # f is NaN everywhere, so any evaluation would raise.
-        assert find_root_seeded(lambda x: math.nan, 0.0, 1.0, 1.0, 0.0, 1e-12) == 1.0
+        assert find_root(lambda x: math.nan, 0.0, 1.0, 1.0, 0.0) == 1.0
 
     @pytest.mark.parametrize(
         "lo, hi, f_lo, f_hi, error",
@@ -256,7 +277,7 @@ class TestFindRootSeeded:
     )
     def test_checks_the_seeds(self, lo, hi, f_lo, f_hi, error):
         with pytest.raises(error):
-            find_root_seeded(lambda x: x - 0.5, lo, hi, f_lo, f_hi, 1e-12)
+            find_root(lambda x: x - 0.5, lo, hi, f_lo, f_hi)
 
 
 # Continuous functions of x with parameters (a, c, p): the first is shaped
@@ -270,7 +291,7 @@ FAMILIES = {
 
 
 class TestFindRootMatchesBrentq:
-    """``find_root_seeded`` is scipy's ``brentq`` loop: same double, same work."""
+    """``find_root`` is scipy's ``brentq`` loop: same double, same work."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -307,10 +328,10 @@ class TestFindRootMatchesBrentq:
 
         args = (counted, lo, hi, counted(lo), counted(hi), abs_tol, max_iter)
         if result.converged:
-            assert find_root_seeded(*args) == expected
+            assert find_root(*args) == expected
         else:
             with pytest.raises(NoConvergence):
-                find_root_seeded(*args)
+                find_root(*args)
         # brentq's count includes its own evaluation of each bracket end.
         assert len(calls) == result.function_calls
 

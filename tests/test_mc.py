@@ -161,6 +161,25 @@ class TestSelectionQualityOracle:
         est = mc_selection_quality(strategies, thresholds, noise_gap_config, N, seed=6)
         assert abs(est.mean - analytic) <= 3.0 * est.std_error
 
+    @pytest.mark.parametrize("dm_mode, sigma_tilde", [("bayesian", 2.0), ("oblivious", 0.5)])
+    def test_unrealizable_spread_raises_before_drawing(self, monkeypatch, dm_mode, sigma_tilde):
+        config = GameConfig(
+            reward=1.0, alpha=0.5, eta_sq=1.0, dm_mode=dm_mode,
+            groups=(
+                GroupParams("A", 0.5, 1.0, noise_var=1.0),
+                GroupParams("B", 0.5, 1.0, sigma_tilde=sigma_tilde),
+            ),
+        )
+        assert [p.split(":")[0] for p in mc.realizability_problems(config)] == ["group 'B'"]
+
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(mc, "_generator", no_draws)
+        strategies = [EffortDistribution.point(0.0)] * 2
+        with pytest.raises(ValueError, match="group 'B'"):
+            mc_selection_quality(strategies, 0.0, config, N, seed=0)
+
     def test_oblivious_quality(self):
         config = GameConfig(
             reward=1.0, alpha=0.5, eta_sq=1.0, dm_mode="oblivious",

@@ -1,5 +1,6 @@
 """The benchmark's traced run wraps library functions by name; a renamed or
-deleted function would crash it before the first operation."""
+deleted function would crash it before the first operation, and one that no
+program path calls would read 0."""
 
 import importlib
 import importlib.util
@@ -10,13 +11,19 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def traced_names():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def traced_names():
+    tracing = load_tracing()
     return tracing.SPANS + tracing.COUNTS
 
 
@@ -30,7 +37,7 @@ def test_cli_import_loads_every_traced_module():
     # The tracer looks each traced module up in sys.modules after importing
     # only the CLI, so a module the CLI stopped importing at load time would
     # crash the traced run with a KeyError.
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     modules = sorted({f"stratselect.{module_name}" for module_name, _ in traced_names()})
     code = (
         "import sys, stratselect.cli; "
@@ -41,3 +48,20 @@ def test_cli_import_loads_every_traced_module():
         [sys.executable, "-c", code, *modules], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_tracer_sees_the_root_searches():
+    # Every Brent search goes through kernel.find_root, the one name the
+    # tracer wraps in the kernel, so a traced solve counts its calls and
+    # evaluations.
+    from stratselect import cli
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["solve", "--config", str(ROOT / "scenarios" / "noise_gap_s10.json")]) == 0
+    finally:
+        tracer.uninstall()
+    calls = tracer.layer_totals()[0]
+    assert calls["kernel.find_root"] > 0
+    assert tracer.counts["kernel.find_root.fevals"] > 0
