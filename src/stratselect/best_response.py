@@ -24,16 +24,16 @@ searched when the curve is made.  It converts units only at its boundary:
 ``tau = t / s`` in, ``m = s * mu`` out.  A root is bracketed in ``mu`` where
 ``mu`` can be tiny next to ``tau`` (the low maximum, and the one maximum
 outside the window), and in ``z`` where ``mu - tau`` would cancel (the
-minimum and the high maximum).  Each root is Newton's method on ``g``,
-started at a fixed point of its bracket from which ``g'' = (z**2 - 1) *
-phi(z)`` keeps one sign up to the root, so the steps approach it from one
-side: ``mu = 0`` for the low maximum (``z < z1 < -1``), the inflection point
-``z = 1`` for the high one (``z > z2 > -1``, ``mu = 0`` where that is
-higher) and ``z = -1`` for the minimum.  The sign of ``g`` against the
-branch's known direction narrows the bracket, a step that would leave it
-bisects it, and the iteration stops on a step within a few ulps of
-``|x| + 1``.  So a root depends on ``eps``, ``tau`` and its bracket alone,
-never on earlier calls.
+minimum and the high maximum).  Each root is :func:`kernel.find_root`,
+Newton's method safeguarded by the bracket, on ``g`` (on ``-g`` for the
+minimum, where ``g`` rises), started at a fixed point of its bracket from
+which ``g'' = (z**2 - 1) * phi(z)`` keeps one sign up to the root, so the
+steps approach it from one side: ``mu = 0`` for the low maximum (``z < z1 <
+-1``), the inflection point ``z = 1`` for the high one (``z > z2 > -1``,
+``mu = 0`` where that is higher) and ``z = -1`` for the minimum.  The dropout
+search is the same iteration on the gap, whose slope comes free with the two
+maxima, over the window from ``sqrt(2 / eps)``.  So a root depends on
+``eps``, ``tau`` and its bracket alone, never on earlier calls.
 
 Inside the window a best response solves only the maximum that wins: the
 high one below ``tau_d``, the low one above.  The tie test ``|gap| <=
@@ -42,8 +42,8 @@ phi(z_low)|`` of ``tau_d``; a band ``TIE_BAND`` times wider solves both
 maxima and compares them, as the dropout search does; only
 :meth:`ResponseCurve.stationary_points` solves the minimum.  Both paths
 solve a root on the same bracket, so a best response is the same double.  A
-curve remembers its last two pairs of maxima: the dropout's Brent search
-ends on one.  A dropout search that fails raises from the constructor.
+curve remembers its last two best responses, and a dropout search that fails
+raises from the constructor.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from dataclasses import dataclass
 from .kernel import (
     _BRANCH_POINT,
     _INV_SQRT_2PI,
-    _MIN_RTOL,
-    MAX_ITER,
     NoConvergence,
     find_root,
     lambert_w,
@@ -203,7 +201,6 @@ class ResponseCurve:
             # The last entry is where Newton starts: mu = 0 and z = 1.
             self.low = (0.0, -1.0 / z1, True, 0.0)
             self.high = (z2, math.sqrt(-2.0 * math.log(eps)), False, 1.0)
-        self._maxima: list = []
         self._responses: list = []
         self.info: DropoutInfo | None = None
         self.band: tuple[float, float] | None = None
@@ -215,43 +212,19 @@ class ResponseCurve:
     ) -> tuple[float, float]:
         """``(z, mu)`` of the stationary point on ``[lo, hi]``, an interval
         in ``x = mu`` when ``in_mu`` and in ``x = z`` otherwise, where ``g``
-        changes sign once: from + to - when ``falls``, from - to + otherwise.
-
-        Newton's method from ``start``.  Each evaluation replaces the end of
-        the bracket on its side of the root, known from the sign of ``g`` and
-        the branch's direction (the slope is about 0 near a turning point, so
-        it cannot tell), and a step that would leave the bracket bisects it.
-        """
+        changes sign once: from + to - when ``falls``, from - to + otherwise
+        (the minimum, solved as the root of ``-g``).  Newton's method from
+        ``start`` (:func:`find_root`)."""
         eps = self.eps
         dz, dmu = (-tau, 0.0) if in_mu else (0.0, tau)  # z = x + dz, mu = x + dmu
-        x = start
-        for _ in range(MAX_ITER):
+        sign = 1.0 if falls else -1.0
+
+        def foc(x: float) -> tuple[float, float]:
             z = x + dz
             pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-            g = pdf - eps * (x + dmu)
-            if g == 0.0:
-                break
-            if (g > 0.0) == falls:
-                lo = x
-            else:
-                hi = x
-            # The stop is relative far from x = 0 and absolute near it, where a
-            # root can be 0 to double precision.
-            tol = _MIN_RTOL * (abs(x) + 1.0)
-            slope = -z * pdf - eps
-            step = x - g / slope if slope != 0.0 else math.inf
-            if abs(step - x) > tol and not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            # Stops on a converged Newton step, or on a bracket down to
-            # adjacent doubles, where the two ends would otherwise alternate.
-            done = abs(step - x) <= tol
-            x = step
-            if done:
-                break
-        else:
-            raise NoConvergence(
-                f"no stationary point at tau = {tau!r}, eps = {eps!r} after {MAX_ITER} steps"
-            )
+            return sign * (pdf - eps * (x + dmu)), sign * (-z * pdf - eps)
+
+        x = find_root(foc, lo, hi, start)
         return x + dz, x + dmu
 
     def _utility(self, point: tuple[float, float]) -> float:
@@ -267,7 +240,7 @@ class ResponseCurve:
         )
 
     def _stationary_points(self, tau: float) -> tuple[tuple[float, float], ...]:
-        maxima = _recall(self._maxima, self._local_maxima, tau)
+        maxima = self._local_maxima(tau)
         if len(maxima) == 1:
             return maxima
         # The minimum, where g rises, starts at g's inflection point z = -1.
@@ -315,7 +288,7 @@ class ResponseCurve:
         return self._compare_maxima(tau)
 
     def _compare_maxima(self, tau: float) -> tuple[tuple[float, float], ...]:
-        maxima = _recall(self._maxima, self._local_maxima, tau)
+        maxima = self._local_maxima(tau)
         if len(maxima) == 1:
             return maxima
         low, high = maxima
@@ -336,29 +309,24 @@ class ResponseCurve:
         return self.info
 
     def _search_dropout(self) -> None:
-        """Set ``info`` and ``band``: Brent's method on the (strictly
-        decreasing) scaled payoff gap between the high and low maximum over
-        the three-root window, to Brent's own relative tolerance."""
-        group, reward, sigma = self.group, self.reward, self.sigma
-        z1, z2, tau1, tau2 = self.window
-        # At a window edge one maximum has merged into the minimum at a
-        # turning point, where mu = phi(z) / eps = -1/z; it stands in there.
-        merged_low, merged_high = (z1, -1.0 / z1), (z2, -1.0 / z2)
+        """Set ``info`` and ``band``: Newton's method on the (strictly
+        decreasing) scaled payoff gap between the high and the low maximum
+        over the three-root window, started at ``sqrt(2 / eps)``."""
+        group, reward, sigma, eps = self.group, self.reward, self.sigma, self.eps
+        _, _, tau1, tau2 = self.window
+        lo, hi = self.inner
 
-        def gap(tau: float) -> float:
-            maxima = _recall(self._maxima, self._local_maxima, tau)
-            if len(maxima) == 1:
-                maxima = (merged_low, *maxima) if tau <= self.inner[0] else (*maxima, merged_high)
-            return self._utility(maxima[-1]) - self._utility(maxima[0])
+        def gap(tau: float) -> tuple[float, float]:
+            low, high = self._root(tau, *self.low), self._root(tau, *self.high)
+            # Envelope theorem: the gap falls at phi(z_low) - phi(z_high),
+            # with phi(z) = eps * mu at a stationary point.
+            return self._utility(high) - self._utility(low), eps * (low[1] - high[1])
 
-        # gap(tau1) > 0 > gap(tau2).
-        tau_d = find_root(gap, tau1, tau2, xtol=_MIN_RTOL)
-
-        # Brent ends on a threshold it has just evaluated: a remembered one.
+        tau_d = find_root(gap, lo, hi, min(max(math.sqrt(2.0 / eps), lo), hi))
         maxima = self._compare_maxima(tau_d)
         if len(maxima) != 2:
             raise NoConvergence(
-                f"payoffs at dropout differ by {abs(gap(tau_d)) * reward!r} "
+                f"payoffs at dropout differ by {abs(gap(tau_d)[0]) * reward!r} "
                 f"(> 1e-9 * reward) for group {group.label!r}"
             )
         low, high = maxima

@@ -7,11 +7,11 @@ thresholds.  Walking the dropouts inside a bracket that provably contains
 the fixed point either finds one whose jump straddles alpha, in which case
 every group tied there splits between its two tied best responses with the
 one weight that makes the selection budget bind, or a segment free of jumps
-where the curve crosses alpha smoothly and Brent's method finds the
-crossing.  On that segment every group keeps one side of its dropout, the
-high maximum when the dropout lies above the segment and the low one
-otherwise, so all groups play pure strategies and the mass is continuous up
-to the segment's ends.
+where the curve crosses alpha smoothly.  On that segment every group keeps
+one side of its dropout, the high maximum when the dropout lies above the
+segment and the low one otherwise, so all groups play pure strategies, the
+mass is continuous up to the segment's ends and its slope is known in closed
+form: Newton's method (:func:`kernel.find_root`) finds the crossing.
 
 A threshold hits a group's dropout only when it is that very double; twin
 groups (same cost and spread) share one curve and so one dropout, where they
@@ -20,9 +20,10 @@ threshold, each group's low and high effort and selection rate, serves the
 walk, the smooth crossing and the outcomes of both regimes.
 
 The threshold a profile of strategies induces, the (1 - alpha)-quantile of
-the decision-statistic mixture, is found by :func:`mixture_quantile`: the
-solver bracket is that quantile at zero effort and at the payoff-feasibility
-bound, and the dynamics take every new threshold from it.
+the decision-statistic mixture, is found by :func:`mixture_quantile`,
+Newton's method on the mixture CDF: the solver bracket is that quantile at
+zero effort and at the payoff-feasibility bound, and the dynamics take every
+new threshold from it.
 
 Under demographic parity each group selects its own top fraction alpha, so
 each group's threshold is read off its response curve with no search.
@@ -61,8 +62,6 @@ BUDGET_TOL = 1e-8
 
 # Mixing weights may stick out of [0, 1] by at most this before we call it a bug.
 TAU_SLACK = 1e-6
-
-_THETA_WIDTH_REL = 1e-13
 
 
 class SolverError(RuntimeError):
@@ -154,31 +153,30 @@ def mixture_quantile(
     ``(effort, weight)`` pairs ``supports[i]``.  Below every component
     quantile ``m + s * normal_quantile(1 - alpha)`` each component's CDF is
     at most ``1 - alpha``, above all of them at least, so the least and the
-    greatest bracket the root; an end whose excess has the wrong sign is
-    within rounding of it."""
+    greatest bracket the root."""
     target = 1.0 - alpha
-
-    def excess(theta: float) -> float:
-        # Mass above theta minus alpha as target - CDF: the exact negation
-        # of CDF - target, so Brent takes the same steps on either.
-        total = 0.0
-        for view, support in zip(views, supports):
-            for m, w in support:
-                total += view.share * w * normal_cdf((theta - m) / view.sigma)
-        return target - total
-
     z = normal_quantile(target)
-    seeds = [m + view.sigma * z for view, support in zip(views, supports) for m, _ in support]
-    lo, hi = min(seeds), max(seeds)
+    seeds = [
+        (view.share * w, m + view.sigma * z)
+        for view, support in zip(views, supports) for m, w in support
+    ]
+    lo, hi = min(q for _, q in seeds), max(q for _, q in seeds)
     if lo == hi:
         return lo
-    f_lo = excess(lo)
-    if f_lo <= 0.0:
-        return lo
-    f_hi = excess(hi)
-    if f_hi >= 0.0:
-        return hi
-    return find_root(excess, lo, hi, f_lo, f_hi)
+
+    def excess(theta: float) -> tuple[float, float]:
+        # Mass above theta minus alpha, and its slope: minus the density.
+        cdf = pdf = 0.0
+        for view, support in zip(views, supports):
+            for m, w in support:
+                u = (theta - m) / view.sigma
+                cdf += view.share * w * normal_cdf(u)
+                pdf += view.share * w * normal_pdf(u) / view.sigma
+        return target - cdf, -pdf
+
+    # Newton starts at the weighted mean of the component quantiles.
+    mean = sum(p * q for p, q in seeds)
+    return find_root(excess, lo, hi, min(max(mean, lo), hi))
 
 
 def solver_bracket(config: GameConfig) -> tuple[float, float]:
@@ -304,13 +302,26 @@ def solve_unconstrained(
         mid = 0.5 * (lo + hi)
         sides = [int(c.info is not None and c.info.theta_d > mid) for c in curves]
 
-        def excess(theta: float) -> float:
-            return _mass(views, _rates(theta, views, curves), sides) - alpha
+        def excess(theta: float) -> tuple[float, float]:
+            table = _rates(theta, views, curves)
+            # A group's rate Phi(z) falls at phi(z) * eps / (s * (z * phi(z) +
+            # eps)), with phi(z) = eps * mu on the maximum it plays, where
+            # z * mu + 1 > 0.
+            slope = 0.0
+            for view, curve, rates, side in zip(views, curves, table, sides):
+                mu = rates[2 + side] / view.sigma
+                z = mu - theta / view.sigma
+                slope -= view.share * curve.eps * mu / (view.sigma * (z * mu + 1.0))
+            return _mass(views, table, sides) - alpha, slope
 
-        # Brent's method on the excess mass, continuous and decreasing here.
-        theta = find_root(
-            excess, lo, hi, f_lo, f_hi, _THETA_WIDTH_REL * max(1.0, abs(lo), abs(hi))
-        )
+        # Newton's method on the excess mass, continuous and decreasing here,
+        # from the secant through its values at the segment's ends when both
+        # are known.
+        if f_lo is None or f_hi is None:
+            start = 0.5 * (lo + hi)
+        else:
+            start = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+        theta = find_root(excess, lo, hi, start)
         outcomes = _outcomes(theta, views, _rates(theta, views, curves), sides)
         regime = "smooth"
 

@@ -8,13 +8,11 @@ library's ``NormalDist.inv_cdf`` (Wichura's AS241, a few ulps from exact),
 and the two real branches of the Lambert W function are Newton iterations on
 the log form ``w + log(w / x) = 0``, which stays finite from the branch fold
 down to subnormal ``x``.  Root finding is one function, :func:`find_root`:
-Brent's method, a line-by-line port of scipy's ``brentq`` loop that returns
-the same double, which takes optional bracket-end values and evaluates only
-the ends its caller did not pass.  It serves the searches whose function has
-no cheap slope: the dropout search, the smooth equilibrium crossing and the
-induced threshold (``equilibrium.mixture_quantile``).  A stationary point of
-the candidate's payoff, whose slope is known in closed form, is solved by
-Newton's method in ``best_response`` instead.
+Newton's method safeguarded by a bracket, for an equation whose slope its
+caller knows in closed form.  Every scalar equation of the solvers is one:
+a stationary point of the candidate's payoff and the dropout tie in
+``best_response``, the smooth equilibrium crossing and the induced threshold
+(``equilibrium.mixture_quantile``).
 Everything is a pure function of its arguments and safe to call
 concurrently.
 """
@@ -41,9 +39,8 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = statistics.NormalDist()
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real W branches meet
-_MIN_RTOL = 4.0 * sys.float_info.epsilon  # scipy's smallest brentq rtol
-ROOT_XTOL = 1e-12  # find_root's absolute tolerance on the unknown
-MAX_ITER = 200  # Brent iterations before NoConvergence; lambert_w's cap
+_MIN_RTOL = 4.0 * sys.float_info.epsilon  # find_root's and lambert_w's step tolerance
+MAX_ITER = 200  # Newton steps of find_root and lambert_w
 
 WBranch = Literal["principal", "minus_one"]
 
@@ -137,102 +134,43 @@ def lambert_w(branch: WBranch, x: float) -> float:
 
 
 def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-    xtol: float = ROOT_XTOL,
-    max_iter: int = MAX_ITER,
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float, start: float
 ) -> float:
-    """Root of a continuous ``f`` on ``[lo, hi]``: Brent's method, ported
-    from scipy's ``brentq`` with the smallest ``rtol`` it accepts, so it
-    returns ``brentq``'s double with at most ``xtol + rtol*|root|`` between
-    the final bracket ends and one evaluation of ``f`` per iteration.  An end
-    value ``f_lo``, ``f_hi`` left ``None`` is evaluated, ``f(hi)`` only when
-    ``f(lo)`` does not decide; an exact zero at an end returns that end.
-    Raises :class:`NoBracket` on an empty interval or end values of one sign,
-    and :class:`NoConvergence` when ``f`` is NaN at an end or an iterate or
-    past ``max_iter`` iterations.
+    """Root of ``f`` on ``[lo, hi]``, where ``f(x)`` returns the value and
+    the slope at ``x`` and the value falls through one sign change.
+
+    Newton's method from ``start``, a point of ``[lo, hi]``.  Each evaluation
+    replaces the end of the bracket on its side of the root, known from the
+    sign of the value (the slope can be about 0 near a turning point, so it
+    cannot tell), and a step that would leave the bracket bisects it.  The
+    iteration stops on a step within ``_MIN_RTOL * (|x| + 1)``, or on an
+    exact zero, so the root depends on ``f``, the bracket and ``start``
+    alone.  Raises :class:`NoBracket` unless ``lo < hi``, and
+    :class:`NoConvergence` when the value is NaN or after ``MAX_ITER``
+    evaluations.
     """
-    lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise NoBracket(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_lo != f_lo:
-        raise NoConvergence(f"f({lo!r}) is NaN")
-    if f_lo == 0.0:
-        return lo
-    if f_hi is None:
-        f_hi = f(hi)
-    if f_hi != f_hi:
-        raise NoConvergence(f"f({hi!r}) is NaN")
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoBracket(
-            f"f({lo!r}) = {f_lo!r} and f({hi!r}) = {f_hi!r} have the same sign"
-        )
-    return float(_brent(f, lo, hi, f_lo, f_hi, xtol, _MIN_RTOL, max_iter))
-
-
-def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, max_iter):
-    # scipy/optimize/Zeros/brentq.c, operation by operation, from its loop
-    # on: [xpre, xcur] brackets a root and fpre, fcur are f there, nonzero
-    # and of opposite sign.  xcur is the best estimate, xblk the point that
-    # keeps the bracket, xpre the previous estimate; spre and scur are the
-    # last two steps.
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(max_iter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (
-                        -fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre))
-                    )
-            except ZeroDivisionError:
-                # C divides to +-inf or nan here, which never passes the
-                # step test below.
-                stry = math.inf
-            limit = 3.0 * abs(sbis) - delta
-            if abs(spre) < limit:
-                limit = abs(spre)
-            if 2.0 * abs(stry) < limit:
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    x = start
+    for _ in range(MAX_ITER):
+        value, slope = f(x)
+        if value != value:
+            raise NoConvergence(f"f({x!r}) is NaN")
+        if value == 0.0:
+            return x
+        if value > 0.0:
+            lo = x
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise NoConvergence(f"f({xcur!r}) is NaN")
-    raise NoConvergence(
-        f"no root to within {xtol} after {max_iter} iterations"
-    )
+            hi = x
+        # The stop is relative far from x = 0 and absolute near it, where a
+        # root can be 0 to double precision.
+        tol = _MIN_RTOL * (abs(x) + 1.0)
+        step = x - value / slope if slope != 0.0 else math.inf
+        if abs(step - x) > tol and not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        # Stops on a converged Newton step, or on a bracket down to adjacent
+        # doubles, where the two ends would otherwise alternate.
+        if abs(step - x) <= tol:
+            return step
+        x = step
+    raise NoConvergence(f"no root in [{lo!r}, {hi!r}] after {MAX_ITER} steps")

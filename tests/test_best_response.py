@@ -226,7 +226,7 @@ class TestDropoutThreshold:
 
 
 class TestDropoutSearch:
-    """The dropout search is Brent's method on the payoff gap: the tie is
+    """The dropout search is Newton's method on the payoff gap: the tie is
     tight across the supported range and the work is a few solves."""
 
     @settings(max_examples=150, deadline=None)
@@ -250,17 +250,20 @@ class TestDropoutSearch:
     @pytest.mark.parametrize("reward", [10.0, 1000.0])
     def test_stationary_point_solves(self, unit_group, reward, monkeypatch):
         calls = []
-        real = ResponseCurve._local_maxima
+        real = ResponseCurve._root
 
-        def counted(curve, theta):
-            calls.append(theta)
-            return real(curve, theta)
+        def counted(curve, tau, *bracket):
+            calls.append((tau, bracket))
+            return real(curve, tau, *bracket)
 
-        monkeypatch.setattr(ResponseCurve, "_local_maxima", counted)
+        monkeypatch.setattr(ResponseCurve, "_root", counted)
         dropout_threshold(unit_group, reward)
+        # Both maxima at each threshold the search evaluates, and at the one
+        # it returns, which is the last one evaluated when Newton's final
+        # step rounds to nothing (as at S = 1000): only that one repeats.
         assert len(calls) <= 16
-        # The final check reads the last evaluation instead of solving again.
-        assert len(set(calls)) == len(calls)
+        repeated = {tau for tau, bracket in calls if calls.count((tau, bracket)) > 1}
+        assert repeated <= {calls[-1][0]}
 
 
 # Log-uniform spreads and costs of the supported-range fuzz.
@@ -389,8 +392,14 @@ class TestResponseCurve:
         assert len(roots) == 4  # inside the band: both maxima
 
     def test_failed_dropout_search_raises_from_the_constructor(self, unit_group, monkeypatch):
-        def fail(*args, **kwargs):
-            raise NoConvergence("no tie")
+        real = best_response_module.find_root
+
+        def fail(f, *args):
+            # Fails the dropout search, the one root of the payoff gap; the
+            # stationary points still solve.
+            if f.__name__ == "gap":
+                raise NoConvergence("no tie")
+            return real(f, *args)
 
         monkeypatch.setattr(best_response_module, "find_root", fail)
         with pytest.raises(NoConvergence):
@@ -537,7 +546,7 @@ class TestNewtonRoots:
             assert outcome.selection_rate == pytest.approx(0.5, abs=1e-9)
 
     def test_dropout_search_evaluations(self, unit_group, monkeypatch):
-        # Brent plus two Newton steps per root took 217 evaluations here.
+        # 62 evaluations here: Newton on the gap, two stationary points a step.
         counter = CountingMath()
         monkeypatch.setattr(best_response_module, "math", counter)
         dropout_threshold(unit_group, 10.0)

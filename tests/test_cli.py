@@ -481,15 +481,15 @@ def load_run_scenarios():
 # sha256 of each file scripts/run_scenarios.py writes; verify.txt rests on
 # the Monte Carlo draws and TestVerify.test_table_is_pinned pins its table.
 BUNDLED_OUTPUTS = {
-    "cost_gap_s10.solve.json": "43a9cae645937430d7706719e4957db921211b5e41b6a742fa9db2f967676d0b",
-    "noise_gap_dropout.csv": "eceaf5f5d73a7c00925cc83a6f3ad62e50ae4d34d81f57fdaa728de000182fdf",
-    "noise_gap_dynamics_br.csv": "65304c77f10732f3dfa0a4e5164add3a7b081003ea8b9d502ce81a226a394e68",
-    "noise_gap_dynamics_fp.csv": "54ce431a8f4501291581727317d808a4dfc4b369a4f1b2597af53b0ec526fba8",
-    "noise_gap_s10.solve.json": "4c60284b6293bd3794ddbd858b8baab639213d857e5f72d7834d9f42c5ab281b",
-    "noise_gap_small_reward.solve.json": "44a6f5a3b3a7a7806a58856573975d2671a9f2c34b1d3d309b373908b9241e58",
+    "cost_gap_s10.solve.json": "fc868c60ee4bf2d60a4f3e028e5b303279a10317e9431009a8bc46e11c768b82",
+    "noise_gap_dropout.csv": "3bd951a4180d699feed84eee6be70b0ede8cfa6a979b91a3ed196d7f786d0930",
+    "noise_gap_dynamics_br.csv": "b71ac50b469b879f78caa9e79900b0c89640a6eac3f9ce3959a41483fb59a157",
+    "noise_gap_dynamics_fp.csv": "6d477e2910151986bc6f290b31b2fb38dcb22d7bc0d949ce00da65338f2b38ab",
+    "noise_gap_s10.solve.json": "5cb6f9d76fefca6fa8eb50fff8e642b1fc923e79052db6b4dc7e18a8619097b3",
+    "noise_gap_small_reward.solve.json": "8e8f1f199534563c5027e499f617676b47a187ef87e010d273ac11a6bfe8bf32",
     "sweep_cost_gap_s1000.csv": "479ea7147e6ba5587a46d33218253e8b8f62b960b020bde90260a918aec0d414",
     "sweep_equal_cost_s1000.csv": "5e54a8de2348b52f68a7c405ef8eeb1881065d6a195d118413f0b32195b15984",
-    "sweep_small_reward.csv": "e42487b144ee15d1908122d06d9d58383da8e7f9a823d3199498f45100392066",
+    "sweep_small_reward.csv": "948ec818f72e55bbdf1b9700eeddb46f4175537ff711753d50ccfddc673956aa",
 }
 
 
@@ -525,8 +525,14 @@ def test_every_scenario_reruns_alike_in_one_process(tmp_path, capsys):
 def test_failed_dropout_search_is_a_computation_error(tmp_path, monkeypatch, capsys, command):
     # A curve searches its dropout when it is made, so the failure reaches
     # the CLI from the first curve inside a window.
-    def fail(*args, **kwargs):
-        raise NoConvergence("no tie in the window")
+    real = best_response_module.find_root
+
+    def fail(f, *args):
+        # Fails the dropout search, the one root of the payoff gap; the
+        # stationary points still solve.
+        if f.__name__ == "gap":
+            raise NoConvergence("no tie in the window")
+        return real(f, *args)
 
     monkeypatch.setattr(best_response_module, "find_root", fail)
     extra = {"solve": [], "dynamics": ["--steps", "5", "--out", str(tmp_path / "out.csv")]}

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -588,6 +588,13 @@ def parity_games(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(config=parity_games())
+# Next to the cusp: 2.1e-6 above the critical reward, the three-root window
+# is 4.1e-9 wide.  A dropout search that ends on a window edge finds one
+# maximum there and raises.
+@example(config=GameConfig(
+    reward=4.132740098505587, alpha=0.5, eta_sq=1.0,
+    groups=(GroupParams("G0", 1.0, 1.0, noise_var=0.0),),
+))
 def test_parity_outcomes_match_one_group_solves(config):
     """Each group's parity outcome is the unconstrained equilibrium of the
     group alone at share one: the same doubles when pinned on its dropout,
@@ -618,8 +625,8 @@ def test_parity_outcomes_match_one_group_solves(config):
 @given(config=parity_games(), below=st.floats(0.0, 1.0), above=st.floats(0.0, 1.0))
 def test_threshold_does_not_depend_on_the_bracket(config, below, above):
     """A bracket widened on either side finds the same equilibrium: the
-    same dropout double when pinned, the same crossing up to Brent's
-    tolerance, which scales with the bracket, when smooth."""
+    same dropout double when pinned, and when smooth the same crossing up to
+    the Newton stop, which depends on where the iteration starts."""
     lo, hi = solver_bracket(config)
     wide = (lo - below * (hi - lo), hi + above * (hi - lo))
     curves = {}
@@ -660,8 +667,8 @@ class TestMixtureQuantile:
         alpha=st.floats(0.02, 0.98),
     )
     def test_root_lies_between_the_component_quantiles(self, groups, alpha):
-        # The CDF bound is Brent's 1e-12 on theta times the largest density,
-        # 1 / (0.1 * sqrt(2 pi)).
+        # The CDF bound is a step tolerance of about 1e-14 on theta times
+        # the largest density, 1 / (0.1 * sqrt(2 pi)), with a wide margin.
         views = [GroupView(f"G{i}", 1.0 / len(groups), 1.0, s) for i, (s, _) in enumerate(groups)]
         supports = [
             tuple((m, w / sum(w for _, w in points)) for m, w in points) for _, points in groups

@@ -1,0 +1,128 @@
+"""Each root the solvers find by ``kernel.find_root``, against the same root
+solved to 50 digits by mpmath from the answer under test: the dropout tie,
+the smooth equilibrium crossing and the induced threshold."""
+
+import dataclasses
+import math
+
+import mpmath
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mpf
+
+from stratselect.best_response import ResponseCurve, critical_reward
+from stratselect.equilibrium import mixture_quantile, solve_unconstrained
+from stratselect.model import GameConfig, GroupParams, GroupView, effective_groups
+
+DIGITS = 50
+TOL = mpf(10) ** (10 - 2 * DIGITS)
+
+COSTS = st.floats(math.log10(0.2), math.log10(5.0)).map(lambda e: 10.0**e)
+
+
+def branch_tau(eps):
+    """``tau(z) = phi(z) / eps - z``: the threshold whose stationary point
+    lies at ``z``."""
+    return lambda z: mpmath.npdf(z) / eps - z
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cost=COSTS,
+    sigma=st.floats(-2.0, math.log10(3.0)).map(lambda e: 10.0**e),
+    log_ratio=st.floats(math.log10(1.001), 12.0),
+)
+def test_dropout_tie(cost, sigma, log_ratio):
+    group = GroupView("A", 1.0, cost, sigma)
+    curve = ResponseCurve(group, critical_reward(group) * 10.0**log_ratio)
+    info = curve.dropout()
+    tau = info.theta_d / sigma
+    with mpmath.workdps(DIGITS):
+        eps = mpf(curve.eps)
+        at = branch_tau(eps)
+
+        def utility(z):
+            mu = mpmath.npdf(z) / eps
+            return mpmath.ncdf(z) - eps * mu * mu / 2
+
+        # The two maxima lie on one threshold and earn the same payoff.
+        z_low, z_high = mpmath.findroot(
+            [lambda a, b: at(a) - at(b), lambda a, b: utility(a) - utility(b)],
+            (mpf(info.br_min / sigma - tau), mpf(info.br_max / sigma - tau)),
+            tol=TOL,
+        )
+        exact = at(z_low)
+        assert z_low < -1 < z_high
+        assert abs(tau - exact) <= 1e-14 * exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    groups=st.lists(
+        st.tuples(
+            st.floats(0.1, 10.0),
+            st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.01, 1.0)),
+                     min_size=1, max_size=3),
+        ),
+        min_size=1, max_size=4,
+    ).filter(lambda groups: sum(len(points) for _, points in groups) >= 2),
+    alpha=st.floats(0.02, 0.98),
+)
+def test_mixture_quantile(groups, alpha):
+    views = [GroupView(f"G{i}", 1.0 / len(groups), 1.0, s) for i, (s, _) in enumerate(groups)]
+    supports = [
+        tuple((m, w / sum(w for _, w in points)) for m, w in points) for _, points in groups
+    ]
+    theta = mixture_quantile(supports, views, alpha)
+    with mpmath.workdps(DIGITS):
+        parts = [
+            (mpf(v.share) * mpf(w), mpf(m), mpf(v.sigma))
+            for v, support in zip(views, supports) for m, w in support
+        ]
+
+        def cdf(t):
+            return mpmath.fsum(p * mpmath.ncdf((t - m) / s) for p, m, s in parts)
+
+        exact = mpmath.findroot(lambda t: cdf(t) - (1 - mpf(alpha)), mpf(theta), tol=TOL)
+        density = mpmath.fsum(p * mpmath.npdf((exact - m) / s) / s for p, m, s in parts)
+        # Off the relative stop, the CDF's own rounding moves the root by
+        # about an ulp of it over the density.
+        assert abs(theta - exact) <= 1e-14 * max(1, abs(exact)) + 1e-15 / density
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), count=st.integers(1, 3), alpha=st.floats(0.02, 0.98))
+def test_smooth_crossing(data, count, alpha):
+    weights = [data.draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    groups = tuple(
+        GroupParams(f"G{i}", w / sum(weights), data.draw(COSTS),
+                    noise_var=data.draw(st.floats(-2.0, 1.0).map(lambda e: 10.0**e)))
+        for i, w in enumerate(weights)
+    )
+    config = GameConfig(reward=1.0, alpha=alpha, eta_sq=1.0, groups=groups)
+    scale = 10.0 ** data.draw(st.floats(-1.0, 3.0))
+    config = dataclasses.replace(
+        config, reward=critical_reward(effective_groups(config)[0]) * scale
+    )
+    report = solve_unconstrained(config)
+    assume(report.regime == "smooth")
+    theta = report.threshold
+    views = effective_groups(config)
+    with mpmath.workdps(DIGITS):
+        sides = [(mpf(v.share), branch_tau(mpf(v.cost) * mpf(v.sigma) ** 2 / mpf(config.reward)),
+                  mpf(v.sigma)) for v in views]
+
+        # Unknowns: the threshold and each group's z on the maximum it plays.
+        def equation(i):
+            def residual(t, *zs):
+                if i == 0:
+                    return mpmath.fsum(p * mpmath.ncdf(z) for (p, _, _), z in zip(sides, zs)) - alpha
+                _, at, s = sides[i - 1]
+                return at(zs[i - 1]) - t / s
+            return residual
+
+        start = [mpf(theta)] + [
+            mpf((o.avg_effort - theta) / v.sigma) for v, o in zip(views, report.outcomes)
+        ]
+        exact = mpmath.findroot([equation(i) for i in range(len(views) + 1)], start, tol=TOL)[0]
+        assert abs(theta - exact) <= 1e-14 * max(1, abs(exact))

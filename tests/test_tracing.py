@@ -51,9 +51,10 @@ def test_cli_import_loads_every_traced_module():
 
 
 def test_tracer_sees_the_root_searches():
-    # Every Brent search goes through kernel.find_root, the one name the
-    # tracer wraps in the kernel, so a traced solve counts its calls and
-    # evaluations.
+    # Every root goes through kernel.find_root, the one name the tracer
+    # wraps in the kernel, so a traced solve counts its calls and
+    # evaluations: the dropout searches and the smooth crossing, and the
+    # stationary points inside them.
     from stratselect import cli
 
     tracer = load_tracing().Tracer()
@@ -65,3 +66,24 @@ def test_tracer_sees_the_root_searches():
     calls = tracer.layer_totals()[0]
     assert calls["kernel.find_root"] > 0
     assert tracer.counts["kernel.find_root.fevals"] > 0
+
+
+def test_tracer_counts_the_stationary_points():
+    # Below the critical reward a best response is one stationary point and
+    # nothing else: one root, counted with its evaluations.  The tracer
+    # finds the modules it wraps among those the CLI loads.
+    from stratselect import cli  # noqa: F401
+    from stratselect.model import GroupView
+
+    best_response = importlib.import_module("stratselect.best_response")
+
+    group = GroupView("A", 1.0, 1.0, 1.0)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        (effort,) = best_response.best_response(1.5, group, 1.0)
+    finally:
+        tracer.uninstall()
+    assert effort > 0.0
+    assert tracer.layer_totals()[0]["kernel.find_root"] == 1
+    assert tracer.counts["kernel.find_root.fevals"] >= 2
