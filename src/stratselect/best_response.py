@@ -26,14 +26,15 @@ searched when the curve is made.  It converts units only at its boundary:
 outside the window), and in ``z`` where ``mu - tau`` would cancel (the
 minimum and the high maximum).  Each root is :func:`kernel.find_root`,
 Newton's method safeguarded by the bracket, on ``g`` (on ``-g`` for the
-minimum, where ``g`` rises), started at a fixed point of its bracket from
-which ``g'' = (z**2 - 1) * phi(z)`` keeps one sign up to the root, so the
-steps approach it from one side: ``mu = 0`` for the low maximum (``z < z1 <
--1``), the inflection point ``z = 1`` for the high one (``z > z2 > -1``,
-``mu = 0`` where that is higher) and ``z = -1`` for the minimum.  The dropout
-search is the same iteration on the gap, whose slope comes free with the two
-maxima, over the window from ``sqrt(2 / eps)``.  So a root depends on
-``eps``, ``tau`` and its bracket alone, never on earlier calls.
+minimum, where ``g`` rises).  It converges from any start in the bracket;
+the start is a speed hint, a fixed point of the bracket from which ``g'' =
+(z**2 - 1) * phi(z)`` keeps one sign up to the root, so the steps approach
+it from one side: ``mu = 0`` for the low maximum (``z < z1 < -1``), the
+inflection point ``z = 1`` for the high one (``z > z2 > -1``, ``mu = 0``
+where that is higher) and ``z = -1`` for the minimum.  The dropout search is
+the same iteration on the gap, whose slope comes free with the two maxima,
+over the window from ``sqrt(2 / eps)``, a start near the dropout.  So a root
+depends on ``eps``, ``tau`` and its bracket alone, never on earlier calls.
 
 Inside the window a best response solves only the maximum that wins: the
 high one below ``tau_d``, the low one above.  The tie test ``|gap| <=

@@ -23,7 +23,8 @@ The threshold a profile of strategies induces, the (1 - alpha)-quantile of
 the decision-statistic mixture, is found by :func:`mixture_quantile`,
 Newton's method on the mixture CDF: the solver bracket is that quantile at
 zero effort and at the payoff-feasibility bound, and the dynamics take every
-new threshold from it.
+new threshold from it.  Both searches start at their bracket's midpoint, as
+:func:`kernel.find_root` converges from any start in it.
 
 Under demographic parity each group selects its own top fraction alpha, so
 each group's threshold is read off its response curve with no search.
@@ -156,11 +157,10 @@ def mixture_quantile(
     greatest bracket the root."""
     target = 1.0 - alpha
     z = normal_quantile(target)
-    seeds = [
-        (view.share * w, m + view.sigma * z)
-        for view, support in zip(views, supports) for m, w in support
+    quantiles = [
+        m + view.sigma * z for view, support in zip(views, supports) for m, _ in support
     ]
-    lo, hi = min(q for _, q in seeds), max(q for _, q in seeds)
+    lo, hi = min(quantiles), max(quantiles)
     if lo == hi:
         return lo
 
@@ -174,9 +174,7 @@ def mixture_quantile(
                 pdf += view.share * w * normal_pdf(u) / view.sigma
         return target - cdf, -pdf
 
-    # Newton starts at the weighted mean of the component quantiles.
-    mean = sum(p * q for p, q in seeds)
-    return find_root(excess, lo, hi, min(max(mean, lo), hi))
+    return find_root(excess, lo, hi, 0.5 * (lo + hi))
 
 
 def solver_bracket(config: GameConfig) -> tuple[float, float]:
@@ -278,23 +276,21 @@ def solve_unconstrained(
     })
 
     # Walk the dropouts up to the segment free of jumps that holds the
-    # crossing, unless a jump straddles alpha.  f_lo/f_hi are the excess mass
-    # inside the segment at its ends: just above a dropout the low tied
-    # effort plays, just below one the high one; None at a bracket end.
+    # crossing, unless a jump straddles alpha.
     lows, highs = [0] * len(views), [1] * len(views)
-    lo, hi, f_lo, f_hi = theta_lo, theta_hi, None, None
+    lo, hi = theta_lo, theta_hi
     outcomes = None
     for theta_d in events:
         table = _rates(theta_d, views, curves)
         m_lo, m_hi = _mass(views, table, lows), _mass(views, table, highs)
         if alpha > m_hi:
-            hi, f_hi = theta_d, m_hi - alpha
+            hi = theta_d
             break
         if m_lo <= alpha <= m_hi:
             theta, regime = theta_d, "dropout_pinned"
             outcomes = _pinned_outcomes(theta, views, table, alpha)
             break
-        lo, f_lo = theta_d, m_lo - alpha
+        lo = theta_d
 
     if outcomes is None:
         # No dropout lies inside (lo, hi): a group whose dropout lies above
@@ -314,14 +310,8 @@ def solve_unconstrained(
                 slope -= view.share * curve.eps * mu / (view.sigma * (z * mu + 1.0))
             return _mass(views, table, sides) - alpha, slope
 
-        # Newton's method on the excess mass, continuous and decreasing here,
-        # from the secant through its values at the segment's ends when both
-        # are known.
-        if f_lo is None or f_hi is None:
-            start = 0.5 * (lo + hi)
-        else:
-            start = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-        theta = find_root(excess, lo, hi, start)
+        # Newton's method on the excess mass, continuous and decreasing here.
+        theta = find_root(excess, lo, hi, mid)
         outcomes = _outcomes(theta, views, _rates(theta, views, curves), sides)
         regime = "smooth"
 

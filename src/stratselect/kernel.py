@@ -9,12 +9,12 @@ and the two real branches of the Lambert W function are Newton iterations on
 the log form ``w + log(w / x) = 0``, which stays finite from the branch fold
 down to subnormal ``x``.  Root finding is one function, :func:`find_root`:
 Newton's method safeguarded by a bracket, for an equation whose slope its
-caller knows in closed form.  Every scalar equation of the solvers is one:
-a stationary point of the candidate's payoff and the dropout tie in
+caller knows in closed form, that converges from any start in the bracket
+to a root inside it.  Every scalar equation of the solvers is one: a
+stationary point of the candidate's payoff and the dropout tie in
 ``best_response``, the smooth equilibrium crossing and the induced threshold
-(``equilibrium.mixture_quantile``).
-Everything is a pure function of its arguments and safe to call
-concurrently.
+(``equilibrium.mixture_quantile``).  Everything is a pure function of its
+arguments and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -139,19 +139,23 @@ def find_root(
     """Root of ``f`` on ``[lo, hi]``, where ``f(x)`` returns the value and
     the slope at ``x`` and the value falls through one sign change.
 
-    Newton's method from ``start``, a point of ``[lo, hi]``.  Each evaluation
-    replaces the end of the bracket on its side of the root, known from the
-    sign of the value (the slope can be about 0 near a turning point, so it
-    cannot tell), and a step that would leave the bracket bisects it.  The
-    iteration stops on a step within ``_MIN_RTOL * (|x| + 1)``, or on an
-    exact zero, so the root depends on ``f``, the bracket and ``start``
-    alone.  Raises :class:`NoBracket` unless ``lo < hi``, and
-    :class:`NoConvergence` when the value is NaN or after ``MAX_ITER``
-    evaluations.
+    Newton's method from ``start``, any point of ``[lo, hi]``; the start
+    sets only the speed.  Each evaluation replaces the end of the bracket on
+    its side of the root, known from the sign of the value (the slope can be
+    about 0 near a turning point, so it cannot tell).  As in Numerical
+    Recipes' ``rtsafe``, a Newton step is taken only if it lands strictly
+    inside the bracket and is at most half as long as the step two
+    iterations earlier, else the bracket is bisected, so no Newton cycle
+    stalls it.  It stops on a step within ``_MIN_RTOL * (|x| + 1)``, clamped
+    into the bracket, or on an exact zero, so the root lies in ``[lo, hi]``
+    and depends on ``f``, the bracket and ``start`` alone.  Raises
+    :class:`NoBracket` unless ``lo < hi``, and :class:`NoConvergence` when
+    the value is NaN or after ``MAX_ITER`` evaluations.
     """
     if not lo < hi:
         raise NoBracket(f"need lo < hi, got [{lo!r}, {hi!r}]")
     x = start
+    last = older = math.inf  # the last two step lengths, unbounded at first
     for _ in range(MAX_ITER):
         value, slope = f(x)
         if value != value:
@@ -166,11 +170,14 @@ def find_root(
         # root can be 0 to double precision.
         tol = _MIN_RTOL * (abs(x) + 1.0)
         step = x - value / slope if slope != 0.0 else math.inf
-        if abs(step - x) > tol and not lo < step < hi:
+        dx = abs(step - x)
+        if dx > tol and (not lo < step < hi or dx > 0.5 * older):
             step = 0.5 * (lo + hi)
+            dx = abs(step - x)
         # Stops on a converged Newton step, or on a bracket down to adjacent
         # doubles, where the two ends would otherwise alternate.
-        if abs(step - x) <= tol:
-            return step
+        if dx <= tol:
+            return min(max(step, lo), hi)
+        last, older = dx, last
         x = step
     raise NoConvergence(f"no root in [{lo!r}, {hi!r}] after {MAX_ITER} steps")

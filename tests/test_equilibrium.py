@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -250,8 +250,8 @@ class TestUnconstrained:
     def test_smooth_segment_at_a_dropout(self, alpha, above):
         # At S = 5 only H (spread 0.5) has a dropout; L (spread 1.5) is
         # subcritical.  The crossing lies just above H's dropout at alpha
-        # 0.05 and just below it at 0.5, so the solve is seeded with the
-        # one-sided mass at that dropout.
+        # 0.05 and just below it at 0.5, so the smooth segment ends at that
+        # dropout.
         config = two_group_config(5.0, alpha, sigma_h=0.5, sigma_l=1.5)
         report = solve_unconstrained(config)
         assert report.regime == "smooth"
@@ -640,6 +640,85 @@ def test_threshold_does_not_depend_on_the_bracket(config, below, above):
         assert abs(widened.threshold - report.threshold) <= tol
 
 
+# Rows of seeded `perfbench/run.py --workload reward_sweep` inputs (seed 5
+# input 19, seed 10 input 66, seed 103 input 29, seed 105 input 30), all
+# bayesian: alpha, reward and each group's (share, cost, noise_var).  Each
+# crossing lies where a group just below its critical reward plays near
+# z = -1 and its selection rate is steep; Newton's steps on the mass there
+# alternated across the crossing, narrowing the bracket by about 2e-8 each,
+# until the iteration budget ran out.
+ALTERNATING_NEWTON_ROWS = [
+    (0.3017, 1.438242365804762, [(0.592425, 2.9107, 0.7748), (0.407575, 3.7082, 9.2262)]),
+    (0.4921, 0.44827132099197203, [
+        (0.422644, 3.6934, 51.5795), (0.200032, 4.2932, 38.0658), (0.377324, 1.0919, 4.6065),
+    ]),
+    (0.4064, 0.32698493848924076, [
+        (0.20671, 3.3328, 89.5986), (0.168947, 4.9134, 59.3953),
+        (0.302575, 3.316, 0.2314), (0.32176800000000005, 4.8787, 3.2613),
+    ]),
+    (0.3123, 0.1061892487056917, [
+        (0.250467, 1.252, 11.311), (0.388574, 2.4059, 88.7407),
+        (0.36095900000000003, 1.3665, 18.8279),
+    ]),
+]
+
+
+@pytest.mark.parametrize("alpha, reward, groups", ALTERNATING_NEWTON_ROWS)
+def test_smooth_crossing_where_newton_alternates(alpha, reward, groups):
+    config = GameConfig(
+        reward=reward, alpha=alpha, eta_sq=1.0,
+        groups=tuple(
+            GroupParams("ABCD"[i], share, cost, noise_var=noise)
+            for i, (share, cost, noise) in enumerate(groups)
+        ),
+    )
+    report = solve_unconstrained(config)
+    assert report.regime == "smooth"
+    views = effective_groups(config)
+    budget = sum(v.share * o.selection_rate for v, o in zip(views, report.outcomes))
+    assert abs(budget - alpha) <= equilibrium.BUDGET_TOL
+
+
+@st.composite
+def near_critical_games(draw):
+    """Games of 2-4 groups in either mode, with the reward ``1 - S/S_c`` from
+    1e-4 to 0.5 below group G0's critical reward ``S_c`` and alpha the mass
+    at the threshold where G0 plays ``z = -1``, the steepest point of its
+    selection rate.  Closer to ``S_c`` lies the cusp band, where the effort
+    read off a threshold loses two thirds of its digits."""
+    count = draw(st.integers(2, 4))
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    groups = tuple(
+        GroupParams(f"G{i}", w / sum(weights), draw(COSTS), noise_var=draw(NOISES))
+        for i, w in enumerate(weights)
+    )
+    config = GameConfig(
+        reward=1.0, alpha=0.5, eta_sq=1.0, groups=groups,
+        dm_mode=draw(st.sampled_from(["bayesian", "oblivious"])),
+    )
+    view = effective_groups(config)[0]
+    gap = 10.0 ** draw(st.floats(-4.0, math.log10(0.5)))
+    config = dataclasses.replace(config, reward=critical_reward(view) * (1.0 - gap))
+    # On G0's stationary curve tau = phi(z) / eps - z, so z = -1 at this theta.
+    eps = view.cost * view.sigma**2 / config.reward
+    theta = view.sigma * (normal_pdf(1.0) / eps + 1.0)
+    config = dataclasses.replace(config, alpha=excess_mass(theta, config).mass_lo)
+    assume(validate(config) == [])
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=near_critical_games())
+def test_solves_where_a_subcritical_group_is_steepest(config):
+    views = effective_groups(config)
+    report = solve_unconstrained(config)
+    budget = sum(v.share * o.selection_rate for v, o in zip(views, report.outcomes))
+    assert abs(budget - config.alpha) <= equilibrium.BUDGET_TOL
+    parity = solve_demographic_parity(config)
+    assert all(abs(o.selection_rate - config.alpha) <= equilibrium.BUDGET_TOL
+               for o in parity.outcomes)
+
+
 class TestMixtureQuantile:
     def test_one_component_is_its_quantile(self, monkeypatch):
         calls = []
@@ -666,6 +745,9 @@ class TestMixtureQuantile:
         ).filter(lambda groups: sum(len(points) for _, points in groups) >= 2),
         alpha=st.floats(0.02, 0.98),
     )
+    # The quantiles span one ulp next to 0, narrower than the stop tolerance,
+    # so the converged Newton step lands above the top one unless clamped.
+    @example(groups=[(1.0, [(0.0, 0.5), (0.0, 0.75), (2.220446049250313e-16, 0.5)])], alpha=0.5)
     def test_root_lies_between_the_component_quantiles(self, groups, alpha):
         # The CDF bound is a step tolerance of about 1e-14 on theta times
         # the largest density, 1 / (0.1 * sqrt(2 pi)), with a wide margin.

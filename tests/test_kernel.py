@@ -299,7 +299,24 @@ class TestFindRoot:
         x0 = lo + start * (hi - lo)
         root = find_root(f, lo, hi, x0)
         assert root == find_root(f, lo, hi, x0)
+        assert lo <= root <= hi
         assert abs(root - p) <= 1e-14 * (abs(p) + 1.0)
+
+    def test_newton_two_cycle_bisects(self, monkeypatch):
+        # From x0 with atan(x0) = 2 x0 / (1 + x0**2), Newton on arctan steps
+        # to -x0 and back, and rounding drifts the cycle only by ulps; each
+        # step lands inside the bracket and barely narrows it.  The third
+        # step would be as long as the first, not half as long, so the
+        # bracket is bisected onto the root instead.
+        monkeypatch.setattr(kernel, "MAX_ITER", 20)
+        f = recorded(lambda x: (-math.atan(x), -1.0 / (1.0 + x * x)))
+        assert find_root(f, -2.0, 2.0, 1.3917452002707347) == 0.0
+        assert len(f.calls) == 4
+
+    def test_converged_step_is_clamped_into_the_bracket(self):
+        # A slope of the wrong sign steps from the lower end 0 to -1e-17:
+        # within the stop tolerance of the root 1e-17, but below the bracket.
+        assert find_root(lambda x: (1e-17 - x, 1.0), 0.0, 1.0, 0.0) == 0.0
 
 
 def test_solvers_import_neither_numpy_nor_scipy():
