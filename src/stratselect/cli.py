@@ -20,14 +20,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
-
-import numpy as np
 
 from . import metrics
 from .best_response import SubcriticalReward
@@ -161,17 +160,32 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
     scale: the grid of ``--grid lo:hi:count[:log]`` and of a sweep spec's
     ``{"lo", "hi", "count", "scale"}``.  Raises ValueError when malformed."""
     lo, hi = float(lo), float(hi)
-    if not np.isfinite([lo, hi]).all():
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid ends must be finite, got {lo!r} and {hi!r}")
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"grid count must be an integer of at least 1, got {count!r}")
     if scale == "log":
         if lo <= 0:
             raise ValueError("log grid requires positive endpoints")
+        # Only np.geomspace gives its own points: numpy's power is not libm's
+        # pow in the last bit.  So numpy loads here, for log grids alone.
+        import numpy as np
+
         return [float(v) for v in np.geomspace(lo, hi, count)]
     if scale != "linear":
         raise ValueError(f"unknown grid scale {scale!r}")
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    # np.linspace's arithmetic, point for point, so grids stay bit for bit.
+    delta = hi - lo
+    if count == 1:
+        return [0.0 * delta + lo]
+    div = count - 1
+    step = delta / div
+    if step == 0:  # the step underflows, so scale i / div instead
+        points = [i / div * delta + lo for i in range(count)]
+    else:
+        points = [i * step + lo for i in range(count)]
+    points[-1] = hi
+    return points
 
 
 def _parse_grid(spec: str) -> list[float]:

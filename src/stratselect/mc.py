@@ -1,8 +1,10 @@
 """Monte Carlo and brute-force oracles for the analytic formulas.
 
-Every array in the package lives here: this module and the CLI's grids are
-the only users of numpy and scipy, and the solvers run on the standard
-library.  Sampling is counter-based (Philox keyed by ``(seed, stream)``) so
+Every array in the package lives here: this module and the CLI's log grids
+are the only users of numpy and scipy, and the solvers run on the standard
+library.  Importing this module loads neither: they load on the first draw
+or effort grid, so the CLI pays for them only in ``verify`` and ``:log``
+grids.  Sampling is counter-based (Philox keyed by ``(seed, stream)``) so
 estimates are bit-reproducible and independent streams can run in parallel.
 Normal draws are scipy's ``ndtri`` of the uniforms, with no Newton step:
 the inverse CDF rather than a separate sampler.
@@ -19,10 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-from scipy.special import ndtr, ndtri
+from typing import TYPE_CHECKING, Sequence
 
 from .best_response import payoff
 from .model import (
@@ -36,6 +35,9 @@ from .model import (
     effective_groups,
     posterior_variance,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "McEstimate",
@@ -59,12 +61,17 @@ class McEstimate:
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
+    import numpy as np
+    from scipy.special import ndtri
+
     # Uniforms k / 2**53 + 2**-54 lie above 0; the top one, k = 2**53 - 1,
     # rounds to 1.0, so it is capped at 1 - 2**-53 and every draw is finite
     # (|x| < 8.3).
@@ -165,6 +172,8 @@ def mc_selection_quality(
     if problems:
         raise ValueError("; ".join(problems))
 
+    import numpy as np
+
     gen = _generator(seed, stream)
     u_group = gen.random(n)
     z_stat = _normals(gen, n)
@@ -200,6 +209,8 @@ def mc_selection_quality(
 
 
 def _sample_efforts(strategy: EffortDistribution, u: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     efforts = np.array([m for m, _ in strategy.support])
     weights = np.array([w for _, w in strategy.support])
     cuts = np.cumsum(weights)
@@ -212,6 +223,8 @@ def effort_grid(group: GroupView, reward: float, grid_points: int = 10_000) -> n
     """The uniform effort grid of the grid oracles: ``grid_points`` points on
     ``[0, sqrt(2 reward / cost) + 6 sigma]``, which contains every best
     response."""
+    import numpy as np
+
     hi = math.sqrt(2.0 * reward / group.cost) + 6.0 * group.sigma
     return np.linspace(0.0, hi, max(int(grid_points), 1))
 
@@ -219,6 +232,8 @@ def effort_grid(group: GroupView, reward: float, grid_points: int = 10_000) -> n
 def _grid_payoffs(
     theta: float, group: GroupView, reward: float, grid_points: int = 10_000
 ) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import ndtr
+
     grid = effort_grid(group, reward, grid_points)
     return grid, reward * ndtr((grid - theta) / group.sigma) - 0.5 * group.cost * grid**2
 
@@ -232,7 +247,7 @@ def grid_argmax_payoff(
     """Brute-force best response on :func:`effort_grid`; ties resolve to the
     smallest effort."""
     grid, values = _grid_payoffs(theta, group, reward, grid_points)
-    return float(grid[int(np.argmax(values))])
+    return float(grid[int(values.argmax())])
 
 
 def max_deviation_gain(

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import stratselect.equilibrium as equilibrium
 from stratselect import cli, metrics
@@ -179,7 +182,7 @@ class TestSweep:
              "malformed sweep grid: unknown grid scale 'logarithmic'"),
             # A missing end is an input error, not a KeyError traceback.
             ({"lo": 0.1, "count": 3}, "sweep grid has no 'hi' entry"),
-            # Rejected before numpy can warn on stderr.
+            # Rejected before any grid point is computed.
             ({"lo": 0.1, "hi": math.inf, "count": 3},
              "malformed sweep grid: grid ends must be finite, got 0.1 and inf"),
         ]:
@@ -239,6 +242,46 @@ class TestSweep:
         assert values[0] == pytest.approx(0.1)
         assert values[-1] == pytest.approx(0.4)
         assert values[1] == pytest.approx(0.2, abs=1e-12)
+
+
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@given(
+    lo=st.floats(allow_nan=False, allow_infinity=False),
+    hi=st.floats(allow_nan=False, allow_infinity=False),
+    count=st.integers(1, 3000),
+    equal=st.booleans(),
+)
+@example(lo=-MAX_FLOAT, hi=MAX_FLOAT, count=3, equal=False)  # hi - lo overflows
+@example(lo=5e-324, hi=1e-323, count=5, equal=False)  # the step underflows to 0
+@example(lo=-0.0, hi=0.0, count=1, equal=False)
+@example(lo=1.0, hi=-1.0, count=3000, equal=False)
+def test_linear_grid_is_linspace_bit_for_bit(lo, hi, count, equal):
+    hi = lo if equal else hi
+    with np.errstate(all="ignore"):
+        expected = [float(v).hex() for v in np.linspace(lo, hi, count)]
+    assert [v.hex() for v in cli._grid(lo, hi, count)] == expected
+
+
+@given(
+    lo=st.floats(1e-300, 1e300),
+    hi=st.floats(1e-300, 1e300),
+    count=st.integers(1, 3000),
+)
+def test_log_grid_is_geomspace(lo, hi, count):
+    expected = [float(v).hex() for v in np.geomspace(lo, hi, count)]
+    assert [v.hex() for v in cli._grid(lo, hi, count, "log")] == expected
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize("lo, hi", [
+    (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (math.inf, math.nan),
+])
+def test_non_finite_grid_ends_are_rejected(lo, hi, scale):
+    with pytest.raises(ValueError) as info:
+        cli._grid(lo, hi, 3, scale)
+    assert str(info.value) == f"grid ends must be finite, got {lo!r} and {hi!r}"
 
 
 def tiny_spread_config_dict(reward=1e12):
@@ -519,6 +562,46 @@ def test_every_scenario_reruns_alike_in_one_process(tmp_path, capsys):
             outputs[tuple(argv)] = (captured.out, captured.err, written)
         passes.append(outputs)
     assert passes[0] == passes[1] == passes[2]
+
+
+# Runs each argv of sys.argv[1] in turn through cli.main and prints, after
+# each, its exit code and which of numpy and scipy are loaded.
+NUMPY_PROBE = """\
+import contextlib, io, json, sys
+from stratselect import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    print(json.dumps([rc, sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})]))
+"""
+
+
+def loaded_after_each(commands):
+    env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+def test_numpy_loads_only_for_log_grids_and_verify(tmp_path):
+    game = str(SCENARIOS / "noise_gap_s10.json")
+    solvers_only = [
+        ["solve", "--config", game],
+        ["sweep", "--config", str(SCENARIOS / "sweep_equal_cost_s1000.json"),
+         "--out", str(tmp_path / "sweep.csv")],
+        ["dropout", "--config", game, "--grid", "100:100000:4",
+         "--out", str(tmp_path / "linear.csv")],
+        ["dynamics", "--config", game, "--steps", "30", "--out", str(tmp_path / "br.csv")],
+        ["dropout", "--config", game, "--grid", "100:100000:4:log",
+         "--out", str(tmp_path / "log.csv")],
+    ]
+    assert loaded_after_each(solvers_only) == [[0, []]] * 4 + [[0, ["numpy"]]]
+    # verify calls every mc function that imports numpy or scipy itself.
+    verify = [["verify", "--config", game, "--samples", "1000"]]
+    assert loaded_after_each(verify) == [[0, ["numpy", "scipy"]]]
 
 
 @pytest.mark.parametrize("command", ["solve", "dynamics"])
