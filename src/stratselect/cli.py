@@ -11,7 +11,11 @@ error.  CSV output is byte-identical across runs for identical inputs; every
 CSV starts with a ``# config_hash=`` comment binding it to the game instance.
 Every subcommand builds each group's response curve (its window and dropout
 threshold) once per reward: groups of the same cost and spread share it, and
-so do both solvers, the grid points and the dynamics steps.
+so do both solvers, the grid points and the dynamics steps.  ``sweep`` checks
+the game and every grid point and resolves the groups once, before any
+solve, and then calls the solvers' cores (``equilibrium.unconstrained_core``
+and ``parity_core``) at each grid point.  A grid whose ends are finite but
+whose width ``hi - lo`` overflows is an input error.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from .dynamics import run as run_dynamics
 from .equilibrium import (
     CurveMemo,
     SolverError,
+    parity_core,
     response_curves,
     solve_demographic_parity,
     solve_unconstrained,
+    unconstrained_core,
 )
 from .kernel import DomainError, NoBracket, NoConvergence
 from .mc import (
@@ -59,6 +65,7 @@ from .metrics import (
 from .model import (
     EffortDistribution,
     GameConfig,
+    GroupView,
     config_from_dict,
     config_hash,
     effective_groups,
@@ -176,6 +183,9 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
         raise ValueError(f"unknown grid scale {scale!r}")
     # np.linspace's arithmetic, point for point, so grids stay bit for bit.
     delta = hi - lo
+    if not math.isfinite(delta):
+        raise ValueError(f"grid ends {lo!r} and {hi!r} are too far apart: "
+                         "hi - lo overflows")
     if count == 1:
         return [0.0 * delta + lo]
     div = count - 1
@@ -242,6 +252,7 @@ class SweepSpec:
     grid: tuple[float, ...]
     base_config: GameConfig
     solvers: tuple[str, ...]
+    views: tuple[GroupView, ...]  # the base config's groups, resolved once
 
 
 def _load_sweep(path: str) -> SweepSpec:
@@ -285,7 +296,10 @@ def _load_sweep(path: str) -> SweepSpec:
         raise InputError(f"{path}: base_config: " + "; ".join(problems))
     if axis == "reward":
         _check_rewards(path, base, grid)
-    return SweepSpec(axis=axis, grid=tuple(grid), base_config=base, solvers=tuple(solvers))
+    return SweepSpec(
+        axis=axis, grid=tuple(grid), base_config=base, solvers=tuple(solvers),
+        views=effective_groups(base),
+    )
 
 
 def _check_rewards(path: str, config: GameConfig, rewards: Sequence[float]) -> None:
@@ -296,27 +310,23 @@ def _check_rewards(path: str, config: GameConfig, rewards: Sequence[float]) -> N
             raise InputError(f"{path}: reward grid value {reward!r}: " + "; ".join(problems))
 
 
-def _config_at(spec: SweepSpec, value: float) -> GameConfig:
-    if spec.axis == "alpha":
-        return replace(spec.base_config, alpha=value)
-    return replace(spec.base_config, reward=value)
-
-
 def _sweep_row(
     spec: SweepSpec, value: float, curves: CurveMemo
 ) -> tuple[dict, str | None]:
-    config = _config_at(spec, value)
-    views = effective_groups(config)
+    """One row of the sweep at grid point ``value``.  ``_load_sweep`` checked
+    the game and every grid point, so the row calls the solvers' cores."""
+    base, views = spec.base_config, spec.views
+    alpha, reward = (value, base.reward) if spec.axis == "alpha" else (base.alpha, value)
     labels = [v.label for v in views]
     row: dict = {"axis_value": value}
     try:
         un = (
-            solve_unconstrained(config, curves=curves)
+            unconstrained_core(views, alpha, reward, curves)
             if "unconstrained" in spec.solvers
             else None
         )
         dp = (
-            solve_demographic_parity(config, curves=curves)
+            parity_core(views, alpha, reward, curves)
             if "demographic_parity" in spec.solvers
             else None
         )

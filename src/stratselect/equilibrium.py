@@ -3,15 +3,15 @@
 The unconstrained game reduces to a scalar fixed point: the selected mass at
 threshold ``t``, ``h(t) = sum_G p_G * Phi((br_G(t) - t) / s_G) - alpha``, is
 strictly decreasing with downward jumps exactly at the groups' dropout
-thresholds.  Walking the dropouts inside a bracket that provably contains
-the fixed point either finds one whose jump straddles alpha, in which case
-every group tied there splits between its two tied best responses with the
-one weight that makes the selection budget bind, or a segment free of jumps
-where the curve crosses alpha smoothly.  On that segment every group keeps
-one side of its dropout, the high maximum when the dropout lies above the
-segment and the low one otherwise, so all groups play pure strategies, the
-mass is continuous up to the segment's ends and its slope is known in closed
-form: Newton's method (:func:`kernel.find_root`) finds the crossing.
+thresholds.  Walking every dropout upward either finds one whose jump
+straddles alpha, in which case every group tied there splits between its two
+tied best responses with the one weight that makes the selection budget
+bind, or a segment free of jumps where the curve crosses alpha smoothly.
+On that segment every group keeps one side of its dropout, the high maximum
+when the dropout lies above the segment and the low one otherwise, so all
+groups play pure strategies, the mass is continuous up to the segment's ends
+and its slope is known in closed form: Newton's method
+(:func:`kernel.find_root`) finds the crossing.
 
 A threshold hits a group's dropout only when it is that very double; twin
 groups (same cost and spread) share one curve and so one dropout, where they
@@ -23,8 +23,15 @@ The threshold a profile of strategies induces, the (1 - alpha)-quantile of
 the decision-statistic mixture, is found by :func:`mixture_quantile`,
 Newton's method on the mixture CDF: the solver bracket is that quantile at
 zero effort and at the payoff-feasibility bound, and the dynamics take every
-new threshold from it.  Both searches start at their bracket's midpoint, as
-:func:`kernel.find_root` converges from any start in it.
+new threshold from it.  Only a smooth crossing needs the solver bracket: it
+clips the segment, whose ends may be infinite, so that the crossing's Newton
+search starts at a finite midpoint.  A pinned solve never computes it.  Both
+searches start at their bracket's midpoint, as :func:`kernel.find_root`
+converges from any start in it.
+
+Each solver is a public entry, which checks the game and resolves its groups,
+and a core on the resolved groups, alpha and the reward, which a caller that
+checked the game once (a sweep) calls at every grid point.
 
 Under demographic parity each group selects its own top fraction alpha, so
 each group's threshold is read off its response curve with no search.
@@ -32,7 +39,8 @@ each group's threshold is read off its response curve with no search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 from .best_response import ResponseCurve
@@ -55,6 +63,8 @@ __all__ = [
     "solver_bracket",
     "solve_unconstrained",
     "solve_demographic_parity",
+    "unconstrained_core",
+    "parity_core",
     "CurveMemo",
 ]
 
@@ -185,13 +195,14 @@ def solver_bracket(config: GameConfig) -> tuple[float, float]:
     C_G)``; actual best responses lie in between, so the selected-mass curve
     crosses alpha inside.
     """
-    views = effective_groups(config)
+    return _bracket(effective_groups(config), config.alpha, config.reward)
+
+
+def _bracket(views: tuple[GroupView, ...], alpha: float, reward: float) -> tuple[float, float]:
+    """:func:`solver_bracket` of the game ``views`` at ``alpha`` and ``reward``."""
     zero = [((0.0, 1.0),)] * len(views)
-    caps = [(((2.0 * config.reward / v.cost) ** 0.5, 1.0),) for v in views]
-    return (
-        mixture_quantile(zero, views, config.alpha),
-        mixture_quantile(caps, views, config.alpha),
-    )
+    caps = [(((2.0 * reward / v.cost) ** 0.5, 1.0),) for v in views]
+    return mixture_quantile(zero, views, alpha), mixture_quantile(caps, views, alpha)
 
 
 def _outcomes(
@@ -221,6 +232,20 @@ def _outcomes(
     return tuple(outcomes)
 
 
+def _mixing_weight(theta: float, excess: float, gap: float) -> float:
+    """The weight on the high tied efforts that makes the budget bind at the
+    pinned threshold ``theta``: ``excess`` is alpha less the selected mass
+    with every tied group low, ``gap`` the mass their high efforts add."""
+    if not gap > 0.0:
+        raise SolverError(f"degenerate mixing interval at pinned threshold {theta!r}")
+    # The walk pins only when alpha lies between the all-low and all-high
+    # masses, so tau lies in [0, 1] up to rounding.
+    tau = excess / gap
+    if not -TAU_SLACK <= tau <= 1.0 + TAU_SLACK:
+        raise SolverError(f"no feasible mixing weight at pinned threshold {theta!r}")
+    return min(max(tau, 0.0), 1.0)
+
+
 def _pinned_outcomes(
     theta: float, views: tuple[GroupView, ...], table: RateTable, alpha: float
 ) -> tuple[GroupOutcome, ...]:
@@ -237,16 +262,18 @@ def _pinned_outcomes(
             gap += view.share * (x_hi - x_lo)
         else:
             base += view.share * x_lo
-    if not tied:
-        raise SolverError(f"degenerate mixing interval at pinned threshold {theta!r}")
-    # The walk pins only when alpha lies between the all-low and all-high
-    # masses, so tau lies in [0, 1] up to rounding.
-    tau = (alpha - base - low) / gap
-    if not -TAU_SLACK <= tau <= 1.0 + TAU_SLACK:
-        raise SolverError(f"no feasible mixing weight at pinned threshold {theta!r}")
-    tau = min(max(tau, 0.0), 1.0)
+    tau = _mixing_weight(theta, alpha - base - low, gap)
     weights = [tau if i in tied else 0.0 for i in range(len(views))]
     return _outcomes(theta, views, table, weights, tied)
+
+
+def _resolve(config: GameConfig) -> tuple[GroupView, ...]:
+    """The groups of ``config`` resolved for a core solver; ValueError when
+    ``config`` is not a game the solvers support."""
+    problems = solver_violations(config)
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
+    return effective_groups(config)
 
 
 def solve_unconstrained(
@@ -257,28 +284,38 @@ def solve_unconstrained(
 ) -> EquilibriumReport:
     """Unique Nash equilibrium of the unconstrained selection game.
 
-    ``bracket`` may narrow the search interval; it must still contain the
+    With no ``bracket`` the walk takes every dropout, and only a smooth
+    crossing is bracketed, by :func:`solver_bracket`.  A ``bracket`` narrows
+    the walk and the crossing to that interval, which must still contain the
     equilibrium threshold.  ``curves`` is a memo of response curves to read
     and fill, shared across solves; ``None`` starts a fresh one.
     """
-    problems = solver_violations(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-    views = effective_groups(config)
-    alpha = config.alpha
-    curves = response_curves(views, config.reward, curves)
-    theta_lo, theta_hi = bracket if bracket is not None else solver_bracket(config)
+    return unconstrained_core(_resolve(config), config.alpha, config.reward, curves, bracket)
+
+
+def unconstrained_core(
+    views: tuple[GroupView, ...], alpha: float, reward: float,
+    curves: CurveMemo | None = None, bracket: tuple[float, float] | None = None,
+) -> EquilibriumReport:
+    """:func:`solve_unconstrained` on groups already resolved from a valid
+    game, at ``alpha`` and ``reward``: a caller that checked the game once
+    solves it along a grid with no further checks."""
+    curves = response_curves(views, reward, curves)
+    lo, hi = (-math.inf, math.inf) if bracket is None else bracket
 
     # Groups sharing a dropout share its double: twins share one curve.
     events = sorted({
         c.info.theta_d for c in curves
-        if c.info is not None and theta_lo < c.info.theta_d < theta_hi
+        if c.info is not None and lo < c.info.theta_d < hi
     })
 
     # Walk the dropouts up to the segment free of jumps that holds the
-    # crossing, unless a jump straddles alpha.
+    # crossing, unless a jump straddles alpha.  Efforts lie between zero and
+    # the cap sqrt(2 S / C_G), so below the bracket's lower end the mass
+    # exceeds alpha on both sides of a dropout and the walk passes it, and
+    # above the upper end it falls short and the walk stops: the unbracketed
+    # walk ends on the pin or segment a bracketed one would.
     lows, highs = [0] * len(views), [1] * len(views)
-    lo, hi = theta_lo, theta_hi
     outcomes = None
     for theta_d in events:
         table = _rates(theta_d, views, curves)
@@ -293,6 +330,11 @@ def solve_unconstrained(
         lo = theta_d
 
     if outcomes is None:
+        if bracket is None:
+            # Clip the segment to the bracket, so that Newton starts from its
+            # midpoint with both ends finite.
+            theta_lo, theta_hi = _bracket(views, alpha, reward)
+            lo, hi = max(lo, theta_lo), min(hi, theta_hi)
         # No dropout lies inside (lo, hi): a group whose dropout lies above
         # it plays its high maximum throughout, every other group its low one.
         mid = 0.5 * (lo + hi)
@@ -342,23 +384,31 @@ def solve_demographic_parity(
     solved, and the curve comes from the ``curves`` memo (see
     :func:`solve_unconstrained`).
     """
-    problems = solver_violations(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-    views = effective_groups(config)
-    alpha = config.alpha
+    return parity_core(_resolve(config), config.alpha, config.reward, curves)
+
+
+def parity_core(
+    views: tuple[GroupView, ...], alpha: float, reward: float,
+    curves: CurveMemo | None = None,
+) -> EquilibriumReport:
+    """:func:`solve_demographic_parity` on groups already resolved from a
+    valid game, at ``alpha`` and ``reward`` (see :func:`unconstrained_core`)."""
     z = normal_quantile(alpha)
     outcomes = []
-    for view, curve in zip(views, response_curves(views, config.reward, curves)):
-        solo, info = (replace(view, share=1.0),), curve.info
-        table = None if info is None else _rates(info.theta_d, solo, [curve])
+    for view, curve in zip(views, response_curves(views, reward, curves)):
+        # The group alone is a population of mass one: its rates are its budget.
+        info = curve.info
+        table = None if info is None else _rates(info.theta_d, (view,), [curve])
         if table is not None and table[0][0] <= alpha <= table[0][1]:
-            outcome, = _pinned_outcomes(info.theta_d, solo, table, alpha)
+            x_lo, x_hi = table[0][:2]
+            theta, mixing = info.theta_d, (0,)
+            weights = [_mixing_weight(theta, alpha - x_lo, x_hi - x_lo)]
         else:
             mu = normal_pdf(z) / curve.eps
             theta, effort = view.sigma * (mu - z), view.sigma * mu
             rate = normal_cdf((effort - theta) / view.sigma)
-            outcome, = _outcomes(theta, solo, [(rate, rate, effort, effort)], [0.0])
+            table, weights, mixing = [(rate, rate, effort, effort)], [0.0], ()
+        outcome, = _outcomes(theta, (view,), table, weights, mixing)
         if abs(outcome.selection_rate - alpha) > BUDGET_TOL:
             raise SolverError(f"group {view.label!r} selected at rate "
                               f"{outcome.selection_rate!r} at theta={outcome.threshold!r}")

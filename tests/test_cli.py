@@ -212,14 +212,14 @@ class TestSweep:
     def test_point_failure_leaves_empty_cells(self, tmp_path, monkeypatch, capsys):
         import stratselect.cli as cli_module
 
-        real = cli_module.solve_unconstrained
+        real = cli_module.unconstrained_core
 
-        def flaky(config, *args, **kwargs):
-            if abs(config.alpha - 0.2) < 1e-12:
+        def flaky(views, alpha, *args, **kwargs):
+            if abs(alpha - 0.2) < 1e-12:
                 raise SolverError("synthetic failure")
-            return real(config, *args, **kwargs)
+            return real(views, alpha, *args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "solve_unconstrained", flaky)
+        monkeypatch.setattr(cli_module, "unconstrained_core", flaky)
         spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2, 0.3]))
         out = tmp_path / "out.csv"
         assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
@@ -259,6 +259,14 @@ MAX_FLOAT = 1.7976931348623157e308
 @example(lo=1.0, hi=-1.0, count=3000, equal=False)
 def test_linear_grid_is_linspace_bit_for_bit(lo, hi, count, equal):
     hi = lo if equal else hi
+    if not math.isfinite(hi - lo):
+        # np.linspace would give nan or inf points; the grid names its ends.
+        with pytest.raises(ValueError) as info:
+            cli._grid(lo, hi, count)
+        assert str(info.value) == (
+            f"grid ends {lo!r} and {hi!r} are too far apart: hi - lo overflows"
+        )
+        return
     with np.errstate(all="ignore"):
         expected = [float(v).hex() for v in np.linspace(lo, hi, count)]
     assert [v.hex() for v in cli._grid(lo, hi, count)] == expected
@@ -656,6 +664,18 @@ class TestDropout:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad grid {grid!r}: grid ends must be finite")
 
+    def test_overflowing_grid_width_is_an_input_error(self, tmp_path, capsys):
+        # The points of this grid were -1e308, nan and 1e308.
+        out = tmp_path / "drop.csv"
+        argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+                "--grid=-1e308:1e308:3", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == ("error: bad grid '-1e308:1e308:3': grid ends -1e+308 and 1e+308 "
+                       "are too far apart: hi - lo overflows\n")
+        assert "nan" not in err
+
     def test_subcritical_rows_are_blank(self, tmp_path, capsys):
         out = tmp_path / "drop.csv"
         rc = cli.main([
@@ -771,7 +791,7 @@ def test_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, command
     def no_work(*args, **kwargs):
         raise RuntimeError("work started before --out was opened")
 
-    for name in ("solve_unconstrained", "response_curves", "run_dynamics"):
+    for name in ("unconstrained_core", "parity_core", "response_curves", "run_dynamics"):
         monkeypatch.setattr(cli, name, no_work)
     game = str(SCENARIOS / "noise_gap_s10.json")
     argv = {

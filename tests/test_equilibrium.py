@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import stratselect.cli as cli
 import stratselect.equilibrium as equilibrium
 from stratselect.best_response import (
     ResponseCurve,
@@ -17,6 +18,7 @@ from stratselect.best_response import (
     payoff,
 )
 from stratselect.equilibrium import (
+    SolverError,
     excess_mass,
     mixture_quantile,
     solve_demographic_parity,
@@ -568,11 +570,11 @@ class TestTwinGroups:
 
 
 @st.composite
-def parity_games(draw):
-    """Games of 1-4 groups in either mode, at a reward from a tenth to a
-    thousand times the first group's critical reward, so groups fall on both
-    sides of theirs."""
-    count = draw(st.integers(1, 4))
+def parity_games(draw, min_groups=1):
+    """Games of ``min_groups`` to 4 groups in either mode, at a reward from a
+    tenth to a thousand times the first group's critical reward, so groups
+    fall on both sides of theirs."""
+    count = draw(st.integers(min_groups, 4))
     weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
     groups = tuple(
         GroupParams(f"G{i}", w / sum(weights), draw(COSTS), noise_var=draw(NOISES))
@@ -627,6 +629,34 @@ def test_threshold_does_not_depend_on_the_bracket(config, below, above):
     """A bracket widened on either side finds the same equilibrium: the
     same dropout double when pinned, and when smooth the same crossing up to
     the Newton stop, which depends on where the iteration starts."""
+    check_bracket_free(config, below, above)
+
+
+# parity_games draws this game: its reward is exactly G0's critical reward
+# (the exponent 0.0), where G0's dropout sits at its cusp.
+CUSP_GAME = GameConfig(
+    reward=2.3304361567746676, alpha=0.4, eta_sq=1.0, dm_mode="bayesian",
+    groups=(
+        GroupParams("G0", 0.23334754775826064, 1.0, noise_var=0.7733724831330326),
+        GroupParams("G1", 0.2970942882151512, 0.768740229553413, noise_var=0.0),
+        GroupParams("G2", 0.2413102933329228, 0.768740229553413, noise_var=2.284833317765387),
+        GroupParams("G3", 0.22824787069366534, 0.768740229553413,
+                    noise_var=0.03391325526333234),
+    ),
+)
+
+
+@pytest.mark.xfail(
+    raises=SolverError, strict=True,
+    reason="ROADMAP item 4, the cusp band: at a critical reward the effort read "
+    "off a threshold is off by about the cube root of rounding, and the "
+    "selection budget misses by 5.3e-8",
+)
+def test_threshold_does_not_depend_on_the_bracket_at_a_cusp():
+    check_bracket_free(CUSP_GAME, 0.0, 0.0)
+
+
+def check_bracket_free(config, below, above):
     lo, hi = solver_bracket(config)
     wide = (lo - below * (hi - lo), hi + above * (hi - lo))
     curves = {}
@@ -638,6 +668,69 @@ def test_threshold_does_not_depend_on_the_bracket(config, below, above):
     else:
         tol = 1e-12 * max(1.0, abs(report.threshold))
         assert abs(widened.threshold - report.threshold) <= tol
+
+
+def report_hex(report):
+    """The regime and every float of ``report``, as ``float.hex``."""
+    def h(x):
+        return None if x is None else x.hex()
+
+    return (report.regime, h(report.threshold), h(report.quality), [
+        (o.label, h(o.threshold), h(o.tau), h(o.avg_effort), h(o.selection_rate),
+         [(h(m), h(w)) for m, w in o.strategy.support])
+        for o in report.outcomes
+    ])
+
+
+def hex_or_error(solve):
+    """``report_hex`` of ``solve()``, or the error it raises: two paths that
+    agree bit for bit also fail alike (the cusp band, ROADMAP item 4)."""
+    try:
+        return report_hex(solve())
+    except cli._COMPUTE_ERRORS as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=parity_games(min_groups=2))
+def test_unbracketed_walk_matches_the_bracketed_solve(config):
+    """With no bracket the walk takes every dropout, and only a smooth
+    crossing is clipped to the solver bracket: where that bracket holds
+    the threshold, the solve is the bracketed one bit for bit, whichever
+    dropouts lie outside that bracket."""
+    curves = {}
+    bracketed = hex_or_error(
+        lambda: solve_unconstrained(config, bracket=solver_bracket(config), curves=curves)
+    )
+    assert hex_or_error(lambda: solve_unconstrained(config, curves=curves)) == bracketed
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=parity_games(min_groups=2), axis=st.sampled_from(["alpha", "reward"]))
+def test_sweep_row_matches_the_public_solvers(config, axis):
+    """A sweep row calls the solvers' cores on the groups its spec resolved
+    once; the row holds what the public solvers give on the same game.  The
+    base config's own value on the swept axis must not leak into the row."""
+    value = getattr(config, axis)
+    base = dataclasses.replace(config, **{axis: 0.5 * value})
+    spec = cli.SweepSpec(
+        axis=axis, grid=(value,), base_config=base,
+        solvers=("unconstrained", "demographic_parity"), views=effective_groups(base),
+    )
+    row, warning = cli._sweep_row(spec, value, {})
+    try:
+        un, dp = solve_unconstrained(config), solve_demographic_parity(config)
+    except cli._COMPUTE_ERRORS as exc:
+        assert (row, warning) == ({"axis_value": value}, f"{axis}={value!r}: {exc}")
+        return
+    assert warning is None
+    expected = {"theta_un": un.threshold, "quality_un": un.quality, "quality_dp": dp.quality}
+    for outcome in un.outcomes:
+        expected[f"effort_{outcome.label}_un"] = outcome.avg_effort
+        expected[f"rate_{outcome.label}_un"] = outcome.selection_rate
+    for outcome in dp.outcomes:
+        expected[f"theta_dp_{outcome.label}"] = outcome.threshold
+    assert {c: row[c].hex() for c in expected} == {c: v.hex() for c, v in expected.items()}
 
 
 # Rows of seeded `perfbench/run.py --workload reward_sweep` inputs (seed 5
