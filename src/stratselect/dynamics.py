@@ -10,7 +10,10 @@ search that brackets the equilibrium solvers
 (:func:`stratselect.equilibrium.mixture_quantile`).  A threshold within a
 payoff tie of a dropout (``best_response.PAYOFF_TIE_REL``), not only exactly
 on it, is resolved as a 50/50 split between the two tied best responses.
-:func:`run` is the one entry point.
+:func:`run` is the one entry point.  Its cycle check keeps, for each
+period, the run of trailing thresholds that repeat the one a period back
+within ``CYCLE_TOL``, and extends it by one comparison per period and step
+instead of rescanning the tail.
 """
 
 from __future__ import annotations
@@ -107,19 +110,52 @@ def _step(
     return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
 
 
-def _detect_cycle(thetas: list[float]) -> int | None:
-    """Smallest period p <= MAX_CYCLE_PERIOD repeated 3 times at the tail."""
-    n = len(thetas)
-    for p in range(2, MAX_CYCLE_PERIOD + 1):
-        if n < 3 * p:
-            return None
-        if abs(thetas[-1] - thetas[-1 - p]) > CYCLE_TOL:
-            continue
-        if not any(abs(thetas[-i] - thetas[-i - p]) > CYCLE_TOL for i in range(1, 2 * p + 1)):
-            window = thetas[-p:]
-            if max(window) - min(window) >= CYCLE_MIN_AMPLITUDE:
-                return p
-    return None
+class _CycleDetector:
+    """The cycle check of :func:`run` on the thresholds pushed so far.
+
+    ``runs[p]`` counts the trailing thresholds within CYCLE_TOL of the one
+    ``p`` steps back, for each period whose newest pair is; period ``p``
+    repeats three times at the tail when its run reaches ``2 p``.  A period
+    joins once there are ``3 p`` thresholds, counting its run back over
+    them; after that a push compares the new threshold once per period and
+    extends or drops the run, so no pair is compared twice.
+    """
+
+    def __init__(self, theta0: float) -> None:
+        self.thetas = [theta0]
+        self.runs: dict[int, int] = {}
+
+    def push(self, theta: float) -> int | None:
+        """Append ``theta``; the smallest period p <= MAX_CYCLE_PERIOD
+        repeated 3 times at the tail whose last ``p`` thresholds swing by
+        CYCLE_MIN_AMPLITUDE, if any."""
+        thetas, runs = self.thetas, self.runs
+        thetas.append(theta)
+        n = len(thetas)
+        # back[p - 2] is the threshold p steps before theta, for every
+        # period with 3 p thresholds.
+        back = thetas[-3:-2 - min(MAX_CYCLE_PERIOD, n // 3):-1]
+        self.runs = runs = {
+            p: runs.get(p, 0) + 1
+            for p, old in enumerate(back, 2)
+            if not abs(theta - old) > CYCLE_TOL
+        }
+        p = n // 3
+        if n % 3 == 0 and p in runs:  # p has just reached 3 p thresholds
+            run = 1
+            while run < 2 * p and not abs(thetas[-1 - run] - thetas[-1 - run - p]) > CYCLE_TOL:
+                run += 1
+            runs[p] = run
+        # The windows thetas[-p:] grow with p, so one running range covers them.
+        lo = hi = theta
+        seen = 1
+        for p, run in runs.items():
+            if run >= 2 * p:
+                extra = thetas[-p:-seen]
+                lo, hi, seen = min(lo, *extra), max(hi, *extra), p
+                if hi - lo >= CYCLE_MIN_AMPLITUDE:
+                    return p
+        return None
 
 
 def run(
@@ -163,7 +199,7 @@ def run(
         belief=theta0 if mode == "fp" else None,
     )
     states = [state]
-    thetas = [theta0]
+    cycles = _CycleDetector(theta0)
     belief = theta0
     quiet = 0
 
@@ -176,7 +212,6 @@ def run(
             watched_delta = abs(new.belief - belief)
             belief = new.belief
         states.append(new)
-        thetas.append(new.theta)
         state = new
 
         quiet = quiet + 1 if watched_delta <= tol else 0
@@ -186,7 +221,7 @@ def run(
                 states=tuple(states),
                 convergence=Convergence(status="converged", theta=final),
             )
-        period = _detect_cycle(thetas)
+        period = cycles.push(new.theta)
         if period is not None:
             window = states[-period:]
             averages = tuple(

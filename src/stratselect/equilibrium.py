@@ -44,7 +44,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .best_response import ResponseCurve
-from .kernel import find_root, normal_cdf, normal_pdf, normal_quantile
+from .kernel import (
+    _INV_SQRT_2PI,
+    _SQRT2,
+    find_root,
+    normal_cdf,
+    normal_pdf,
+    normal_quantile,
+)
 from .metrics import quality_from_outcomes
 from .model import (
     EffortDistribution,
@@ -167,21 +174,26 @@ def mixture_quantile(
     greatest bracket the root."""
     target = 1.0 - alpha
     z = normal_quantile(target)
-    quantiles = [
-        m + view.sigma * z for view, support in zip(views, supports) for m, _ in support
+    # One (effort, spread, mass) triple per support point of every group.
+    parts = [
+        (m, view.sigma, view.share * w)
+        for view, support in zip(views, supports)
+        for m, w in support
     ]
+    quantiles = [m + s * z for m, s, _ in parts]
     lo, hi = min(quantiles), max(quantiles)
     if lo == hi:
         return lo
+    erfc, exp = math.erfc, math.exp
 
     def excess(theta: float) -> tuple[float, float]:
         # Mass above theta minus alpha, and its slope: minus the density.
+        # kernel.normal_cdf and normal_pdf, inlined with their arithmetic.
         cdf = pdf = 0.0
-        for view, support in zip(views, supports):
-            for m, w in support:
-                u = (theta - m) / view.sigma
-                cdf += view.share * w * normal_cdf(u)
-                pdf += view.share * w * normal_pdf(u) / view.sigma
+        for m, s, mass in parts:
+            u = (theta - m) / s
+            cdf += mass * (0.5 * erfc(-u / _SQRT2))
+            pdf += mass * (_INV_SQRT_2PI * exp(-0.5 * u * u)) / s
         return target - cdf, -pdf
 
     return find_root(excess, lo, hi, 0.5 * (lo + hi))

@@ -308,11 +308,14 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
                 f"must be positive and finite"
             )
         elif not in_supported_range(config.reward, g.cost, sigma_sq):
-            problems.append(
-                f"groups[{g.label!r}]: reward {config.reward!r} is "
-                f"{_reward_ratio(config.reward, g.cost, sigma_sq):.4g} times "
-                f"cost * sigma**2, above the supported {MAX_REWARD_RATIO:g}"
-            )
+            ratio = _reward_ratio(config.reward, g.cost, sigma_sq)
+            if ratio < math.inf:
+                size = (f"{ratio:.4g} times cost * sigma**2, above the "
+                        f"supported {MAX_REWARD_RATIO:g}")
+            else:  # the ratio overflows, or cost * sigma**2 underflows to 0
+                size = (f"above the supported {MAX_REWARD_RATIO:g} times "
+                        f"cost * sigma**2 = {g.cost * sigma_sq!r}")
+            problems.append(f"groups[{g.label!r}]: reward {config.reward!r} is {size}")
     return problems
 
 

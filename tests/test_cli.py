@@ -101,7 +101,8 @@ class TestSolve:
         ({"eta_sq": math.inf}, {}, "eta_sq must be positive and finite, got inf"),
         # cost * sigma**2 underflows to 0.0.
         ({}, {"cost": 1e-200, "sigma_tilde": 1e-160},
-         "groups['H']: reward 10.0 is inf times cost * sigma**2, above the supported 1e+20"),
+         "groups['H']: reward 10.0 is above the supported 1e+20 times "
+         "cost * sigma**2 = 0.0"),
     ], ids=["sigma_tilde", "noise_var", "cost", "eta_sq", "cost_times_variance"])
     def test_non_finite_or_vanishing_field_is_named(self, tmp_path, capsys, top, group, message):
         # json writes and reads inf as Infinity.
@@ -347,6 +348,23 @@ class TestSupportedRange:
         assert err == f"error: {path}: reward grid value 10000000000000.0: {OUT_OF_RANGE}\n"
 
 
+    def test_overflowing_ratio_names_the_product(self, tmp_path, capsys):
+        # 5e+307 / (1.0 * 0.1**2) overflows, so the message gives the
+        # product and the supported ratio, not an infinite ratio.
+        game = str(SCENARIOS / "noise_gap_s10.json")
+        out = tmp_path / "out.csv"
+        argv = ["dropout", "--config", game, "--grid=1:1e308:3", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {game}: reward grid value 5e+307: "
+            "groups['H']: reward 5e+307 is above the supported 1e+20 times "
+            "cost * sigma**2 = 0.010000000000000002; "
+            "groups['L']: reward 5e+307 is 5e+307 times cost * sigma**2, "
+            "above the supported 1e+20\n"
+        )
+
+
 def group_dict(label, share, sigma, cost=1.0):
     return {
         "label": label, "share": share, "cost": cost,
@@ -570,6 +588,59 @@ def test_every_scenario_reruns_alike_in_one_process(tmp_path, capsys):
             outputs[tuple(argv)] = (captured.out, captured.err, written)
         passes.append(outputs)
     assert passes[0] == passes[1] == passes[2]
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    # One process: usage errors, help, then every subcommand, through the
+    # parser main keeps; each call must print and write what it does on a
+    # parser built afresh for it.
+    game = str(SCENARIOS / "noise_gap_s10.json")
+    out = str(tmp_path / "out.csv")
+    commands = [
+        [],
+        ["solve"],
+        ["dynamics", "--config", game, "--mode", "xx", "--out", out],
+        ["--help"],
+        ["dynamics", "--help"],
+        ["solve", "--config", game],
+        ["sweep", "--config", str(SCENARIOS / "sweep_small_reward.json"), "--out", out],
+        ["dropout", "--config", game, "--grid", "100:1000:3", "--out", out],
+        ["dynamics", "--config", game, "--mode", "fp", "--steps", "30", "--out", out],
+        ["verify", "--config", game, "--samples", "1000"],
+    ]
+
+    def call(argv):
+        if os.path.exists(out):
+            os.unlink(out)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = Path(out).read_bytes() if os.path.exists(out) else None
+        return code, captured.out, captured.err, written
+
+    builds = []
+    real = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    reused = [call(argv) for argv in commands]
+    assert len(builds) == 1
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert len(builds) == 1 + len(commands)
+    assert reused == fresh
+    codes = [code for code, *_ in reused]
+    assert codes == [2, 2, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert all(err.startswith("usage: stratselect") for _, _, err, _ in reused[:3])
+    assert reused[3][1].startswith("usage: stratselect")
 
 
 # Runs each argv of sys.argv[1] in turn through cli.main and prints, after

@@ -1,9 +1,18 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratselect.best_response import ResponseCurve
-from stratselect.dynamics import induced_threshold, run
+from stratselect.dynamics import (
+    CYCLE_MIN_AMPLITUDE,
+    CYCLE_TOL,
+    MAX_CYCLE_PERIOD,
+    _CycleDetector,
+    induced_threshold,
+    run,
+)
 from stratselect.equilibrium import solve_unconstrained
 from stratselect.model import EffortDistribution, GameConfig, GroupParams
 
@@ -173,3 +182,51 @@ class TestRun:
         init = (EffortDistribution.point(0.5), EffortDistribution.point(0.1))
         trace = run(small_reward_config, mode="br", max_steps=300, init=init)
         assert trace.convergence.status == "converged"
+
+
+def rescanning_detect_cycle(thetas):
+    """The cycle check as it was before it kept runs: it rescans the tail
+    on every step, and is the reference for :class:`_CycleDetector`."""
+    n = len(thetas)
+    for p in range(2, MAX_CYCLE_PERIOD + 1):
+        if n < 3 * p:
+            return None
+        if abs(thetas[-1] - thetas[-1 - p]) > CYCLE_TOL:
+            continue
+        if not any(abs(thetas[-i] - thetas[-i - p]) > CYCLE_TOL for i in range(1, 2 * p + 1)):
+            window = thetas[-p:]
+            if max(window) - min(window) >= CYCLE_MIN_AMPLITUDE:
+                return p
+    return None
+
+
+@st.composite
+def theta_sequences(draw):
+    """Thresholds that settle into a pattern of period 1 to 60 after a free
+    prefix, which may be shorter than three periods, for three to four
+    periods and 20 steps.  The pattern swings by about CYCLE_MIN_AMPLITUDE;
+    each step adds 0 or a noise just below or above CYCLE_TOL, and up to two
+    steps break the run."""
+    p = draw(st.integers(1, 60))
+    base = draw(st.floats(-10.0, 10.0))
+    swing = CYCLE_MIN_AMPLITUDE * draw(st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0, 1e3]))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=max(p - 2, 0), max_size=max(p - 2, 0)))
+    pattern = draw(st.permutations([0.0, 1.0, *inner][:p]))
+    prefix = draw(st.lists(st.floats(base - 1.0, base + 1.0), max_size=3 * p + 5))
+    length = draw(st.integers(3 * p, 4 * p + 20))
+    noise = CYCLE_TOL * draw(st.sampled_from([0.0, 0.5, 0.99, 1.01]))
+    noisy = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+    breaks = draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=2))
+    tail = [
+        base + swing * pattern[i % p] + noise * bump + (1.0 if i in breaks else 0.0)
+        for i, bump in enumerate(noisy)
+    ]
+    return prefix + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(thetas=theta_sequences())
+def test_cycle_detector_matches_the_rescan(thetas):
+    detector = _CycleDetector(thetas[0])
+    for n in range(2, len(thetas) + 1):
+        assert detector.push(thetas[n - 1]) == rescanning_detect_cycle(thetas[:n])

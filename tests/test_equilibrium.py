@@ -25,7 +25,7 @@ from stratselect.equilibrium import (
     solve_unconstrained,
     solver_bracket,
 )
-from stratselect.kernel import normal_cdf, normal_pdf, normal_quantile
+from stratselect.kernel import find_root, normal_cdf, normal_pdf, normal_quantile
 from stratselect.mc import grid_argmax_payoff, max_deviation_gain
 from stratselect.metrics import asymptotic_predictions
 from stratselect.model import (
@@ -812,16 +812,41 @@ def test_solves_where_a_subcritical_group_is_steepest(config):
                for o in parity.outcomes)
 
 
+def nested_loop_quantile(supports, views, alpha):
+    """``mixture_quantile`` as it was written before it flattened the
+    components into one list: the reference its result must match bit for
+    bit, since the flat loop keeps the arithmetic."""
+    target = 1.0 - alpha
+    z = normal_quantile(target)
+    quantiles = [
+        m + view.sigma * z for view, support in zip(views, supports) for m, _ in support
+    ]
+    lo, hi = min(quantiles), max(quantiles)
+    if lo == hi:
+        return lo
+
+    def excess(theta):
+        cdf = pdf = 0.0
+        for view, support in zip(views, supports):
+            for m, w in support:
+                u = (theta - m) / view.sigma
+                cdf += view.share * w * normal_cdf(u)
+                pdf += view.share * w * normal_pdf(u) / view.sigma
+        return target - cdf, -pdf
+
+    return find_root(excess, lo, hi, 0.5 * (lo + hi))
+
+
 class TestMixtureQuantile:
     def test_one_component_is_its_quantile(self, monkeypatch):
         calls = []
-        real = equilibrium.normal_cdf
+        real = equilibrium.find_root
 
-        def counted(z):
-            calls.append(z)
-            return real(z)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(equilibrium, "normal_cdf", counted)
+        monkeypatch.setattr(equilibrium, "find_root", counted)
         view = GroupView("A", 1.0, 1.0, 0.7)
         mixture_quantile([((2.5, 1.0),)], [view], 0.2)
         assert calls == []
@@ -857,3 +882,33 @@ class TestMixtureQuantile:
             for v, support in zip(views, supports) for m, w in support
         )
         assert abs(cdf - (1.0 - alpha)) <= 1e-11
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(
+                st.floats(0.05, 1.0),  # the share before normalising
+                st.floats(0.01, 10.0),  # the spread
+                st.one_of(
+                    st.floats(0.0, 20.0).map(lambda m: ((m, 1.0),)),
+                    st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0),
+                              st.floats(0.01, 0.99)).map(
+                        lambda t: ((t[0], t[2]), (t[1], 1.0 - t[2]))),
+                ),
+            ),
+            min_size=1, max_size=6,
+        ),
+        alpha=st.one_of(
+            st.floats(1e-12, 1e-2),
+            st.floats(0.02, 0.98),
+            st.floats(1e-12, 1e-2).map(lambda a: 1.0 - a),
+        ),
+    )
+    def test_flat_components_give_the_nested_loop_root(self, groups, alpha):
+        total = sum(share for share, _, _ in groups)
+        views = [GroupView(f"G{i}", share / total, 1.0, sigma)
+                 for i, (share, sigma, _) in enumerate(groups)]
+        supports = [support for _, _, support in groups]
+        assert (mixture_quantile(supports, views, alpha).hex()
+                == nested_loop_quantile(supports, views, alpha).hex())
+
