@@ -332,7 +332,7 @@ def _sweep_row(
             if "demographic_parity" in spec.solvers
             else None
         )
-    except _COMPUTE_ERRORS as exc:
+    except (*_COMPUTE_ERRORS, MemoryError) as exc:
         return row, f"{spec.axis}={value!r}: {exc}"
     if un is not None:
         row["theta_un"] = un.threshold

@@ -19,15 +19,13 @@ mix alike and ``mixing_group`` names the first of them.  One rate table per
 threshold, each group's low and high effort and selection rate, serves the
 walk, the smooth crossing and the outcomes of both regimes.
 
-The threshold a profile of strategies induces, the (1 - alpha)-quantile of
-the decision-statistic mixture, is found by :func:`mixture_quantile`,
-Newton's method on the mixture CDF: the solver bracket is that quantile at
-zero effort and at the payoff-feasibility bound, and the dynamics take every
-new threshold from it.  Only a smooth crossing needs the solver bracket: it
-clips the segment, whose ends may be infinite, so that the crossing's Newton
-search starts at a finite midpoint.  A pinned solve never computes it.  Both
-searches start at their bracket's midpoint, as :func:`kernel.find_root`
-converges from any start in it.
+Every solve walks the dropouts inside one closed-form bracket,
+:func:`solver_bracket`, and a smooth crossing's Newton search starts at the
+midpoint of its segment, as :func:`kernel.find_root` converges from any
+start in it.  The threshold a profile of strategies induces, the (1 -
+alpha)-quantile of the decision-statistic mixture, is found by
+:func:`mixture_quantile`, Newton's method on the mixture CDF; the dynamics
+take every new threshold from it.
 
 Each solver is a public entry, which checks the game and resolves its groups,
 and a core on the resolved groups, alpha and the reward, which a caller that
@@ -75,7 +73,10 @@ __all__ = [
     "CurveMemo",
 ]
 
-# The reported selection rates must reproduce alpha this tightly.
+# The reported selection rates must reproduce alpha to this relative error,
+# so a small alpha keeps its own digits.  Near alpha = 1 the bound is about
+# BUDGET_TOL absolute, the right rule there: a double holds alpha itself
+# only to an absolute 1.1e-16.
 BUDGET_TOL = 1e-8
 
 # Mixing weights may stick out of [0, 1] by at most this before we call it a bug.
@@ -200,11 +201,15 @@ def mixture_quantile(
 
 
 def solver_bracket(config: GameConfig) -> tuple[float, float]:
-    """An interval certain to contain the equilibrium threshold.
+    """An interval certain to contain the equilibrium threshold, in closed
+    form with no root search.
 
-    The lower end is the threshold induced by zero effort everywhere, the
-    upper end the one induced by the payoff-feasibility bound ``sqrt(2 S /
-    C_G)``; actual best responses lie in between, so the selected-mass curve
+    Best responses lie between zero and the payoff-feasibility bound
+    ``sqrt(2 S / C_G)``.  With ``z = -normal_quantile(alpha)``, the lower
+    end ``min_G s_G * z`` lies below every component quantile at zero
+    effort and the upper end ``max_G (sqrt(2 S / C_G) + s_G * z)`` above
+    every one at the bound, so they bound the thresholds those profiles
+    induce (see :func:`mixture_quantile`), and the selected-mass curve
     crosses alpha inside.
     """
     return _bracket(effective_groups(config), config.alpha, config.reward)
@@ -212,9 +217,9 @@ def solver_bracket(config: GameConfig) -> tuple[float, float]:
 
 def _bracket(views: tuple[GroupView, ...], alpha: float, reward: float) -> tuple[float, float]:
     """:func:`solver_bracket` of the game ``views`` at ``alpha`` and ``reward``."""
-    zero = [((0.0, 1.0),)] * len(views)
-    caps = [(((2.0 * reward / v.cost) ** 0.5, 1.0),) for v in views]
-    return mixture_quantile(zero, views, alpha), mixture_quantile(caps, views, alpha)
+    z = -normal_quantile(alpha)
+    lo = min(v.sigma * z for v in views)
+    return lo, max((2.0 * reward / v.cost) ** 0.5 + v.sigma * z for v in views)
 
 
 def _outcomes(
@@ -296,11 +301,10 @@ def solve_unconstrained(
 ) -> EquilibriumReport:
     """Unique Nash equilibrium of the unconstrained selection game.
 
-    With no ``bracket`` the walk takes every dropout, and only a smooth
-    crossing is bracketed, by :func:`solver_bracket`.  A ``bracket`` narrows
-    the walk and the crossing to that interval, which must still contain the
-    equilibrium threshold.  ``curves`` is a memo of response curves to read
-    and fill, shared across solves; ``None`` starts a fresh one.
+    The walk and a smooth crossing start from ``bracket``, which must
+    contain the equilibrium threshold, or with none from
+    :func:`solver_bracket`.  ``curves`` is a memo of response curves to
+    read and fill, shared across solves; ``None`` starts a fresh one.
     """
     return unconstrained_core(_resolve(config), config.alpha, config.reward, curves, bracket)
 
@@ -311,9 +315,11 @@ def unconstrained_core(
 ) -> EquilibriumReport:
     """:func:`solve_unconstrained` on groups already resolved from a valid
     game, at ``alpha`` and ``reward``: a caller that checked the game once
-    solves it along a grid with no further checks."""
+    solves it along a grid with no further checks.  One path serves every
+    solve: the bracket, the walk over the dropouts inside it, then the pin
+    or the smooth crossing."""
     curves = response_curves(views, reward, curves)
-    lo, hi = (-math.inf, math.inf) if bracket is None else bracket
+    lo, hi = bracket or _bracket(views, alpha, reward)
 
     # Groups sharing a dropout share its double: twins share one curve.
     events = sorted({
@@ -322,11 +328,7 @@ def unconstrained_core(
     })
 
     # Walk the dropouts up to the segment free of jumps that holds the
-    # crossing, unless a jump straddles alpha.  Efforts lie between zero and
-    # the cap sqrt(2 S / C_G), so below the bracket's lower end the mass
-    # exceeds alpha on both sides of a dropout and the walk passes it, and
-    # above the upper end it falls short and the walk stops: the unbracketed
-    # walk ends on the pin or segment a bracketed one would.
+    # crossing, unless a jump straddles alpha.
     lows, highs = [0] * len(views), [1] * len(views)
     outcomes = None
     for theta_d in events:
@@ -342,11 +344,6 @@ def unconstrained_core(
         lo = theta_d
 
     if outcomes is None:
-        if bracket is None:
-            # Clip the segment to the bracket, so that Newton starts from its
-            # midpoint with both ends finite.
-            theta_lo, theta_hi = _bracket(views, alpha, reward)
-            lo, hi = max(lo, theta_lo), min(hi, theta_hi)
         # No dropout lies inside (lo, hi): a group whose dropout lies above
         # it plays its high maximum throughout, every other group its low one.
         mid = 0.5 * (lo + hi)
@@ -370,7 +367,7 @@ def unconstrained_core(
         regime = "smooth"
 
     budget = sum(v.share * o.selection_rate for v, o in zip(views, outcomes))
-    if abs(budget - alpha) > BUDGET_TOL:
+    if abs(budget - alpha) > BUDGET_TOL * alpha:
         raise SolverError(
             f"selection budget off by {abs(budget - alpha)!r} at theta={theta!r}"
         )
@@ -421,7 +418,7 @@ def parity_core(
             rate = normal_cdf((effort - theta) / view.sigma)
             table, weights, mixing = [(rate, rate, effort, effort)], [0.0], ()
         outcome, = _outcomes(theta, (view,), table, weights, mixing)
-        if abs(outcome.selection_rate - alpha) > BUDGET_TOL:
+        if abs(outcome.selection_rate - alpha) > BUDGET_TOL * alpha:
             raise SolverError(f"group {view.label!r} selected at rate "
                               f"{outcome.selection_rate!r} at theta={outcome.threshold!r}")
         outcomes.append(outcome)

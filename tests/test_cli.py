@@ -231,6 +231,26 @@ class TestSweep:
         assert set(failed_row[1:]) == {""}
         assert "synthetic failure" in capsys.readouterr().err
 
+    def test_memory_error_leaves_one_row_blank(self, tmp_path, monkeypatch, capsys):
+        # A row that runs out of memory fails alone, like any computation
+        # error, instead of aborting the sweep with exit 2.
+        real = cli.unconstrained_core
+
+        def starved(views, alpha, *args, **kwargs):
+            if alpha == 0.2:
+                raise MemoryError("synthetic allocation failure")
+            return real(views, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "unconstrained_core", starved)
+        spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2, 0.3]))
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [row[0] for row in rows] == ["0.1", "0.2", "0.3"]
+        assert set(rows[1][1:]) == {""}
+        assert rows[0][1] and rows[2][1]  # theta_un
+        assert capsys.readouterr().err == "warning: alpha=0.2: synthetic allocation failure\n"
+
     def test_dict_grid_with_log_scale(self, tmp_path):
         spec_payload = sweep_spec_dict(
             {"lo": 0.1, "hi": 0.4, "count": 3, "scale": "log"}
@@ -558,7 +578,7 @@ BUNDLED_OUTPUTS = {
     "noise_gap_small_reward.solve.json": "8e8f1f199534563c5027e499f617676b47a187ef87e010d273ac11a6bfe8bf32",
     "sweep_cost_gap_s1000.csv": "479ea7147e6ba5587a46d33218253e8b8f62b960b020bde90260a918aec0d414",
     "sweep_equal_cost_s1000.csv": "5e54a8de2348b52f68a7c405ef8eeb1881065d6a195d118413f0b32195b15984",
-    "sweep_small_reward.csv": "948ec818f72e55bbdf1b9700eeddb46f4175537ff711753d50ccfddc673956aa",
+    "sweep_small_reward.csv": "de95f131709c70c411e5f863cbea307ed90644cddd52f813d0ebe84141e76cca",
 }
 
 

@@ -29,6 +29,7 @@ from stratselect.kernel import find_root, normal_cdf, normal_pdf, normal_quantil
 from stratselect.mc import grid_argmax_payoff, max_deviation_gain
 from stratselect.metrics import asymptotic_predictions
 from stratselect.model import (
+    MAX_REWARD_RATIO,
     GameConfig,
     GroupParams,
     GroupView,
@@ -132,6 +133,35 @@ class TestSolverBracket:
         lo, hi = solver_bracket(noise_gap_config)
         assert excess_mass(lo, noise_gap_config).mass_hi >= noise_gap_config.alpha
         assert excess_mass(hi, noise_gap_config).mass_lo <= noise_gap_config.alpha
+
+    def test_runs_no_root_search(self, noise_gap_config, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the bracket ran a root search")
+
+        for name in ("find_root", "mixture_quantile"):
+            monkeypatch.setattr(equilibrium, name, forbidden)
+        # Spreads 0.1 (H) and 1 (L), unit costs, S = 10 and alpha = 0.1.
+        z = -normal_quantile(0.1)
+        lo, hi = solver_bracket(noise_gap_config)
+        assert lo == pytest.approx(0.1 * z, rel=1e-15)
+        assert hi == pytest.approx(math.sqrt(20.0) + z, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.deferred(lambda: parity_games()))
+    def test_contains_the_induced_thresholds(self, config):
+        # The thresholds that zero effort and the payoff-feasibility bound
+        # induce, which the bracket once solved for.  mixture_quantile works
+        # from 1 - alpha, rounded to 1.1e-16, so its root may stick out of
+        # the closed form by an ulp or so (at most 3.2e-16 * (1 + |root|)
+        # on 3,000 of these games).
+        views = effective_groups(config)
+        zero = [((0.0, 1.0),)] * len(views)
+        caps = [(((2.0 * config.reward / v.cost) ** 0.5, 1.0),) for v in views]
+        lo, hi = solver_bracket(config)
+        low = mixture_quantile(zero, views, config.alpha)
+        high = mixture_quantile(caps, views, config.alpha)
+        assert lo <= low + 1e-14 * (1.0 + abs(low))
+        assert high <= hi + 1e-14 * (1.0 + abs(high))
 
 
 class TestExcessMass:
@@ -694,10 +724,8 @@ def hex_or_error(solve):
 @settings(max_examples=300, deadline=None)
 @given(config=parity_games(min_groups=2))
 def test_unbracketed_walk_matches_the_bracketed_solve(config):
-    """With no bracket the walk takes every dropout, and only a smooth
-    crossing is clipped to the solver bracket: where that bracket holds
-    the threshold, the solve is the bracketed one bit for bit, whichever
-    dropouts lie outside that bracket."""
+    """With no bracket the solve starts from :func:`solver_bracket`, so it
+    is the solve given that bracket bit for bit: one path serves both."""
     curves = {}
     bracketed = hex_or_error(
         lambda: solve_unconstrained(config, bracket=solver_bracket(config), curves=curves)
@@ -810,6 +838,79 @@ def test_solves_where_a_subcritical_group_is_steepest(config):
     parity = solve_demographic_parity(config)
     assert all(abs(o.selection_rate - config.alpha) <= equilibrium.BUDGET_TOL
                for o in parity.outcomes)
+
+
+@st.composite
+def wide_games(draw, alphas):
+    """Games of 2-6 groups in either mode, with costs from 0.01 to 100,
+    noise from 0 to 100, alpha from ``alphas`` and the reward log-uniform
+    from a tenth of the largest ``cost * sigma**2`` up to the supported
+    ratio of the smallest."""
+    count = draw(st.integers(2, 6))
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    groups = tuple(
+        GroupParams(f"G{i}", w / sum(weights), 10.0 ** draw(st.floats(-2.0, 2.0)),
+                    noise_var=draw(st.floats(0.0, 100.0)))
+        for i, w in enumerate(weights)
+    )
+    config = GameConfig(
+        reward=1.0, alpha=draw(alphas), eta_sq=1.0, groups=groups,
+        dm_mode=draw(st.sampled_from(["bayesian", "oblivious"])),
+    )
+    scales = [v.cost * v.sigma**2 for v in effective_groups(config)]
+    exponent = draw(st.floats(math.log10(0.1 * max(scales)),
+                              math.log10(MAX_REWARD_RATIO * min(scales))))
+    config = dataclasses.replace(config, reward=10.0**exponent)
+    assume(validate(config) == [])
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=wide_games(st.floats(-15.0, -1.0).map(lambda e: 10.0**e)))
+# Two subcritical groups.  A solver bracket solved from 1 - alpha, which
+# rounds alpha to an absolute 1.1e-16, put the crossing's bracket end past
+# the root here, and the solve returned that end: the budget was 2.6e-3 off.
+@example(config=GameConfig(
+    reward=1.0, alpha=1e-14, eta_sq=1.0,
+    groups=(GroupParams("A", 0.5, 1.0, sigma_tilde=1.0),
+            GroupParams("B", 0.5, 2.0, sigma_tilde=0.5)),
+))
+def test_small_selection_sizes_keep_their_budget(config):
+    """Down to alpha = 1e-15 both solvers reproduce alpha to its own
+    precision, relative to alpha."""
+    views, alpha = effective_groups(config), config.alpha
+    un = solve_unconstrained(config)
+    budget = sum(v.share * o.selection_rate for v, o in zip(views, un.outcomes))
+    assert abs(budget - alpha) <= 1e-12 * alpha
+    for outcome in solve_demographic_parity(config).outcomes:
+        assert abs(outcome.selection_rate - alpha) <= 1e-12 * alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=wide_games(st.one_of(
+        st.floats(-14.0, -2.0).map(lambda e: 10.0**e), st.floats(0.01, 0.99),
+    )),
+    data=st.data(),
+)
+def test_threshold_ignores_group_order_and_twin_splits(config, data):
+    """Permuting the groups, or splitting one into two twins of half its
+    share, is the same game: the threshold moves by at most rounding.
+    Alpha stays below 0.99: within 1e-4 of 1 the selected mass is flat in
+    the threshold, which is so ill-conditioned there that these changes
+    moved it by up to 2.8e-3 (alpha down to 1 - 1e-12), whichever way the
+    solver bracket is built."""
+    groups = config.groups
+    order = data.draw(st.permutations(range(len(groups))))
+    k = data.draw(st.integers(0, len(groups) - 1))
+    halves = tuple(
+        dataclasses.replace(groups[k], label=groups[k].label + twin, share=0.5 * groups[k].share)
+        for twin in "ab"
+    )
+    theta = solve_unconstrained(config).threshold
+    for changed in ([groups[i] for i in order], groups[:k] + halves + groups[k + 1:]):
+        moved = solve_unconstrained(dataclasses.replace(config, groups=tuple(changed)))
+        assert abs(moved.threshold - theta) <= 1e-13 * max(1.0, abs(theta))
 
 
 def nested_loop_quantile(supports, views, alpha):
