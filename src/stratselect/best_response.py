@@ -31,20 +31,25 @@ the start is a speed hint, a fixed point of the bracket from which ``g'' =
 (z**2 - 1) * phi(z)`` keeps one sign up to the root, so the steps approach
 it from one side: ``mu = 0`` for the low maximum (``z < z1 < -1``), the
 inflection point ``z = 1`` for the high one (``z > z2 > -1``, ``mu = 0``
-where that is higher) and ``z = -1`` for the minimum.  The dropout search is
-the same iteration on the gap, whose slope comes free with the two maxima,
-over the window from ``sqrt(2 / eps)``, a start near the dropout.  So a root
-depends on ``eps``, ``tau`` and its bracket alone, never on earlier calls.
+where that is higher) and ``z = -1`` for the minimum.  So a root depends on
+``eps``, ``tau`` and its bracket alone, never on earlier calls.
+
+The dropout search solves the tie as one system: the two first-order
+conditions and the payoff gap, in the unknowns ``(tau, mu_low, z_high)``.
+Its derivatives are closed form, so a Newton step costs two ``exp`` and two
+``erfc``, and a bracket of ``tau`` safeguards it as in :func:`find_root`.
+It starts from both maxima solved at ``min(sqrt(2 / eps), midpoint)``, so
+``tau_d`` too depends on ``eps`` alone, and the tied pair is its last
+iterate, held to the same tie test as a best response.
 
 Inside the window a best response solves only the maximum that wins: the
 high one below ``tau_d``, the low one above.  The tie test ``|gap| <=
 PAYOFF_TIE_REL`` fires only within ``PAYOFF_TIE_REL / |phi(z_high) -
 phi(z_low)|`` of ``tau_d``; a band ``TIE_BAND`` times wider solves both
-maxima and compares them, as the dropout search does; only
-:meth:`ResponseCurve.stationary_points` solves the minimum.  Both paths
-solve a root on the same bracket, so a best response is the same double.  A
-curve remembers its last two best responses, and a dropout search that fails
-raises from the constructor.
+maxima and compares them; only :meth:`ResponseCurve.stationary_points`
+solves the minimum.  Both paths solve a root on the same bracket, so a best
+response is the same double.  A curve remembers its last two best
+responses, and a dropout search that fails raises from the constructor.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ from dataclasses import dataclass
 from .kernel import (
     _BRANCH_POINT,
     _INV_SQRT_2PI,
+    _MIN_RTOL,
+    MAX_ITER,
     NoConvergence,
     find_root,
     lambert_w,
@@ -310,35 +317,87 @@ class ResponseCurve:
         return self.info
 
     def _search_dropout(self) -> None:
-        """Set ``info`` and ``band``: Newton's method on the (strictly
-        decreasing) scaled payoff gap between the high and the low maximum
-        over the three-root window, started at ``sqrt(2 / eps)``."""
+        """Set ``info`` and ``band``: Newton's method on ``g_low =
+        phi(mu_low - tau) - eps * mu_low``, ``g_high = phi(z_high) - eps *
+        (z_high + tau)`` and the scaled payoff gap ``G`` (high minus low),
+        which falls in ``tau``.  ``G`` has slope ``-g_low`` in ``mu_low`` and
+        ``g_high`` in ``z_high``, so eliminating the maxima leaves the
+        envelope step ``-G / (phi(z_low) - phi(z_high))`` corrected by the
+        residuals.  As in :func:`find_root`, the sign of ``G`` at the exact
+        maxima (to second order in the residuals) moves an end of the ``tau``
+        bracket, and a step that leaves the bracket or a maximum's branch, or
+        does not halve the step before last, becomes the bracket's midpoint,
+        where both maxima are solved again."""
         group, reward, sigma, eps = self.group, self.reward, self.sigma, self.eps
-        _, _, tau1, tau2 = self.window
+        z1, z2, tau1, tau2 = self.window
         lo, hi = self.inner
 
-        def gap(tau: float) -> tuple[float, float]:
-            low, high = self._root(tau, *self.low), self._root(tau, *self.high)
-            # Envelope theorem: the gap falls at phi(z_low) - phi(z_high),
-            # with phi(z) = eps * mu at a stationary point.
-            return self._utility(high) - self._utility(low), eps * (low[1] - high[1])
+        def maxima(tau: float) -> tuple[float, float, float]:
+            return tau, self._root(tau, *self.low)[1], self._root(tau, *self.high)[0]
 
-        tau_d = find_root(gap, lo, hi, min(max(math.sqrt(2.0 / eps), lo), hi))
-        maxima = self._compare_maxima(tau_d)
-        if len(maxima) != 2:
+        tau, mu, z = maxima(min(math.sqrt(2.0 / eps), 0.5 * (lo + hi)))
+        last = older = math.inf  # the last two tau step lengths
+        for _ in range(MAX_ITER):
+            z_low, mu_high = mu - tau, z + tau
+            pdf_low = _INV_SQRT_2PI * math.exp(-0.5 * z_low * z_low)
+            pdf_high = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+            g_low, g_high = pdf_low - eps * mu, pdf_high - eps * mu_high
+            # Slopes of g_low in mu_low and of g_high in z_high: negative on
+            # the branches z_low < z1 and z_high > z2.
+            s_low, s_high = -z_low * pdf_low - eps, -z * pdf_high - eps
+            gap = (normal_cdf(z) - 0.5 * eps * mu_high * mu_high) - (
+                normal_cdf(z_low) - 0.5 * eps * mu * mu
+            )
+            if gap != gap or s_low >= 0.0 or s_high >= 0.0:
+                raise NoConvergence(f"no tie at tau {tau!r} for group {group.label!r}")
+            r_low, r_high = g_low * g_low / s_low, g_high * g_high / s_high
+            if gap + 0.5 * (r_low - r_high) > 0.0:  # the high maximum wins
+                lo = tau
+            else:
+                hi = tau
+            slope = pdf_low - eps * mu_high + (g_low * z_low * pdf_low / s_low
+                                               + g_high * eps / s_high)
+            dtau = -(gap + r_low - r_high) / slope if slope != 0.0 else math.inf
+            step = tau + dtau
+            mu_step = mu - (g_low + z_low * pdf_low * dtau) / s_low
+            z_step = z + (eps * dtau - g_high) / s_high
+            tol = _MIN_RTOL * (abs(tau) + 1.0)
+            if abs(dtau) <= tol:
+                tau, mu, z = min(max(step, lo), hi), mu_step, z_step
+                break
+            if (
+                lo < step < hi
+                and abs(dtau) <= 0.5 * older
+                and 0.0 <= mu_step < step + z1
+                and z_step > z2
+            ):
+                tau, mu, z = step, mu_step, z_step
+            else:
+                mid = 0.5 * (lo + hi)
+                moved = abs(mid - tau)
+                tau, mu, z = maxima(mid)
+                if moved <= tol:  # the bracket is down to adjacent doubles
+                    break
+                dtau = moved
+            last, older = abs(dtau), last
+        else:
             raise NoConvergence(
-                f"payoffs at dropout differ by {abs(gap(tau_d)[0]) * reward!r} "
+                f"no tie in [{lo!r}, {hi!r}] after {MAX_ITER} steps for group {group.label!r}"
+            )
+        u_low, u_high = self._utility((mu - tau, mu)), self._utility((z, z + tau))
+        if not abs(u_high - u_low) <= PAYOFF_TIE_REL:
+            raise NoConvergence(
+                f"payoffs at dropout differ by {abs(u_high - u_low) * reward!r} "
                 f"(> 1e-9 * reward) for group {group.label!r}"
             )
-        low, high = maxima
-        half = TIE_BAND * PAYOFF_TIE_REL / abs(normal_pdf(high[0]) - normal_pdf(low[0]))
-        self.band = (tau_d - half, tau_d + half)
+        half = TIE_BAND * PAYOFF_TIE_REL / abs(normal_pdf(z) - normal_pdf(mu - tau))
+        self.band = (tau - half, tau + half)
         self.info = DropoutInfo(
-            theta_d=sigma * tau_d,
-            br_min=sigma * low[1],
-            br_max=sigma * high[1],
+            theta_d=sigma * tau,
+            br_min=sigma * mu,
+            br_max=sigma * (z + tau),
             window=(sigma * tau1, sigma * tau2),
-            payoff_at_dropout=reward * 0.5 * (self._utility(low) + self._utility(high)),
+            payoff_at_dropout=reward * 0.5 * (u_low + u_high),
         )
 
 

@@ -226,8 +226,9 @@ class TestDropoutThreshold:
 
 
 class TestDropoutSearch:
-    """The dropout search is Newton's method on the payoff gap: the tie is
-    tight across the supported range and the work is a few solves."""
+    """The dropout search is one Newton iteration on the threshold and both
+    maxima: the tie is tight across the supported range, and the maxima are
+    solved once."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -258,12 +259,11 @@ class TestDropoutSearch:
 
         monkeypatch.setattr(ResponseCurve, "_root", counted)
         dropout_threshold(unit_group, reward)
-        # Both maxima at each threshold the search evaluates, and at the one
-        # it returns, which is the last one evaluated when Newton's final
-        # step rounds to nothing (as at S = 1000): only that one repeats.
-        assert len(calls) <= 16
-        repeated = {tau for tau, bracket in calls if calls.count((tau, bracket)) > 1}
-        assert repeated <= {calls[-1][0]}
+        # The joint iteration solves both maxima once, at its start; it solves
+        # them again only at a bisected threshold, which neither reward needs.
+        # The low maximum is bracketed in mu, the high one in z.
+        (tau, low), (tau_again, high) = calls
+        assert tau == tau_again and (low[2], high[2]) == (True, False)
 
 
 # Log-uniform spreads and costs of the supported-range fuzz.
@@ -392,17 +392,10 @@ class TestResponseCurve:
         assert len(roots) == 4  # inside the band: both maxima
 
     def test_failed_dropout_search_raises_from_the_constructor(self, unit_group, monkeypatch):
-        real = best_response_module.find_root
-
-        def fail(f, *args):
-            # Fails the dropout search, the one root of the payoff gap; the
-            # stationary points still solve.
-            if f.__name__ == "gap":
-                raise NoConvergence("no tie")
-            return real(f, *args)
-
-        monkeypatch.setattr(best_response_module, "find_root", fail)
-        with pytest.raises(NoConvergence):
+        # One joint Newton step does not reach the tie from the start, so a
+        # budget of one fails the dropout search.
+        monkeypatch.setattr(best_response_module, "MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match=r"no tie in \[.*\] after 1 steps for group 'A'"):
             ResponseCurve(unit_group, 10.0)
         assert ResponseCurve(unit_group, 1.0).info is None  # no window, no search
 
@@ -423,8 +416,9 @@ class TestDerivativeIdentity:
 
 
 class CountingMath:
-    """``math`` with a count of ``exp`` calls: in ``best_response`` each is
-    one evaluation of the first-order condition."""
+    """``math`` with a count of ``exp`` calls: in ``best_response`` one
+    evaluation of the first-order condition makes one, and one joint Newton
+    step of the dropout search two."""
 
     def __init__(self):
         self.exp_calls = 0
@@ -546,8 +540,34 @@ class TestNewtonRoots:
             assert outcome.selection_rate == pytest.approx(0.5, abs=1e-9)
 
     def test_dropout_search_evaluations(self, unit_group, monkeypatch):
-        # 62 evaluations here: Newton on the gap, two stationary points a step.
+        # 20 exp calls here: both maxima at the start (10 evaluations of the
+        # first-order condition), then 5 joint Newton steps.
         counter = CountingMath()
         monkeypatch.setattr(best_response_module, "math", counter)
         dropout_threshold(unit_group, 10.0)
-        assert counter.exp_calls <= 100
+        assert counter.exp_calls <= 30
+
+    def test_dropout_search_work_over_the_supported_range(self, unit_group, monkeypatch):
+        # A fixed log grid of 200 reward ratios over the supported range.
+        # Measured per curve: 11.5 evaluations of the first-order condition
+        # (both maxima at the start) and 3.3 joint Newton steps.
+        counter = CountingMath()
+        monkeypatch.setattr(best_response_module, "math", counter)
+        evaluations = 0
+        real = best_response_module.find_root
+
+        def counted(f, *args):
+            def foc(x):
+                nonlocal evaluations
+                evaluations += 1
+                return f(x)
+
+            return real(foc, *args)
+
+        monkeypatch.setattr(best_response_module, "find_root", counted)
+        ratios = np.geomspace(1.001, MAX_REWARD_RATIO, 200)
+        for ratio in ratios:
+            ResponseCurve(unit_group, critical_reward(unit_group) * float(ratio))
+        joint_steps = (counter.exp_calls - evaluations) / 2
+        assert evaluations / len(ratios) <= 15.0
+        assert joint_steps / len(ratios) <= 5.0

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from stratselect.equilibrium import (
     solve_demographic_parity,
     solve_unconstrained,
 )
-from stratselect.kernel import DomainError, NoConvergence
+from stratselect.kernel import DomainError
 from stratselect.model import config_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -570,14 +571,14 @@ def load_run_scenarios():
 # sha256 of each file scripts/run_scenarios.py writes; verify.txt rests on
 # the Monte Carlo draws and TestVerify.test_table_is_pinned pins its table.
 BUNDLED_OUTPUTS = {
-    "cost_gap_s10.solve.json": "fc868c60ee4bf2d60a4f3e028e5b303279a10317e9431009a8bc46e11c768b82",
-    "noise_gap_dropout.csv": "3bd951a4180d699feed84eee6be70b0ede8cfa6a979b91a3ed196d7f786d0930",
+    "cost_gap_s10.solve.json": "9cffe66aefc1773b166cf754ebfff46b231773045c729d6ca58ad0b6f584de38",
+    "noise_gap_dropout.csv": "64d44ec75be47cb54a7b7bdfa64f8a31ab3863cf51d6107c2f5d1000f8dbe94e",
     "noise_gap_dynamics_br.csv": "b71ac50b469b879f78caa9e79900b0c89640a6eac3f9ce3959a41483fb59a157",
     "noise_gap_dynamics_fp.csv": "6d477e2910151986bc6f290b31b2fb38dcb22d7bc0d949ce00da65338f2b38ab",
-    "noise_gap_s10.solve.json": "5cb6f9d76fefca6fa8eb50fff8e642b1fc923e79052db6b4dc7e18a8619097b3",
+    "noise_gap_s10.solve.json": "ad1363fb6e54fd17aa260f7829d1ecd223175ac1e680219e5739ef4f89e32e63",
     "noise_gap_small_reward.solve.json": "8e8f1f199534563c5027e499f617676b47a187ef87e010d273ac11a6bfe8bf32",
-    "sweep_cost_gap_s1000.csv": "479ea7147e6ba5587a46d33218253e8b8f62b960b020bde90260a918aec0d414",
-    "sweep_equal_cost_s1000.csv": "5e54a8de2348b52f68a7c405ef8eeb1881065d6a195d118413f0b32195b15984",
+    "sweep_cost_gap_s1000.csv": "b9c10be087515c694b0a7130bb4813c5db67bea95a76430ced4fcea3b76a1d6e",
+    "sweep_equal_cost_s1000.csv": "ac7c1f85753939c11960acd1c9f78cb82898ec2027f66bf3371764b089302165",
     "sweep_small_reward.csv": "de95f131709c70c411e5f863cbea307ed90644cddd52f813d0ebe84141e76cca",
 }
 
@@ -707,20 +708,14 @@ def test_numpy_loads_only_for_log_grids_and_verify(tmp_path):
 def test_failed_dropout_search_is_a_computation_error(tmp_path, monkeypatch, capsys, command):
     # A curve searches its dropout when it is made, so the failure reaches
     # the CLI from the first curve inside a window.
-    real = best_response_module.find_root
-
-    def fail(f, *args):
-        # Fails the dropout search, the one root of the payoff gap; the
-        # stationary points still solve.
-        if f.__name__ == "gap":
-            raise NoConvergence("no tie in the window")
-        return real(f, *args)
-
-    monkeypatch.setattr(best_response_module, "find_root", fail)
+    # One joint Newton step does not reach the tie, so a budget of one fails
+    # the dropout search.
+    monkeypatch.setattr(best_response_module, "MAX_ITER", 1)
     extra = {"solve": [], "dynamics": ["--steps", "5", "--out", str(tmp_path / "out.csv")]}
     argv = [command, "--config", str(SCENARIOS / "noise_gap_s10.json"), *extra[command]]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "computation failed: no tie in the window\n"
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"computation failed: no tie in \[.*\] after 1 steps for group '\w+'\n", err)
 
 
 class TestDropout:

@@ -700,39 +700,6 @@ def check_bracket_free(config, below, above):
         assert abs(widened.threshold - report.threshold) <= tol
 
 
-def report_hex(report):
-    """The regime and every float of ``report``, as ``float.hex``."""
-    def h(x):
-        return None if x is None else x.hex()
-
-    return (report.regime, h(report.threshold), h(report.quality), [
-        (o.label, h(o.threshold), h(o.tau), h(o.avg_effort), h(o.selection_rate),
-         [(h(m), h(w)) for m, w in o.strategy.support])
-        for o in report.outcomes
-    ])
-
-
-def hex_or_error(solve):
-    """``report_hex`` of ``solve()``, or the error it raises: two paths that
-    agree bit for bit also fail alike (the cusp band, ROADMAP item 4)."""
-    try:
-        return report_hex(solve())
-    except cli._COMPUTE_ERRORS as exc:
-        return repr(exc)
-
-
-@settings(max_examples=300, deadline=None)
-@given(config=parity_games(min_groups=2))
-def test_unbracketed_walk_matches_the_bracketed_solve(config):
-    """With no bracket the solve starts from :func:`solver_bracket`, so it
-    is the solve given that bracket bit for bit: one path serves both."""
-    curves = {}
-    bracketed = hex_or_error(
-        lambda: solve_unconstrained(config, bracket=solver_bracket(config), curves=curves)
-    )
-    assert hex_or_error(lambda: solve_unconstrained(config, curves=curves)) == bracketed
-
-
 @settings(max_examples=150, deadline=None)
 @given(config=parity_games(min_groups=2), axis=st.sampled_from(["alpha", "reward"]))
 def test_sweep_row_matches_the_public_solvers(config, axis):

@@ -1,9 +1,10 @@
-"""Each root the solvers find by ``kernel.find_root``, against the same root
-solved to 50 digits by mpmath from the answer under test: the dropout tie,
-the smooth equilibrium crossing and the induced threshold."""
+"""Each root the solvers find, against the same root solved to 50 digits
+by mpmath from the answer under test: the dropout tie, the smooth
+equilibrium crossing and the induced threshold."""
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 from hypothesis import assume, given, settings
@@ -12,7 +13,13 @@ from mpmath import mpf
 
 from stratselect.best_response import ResponseCurve, critical_reward
 from stratselect.equilibrium import mixture_quantile, solve_unconstrained
-from stratselect.model import GameConfig, GroupParams, GroupView, effective_groups
+from stratselect.model import (
+    MAX_REWARD_RATIO,
+    GameConfig,
+    GroupParams,
+    GroupView,
+    effective_groups,
+)
 
 DIGITS = 50
 TOL = mpf(10) ** (10 - 2 * DIGITS)
@@ -30,7 +37,7 @@ def branch_tau(eps):
 @given(
     cost=COSTS,
     sigma=st.floats(-2.0, math.log10(3.0)).map(lambda e: 10.0**e),
-    log_ratio=st.floats(math.log10(1.001), 12.0),
+    log_ratio=st.floats(math.log10(1.001), math.log10(MAX_REWARD_RATIO)),
 )
 def test_dropout_tie(cost, sigma, log_ratio):
     group = GroupView("A", 1.0, cost, sigma)
@@ -52,8 +59,12 @@ def test_dropout_tie(cost, sigma, log_ratio):
             tol=TOL,
         )
         exact = at(z_low)
+        slope = float(abs(mpmath.npdf(z_high) - mpmath.npdf(z_low)))
         assert z_low < -1 < z_high
-        assert abs(tau - exact) <= 1e-14 * exact
+        # Four ulps, plus the gap's own rounding (about epsilon) over its
+        # slope: near the critical reward the maxima merge, the slope
+        # vanishes and the tie is ill-conditioned (8 ulps at a ratio of 1.001).
+        assert abs(tau - exact) <= 4.0 * math.ulp(float(exact)) + sys.float_info.epsilon / slope
 
 
 @settings(max_examples=100, deadline=None)
