@@ -34,13 +34,12 @@ inflection point ``z = 1`` for the high one (``z > z2 > -1``, ``mu = 0``
 where that is higher) and ``z = -1`` for the minimum.  So a root depends on
 ``eps``, ``tau`` and its bracket alone, never on earlier calls.
 
-The dropout search solves the tie as one system: the two first-order
-conditions and the payoff gap, in the unknowns ``(tau, mu_low, z_high)``.
-Its derivatives are closed form, so a Newton step costs two ``exp`` and two
-``erfc``, and a bracket of ``tau`` safeguards it as in :func:`find_root`.
-It starts from both maxima solved at ``min(sqrt(2 / eps), midpoint)``, so
-``tau_d`` too depends on ``eps`` alone, and the tied pair is its last
-iterate, held to the same tie test as a best response.
+The dropout tie is one more :func:`find_root` equation, in ``tau``: the
+payoff gap at the two maxima, whose closed-form slope folds in the maxima's
+own Newton steps.  Each evaluation predicts both maxima at its Newton step,
+so the search solves them only at its start, ``min(sqrt(2 / eps),
+midpoint)``, and where it bisects; ``tau_d`` too depends on ``eps`` alone,
+and the tied pair is held to the same tie test as a best response.
 
 Inside the window a best response solves only the maximum that wins: the
 high one below ``tau_d``, the low one above.  The tie test ``|gap| <=
@@ -60,8 +59,6 @@ from dataclasses import dataclass
 from .kernel import (
     _BRANCH_POINT,
     _INV_SQRT_2PI,
-    _MIN_RTOL,
-    MAX_ITER,
     NoConvergence,
     find_root,
     lambert_w,
@@ -317,27 +314,30 @@ class ResponseCurve:
         return self.info
 
     def _search_dropout(self) -> None:
-        """Set ``info`` and ``band``: Newton's method on ``g_low =
-        phi(mu_low - tau) - eps * mu_low``, ``g_high = phi(z_high) - eps *
-        (z_high + tau)`` and the scaled payoff gap ``G`` (high minus low),
-        which falls in ``tau``.  ``G`` has slope ``-g_low`` in ``mu_low`` and
-        ``g_high`` in ``z_high``, so eliminating the maxima leaves the
-        envelope step ``-G / (phi(z_low) - phi(z_high))`` corrected by the
-        residuals.  As in :func:`find_root`, the sign of ``G`` at the exact
-        maxima (to second order in the residuals) moves an end of the ``tau``
-        bracket, and a step that leaves the bracket or a maximum's branch, or
-        does not halve the step before last, becomes the bracket's midpoint,
-        where both maxima are solved again."""
+        """Set ``info`` and ``band``: :func:`find_root` on ``tie``, the
+        scaled payoff gap ``G`` (high minus low), which falls in ``tau``.  At
+        maxima ``(mu_low, z_high)`` with first-order residuals ``g_low`` and
+        ``g_high``, ``G`` has slope ``-g_low`` in ``mu_low`` and ``g_high`` in
+        ``z_high``: the value is ``G`` corrected to second order for the
+        residuals, and the slope the envelope slope ``phi(z_low) -
+        phi(z_high)`` plus the terms that eliminating the linearized
+        residuals leaves.  The maxima at ``tau`` are those predicted by the
+        last evaluation's Newton step when ``tau`` is that step and they are
+        on their branches, and are solved by :meth:`_root` otherwise."""
         group, reward, sigma, eps = self.group, self.reward, self.sigma, self.eps
         z1, z2, tau1, tau2 = self.window
         lo, hi = self.inner
+        predicted = (math.nan, 0.0, 0.0)  # a Newton step and the maxima there
 
-        def maxima(tau: float) -> tuple[float, float, float]:
-            return tau, self._root(tau, *self.low)[1], self._root(tau, *self.high)[0]
+        def maxima(tau: float) -> tuple[float, float]:
+            step, mu, z = predicted
+            if tau == step and 0.0 <= mu < tau + z1 and z > z2:
+                return mu, z
+            return self._root(tau, *self.low)[1], self._root(tau, *self.high)[0]
 
-        tau, mu, z = maxima(min(math.sqrt(2.0 / eps), 0.5 * (lo + hi)))
-        last = older = math.inf  # the last two tau step lengths
-        for _ in range(MAX_ITER):
+        def tie(tau: float) -> tuple[float, float]:
+            nonlocal predicted
+            mu, z = maxima(tau)
             z_low, mu_high = mu - tau, z + tau
             pdf_low = _INV_SQRT_2PI * math.exp(-0.5 * z_low * z_low)
             pdf_high = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
@@ -345,45 +345,28 @@ class ResponseCurve:
             # Slopes of g_low in mu_low and of g_high in z_high: negative on
             # the branches z_low < z1 and z_high > z2.
             s_low, s_high = -z_low * pdf_low - eps, -z * pdf_high - eps
+            if s_low >= 0.0 or s_high >= 0.0:
+                raise NoConvergence(f"a maximum left its branch at tau {tau!r}")
             gap = (normal_cdf(z) - 0.5 * eps * mu_high * mu_high) - (
                 normal_cdf(z_low) - 0.5 * eps * mu * mu
             )
-            if gap != gap or s_low >= 0.0 or s_high >= 0.0:
-                raise NoConvergence(f"no tie at tau {tau!r} for group {group.label!r}")
             r_low, r_high = g_low * g_low / s_low, g_high * g_high / s_high
-            if gap + 0.5 * (r_low - r_high) > 0.0:  # the high maximum wins
-                lo = tau
-            else:
-                hi = tau
+            value = gap + 0.5 * (r_low - r_high)
             slope = pdf_low - eps * mu_high + (g_low * z_low * pdf_low / s_low
                                                + g_high * eps / s_high)
-            dtau = -(gap + r_low - r_high) / slope if slope != 0.0 else math.inf
-            step = tau + dtau
-            mu_step = mu - (g_low + z_low * pdf_low * dtau) / s_low
-            z_step = z + (eps * dtau - g_high) / s_high
-            tol = _MIN_RTOL * (abs(tau) + 1.0)
-            if abs(dtau) <= tol:
-                tau, mu, z = min(max(step, lo), hi), mu_step, z_step
-                break
-            if (
-                lo < step < hi
-                and abs(dtau) <= 0.5 * older
-                and 0.0 <= mu_step < step + z1
-                and z_step > z2
-            ):
-                tau, mu, z = step, mu_step, z_step
-            else:
-                mid = 0.5 * (lo + hi)
-                moved = abs(mid - tau)
-                tau, mu, z = maxima(mid)
-                if moved <= tol:  # the bracket is down to adjacent doubles
-                    break
-                dtau = moved
-            last, older = abs(dtau), last
-        else:
-            raise NoConvergence(
-                f"no tie in [{lo!r}, {hi!r}] after {MAX_ITER} steps for group {group.label!r}"
+            dtau = -value / slope if slope != 0.0 else math.inf
+            predicted = (
+                tau + dtau,
+                mu - (g_low + z_low * pdf_low * dtau) / s_low,
+                z + (eps * dtau - g_high) / s_high,
             )
+            return value, slope
+
+        try:
+            tau = find_root(tie, lo, hi, min(math.sqrt(2.0 / eps), 0.5 * (lo + hi)))
+        except NoConvergence as exc:
+            raise NoConvergence(f"no tie for group {group.label!r}: {exc}") from exc
+        mu, z = maxima(tau)
         u_low, u_high = self._utility((mu - tau, mu)), self._utility((z, z + tau))
         if not abs(u_high - u_low) <= PAYOFF_TIE_REL:
             raise NoConvergence(

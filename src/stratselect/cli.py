@@ -155,13 +155,21 @@ def _csv_out(path: str):
 
 
 def _csv_writer(fh, config: GameConfig, columns: Sequence[str], *comments: str):
-    """A CSV writer on ``fh`` after the ``# config_hash=`` line, one ``#``
-    line per comment and the header."""
+    """Write the ``# config_hash=`` line, one ``#`` line per comment and the
+    header on ``fh``, and return the function that writes a row of fields.
+    The header goes through ``csv``, since a label can need quoting.  Every
+    row field is empty, an integer or a float's repr, which ``csv`` writes
+    as it is, so a row is its fields joined."""
     for line in (f"config_hash={config_hash(config)}", *comments):
         fh.write(f"# {line}\n")
     writer = csv.writer(fh)
     writer.writerow(columns)
-    return writer
+    sep, end = writer.dialect.delimiter, writer.dialect.lineterminator
+
+    def write_row(fields: Sequence[str]) -> None:
+        fh.write(sep.join(fields) + end)
+
+    return write_row
 
 
 def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float]:
@@ -174,8 +182,8 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"grid count must be an integer of at least 1, got {count!r}")
     if scale == "log":
-        if lo <= 0:
-            raise ValueError("log grid requires positive endpoints")
+        if not (lo > 0 and hi > 0):
+            raise ValueError(f"log grid requires positive endpoints, got {lo!r} and {hi!r}")
         # Only np.geomspace gives its own points: numpy's power is not libm's
         # pow in the last bit.  So numpy loads here, for log grids alone.
         import numpy as np
@@ -371,11 +379,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _csv_out(args.out) as fh:
         curves: CurveMemo = {}
         results = [_sweep_row(spec, v, curves) for v in spec.grid]
-        writer = _csv_writer(fh, spec.base_config, columns)
+        write_row = _csv_writer(fh, spec.base_config, columns)
         for row, warning in results:
             if warning:
                 print(f"warning: {warning}", file=sys.stderr)
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            write_row([_fmt(row.get(c)) for c in columns])
     return 0
 
 
@@ -394,7 +402,7 @@ def cmd_dropout(args: argparse.Namespace) -> int:
         for column in ("theta_d", "br_min", "br_max", "scaled")
     ]
     with _csv_out(args.out) as fh:
-        writer = _csv_writer(fh, config, columns)
+        write_row = _csv_writer(fh, config, columns)
         for reward in grid:
             row = {"S": reward}
             for view, curve in zip(views, response_curves(views, reward)):
@@ -413,7 +421,7 @@ def cmd_dropout(args: argparse.Namespace) -> int:
                 row[f"scaled_{view.label}"] = info.theta_d * (
                     view.cost / (2.0 * reward)
                 ) ** 0.5
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            write_row([_fmt(row.get(c)) for c in columns])
     return 0
 
 
@@ -442,17 +450,14 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
             summary += f" period={conv.period}"
         if conv.theta is not None:
             summary += f" theta={conv.theta!r}"
-        dialect = _csv_writer(fh, config, columns, summary).dialect
-        # Every field is an integer, a float's repr or empty, which the csv
-        # writer writes as it is; joining them skips its scan for quoting.
-        sep, end = dialect.delimiter, dialect.lineterminator
+        write_row = _csv_writer(fh, config, columns, summary)
         rate = metrics.selection_rate
         for state in trace.states:
             theta = state.theta
             row = [str(state.t), _fmt(theta), _fmt(state.belief)]
             for view, strategy in zip(views, state.strategies):
                 row += (_fmt(strategy.mean()), _fmt(rate(strategy, theta, view)))
-            fh.write(sep.join(row) + end)
+            write_row(row)
     return 0
 
 

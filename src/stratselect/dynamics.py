@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .best_response import ResponseCurve
-from .equilibrium import mixture_quantile, response_curves
+from .equilibrium import _resolve, mixture_quantile, response_curves
 from .model import (
     EffortDistribution,
     GameConfig,
     GroupView,
     effective_groups,
-    solver_violations,
 )
 
 __all__ = [
@@ -179,10 +178,7 @@ def run(
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if mode not in ("br", "fp"):
         raise ValueError(f"unknown mode {mode!r}")
-    problems = solver_violations(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-    views = effective_groups(config)
+    views = _resolve(config)
     if init is None:
         init = tuple(EffortDistribution.point(0.0) for _ in views)
     else:

@@ -10,13 +10,11 @@ the log form ``w + log(w / x) = 0``, which stays finite from the branch fold
 down to subnormal ``x``.  Root finding is one function, :func:`find_root`:
 Newton's method safeguarded by a bracket, for an equation whose slope its
 caller knows in closed form, that converges from any start in the bracket
-to a root inside it.  Every scalar equation of the solvers is one: a
-stationary point of the candidate's payoff in ``best_response``, the smooth
-equilibrium crossing and the induced threshold
-(``equilibrium.mixture_quantile``).  The dropout tie is a system of three
-equations, which ``best_response`` solves with the same safeguards.
-Everything is a pure function of its arguments and safe to call
-concurrently.
+to a root inside it.  Every equation of the solvers is one: a stationary
+point of the candidate's payoff and the dropout tie in ``best_response``,
+the smooth equilibrium crossing and the induced threshold
+(``equilibrium.mixture_quantile``).  Everything is a pure function of its
+arguments and safe to call concurrently.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
+import importlib
+
 import pytest
 
+from stratselect.kernel import NoConvergence
 from stratselect.model import GameConfig, GroupParams, GroupView
 
 
@@ -7,6 +10,21 @@ from stratselect.model import GameConfig, GroupParams, GroupView
 def unit_group():
     """Single group with unit cost and unit decision-statistic spread."""
     return GroupView("A", 1.0, 1.0, 1.0)
+
+
+@pytest.fixture
+def failing_tie_search(monkeypatch):
+    """Make the dropout tie's root search fail, and no other root search."""
+    # The package re-exports the function under the module's name.
+    module = importlib.import_module("stratselect.best_response")
+    real = module.find_root
+
+    def find_root(f, lo, hi, start):
+        if f.__name__ == "tie":
+            raise NoConvergence(f"no root in [{lo!r}, {hi!r}] after 200 steps")
+        return real(f, lo, hi, start)
+
+    monkeypatch.setattr(module, "find_root", find_root)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import collections
 import importlib
 import math
 import sys
@@ -259,7 +260,7 @@ class TestDropoutSearch:
 
         monkeypatch.setattr(ResponseCurve, "_root", counted)
         dropout_threshold(unit_group, reward)
-        # The joint iteration solves both maxima once, at its start; it solves
+        # The tie search solves both maxima once, at its start; it solves
         # them again only at a bisected threshold, which neither reward needs.
         # The low maximum is bracketed in mu, the high one in z.
         (tau, low), (tau_again, high) = calls
@@ -391,11 +392,12 @@ class TestResponseCurve:
         assert len(curve.best_response(theta_d + 0.5 * half)) == 1
         assert len(roots) == 4  # inside the band: both maxima
 
-    def test_failed_dropout_search_raises_from_the_constructor(self, unit_group, monkeypatch):
-        # One joint Newton step does not reach the tie from the start, so a
-        # budget of one fails the dropout search.
-        monkeypatch.setattr(best_response_module, "MAX_ITER", 1)
-        with pytest.raises(NoConvergence, match=r"no tie in \[.*\] after 1 steps for group 'A'"):
+    def test_failed_dropout_search_raises_from_the_constructor(
+        self, unit_group, failing_tie_search
+    ):
+        with pytest.raises(
+            NoConvergence, match=r"no tie for group 'A': no root in \[.*\] after 200 steps"
+        ):
             ResponseCurve(unit_group, 10.0)
         assert ResponseCurve(unit_group, 1.0).info is None  # no window, no search
 
@@ -415,20 +417,21 @@ class TestDerivativeIdentity:
                 assert analytic <= 0.0
 
 
-class CountingMath:
-    """``math`` with a count of ``exp`` calls: in ``best_response`` one
-    evaluation of the first-order condition makes one, and one joint Newton
-    step of the dropout search two."""
+def count_evaluations(monkeypatch):
+    """Evaluations that ``best_response`` asks of :func:`find_root`, by
+    equation: ``foc`` for a stationary point, ``tie`` for the dropout."""
+    counts = collections.Counter()
+    real = best_response_module.find_root
 
-    def __init__(self):
-        self.exp_calls = 0
+    def find_root(f, *args):
+        def counted(x):
+            counts[f.__name__] += 1
+            return f(x)
 
-    def __getattr__(self, name):
-        return getattr(math, name)
+        return real(counted, *args)
 
-    def exp(self, x):
-        self.exp_calls += 1
-        return math.exp(x)
+    monkeypatch.setattr(best_response_module, "find_root", find_root)
+    return counts
 
 
 class RecordingCurve(ResponseCurve):
@@ -540,34 +543,19 @@ class TestNewtonRoots:
             assert outcome.selection_rate == pytest.approx(0.5, abs=1e-9)
 
     def test_dropout_search_evaluations(self, unit_group, monkeypatch):
-        # 20 exp calls here: both maxima at the start (10 evaluations of the
-        # first-order condition), then 5 joint Newton steps.
-        counter = CountingMath()
-        monkeypatch.setattr(best_response_module, "math", counter)
+        # Measured: both maxima at the start (10 evaluations of the
+        # first-order condition), then 4 evaluations of the tie.
+        counts = count_evaluations(monkeypatch)
         dropout_threshold(unit_group, 10.0)
-        assert counter.exp_calls <= 30
+        assert counts["foc"] <= 15 and counts["tie"] <= 5
 
     def test_dropout_search_work_over_the_supported_range(self, unit_group, monkeypatch):
         # A fixed log grid of 200 reward ratios over the supported range.
         # Measured per curve: 11.5 evaluations of the first-order condition
-        # (both maxima at the start) and 3.3 joint Newton steps.
-        counter = CountingMath()
-        monkeypatch.setattr(best_response_module, "math", counter)
-        evaluations = 0
-        real = best_response_module.find_root
-
-        def counted(f, *args):
-            def foc(x):
-                nonlocal evaluations
-                evaluations += 1
-                return f(x)
-
-            return real(foc, *args)
-
-        monkeypatch.setattr(best_response_module, "find_root", counted)
+        # (both maxima at the start) and 3.27 of the tie.
+        counts = count_evaluations(monkeypatch)
         ratios = np.geomspace(1.001, MAX_REWARD_RATIO, 200)
         for ratio in ratios:
             ResponseCurve(unit_group, critical_reward(unit_group) * float(ratio))
-        joint_steps = (counter.exp_calls - evaluations) / 2
-        assert evaluations / len(ratios) <= 15.0
-        assert joint_steps / len(ratios) <= 5.0
+        assert counts["foc"] / len(ratios) <= 15.0
+        assert counts["tie"] / len(ratios) <= 5.0

@@ -187,6 +187,9 @@ class TestSweep:
             # Rejected before any grid point is computed.
             ({"lo": 0.1, "hi": math.inf, "count": 3},
              "malformed sweep grid: grid ends must be finite, got 0.1 and inf"),
+            # numpy's log10 of the upper end warned, and the grid held a nan.
+            ({"lo": 1, "hi": -1, "count": 3, "scale": "log"},
+             "malformed sweep grid: log grid requires positive endpoints, got 1.0 and -1.0"),
         ]:
             write_json(spec, sweep_spec_dict(grid))
             assert cli.main(["sweep", "--config", str(spec), "--out", str(out)]) == 1
@@ -571,14 +574,14 @@ def load_run_scenarios():
 # sha256 of each file scripts/run_scenarios.py writes; verify.txt rests on
 # the Monte Carlo draws and TestVerify.test_table_is_pinned pins its table.
 BUNDLED_OUTPUTS = {
-    "cost_gap_s10.solve.json": "9cffe66aefc1773b166cf754ebfff46b231773045c729d6ca58ad0b6f584de38",
-    "noise_gap_dropout.csv": "64d44ec75be47cb54a7b7bdfa64f8a31ab3863cf51d6107c2f5d1000f8dbe94e",
+    "cost_gap_s10.solve.json": "66a9ec64ede832fa4edacbfce642b788bf90ac9c18f076de1a5926dfff9b3a6f",
+    "noise_gap_dropout.csv": "e3ccc285e35f2f8f72d675f3b0b5d8a7df01ef04fb2b8969a87abec8356fdf88",
     "noise_gap_dynamics_br.csv": "b71ac50b469b879f78caa9e79900b0c89640a6eac3f9ce3959a41483fb59a157",
     "noise_gap_dynamics_fp.csv": "6d477e2910151986bc6f290b31b2fb38dcb22d7bc0d949ce00da65338f2b38ab",
-    "noise_gap_s10.solve.json": "ad1363fb6e54fd17aa260f7829d1ecd223175ac1e680219e5739ef4f89e32e63",
+    "noise_gap_s10.solve.json": "201d89052addafef14c93264cc8847cf6cc467a9cac04672d9e8d177abac37cd",
     "noise_gap_small_reward.solve.json": "8e8f1f199534563c5027e499f617676b47a187ef87e010d273ac11a6bfe8bf32",
-    "sweep_cost_gap_s1000.csv": "b9c10be087515c694b0a7130bb4813c5db67bea95a76430ced4fcea3b76a1d6e",
-    "sweep_equal_cost_s1000.csv": "ac7c1f85753939c11960acd1c9f78cb82898ec2027f66bf3371764b089302165",
+    "sweep_cost_gap_s1000.csv": "479ea7147e6ba5587a46d33218253e8b8f62b960b020bde90260a918aec0d414",
+    "sweep_equal_cost_s1000.csv": "5e54a8de2348b52f68a7c405ef8eeb1881065d6a195d118413f0b32195b15984",
     "sweep_small_reward.csv": "de95f131709c70c411e5f863cbea307ed90644cddd52f813d0ebe84141e76cca",
 }
 
@@ -705,17 +708,18 @@ def test_numpy_loads_only_for_log_grids_and_verify(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "dynamics"])
-def test_failed_dropout_search_is_a_computation_error(tmp_path, monkeypatch, capsys, command):
+def test_failed_dropout_search_is_a_computation_error(
+    tmp_path, failing_tie_search, capsys, command
+):
     # A curve searches its dropout when it is made, so the failure reaches
     # the CLI from the first curve inside a window.
-    # One joint Newton step does not reach the tie, so a budget of one fails
-    # the dropout search.
-    monkeypatch.setattr(best_response_module, "MAX_ITER", 1)
     extra = {"solve": [], "dynamics": ["--steps", "5", "--out", str(tmp_path / "out.csv")]}
     argv = [command, "--config", str(SCENARIOS / "noise_gap_s10.json"), *extra[command]]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"computation failed: no tie in \[.*\] after 1 steps for group '\w+'\n", err)
+    assert re.fullmatch(
+        r"computation failed: no tie for group '\w+': no root in \[.*\] after 200 steps\n", err
+    )
 
 
 class TestDropout:
@@ -749,6 +753,20 @@ class TestDropout:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad grid {grid!r}: grid ends must be finite")
+
+    @pytest.mark.parametrize("grid", ["1:-1:3:log", "1:0:3:log", "0:1:3:log"])
+    def test_non_positive_log_grid_end_is_an_input_error(self, tmp_path, capsys, grid):
+        # An upper end of -1 made numpy warn and the grid report a point nan.
+        out = tmp_path / "drop.csv"
+        argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+                "--grid", grid, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        lo, hi = (float(end) for end in grid.split(":")[:2])
+        assert capsys.readouterr().err == (
+            f"error: bad grid {grid!r}: log grid requires positive endpoints, "
+            f"got {lo!r} and {hi!r}\n"
+        )
 
     def test_overflowing_grid_width_is_an_input_error(self, tmp_path, capsys):
         # The points of this grid were -1e308, nan and 1e308.

@@ -880,6 +880,34 @@ def test_threshold_ignores_group_order_and_twin_splits(config, data):
         assert abs(moved.threshold - theta) <= 1e-13 * max(1.0, abs(theta))
 
 
+@settings(max_examples=200, deadline=None)
+@given(config=wide_games(st.one_of(
+    st.floats(-14.0, -2.0).map(lambda e: 10.0**e), st.floats(0.01, 0.99),
+)))
+def test_doubling_the_spreads_and_quadrupling_the_reward_doubles_the_threshold(config):
+    """Each group's problem depends on ``eps = C * sigma**2 / S`` alone, in
+    units of its spread, so doubling every spread and quadrupling the reward
+    doubles the threshold.  A threshold pinned on a dropout, ``sigma *
+    tau_d``, doubles exactly.  A smooth crossing agrees up to rounding:
+    :func:`find_root` stops within ``4 * epsilon * (|x| + 1)``, whose
+    absolute part does not scale with the threshold."""
+
+    def spreads_times(k):
+        groups = tuple(
+            GroupParams(v.label, v.share, v.cost, sigma_tilde=k * v.sigma)
+            for v in effective_groups(config)
+        )
+        return dataclasses.replace(config, reward=k * k * config.reward, groups=groups)
+
+    report, doubled = (solve_unconstrained(spreads_times(k)) for k in (1.0, 2.0))
+    assert doubled.regime == report.regime
+    theta, half = report.threshold, 0.5 * doubled.threshold
+    if report.regime == "dropout_pinned":
+        assert half == theta
+    else:
+        assert abs(half - theta) <= 1e-15 * max(1.0, abs(theta))
+
+
 def nested_loop_quantile(supports, views, alpha):
     """``mixture_quantile`` as it was written before it flattened the
     components into one list: the reference its result must match bit for
