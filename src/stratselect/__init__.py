@@ -11,15 +11,12 @@ from .best_response import (
     critical_reward,
     dropout_threshold,
     payoff,
-    selection_probability,
     stationary_points,
 )
 from .dynamics import DynamicsState, DynamicsTrace, induced_threshold
 from .dynamics import run as run_dynamics
 from .equilibrium import (
-    ExcessMassEvaluation,
     SolverError,
-    excess_mass,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,

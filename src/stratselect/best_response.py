@@ -74,7 +74,6 @@ __all__ = [
     "ResponseCurve",
     "critical_reward",
     "foc_window",
-    "selection_probability",
     "payoff",
     "stationary_points",
     "best_response",
@@ -127,13 +126,6 @@ class DropoutInfo:
 def critical_reward(group: GroupView) -> float:
     """Smallest reward at which the payoff can have two maxima."""
     return group.cost * group.sigma**2 * CRITICAL_REWARD_FACTOR
-
-
-def selection_probability(m: float, theta: float, sigma: float) -> float:
-    """Probability of clearing threshold ``theta`` with effort ``m``."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return normal_cdf((m - theta) / sigma)
 
 
 def payoff(m: float, theta: float, group: GroupView, reward: float) -> float:

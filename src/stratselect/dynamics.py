@@ -5,15 +5,15 @@ best response, either against the current threshold (``br`` mode) or against
 the running average of all past thresholds (``fp`` mode, which averages the
 scalar threshold because payoffs depend on opponents only through it).  The
 threshold of a state is always the one induced by its strategies, i.e. the
-(1 - alpha)-quantile of the decision-statistic mixture, found by the same
-search that brackets the equilibrium solvers
-(:func:`stratselect.equilibrium.mixture_quantile`).  A threshold within a
-payoff tie of a dropout (``best_response.PAYOFF_TIE_REL``), not only exactly
-on it, is resolved as a 50/50 split between the two tied best responses.
-:func:`run` is the one entry point.  Its cycle check keeps, for each
-period, the run of trailing thresholds that repeat the one a period back
-within ``CYCLE_TOL``, and extends it by one comparison per period and step
-instead of rescanning the tail.
+(1 - alpha)-quantile of the decision-statistic mixture, found by Newton's
+method on the mixture CDF (:func:`stratselect.equilibrium.mixture_quantile`).
+A threshold within a payoff tie of a dropout
+(``best_response.PAYOFF_TIE_REL``), not only exactly on it, is resolved as a
+50/50 split between the two tied best responses.  :func:`run` is the one
+entry point.  Its cycle check keeps, for each period, the run of trailing
+thresholds that repeat the one a period back within ``CYCLE_TOL``, and
+extends it by one comparison per period and step instead of rescanning the
+tail.
 """
 
 from __future__ import annotations
@@ -98,9 +98,7 @@ def _step(
     for curve in curves:
         brs = curve.best_response(theta)
         if len(brs) == 2:
-            strategies.append(
-                EffortDistribution.mixture(((brs[0], 0.5), (brs[1], 0.5)))
-            )
+            strategies.append(EffortDistribution(((brs[0], 0.5), (brs[1], 0.5))))
         else:
             strategies.append(EffortDistribution.point(brs[0]))
     strategies = tuple(strategies)
@@ -114,10 +112,9 @@ class _CycleDetector:
 
     ``runs[p]`` counts the trailing thresholds within CYCLE_TOL of the one
     ``p`` steps back, for each period whose newest pair is; period ``p``
-    repeats three times at the tail when its run reaches ``2 p``.  A period
-    joins once there are ``3 p`` thresholds, counting its run back over
-    them; after that a push compares the new threshold once per period and
-    extends or drops the run, so no pair is compared twice.
+    repeats three times at the tail when its run reaches ``2 p``.  A push
+    compares the new threshold once per period that has a pair and extends
+    or drops the run, so no pair is compared twice.
     """
 
     def __init__(self, theta0: float) -> None:
@@ -132,19 +129,13 @@ class _CycleDetector:
         thetas.append(theta)
         n = len(thetas)
         # back[p - 2] is the threshold p steps before theta, for every
-        # period with 3 p thresholds.
-        back = thetas[-3:-2 - min(MAX_CYCLE_PERIOD, n // 3):-1]
+        # period with a pair.
+        back = thetas[-3:-2 - min(MAX_CYCLE_PERIOD, n - 1):-1]
         self.runs = runs = {
             p: runs.get(p, 0) + 1
             for p, old in enumerate(back, 2)
             if not abs(theta - old) > CYCLE_TOL
         }
-        p = n // 3
-        if n % 3 == 0 and p in runs:  # p has just reached 3 p thresholds
-            run = 1
-            while run < 2 * p and not abs(thetas[-1 - run] - thetas[-1 - run - p]) > CYCLE_TOL:
-                run += 1
-            runs[p] = run
         # The windows thetas[-p:] grow with p, so one running range covers them.
         lo = hi = theta
         seen = 1

@@ -38,7 +38,6 @@ each group's threshold is read off its response curve with no search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .best_response import ResponseCurve
@@ -63,8 +62,6 @@ from .model import (
 
 __all__ = [
     "SolverError",
-    "ExcessMassEvaluation",
-    "excess_mass",
     "solver_bracket",
     "solve_unconstrained",
     "solve_demographic_parity",
@@ -85,20 +82,6 @@ TAU_SLACK = 1e-6
 
 class SolverError(RuntimeError):
     """The equilibrium search produced an inconsistent state."""
-
-
-@dataclass(frozen=True)
-class ExcessMassEvaluation:
-    """Selected mass at a threshold, as an interval.
-
-    The interval is degenerate except at some group's dropout, or within a
-    payoff tie of it, where ``mass_lo``/``mass_hi`` use that group's low/high
-    tied best response.
-    """
-
-    theta: float
-    mass_lo: float
-    mass_hi: float
 
 
 # Response curves keyed by ``(cost, sigma, reward)``: a curve does not depend on
@@ -149,17 +132,6 @@ def _mass(views: tuple[GroupView, ...], table: RateTable, sides: Sequence[int]) 
     for view, rates, side in zip(views, table, sides):
         mass += view.share * rates[side]
     return mass
-
-
-def excess_mass(theta: float, config: GameConfig) -> ExcessMassEvaluation:
-    """Selected mass when every group best-responds to ``theta``."""
-    views = effective_groups(config)
-    table = _rates(theta, views, response_curves(views, config.reward))
-    return ExcessMassEvaluation(
-        theta=theta,
-        mass_lo=_mass(views, table, [0] * len(views)),
-        mass_hi=_mass(views, table, [1] * len(views)),
-    )
 
 
 def mixture_quantile(
@@ -235,7 +207,7 @@ def _outcomes(
         elif w == 1.0:
             strategy = EffortDistribution.point(m_h)
         else:
-            strategy = EffortDistribution.mixture(((m_l, 1.0 - w), (m_h, w)))
+            strategy = EffortDistribution(((m_l, 1.0 - w), (m_h, w)))
         outcomes.append(
             GroupOutcome(
                 label=view.label,

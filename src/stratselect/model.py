@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 __all__ = [
     "DmMode",
@@ -37,7 +37,7 @@ __all__ = [
     "correlation_coefficient",
     "effective_groups",
     "MAX_REWARD_RATIO",
-    "in_supported_range",
+    "MIN_REWARD_RATIO",
     "validate",
     "config_from_dict",
     "config_to_dict",
@@ -50,9 +50,11 @@ SHARE_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 
 # The largest reward, as a multiple of a group's cost * sigma**2, at which
-# every group of a fuzz of the candidate problem was solved (README,
-# "Supported range").
+# every group of a fuzz of the candidate problem was solved, and the smallest
+# at which both solvers solved every game of a fuzz (README, "Supported
+# range").
 MAX_REWARD_RATIO = 1e20
+MIN_REWARD_RATIO = 1e-20
 
 
 @dataclass(frozen=True)
@@ -175,12 +177,6 @@ class EffortDistribution:
     def point(cls, effort: float) -> "EffortDistribution":
         return cls(((effort, 1.0),))
 
-    @classmethod
-    def mixture(
-        cls, pairs: Sequence[tuple[float, float]]
-    ) -> "EffortDistribution":
-        return cls(tuple(pairs))
-
     def mean(self) -> float:
         return sum(m * w for m, w in self.support)
 
@@ -246,17 +242,6 @@ class EquilibriumReport:
         }
 
 
-def _reward_ratio(reward: float, cost: float, sigma_sq: float) -> float:
-    """``reward / (cost * sigma_sq)``, infinite when the product underflows."""
-    scale = cost * sigma_sq
-    return reward / scale if scale > 0.0 else math.inf
-
-
-def in_supported_range(reward: float, cost: float, sigma_sq: float) -> bool:
-    """Whether ``reward / (cost * sigma_sq)`` is at most :data:`MAX_REWARD_RATIO`."""
-    return _reward_ratio(reward, cost, sigma_sq) <= MAX_REWARD_RATIO
-
-
 def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[str]:
     problems: list[str] = []
     if not 0.0 < config.reward < math.inf:
@@ -307,15 +292,20 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
                 f"groups[{g.label!r}]: the variance {sigma_sq!r} from {source} "
                 f"must be positive and finite"
             )
-        elif not in_supported_range(config.reward, g.cost, sigma_sq):
-            ratio = _reward_ratio(config.reward, g.cost, sigma_sq)
-            if ratio < math.inf:
-                size = (f"{ratio:.4g} times cost * sigma**2, above the "
-                        f"supported {MAX_REWARD_RATIO:g}")
-            else:  # the ratio overflows, or cost * sigma**2 underflows to 0
-                size = (f"above the supported {MAX_REWARD_RATIO:g} times "
-                        f"cost * sigma**2 = {g.cost * sigma_sq!r}")
-            problems.append(f"groups[{g.label!r}]: reward {config.reward!r} is {size}")
+            continue
+        scale = g.cost * sigma_sq
+        ratio = config.reward / scale if scale > 0.0 else math.inf
+        if ratio > MAX_REWARD_RATIO:
+            side, bound = "above", MAX_REWARD_RATIO
+        elif ratio < MIN_REWARD_RATIO:
+            side, bound = "below", MIN_REWARD_RATIO
+        else:
+            continue
+        if 0.0 < ratio < math.inf:
+            size = f"{ratio:.4g} times cost * sigma**2, {side} the supported {bound:g}"
+        else:  # the ratio overflows or underflows, or cost * sigma**2 does
+            size = f"{side} the supported {bound:g} times cost * sigma**2 = {scale!r}"
+        problems.append(f"groups[{g.label!r}]: reward {config.reward!r} is {size}")
     return problems
 
 

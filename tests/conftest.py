@@ -3,7 +3,8 @@ import importlib
 import pytest
 
 from stratselect.kernel import NoConvergence
-from stratselect.model import GameConfig, GroupParams, GroupView
+from stratselect.metrics import selection_rate
+from stratselect.model import EffortDistribution, GameConfig, GroupParams, GroupView
 
 
 @pytest.fixture
@@ -81,6 +82,12 @@ def symmetric_config():
         eta_sq=1.0,
         groups=(GroupParams("A", **g), GroupParams("B", **g)),
     )
+
+
+def point_rate(m, theta, sigma):
+    """The rate at which effort ``m`` clears threshold ``theta`` through a
+    decision statistic of spread ``sigma``."""
+    return selection_rate(EffortDistribution.point(m), theta, GroupView("A", 1.0, 1.0, sigma))
 
 
 def two_group_config(

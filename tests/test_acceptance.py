@@ -17,7 +17,6 @@ from stratselect.best_response import (
     critical_reward,
     dropout_threshold,
     payoff,
-    selection_probability,
 )
 from stratselect.dynamics import run as run_dynamics
 from stratselect.equilibrium import (
@@ -31,7 +30,7 @@ from stratselect.mc import (
     mc_selection_probability,
     mc_selection_quality,
 )
-from stratselect.metrics import quality_from_outcomes, small_s_crossings
+from stratselect.metrics import quality_from_outcomes, selection_rate, small_s_crossings
 from stratselect.model import (
     EffortDistribution,
     GameConfig,
@@ -90,7 +89,7 @@ class TestCriterion1OracleEquivalence:
 
             theta = float(rng.uniform(-1.0, 3.0))
             m = float(rng.uniform(0.0, 3.0))
-            analytic = selection_probability(m, theta, view.sigma)
+            analytic = selection_rate(EffortDistribution.point(m), theta, view)
             est = mc_selection_probability(
                 m, theta, params, config.eta_sq, n, seed=10_000 + case,
                 dm_mode=config.dm_mode,
@@ -112,7 +111,7 @@ class TestCriterion1OracleEquivalence:
                 hi = float(rng.uniform(0.5, 3.0))
                 w = float(rng.uniform(0.0, 1.0))
                 strategies.append(
-                    EffortDistribution.mixture(((0.0, 1.0 - w), (hi, w)))
+                    EffortDistribution(((0.0, 1.0 - w), (hi, w)))
                 )
                 thresholds.append(float(rng.uniform(0.0, 2.5)))
             outcomes = tuple(

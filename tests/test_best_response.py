@@ -20,7 +20,6 @@ from stratselect.best_response import (
     dropout_threshold,
     foc_window,
     payoff,
-    selection_probability,
     stationary_points,
 )
 from stratselect.equilibrium import solve_demographic_parity, solve_unconstrained
@@ -35,6 +34,8 @@ from stratselect.model import (
     validate,
 )
 
+from conftest import point_rate
+
 best_response_module = importlib.import_module("stratselect.best_response")
 
 
@@ -46,24 +47,23 @@ def foc_residual(m, theta, group, reward):
 
 
 class TestSelectionProbability:
+    """The rate at which a point effort clears the threshold, as the solvers
+    and ``verify`` read it (:func:`metrics.selection_rate`)."""
+
     def test_at_threshold(self):
-        assert selection_probability(2.0, 2.0, 1.0) == 0.5
+        assert point_rate(2.0, 2.0, 1.0) == 0.5
 
     def test_one_spread_above(self):
-        assert selection_probability(3.0, 2.0, 1.0) == pytest.approx(
+        assert point_rate(3.0, 2.0, 1.0) == pytest.approx(
             0.8413447460685429, abs=1e-15
         )
 
     def test_monotone_in_effort_and_threshold(self):
-        probs = [selection_probability(m, 1.0, 0.7) for m in np.linspace(0, 4, 50)]
+        probs = [point_rate(m, 1.0, 0.7) for m in np.linspace(0, 4, 50)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
-        tail = [selection_probability(1.0, t, 0.7) for t in np.linspace(0, 40, 50)]
+        tail = [point_rate(1.0, t, 0.7) for t in np.linspace(0, 40, 50)]
         assert all(b <= a for a, b in zip(tail, tail[1:]))
         assert tail[-1] == pytest.approx(0.0, abs=1e-300)
-
-    def test_requires_positive_spread(self):
-        with pytest.raises(ValueError):
-            selection_probability(1.0, 0.0, 0.0)
 
 
 class TestPayoff:

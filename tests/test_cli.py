@@ -104,7 +104,12 @@ class TestSolve:
         ({}, {"cost": 1e-200, "sigma_tilde": 1e-160},
          "groups['H']: reward 10.0 is above the supported 1e+20 times "
          "cost * sigma**2 = 0.0"),
-    ], ids=["sigma_tilde", "noise_var", "cost", "eta_sq", "cost_times_variance"])
+        # cost * sigma**2 overflows to inf, so the ratio underflows to 0.0.
+        ({}, {"cost": 1e200, "sigma_tilde": 1e100},
+         "groups['H']: reward 10.0 is below the supported 1e-20 times "
+         "cost * sigma**2 = inf"),
+    ], ids=["sigma_tilde", "noise_var", "cost", "eta_sq", "cost_times_variance",
+            "cost_times_variance_overflows"])
     def test_non_finite_or_vanishing_field_is_named(self, tmp_path, capsys, top, group, message):
         # json writes and reads inf as Infinity.
         groups = [
@@ -386,6 +391,21 @@ class TestSupportedRange:
             "cost * sigma**2 = 0.010000000000000002; "
             "groups['L']: reward 5e+307 is 5e+307 times cost * sigma**2, "
             "above the supported 1e+20\n"
+        )
+
+    def test_solve_rejects_a_reward_below_the_range(self, tmp_path, capsys):
+        # The default verify game at S = 1e-40.  The smooth crossing's slope
+        # loses its digits at such a ratio, and the solve failed its budget
+        # check with exit 2.
+        path = write_json(tmp_path / "tiny_reward.json",
+                          {**cli._DEFAULT_VERIFY_CONFIG, "reward": 1e-40})
+        assert cli.main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: "
+            "groups['H']: reward 1e-40 is 4e-40 times cost * sigma**2, "
+            "below the supported 1e-20; "
+            "groups['L']: reward 1e-40 is 1.071e-40 times cost * sigma**2, "
+            "below the supported 1e-20\n"
         )
 
 

@@ -19,8 +19,10 @@ from stratselect.best_response import (
 )
 from stratselect.equilibrium import (
     SolverError,
-    excess_mass,
+    _mass,
+    _rates,
     mixture_quantile,
+    response_curves,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
@@ -30,14 +32,25 @@ from stratselect.mc import grid_argmax_payoff, max_deviation_gain
 from stratselect.metrics import asymptotic_predictions
 from stratselect.model import (
     MAX_REWARD_RATIO,
+    MIN_REWARD_RATIO,
     GameConfig,
     GroupParams,
     GroupView,
+    config_from_dict,
     effective_groups,
     validate,
 )
 
 from conftest import two_group_config
+
+
+def mass_interval(theta, config):
+    """Selected mass at ``theta`` with every group on the low and on the high
+    end of its best response: apart only at a dropout, or within a payoff
+    tie of one."""
+    views = effective_groups(config)
+    table = _rates(theta, views, response_curves(views, config.reward))
+    return _mass(views, table, [0] * len(views)), _mass(views, table, [1] * len(views))
 
 
 def smooth_oracle(config, theta0, damping=0.5, steps=4000):
@@ -131,8 +144,8 @@ class TestSolverBracket:
 
     def test_brackets_the_selected_mass(self, noise_gap_config):
         lo, hi = solver_bracket(noise_gap_config)
-        assert excess_mass(lo, noise_gap_config).mass_hi >= noise_gap_config.alpha
-        assert excess_mass(hi, noise_gap_config).mass_lo <= noise_gap_config.alpha
+        assert mass_interval(lo, noise_gap_config)[1] >= noise_gap_config.alpha
+        assert mass_interval(hi, noise_gap_config)[0] <= noise_gap_config.alpha
 
     def test_runs_no_root_search(self, noise_gap_config, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -166,17 +179,16 @@ class TestSolverBracket:
 
 class TestExcessMass:
     def test_low_threshold_limit(self, noise_gap_config):
-        ev = excess_mass(-50.0, noise_gap_config)
-        assert ev.mass_lo == pytest.approx(1.0, abs=1e-12)
-        assert ev.mass_lo == ev.mass_hi
+        mass_lo, mass_hi = mass_interval(-50.0, noise_gap_config)
+        assert mass_lo == pytest.approx(1.0, abs=1e-12)
+        assert mass_lo == mass_hi
 
     def test_far_above_dropouts(self, noise_gap_config):
         views = effective_groups(noise_gap_config)
         top = max(
             dropout_threshold(v, noise_gap_config.reward).theta_d for v in views
         )
-        ev = excess_mass(top + 5.0, noise_gap_config)
-        assert ev.mass_hi < noise_gap_config.alpha
+        assert mass_interval(top + 5.0, noise_gap_config)[1] < noise_gap_config.alpha
 
     def test_straddles_at_single_group_dropout(self):
         config = GameConfig(
@@ -184,12 +196,12 @@ class TestExcessMass:
             groups=(GroupParams("A", 1.0, 1.0, sigma_tilde=1.0),),
         )
         info = dropout_threshold(effective_groups(config)[0], 10.0)
-        ev = excess_mass(info.theta_d, config)
+        mass_lo, mass_hi = mass_interval(info.theta_d, config)
         x_lo = normal_cdf(info.br_min - info.theta_d)
         x_hi = normal_cdf(info.br_max - info.theta_d)
-        assert ev.mass_lo == pytest.approx(x_lo, abs=1e-12)
-        assert ev.mass_hi == pytest.approx(x_hi, abs=1e-12)
-        assert ev.mass_lo < config.alpha < ev.mass_hi
+        assert mass_lo == pytest.approx(x_lo, abs=1e-12)
+        assert mass_hi == pytest.approx(x_hi, abs=1e-12)
+        assert mass_lo < config.alpha < mass_hi
 
     def test_dropout_hit_only_by_its_own_double(self):
         # The tied pair of the dropout search plays only at the dropout
@@ -204,17 +216,17 @@ class TestExcessMass:
         near = (math.nextafter(d, -math.inf), math.nextafter(d, math.inf),
                 d * (1.0 - 1e-12), d * (1.0 + 1e-12))
         for theta in near:
-            ev = excess_mass(theta, config)
+            mass_lo, mass_hi = mass_interval(theta, config)
             brs = best_response(theta, view, 10.0)
-            assert ev.mass_lo < ev.mass_hi
-            assert (ev.mass_lo, ev.mass_hi) == (
+            assert mass_lo < mass_hi
+            assert (mass_lo, mass_hi) == (
                 normal_cdf(brs[0] - theta), normal_cdf(brs[-1] - theta)
             )
 
     def test_interval_ordering(self, noise_gap_config):
         for theta in np.linspace(-2.0, 6.0, 25):
-            ev = excess_mass(float(theta), noise_gap_config)
-            assert 0.0 <= ev.mass_lo <= ev.mass_hi <= 1.0
+            mass_lo, mass_hi = mass_interval(float(theta), noise_gap_config)
+            assert 0.0 <= mass_lo <= mass_hi <= 1.0
 
 
 class TestUnconstrained:
@@ -337,7 +349,7 @@ class TestUnconstrained:
     def test_mass_curve_non_increasing(self, noise_gap_config):
         lo, hi = solver_bracket(noise_gap_config)
         grid = np.linspace(lo, hi, 120)
-        upper = [excess_mass(float(t), noise_gap_config).mass_hi for t in grid]
+        upper = [mass_interval(float(t), noise_gap_config)[1] for t in grid]
         assert all(b <= a + 1e-10 for a, b in zip(upper, upper[1:]))
 
     def test_three_groups(self):
@@ -790,7 +802,7 @@ def near_critical_games(draw):
     # On G0's stationary curve tau = phi(z) / eps - z, so z = -1 at this theta.
     eps = view.cost * view.sigma**2 / config.reward
     theta = view.sigma * (normal_pdf(1.0) / eps + 1.0)
-    config = dataclasses.replace(config, alpha=excess_mass(theta, config).mass_lo)
+    config = dataclasses.replace(config, alpha=mass_interval(theta, config)[0])
     assume(validate(config) == [])
     return config
 
@@ -906,6 +918,45 @@ def test_doubling_the_spreads_and_quadrupling_the_reward_doubles_the_threshold(c
         assert half == theta
     else:
         assert abs(half - theta) <= 1e-15 * max(1.0, abs(theta))
+
+
+@st.composite
+def small_reward_games(draw):
+    """Games of 2-4 groups in either mode, with alpha from 0.02 to 0.98 and
+    the reward log-uniform from MIN_REWARD_RATIO to 1 times the largest
+    ``cost * sigma**2``, so every group's ratio lies at or above the bound."""
+    count = draw(st.integers(2, 4))
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    groups = tuple(
+        GroupParams(f"G{i}", w / sum(weights), draw(COSTS), noise_var=draw(NOISES))
+        for i, w in enumerate(weights)
+    )
+    config = GameConfig(
+        reward=1.0, alpha=draw(st.floats(0.02, 0.98)), eta_sq=1.0, groups=groups,
+        dm_mode=draw(st.sampled_from(["bayesian", "oblivious"])),
+    )
+    scale = max(v.cost * v.sigma**2 for v in effective_groups(config))
+    ratio = 10.0 ** draw(st.floats(math.log10(MIN_REWARD_RATIO), 0.0))
+    config = dataclasses.replace(config, reward=ratio * scale)
+    assume(validate(config) == [])
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=small_reward_games())
+# The default verify game at S = 1e-20, ratios 4e-20 (H) and 1.071e-20 (L).
+# At S = 1e-40 its smooth crossing read a slope of -6e24 from a mu held only
+# to an absolute 4.4e-16, and the budget was 2.8e-3 off.
+@example(config=dataclasses.replace(
+    config_from_dict(cli._DEFAULT_VERIFY_CONFIG), reward=1e-20,
+))
+def test_solves_down_to_the_smallest_supported_reward_ratio(config):
+    views, alpha = effective_groups(config), config.alpha
+    un = solve_unconstrained(config)
+    budget = sum(v.share * o.selection_rate for v, o in zip(views, un.outcomes))
+    assert abs(budget - alpha) <= equilibrium.BUDGET_TOL * alpha
+    for outcome in solve_demographic_parity(config).outcomes:
+        assert abs(outcome.selection_rate - alpha) <= equilibrium.BUDGET_TOL * alpha
 
 
 def nested_loop_quantile(supports, views, alpha):

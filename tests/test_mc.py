@@ -24,6 +24,8 @@ from stratselect.model import (
     posterior_variance,
 )
 
+from conftest import point_rate
+
 N = 200_000
 
 
@@ -93,8 +95,6 @@ class TestSelectionProbabilityOracle:
         assert abs(est.mean - normal_cdf(0.8)) <= 3.0 * est.std_error
 
     def test_matches_analytic_formula(self):
-        from stratselect.best_response import selection_probability
-
         rng = np.random.default_rng(0)
         for k in range(5):
             noise = float(rng.uniform(0.0, 4.0))
@@ -104,25 +104,21 @@ class TestSelectionProbabilityOracle:
             g = GroupParams("A", 1.0, 1.0, noise_var=noise)
             sigma = posterior_variance(g, eta, "bayesian") ** 0.5
             est = mc_selection_probability(m, theta, g, eta, N, seed=100 + k)
-            assert abs(est.mean - selection_probability(m, theta, sigma)) <= max(
+            assert abs(est.mean - point_rate(m, theta, sigma)) <= max(
                 3.0 * est.std_error, 1e-4
             )
 
     def test_oblivious_mode(self):
-        from stratselect.best_response import selection_probability
-
         g = GroupParams("A", 1.0, 1.0, noise_var=3.0)
         est = mc_selection_probability(
             1.0, 0.8, g, 1.0, N, seed=21, dm_mode="oblivious"
         )
-        assert abs(est.mean - selection_probability(1.0, 0.8, 2.0)) <= 3.0 * est.std_error
+        assert abs(est.mean - point_rate(1.0, 0.8, 2.0)) <= 3.0 * est.std_error
 
     def test_spread_override_sampling(self):
-        from stratselect.best_response import selection_probability
-
         g = GroupParams("A", 1.0, 1.0, noise_var=99.0, sigma_tilde=0.1)
         est = mc_selection_probability(1.0, 1.05, g, 1.0, N, seed=33)
-        assert abs(est.mean - selection_probability(1.0, 1.05, 0.1)) <= 3.0 * est.std_error
+        assert abs(est.mean - point_rate(1.0, 1.05, 0.1)) <= 3.0 * est.std_error
 
     def test_sample_floor(self):
         g = GroupParams("A", 1.0, 1.0)
@@ -149,7 +145,7 @@ class TestSelectionQualityOracle:
     def test_matches_analytic_with_mixtures(self, noise_gap_config):
         views = effective_groups(noise_gap_config)
         strategies = [
-            EffortDistribution.mixture(((0.0, 0.6), (4.4, 0.4))),
+            EffortDistribution(((0.0, 0.6), (4.4, 0.4))),
             EffortDistribution.point(1.0),
         ]
         thresholds = [4.2, 4.2]

@@ -33,7 +33,7 @@ class TestAverages:
         assert EffortDistribution.point(1.7).mean() == 1.7
 
     def test_mixture(self):
-        d = EffortDistribution.mixture(((0.0, 0.5), (2.0, 0.5)))
+        d = EffortDistribution(((0.0, 0.5), (2.0, 0.5)))
         assert d.mean() == 1.0
 
     def test_rate_at_own_effort(self):
@@ -43,7 +43,7 @@ class TestAverages:
 
     def test_rate_mixture(self):
         view = GroupView("A", 1.0, 1.0, 1.0)
-        d = EffortDistribution.mixture(((0.0, 0.5), (2.0, 0.5)))
+        d = EffortDistribution(((0.0, 0.5), (2.0, 0.5)))
         expected = 0.5 * selection_rate(EffortDistribution.point(0.0), 1.0, view) + \
             0.5 * selection_rate(EffortDistribution.point(2.0), 1.0, view)
         assert selection_rate(d, 1.0, view) == pytest.approx(expected)

@@ -159,7 +159,7 @@ class TestEffortDistribution:
         assert d.mean() == 2.0
 
     def test_mixture_mean(self):
-        d = EffortDistribution.mixture(((0.0, 0.5), (2.0, 0.5)))
+        d = EffortDistribution(((0.0, 0.5), (2.0, 0.5)))
         assert d.mean() == 1.0
 
     def test_rejects_negative_effort(self):
@@ -178,7 +178,7 @@ class TestEffortDistribution:
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_two_point_weights(self, tau):
-        d = EffortDistribution.mixture(((0.0, 1.0 - tau), (3.0, tau)))
+        d = EffortDistribution(((0.0, 1.0 - tau), (3.0, tau)))
         assert d.mean() == pytest.approx(3.0 * tau)
 
 
