@@ -15,6 +15,14 @@ parameterized by its noise variance; groups with a direct spread override
 are sampled from the decision statistic's law instead.  The quality oracle
 draws the statistic first and reconstructs the latent quality from the
 residual variance, which reproduces the exact joint law in both cases.
+
+Both oracles scale and shift their draws in place, in the order the
+formulas read (``m + s * z`` is ``z *= s; z += m``: IEEE products and sums
+commute, so every element is the same double), and make no full-size
+temporaries beyond the draws.  The selection-probability oracle counts its
+hits rather than averaging a float copy of them, and its standard error is
+the binomial closed form ``sqrt(p (1 - p) / (n - 1))``, algebraically the
+sample standard deviation over ``sqrt(n)`` of the 0/1 hits.
 """
 
 from __future__ import annotations
@@ -104,20 +112,31 @@ def mc_selection_probability(
     """Simulated probability that a candidate at effort ``m`` is selected."""
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if dm_mode not in ("bayesian", "oblivious"):
+        raise ValueError(f"unknown dm_mode {dm_mode!r}")
+    import numpy as np
+
     gen = _generator(seed, stream)
-    eta = group.eta_sq if group.eta_sq is not None else eta_sq
+    stat = _normals(gen, n)
     if group.sigma_tilde is not None:
-        stat = m + group.sigma_tilde * _normals(gen, n)
+        stat *= group.sigma_tilde
+        stat += m
     else:
-        quality = m + math.sqrt(eta) * _normals(gen, n)
-        estimate = quality + math.sqrt(group.noise_var) * _normals(gen, n)
+        # Latent quality, then the noisy estimate, then the posterior mean.
+        eta = group.eta_sq if group.eta_sq is not None else eta_sq
+        stat *= math.sqrt(eta)
+        stat += m
+        noise = _normals(gen, n)
+        noise *= math.sqrt(group.noise_var)
+        stat += noise
+        del noise
         if dm_mode == "bayesian":
             rho_sq = correlation_coefficient(group, eta_sq) ** 2
-            stat = estimate * rho_sq + (1.0 - rho_sq) * m
-        else:
-            stat = estimate
-    hits = (stat >= theta).astype(float)
-    return _estimate(hits, seed)
+            stat *= rho_sq
+            stat += (1.0 - rho_sq) * m
+    p = int(np.count_nonzero(stat >= theta)) / n
+    std_error = math.sqrt(p * (1.0 - p) / (n - 1))
+    return McEstimate(mean=p, std_error=std_error, n=n, seed=seed)
 
 
 def _variances(params: GroupParams, config: GameConfig) -> tuple[float, float, float]:
@@ -192,12 +211,19 @@ def mc_selection_quality(
         lower = edge
         if not idx.size:
             continue
-        efforts = _sample_efforts(strategy, u_effort.take(idx))
-        stat = efforts + math.sqrt(stat_var) * z_stat.take(idx)
+        if len(strategy.support) == 1:
+            efforts = strategy.support[0][0]
+        else:
+            efforts = _sample_efforts(strategy, u_effort.take(idx))
+        stat = z_stat.take(idx)
+        stat *= math.sqrt(stat_var)
+        stat += efforts
         if config.dm_mode == "bayesian":
             # The statistic is the posterior mean, so quality = stat + resid
             # with resid independent of the statistic.
-            quality = stat + resid_sd * z_resid.take(idx)
+            quality = z_resid.take(idx)
+            quality *= resid_sd
+            quality += stat
         else:
             # Oblivious statistic is quality plus noise: Cov(W, stat) = eta,
             # so W | stat is N(m + beta (stat - m), eta - eta^2 / stat_var).
@@ -205,6 +231,8 @@ def mc_selection_quality(
             quality = efforts + beta * (stat - efforts) + resid_sd * z_resid.take(idx)
         quality *= stat >= theta
         value[idx] = quality
+    # The estimate's variance makes a temporary as large as ``value``.
+    del u_group, z_stat, z_resid, u_effort
     return _estimate(value, seed)
 
 

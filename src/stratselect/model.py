@@ -159,7 +159,7 @@ class EffortDistribution:
     support: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        support = tuple((float(m), float(w)) for m, w in self.support)
+        support = tuple([(float(m), float(w)) for m, w in self.support])
         object.__setattr__(self, "support", support)
         if not support:
             raise ValueError("effort distribution needs at least one point")

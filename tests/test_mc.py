@@ -1,8 +1,12 @@
 import hashlib
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from stratselect import mc
@@ -20,6 +24,7 @@ from stratselect.model import (
     GroupOutcome,
     GroupParams,
     GroupView,
+    correlation_coefficient,
     effective_groups,
     posterior_variance,
 )
@@ -69,6 +74,164 @@ def test_normal_draws_are_accurate_quantiles():
     for p, x in zip(u, draws):
         exact = normal_quantile(float(p))
         assert abs(x - exact) <= 8 * eps * abs(exact), (p, x, exact)
+
+
+def reference_statistic(m, group, eta_sq, n, seed, dm_mode="bayesian", stream=0):
+    """The decision statistics the selection-probability oracle drew before
+    it worked in place, with full-size temporaries."""
+    gen = mc._generator(seed, stream)
+    eta = group.eta_sq if group.eta_sq is not None else eta_sq
+    if group.sigma_tilde is not None:
+        stat = m + group.sigma_tilde * mc._normals(gen, n)
+    else:
+        quality = m + math.sqrt(eta) * mc._normals(gen, n)
+        estimate = quality + math.sqrt(group.noise_var) * mc._normals(gen, n)
+        if dm_mode == "bayesian":
+            rho_sq = correlation_coefficient(group, eta_sq) ** 2
+            stat = estimate * rho_sq + (1.0 - rho_sq) * m
+        else:
+            stat = estimate
+    return stat
+
+
+def reference_selection_probability(
+    m, theta, group, eta_sq, n, seed, dm_mode="bayesian", stream=0
+):
+    """The selection-probability oracle as it was before it counted its hits:
+    the mean and sample deviation of a float copy of them.  The reference
+    for :func:`mc_selection_probability`."""
+    stat = reference_statistic(m, group, eta_sq, n, seed, dm_mode, stream)
+    hits = (stat >= theta).astype(float)
+    return mc._estimate(hits, seed)
+
+
+def reference_selection_quality(strategies, thresholds, config, n, seed, stream=0):
+    """The selection-quality oracle as it was before it worked in place; the
+    reference for :func:`mc_selection_quality`."""
+    views = effective_groups(config)
+    if isinstance(thresholds, (int, float)):
+        thresholds = [float(thresholds)] * len(views)
+    gen = mc._generator(seed, stream)
+    u_group = gen.random(n)
+    z_stat = mc._normals(gen, n)
+    z_resid = mc._normals(gen, n)
+    u_effort = gen.random(n)
+
+    value = np.zeros(n)
+    edges = np.cumsum([v.share for v in views])
+    lower = 0.0
+    for params, strategy, theta, edge in zip(config.groups, strategies, thresholds, edges):
+        eta, stat_var, resid_var = mc._variances(params, config)
+        resid_sd = math.sqrt(max(resid_var, 0.0))
+        idx = np.flatnonzero((u_group >= lower) & (u_group < edge))
+        lower = edge
+        if not idx.size:
+            continue
+        efforts = mc._sample_efforts(strategy, u_effort.take(idx))
+        stat = efforts + math.sqrt(stat_var) * z_stat.take(idx)
+        if config.dm_mode == "bayesian":
+            quality = stat + resid_sd * z_resid.take(idx)
+        else:
+            beta = eta / stat_var
+            quality = efforts + beta * (stat - efforts) + resid_sd * z_resid.take(idx)
+        quality *= stat >= theta
+        value[idx] = quality
+    return mc._estimate(value, seed)
+
+
+# Sample counts from the floor up, odd ones included; thresholds of +-60 select
+# every draw or none (|z| < 8.3).
+SAMPLE_COUNTS = st.sampled_from([1_000, 1_001, 4_099, 10_007])
+THRESHOLDS = st.one_of(st.floats(-3.0, 6.0), st.sampled_from([-60.0, 60.0]))
+DM_MODES = st.sampled_from(["bayesian", "oblivious"])
+
+
+@st.composite
+def oracle_groups(draw, dm_mode, eta_sq):
+    """A group with a noise variance (0 included), a quality variance
+    override, or a spread override the quality oracle can realize."""
+    kind = draw(st.sampled_from(["noise", "noiseless", "eta_override", "sigma_tilde"]))
+    share, cost = 1.0, draw(st.floats(0.5, 5.0))
+    if kind == "noise":
+        return GroupParams("G", share, cost, noise_var=draw(st.floats(0.01, 5.0)))
+    if kind == "noiseless":
+        return GroupParams("G", share, cost, noise_var=0.0)
+    if kind == "eta_override":
+        return GroupParams("G", share, cost, noise_var=draw(st.floats(0.0, 5.0)),
+                           eta_sq=draw(st.floats(0.2, 3.0)))
+    # Bayesian statistics are no wider than quality, oblivious no narrower.
+    scale = draw(st.floats(0.1, 1.0) if dm_mode == "bayesian" else st.floats(1.0, 3.0))
+    return GroupParams("G", share, cost, noise_var=1.0,
+                       sigma_tilde=scale * math.sqrt(eta_sq))
+
+
+@st.composite
+def strategies_for(draw):
+    low = draw(st.floats(0.0, 4.0))
+    if draw(st.booleans()):
+        return EffortDistribution.point(low)
+    tau = draw(st.floats(0.05, 0.95))
+    return EffortDistribution(((low, 1.0 - tau), (low + draw(st.floats(0.1, 4.0)), tau)))
+
+
+@given(data=st.data(), dm_mode=DM_MODES, n=SAMPLE_COUNTS, m=st.floats(0.0, 4.0),
+       eta_sq=st.floats(0.2, 3.0), seed=st.integers(0, 2**40))
+@settings(max_examples=200, deadline=None)
+def test_selection_probability_matches_the_reference(data, dm_mode, n, m, eta_sq, seed):
+    group = data.draw(oracle_groups(dm_mode, eta_sq))
+    # A threshold equal to one of the draws moves the count when that draw
+    # moves by one ulp, so those thresholds pin the statistic's arithmetic.
+    at_draw = data.draw(st.none() | st.integers(0, n - 1))
+    if at_draw is None:
+        theta = data.draw(THRESHOLDS)
+    else:
+        stat = reference_statistic(m, group, eta_sq, n, seed, dm_mode, stream=3)
+        theta = float(stat[at_draw])
+    args = (m, theta, group, eta_sq, n, seed)
+    est = mc_selection_probability(*args, dm_mode=dm_mode, stream=3)
+    ref = reference_selection_probability(*args, dm_mode=dm_mode, stream=3)
+    assert est.mean == ref.mean and type(est.mean) is float
+    assert abs(est.std_error - ref.std_error) <= 1e-12 * ref.std_error
+    assert (est.n, est.seed) == (ref.n, ref.seed)
+    if abs(theta) == 60.0:
+        assert est.mean == (1.0 if theta < 0 else 0.0)
+        assert est.std_error == 0.0
+
+
+@given(data=st.data(), dm_mode=DM_MODES, n=SAMPLE_COUNTS,
+       n_groups=st.integers(1, 4), eta_sq=st.floats(0.2, 3.0), seed=st.integers(0, 2**40))
+@settings(max_examples=150, deadline=None)
+def test_selection_quality_matches_the_reference(data, dm_mode, n, n_groups, eta_sq, seed):
+    weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n_groups, max_size=n_groups))
+    groups = []
+    for k, w in enumerate(weights):
+        g = data.draw(oracle_groups(dm_mode, eta_sq))
+        groups.append(GroupParams(f"G{k}", w / sum(weights), g.cost, g.noise_var,
+                                  g.eta_sq, g.sigma_tilde))
+    config = GameConfig(reward=1.0, alpha=0.5, eta_sq=eta_sq, dm_mode=dm_mode,
+                        groups=tuple(groups))
+    strategies = [data.draw(strategies_for()) for _ in groups]
+    thresholds = data.draw(st.one_of(
+        THRESHOLDS, st.lists(THRESHOLDS, min_size=n_groups, max_size=n_groups)))
+    est = mc_selection_quality(strategies, thresholds, config, n, seed, stream=2)
+    ref = reference_selection_quality(strategies, thresholds, config, n, seed, stream=2)
+    assert est == ref
+
+
+def test_selection_probability_peak_memory():
+    # The draws are scaled in place and the hits counted, so one call holds
+    # about two arrays of n doubles at once; the full-size temporaries of a
+    # float hit array and its deviation would take five.
+    n = 200_000
+    g = GroupParams("A", 1.0, 1.0, noise_var=2.0)
+    mc_selection_probability(1.0, 0.5, g, 1.0, n, seed=1)  # load numpy and scipy
+    tracemalloc.start()
+    try:
+        mc_selection_probability(1.0, 0.5, g, 1.0, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n
 
 
 class TestSelectionProbabilityOracle:
@@ -124,6 +287,11 @@ class TestSelectionProbabilityOracle:
         g = GroupParams("A", 1.0, 1.0)
         with pytest.raises(ValueError):
             mc_selection_probability(1.0, 1.0, g, 1.0, 999, seed=0)
+
+    def test_unknown_dm_mode_raises(self):
+        g = GroupParams("A", 1.0, 1.0, noise_var=2.0)
+        with pytest.raises(ValueError, match="unknown dm_mode 'Bayesian'"):
+            mc_selection_probability(1.0, 1.0, g, 1.0, N, seed=0, dm_mode="Bayesian")
 
 
 class TestSelectionQualityOracle:
