@@ -498,6 +498,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     strategies = [o.strategy for o in un.outcomes]
     thresholds = [o.threshold for o in un.outcomes]
     try:
+        # The quality oracle runs first, on the stream after the selection
+        # probabilities': its value array is the one allocation of n doubles,
+        # so a sample count too large for memory fails before any drawing.
+        quality = mc_selection_quality(
+            strategies, thresholds, config, n, seed, stream=2 * len(views)
+        )
         stream = 0
         for view, params in zip(views, config.groups):
             theta = un.threshold
@@ -513,13 +519,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     (f"selection_probability[{view.label}, m={m:.3g}]",
                      analytic, est.mean, tol)
                 )
-
-        est = mc_selection_quality(strategies, thresholds, config, n, seed, stream=stream)
     except MemoryError as exc:
         raise MemoryError(f"--samples {n}: {exc}") from exc
     checks.append(
-        ("selection_quality[unconstrained]", un.quality, est.mean,
-         3.0 * max(est.std_error, 1e-12))
+        ("selection_quality[unconstrained]", un.quality, quality.mean,
+         3.0 * max(quality.std_error, 1e-12))
     )
 
     for view, curve in zip(views, response_curves(views, config.reward, curves)):

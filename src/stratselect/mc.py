@@ -18,18 +18,35 @@ residual variance, which reproduces the exact joint law in both cases.
 
 Both oracles scale and shift their draws in place, in the order the
 formulas read (``m + s * z`` is ``z *= s; z += m``: IEEE products and sums
-commute, so every element is the same double), and make no full-size
-temporaries beyond the draws.  The selection-probability oracle counts its
-hits rather than averaging a float copy of them, and its standard error is
-the binomial closed form ``sqrt(p (1 - p) / (n - 1))``, algebraically the
-sample standard deviation over ``sqrt(n)`` of the 0/1 hits.
+commute, so every element is the same double).  The selection-probability
+oracle counts its hits rather than averaging a float copy of them, and its
+standard error is the binomial closed form ``sqrt(p (1 - p) / (n - 1))``,
+algebraically the sample standard deviation over ``sqrt(n)`` of the 0/1 hits.
+
+An oracle call draws its ``n`` samples in spans ``[lo, hi)`` of ``CHUNK``
+draws, which fit in cache and run on a thread pool: numpy's and scipy's
+array kernels release the GIL.  Its draws are the arrays of one stream in a
+fixed order, array ``k`` from double ``k * n`` on (selection probability:
+the statistic, then the noise; quality: the group uniform, the statistic,
+the residual, then the effort uniform), and a span positions a generator at
+double ``k * n + lo`` of its stream, so it draws exactly the doubles an
+unbroken pass over the stream would.  Each span does the same arithmetic
+on each element, the selection-probability oracle sums integer hit counts,
+and the quality oracle's spans fill disjoint slices of one value array
+before one estimate is taken of it.  So every estimate is the same double
+whatever the span boundaries, the worker count or the order the spans
+finish in.  The pool is created on first use with one worker per CPU this
+process may use; with one CPU, or one span, the spans run in the calling
+thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .best_response import payoff
 from .model import (
@@ -45,6 +62,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
 __all__ = [
@@ -58,6 +77,11 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 1_000
+# Draws per span of an oracle call: four arrays of them fit in cache.
+CHUNK = 1 << 16
+# Span workers: one per CPU this process may use.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -68,12 +92,20 @@ class McEstimate:
     seed: int
 
 
-def _generator(seed: int, stream: int) -> np.random.Generator:
+def _generator(seed: int, stream: int, offset: int = 0) -> np.random.Generator:
+    """The ``(seed, stream)`` generator, positioned so that its next double is
+    double number ``offset`` of the stream."""
     import numpy as np
 
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(key=key)
+    # A Philox counter step yields four 64-bit outputs, one per double.
+    bits.advance(offset // 4)
+    gen = np.random.Generator(bits)
+    if offset % 4:
+        gen.random(offset % 4)
+    return gen
 
 
 def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -87,6 +119,24 @@ def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
     u += 2.0**-54
     np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u, out=u)
+
+
+@functools.cache
+def _pool(pid: int, workers: int) -> ThreadPoolExecutor:
+    # Keyed by process: a forked child has none of its parent's threads.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="stratselect-mc")
+
+
+def _over_spans(span: Callable[[int, int], object], n: int) -> list:
+    """``span(lo, hi)`` for each span of ``CHUNK`` draws in ``[0, n)``, in
+    order.  The pool starts no more threads than there are spans."""
+    starts = range(0, n, CHUNK)
+    stops = [min(lo + CHUNK, n) for lo in starts]
+    if _WORKERS <= 1 or len(starts) == 1:
+        return [span(lo, hi) for lo, hi in zip(starts, stops)]
+    return list(_pool(os.getpid(), _WORKERS).map(span, starts, stops))
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -116,25 +166,27 @@ def mc_selection_probability(
         raise ValueError(f"unknown dm_mode {dm_mode!r}")
     import numpy as np
 
-    gen = _generator(seed, stream)
-    stat = _normals(gen, n)
-    if group.sigma_tilde is not None:
-        stat *= group.sigma_tilde
-        stat += m
-    else:
-        # Latent quality, then the noisy estimate, then the posterior mean.
-        eta = group.eta_sq if group.eta_sq is not None else eta_sq
-        stat *= math.sqrt(eta)
-        stat += m
-        noise = _normals(gen, n)
-        noise *= math.sqrt(group.noise_var)
-        stat += noise
-        del noise
-        if dm_mode == "bayesian":
-            rho_sq = correlation_coefficient(group, eta_sq) ** 2
-            stat *= rho_sq
-            stat += (1.0 - rho_sq) * m
-    p = int(np.count_nonzero(stat >= theta)) / n
+    def hits(lo: int, hi: int) -> int:
+        stat = _normals(_generator(seed, stream, lo), hi - lo)
+        if group.sigma_tilde is not None:
+            stat *= group.sigma_tilde
+            stat += m
+        else:
+            # Latent quality, then the noisy estimate, then the posterior mean.
+            eta = group.eta_sq if group.eta_sq is not None else eta_sq
+            stat *= math.sqrt(eta)
+            stat += m
+            noise = _normals(_generator(seed, stream, n + lo), hi - lo)
+            noise *= math.sqrt(group.noise_var)
+            stat += noise
+            del noise
+            if dm_mode == "bayesian":
+                rho_sq = correlation_coefficient(group, eta_sq) ** 2
+                stat *= rho_sq
+                stat += (1.0 - rho_sq) * m
+        return int(np.count_nonzero(stat >= theta))
+
+    p = sum(_over_spans(hits, n)) / n
     std_error = math.sqrt(p * (1.0 - p) / (n - 1))
     return McEstimate(mean=p, std_error=std_error, n=n, seed=seed)
 
@@ -193,46 +245,51 @@ def mc_selection_quality(
 
     import numpy as np
 
-    gen = _generator(seed, stream)
-    u_group = gen.random(n)
-    z_stat = _normals(gen, n)
-    z_resid = _normals(gen, n)
-    u_effort = gen.random(n)
-
-    value = np.zeros(n)
     edges = np.cumsum([v.share for v in views])
-    lower = 0.0
-    for params, strategy, theta, edge in zip(config.groups, strategies, thresholds, edges):
-        eta, stat_var, resid_var = _variances(params, config)
-        resid_sd = math.sqrt(max(resid_var, 0.0))
-        # Index gathers beat boolean masks; the in-place steps below keep the
-        # peak memory no higher than the masks'.
-        idx = np.flatnonzero((u_group >= lower) & (u_group < edge))
-        lower = edge
-        if not idx.size:
-            continue
-        if len(strategy.support) == 1:
-            efforts = strategy.support[0][0]
-        else:
-            efforts = _sample_efforts(strategy, u_effort.take(idx))
-        stat = z_stat.take(idx)
-        stat *= math.sqrt(stat_var)
-        stat += efforts
-        if config.dm_mode == "bayesian":
-            # The statistic is the posterior mean, so quality = stat + resid
-            # with resid independent of the statistic.
-            quality = z_resid.take(idx)
-            quality *= resid_sd
-            quality += stat
-        else:
-            # Oblivious statistic is quality plus noise: Cov(W, stat) = eta,
-            # so W | stat is N(m + beta (stat - m), eta - eta^2 / stat_var).
-            beta = eta / stat_var
-            quality = efforts + beta * (stat - efforts) + resid_sd * z_resid.take(idx)
-        quality *= stat >= theta
-        value[idx] = quality
-    # The estimate's variance makes a temporary as large as ``value``.
-    del u_group, z_stat, z_resid, u_effort
+    # The effort uniforms are drawn only when some strategy reads them; their
+    # span is positioned in the stream, so skipping it moves no other draw.
+    mixed = any(len(strategy.support) > 1 for strategy in strategies)
+    value = np.zeros(n)
+
+    def fill(lo: int, hi: int) -> None:
+        size = hi - lo
+        u_group = _generator(seed, stream, lo).random(size)
+        z_stat = _normals(_generator(seed, stream, n + lo), size)
+        z_resid = _normals(_generator(seed, stream, 2 * n + lo), size)
+        u_effort = _generator(seed, stream, 3 * n + lo).random(size) if mixed else None
+        out = value[lo:hi]
+        lower = 0.0
+        for params, strategy, theta, edge in zip(config.groups, strategies, thresholds, edges):
+            eta, stat_var, resid_var = _variances(params, config)
+            resid_sd = math.sqrt(max(resid_var, 0.0))
+            # Index gathers beat boolean masks; the in-place steps below keep
+            # the peak memory no higher than the masks'.
+            idx = np.flatnonzero((u_group >= lower) & (u_group < edge))
+            lower = edge
+            if not idx.size:
+                continue
+            if len(strategy.support) == 1:
+                efforts = strategy.support[0][0]
+            else:
+                efforts = _sample_efforts(strategy, u_effort.take(idx))
+            stat = z_stat.take(idx)
+            stat *= math.sqrt(stat_var)
+            stat += efforts
+            if config.dm_mode == "bayesian":
+                # The statistic is the posterior mean, so quality = stat + resid
+                # with resid independent of the statistic.
+                quality = z_resid.take(idx)
+                quality *= resid_sd
+                quality += stat
+            else:
+                # Oblivious statistic is quality plus noise: Cov(W, stat) = eta,
+                # so W | stat is N(m + beta (stat - m), eta - eta^2 / stat_var).
+                beta = eta / stat_var
+                quality = efforts + beta * (stat - efforts) + resid_sd * z_resid.take(idx)
+            quality *= stat >= theta
+            out[idx] = quality
+
+    _over_spans(fill, n)
     return _estimate(value, seed)
 
 

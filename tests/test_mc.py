@@ -1,5 +1,7 @@
 import hashlib
 import math
+import multiprocessing
+import os
 import sys
 import tracemalloc
 
@@ -216,6 +218,110 @@ def test_selection_quality_matches_the_reference(data, dm_mode, n, n_groups, eta
     est = mc_selection_quality(strategies, thresholds, config, n, seed, stream=2)
     ref = reference_selection_quality(strategies, thresholds, config, n, seed, stream=2)
     assert est == ref
+
+
+# Span-crossing sample counts: odd counts start every array after the first
+# off a Philox counter step of four doubles.
+SPAN_COUNTS = [mc.CHUNK - 1, mc.CHUNK, mc.CHUNK + 1, 3 * mc.CHUNK + 3]
+
+
+@pytest.mark.parametrize("offset", [*range(10), mc.CHUNK - 1, mc.CHUNK + 1, 3 * mc.CHUNK + 5])
+def test_positioned_generator_continues_the_stream(offset):
+    positioned = mc._generator(5, 3, offset).random(9)
+    assert (positioned == mc._generator(5, 3).random(offset + 9)[offset:]).all()
+
+
+def _span_quality_game(dm_mode):
+    config = GameConfig(
+        reward=1.0, alpha=0.5, eta_sq=1.0, dm_mode=dm_mode,
+        groups=(
+            GroupParams("A", 0.3, 1.0, noise_var=2.0),
+            GroupParams("B", 0.5, 1.0, noise_var=0.0),
+            GroupParams("C", 0.2, 1.0, noise_var=0.5, eta_sq=1.5),
+        ),
+    )
+    mixed = EffortDistribution(((0.5, 0.7), (2.5, 0.3)))
+    return config, [mixed, EffortDistribution.point(1.0), EffortDistribution.point(0.2)]
+
+
+@pytest.mark.parametrize("n", SPAN_COUNTS)
+@pytest.mark.parametrize("dm_mode", ["bayesian", "oblivious"])
+@pytest.mark.parametrize("group", [
+    GroupParams("A", 1.0, 1.0, noise_var=2.0),
+    GroupParams("A", 1.0, 1.0, noise_var=0.5, eta_sq=1.5),
+    GroupParams("A", 1.0, 1.0, noise_var=1.0, sigma_tilde=0.7),
+])
+def test_selection_probability_across_spans_matches_the_reference(n, dm_mode, group):
+    args = (1.0, 1.2, group, 1.0, n, 17)
+    est = mc_selection_probability(*args, dm_mode=dm_mode, stream=5)
+    ref = reference_selection_probability(*args, dm_mode=dm_mode, stream=5)
+    assert est.mean == ref.mean
+    assert abs(est.std_error - ref.std_error) <= 1e-12 * ref.std_error
+
+
+@pytest.mark.parametrize("n", SPAN_COUNTS)
+@pytest.mark.parametrize("dm_mode", ["bayesian", "oblivious"])
+@pytest.mark.parametrize("mixed", [True, False])
+def test_selection_quality_across_spans_matches_the_reference(n, dm_mode, mixed):
+    config, strategies = _span_quality_game(dm_mode)
+    if not mixed:  # no strategy reads the effort uniforms, which are not drawn
+        strategies[0] = EffortDistribution.point(0.5)
+    thresholds = [1.0, 0.8, 1.4]
+    est = mc_selection_quality(strategies, thresholds, config, n, 17, stream=6)
+    assert est == reference_selection_quality(strategies, thresholds, config, n, 17, stream=6)
+
+
+def test_estimates_do_not_depend_on_the_worker_count(monkeypatch):
+    n = 3 * mc.CHUNK + 3
+    config, strategies = _span_quality_game("bayesian")
+    group = config.groups[0]
+    estimates = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        estimates.append((
+            mc_selection_probability(1.0, 1.2, group, 1.0, n, 23, stream=1),
+            mc_selection_quality(strategies, 1.0, config, n, 23, stream=2),
+        ))
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_draws_on_a_pool_of_its_own(monkeypatch):
+    # A forked child inherits the parent's pool object but none of its
+    # threads; spans submitted to it would wait forever.
+    monkeypatch.setattr(mc, "_WORKERS", 2)
+    group = GroupParams("A", 1.0, 1.0, noise_var=2.0)
+    args = (1.0, 0.5, group, 1.0, 2 * mc.CHUNK, 1)
+    parent = mc_selection_probability(*args)  # starts the parent's pool
+
+    def child():
+        sys.exit(0 if mc_selection_probability(*args) == parent else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
+
+
+@pytest.mark.parametrize("dm_mode", ["bayesian", "oblivious"])
+def test_selection_quality_peak_memory(monkeypatch, dm_mode):
+    # The draws live in spans of CHUNK, so one call holds the value array,
+    # the estimate's deviation temporary and a few spans per worker; drawing
+    # all four arrays at once took about seven arrays of n doubles.
+    monkeypatch.setattr(mc, "_WORKERS", 2)
+    n = 750_000
+    config, strategies = _span_quality_game(dm_mode)
+    mc_selection_quality(strategies, 1.0, config, 2 * mc.CHUNK, seed=1)  # start the pool
+    tracemalloc.start()
+    try:
+        mc_selection_quality(strategies, 1.0, config, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n
 
 
 def test_selection_probability_peak_memory():
