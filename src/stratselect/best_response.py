@@ -273,7 +273,10 @@ class ResponseCurve:
         if info is not None and theta == info.theta_d:
             return (info.br_min, info.br_max)
         maxima = _recall(self._responses, self._best_response, theta / self.sigma)
-        return tuple(self.sigma * mu for _, mu in maxima)
+        sigma = self.sigma
+        if len(maxima) == 1:
+            return (sigma * maxima[0][1],)
+        return (sigma * maxima[0][1], sigma * maxima[1][1])
 
     def _best_response(self, tau: float) -> tuple[tuple[float, float], ...]:
         if self.window is not None and self.inner[0] < tau < self.inner[1]:

@@ -452,11 +452,12 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
             summary += f" theta={conv.theta!r}"
         write_row = _csv_writer(fh, config, columns, summary)
         rate = metrics.selection_rate
+        # Every cell but the belief, which is None in br mode, is a float.
         for state in trace.states:
             theta = state.theta
-            row = [str(state.t), _fmt(theta), _fmt(state.belief)]
+            row = [str(state.t), repr(theta), _fmt(state.belief)]
             for view, strategy in zip(views, state.strategies):
-                row += (_fmt(strategy.mean()), _fmt(rate(strategy, theta, view)))
+                row += (repr(strategy.mean()), repr(rate(strategy, theta, view)))
             write_row(row)
     return 0
 

@@ -9,8 +9,13 @@ threshold of a state is always the one induced by its strategies, i.e. the
 method on the mixture CDF (:func:`stratselect.equilibrium.mixture_quantile`).
 A threshold within a payoff tie of a dropout
 (``best_response.PAYOFF_TIE_REL``), not only exactly on it, is resolved as a
-50/50 split between the two tied best responses.  :func:`run` is the one
-entry point.  Its cycle check keeps, for each period, the run of trailing
+50/50 split between the two tied best responses.  A step passes each
+group's best response on as one support tuple, ``((m, 1.0),)`` or ``((lo,
+0.5), (hi, 0.5))``: the same tuples go to ``mixture_quantile`` and, wrapped
+with no re-validation, into the state's strategies, since a curve's efforts
+are floats ``>= 0`` and these weights sum to exactly 1, so validation could
+not fail and would rebuild the same tuples.  :func:`run` is the one entry
+point.  Its cycle check keeps, for each period, the run of trailing
 thresholds that repeat the one a period back within ``CYCLE_TOL``, and
 extends it by one comparison per period and step instead of rescanning the
 tail.
@@ -94,15 +99,15 @@ def _step(
     """Every group best-responds to ``theta`` on its curve, the threshold they
     induce is found and, in fictitious play, joins the belief ``theta`` of
     ``n`` thresholds."""
-    strategies = []
+    supports = []
     for curve in curves:
         brs = curve.best_response(theta)
         if len(brs) == 2:
-            strategies.append(EffortDistribution(((brs[0], 0.5), (brs[1], 0.5))))
+            supports.append(((brs[0], 0.5), (brs[1], 0.5)))
         else:
-            strategies.append(EffortDistribution.point(brs[0]))
-    strategies = tuple(strategies)
-    new = mixture_quantile([s.support for s in strategies], views, alpha)
+            supports.append(((brs[0], 1.0),))
+    new = mixture_quantile(supports, views, alpha)
+    strategies = tuple(map(EffortDistribution._of_best_response, supports))
     belief = (theta * n + new) / (n + 1) if n else None
     return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
 

@@ -68,9 +68,11 @@ def selection_rate(
     strategy: EffortDistribution, theta: float, group: GroupView
 ) -> float:
     """Probability that a candidate playing ``strategy`` clears ``theta``."""
-    return sum(
-        w * normal_cdf((m - theta) / group.sigma) for m, w in strategy.support
-    )
+    # Left to right from 0, the same double as ``sum`` on Python 3.11.
+    rate = 0
+    for m, w in strategy.support:
+        rate += w * normal_cdf((m - theta) / group.sigma)
+    return rate
 
 
 def quality_from_outcomes(

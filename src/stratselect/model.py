@@ -177,8 +177,27 @@ class EffortDistribution:
     def point(cls, effort: float) -> "EffortDistribution":
         return cls(((effort, 1.0),))
 
+    @classmethod
+    def _of_best_response(
+        cls, support: tuple[tuple[float, float], ...]
+    ) -> "EffortDistribution":
+        """Wrap a best response's ``((m, 1.0),)`` or ``((lo, 0.5), (hi,
+        0.5))`` with no ``__post_init__``.  That is safe for a support built
+        from :meth:`ResponseCurve.best_response`: its efforts are floats
+        ``>= 0`` (each root is held inside a bracket that starts at ``mu =
+        0``, or at ``z2 + tau > 0`` inside the window), and the weights sum
+        to exactly 1, so the checks could not fail and the float conversion
+        would give the same tuple."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "support", support)
+        return dist
+
     def mean(self) -> float:
-        return sum(m * w for m, w in self.support)
+        # Left to right from 0, the same double as ``sum`` on Python 3.11.
+        total = 0
+        for m, w in self.support:
+            total += m * w
+        return total
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,20 @@
+import dataclasses
 import importlib
+import math
 
 import pytest
+from hypothesis import strategies as st
 
+from stratselect.best_response import critical_reward
 from stratselect.kernel import NoConvergence
 from stratselect.metrics import selection_rate
-from stratselect.model import EffortDistribution, GameConfig, GroupParams, GroupView
+from stratselect.model import (
+    EffortDistribution,
+    GameConfig,
+    GroupParams,
+    GroupView,
+    effective_groups,
+)
 
 
 @pytest.fixture
@@ -108,3 +118,26 @@ def two_group_config(
             GroupParams("L", 1.0 - share_h, cost_l, sigma_tilde=sigma_l),
         ),
     )
+
+
+COSTS = st.floats(math.log10(0.2), math.log10(5.0)).map(lambda e: 10.0**e)
+NOISES = st.floats(0.0, 4.0)
+
+
+@st.composite
+def random_games(draw, min_groups=1):
+    """Games of ``min_groups`` to 4 groups in either mode, at a reward from a
+    tenth to a thousand times the first group's critical reward, so groups
+    fall on both sides of theirs."""
+    count = draw(st.integers(min_groups, 4))
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    groups = tuple(
+        GroupParams(f"G{i}", w / sum(weights), draw(COSTS), noise_var=draw(NOISES))
+        for i, w in enumerate(weights)
+    )
+    config = GameConfig(
+        reward=1.0, alpha=draw(st.floats(0.02, 0.98)), eta_sq=1.0, groups=groups,
+        dm_mode=draw(st.sampled_from(["bayesian", "oblivious"])),
+    )
+    reward = critical_reward(effective_groups(config)[0]) * 10.0 ** draw(st.floats(-1.0, 3.0))
+    return dataclasses.replace(config, reward=reward)

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -9,23 +11,35 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratselect.equilibrium as equilibrium
 from stratselect import cli, metrics
 from stratselect.best_response import ResponseCurve
+from stratselect.dynamics import _step
+from stratselect.dynamics import run as run_dynamics
 from stratselect.equilibrium import (
     SolverError,
+    response_curves,
     solve_demographic_parity,
     solve_unconstrained,
 )
-from stratselect.kernel import DomainError
-from stratselect.model import config_from_dict
+from stratselect.kernel import DomainError, normal_cdf
+from stratselect.model import (
+    EffortDistribution,
+    config_from_dict,
+    config_to_dict,
+    effective_groups,
+)
+
+from conftest import random_games
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -907,6 +921,79 @@ class TestDynamics:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err == f"error: --tol must be finite and nonnegative, got {float(tol)}\n"
+
+
+def reference_fmt(x):
+    return "" if x is None else repr(float(x))
+
+
+def reference_dynamics_rows(trace, views):
+    """The ``dynamics`` data rows as the writer built them before it wrote
+    floats with ``repr``: every cell through ``reference_fmt``, and the mean
+    and the rate as generator sums."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    for state in trace.states:
+        theta = state.theta
+        row = [str(state.t), reference_fmt(theta), reference_fmt(state.belief)]
+        for view, strategy in zip(views, state.strategies):
+            mean = sum(m * w for m, w in strategy.support)
+            rate = sum(w * normal_cdf((m - theta) / view.sigma) for m, w in strategy.support)
+            row += [reference_fmt(mean), reference_fmt(rate)]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def check_dynamics_rows(config, mode, steps, run=run_dynamics):
+    """``dynamics`` on ``config``, with ``run`` as its trace source, writes
+    the reference rows byte for byte."""
+    traces = []
+
+    def recorded(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        game = write_json(Path(tmp) / "game.json", config_to_dict(config))
+        out = Path(tmp) / "dyn.csv"
+        with mock.patch.object(cli, "run_dynamics", recorded):
+            rc = cli.main(["dynamics", "--config", game, "--mode", mode,
+                           "--steps", str(steps), "--out", str(out)])
+        assert rc == 0
+        text = out.read_bytes().decode("utf-8")
+    # The comment lines end in "\n"; the header, first of the csv lines, in "\r\n".
+    rows = text.split("\r\n", 1)[1]
+    assert rows == reference_dynamics_rows(traces[0], effective_groups(config))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=random_games(min_groups=2), mode=st.sampled_from(["br", "fp"]))
+def test_dynamics_rows_match_the_reference_writer(config, mode):
+    check_dynamics_rows(config, mode, 40)
+
+
+@pytest.mark.parametrize("mode", ["br", "fp"])
+def test_dynamics_rows_with_two_point_states_match_the_reference_writer(mode):
+    """A run from a two- and a three-point state with uneven weights, in
+    which the order of the sums shows, followed by a step at each curve's
+    dropout, whose tie is a 50/50 pair."""
+    config = config_from_dict(json.loads((SCENARIOS / "noise_gap_s10.json").read_text()))
+
+    def two_point_run(config, mode, max_steps, tol):
+        init = (EffortDistribution(((0.3, 0.25), (1.7, 0.75))),
+                EffortDistribution(((0.7, 0.2), (0.9, 0.3), (2.5, 0.5))))
+        trace = run_dynamics(config, mode, max_steps, init=init, tol=tol)
+        views = effective_groups(config)
+        curves = response_curves(views, config.reward)
+        ties = tuple(
+            _step(curve.info.theta_d, len(trace.states) + i, views, curves, config.alpha,
+                  n=len(trace.states) if mode == "fp" else 0)
+            for i, curve in enumerate(curves)
+        )
+        assert any(len(s.support) == 2 for state in ties for s in state.strategies)
+        return dataclasses.replace(trace, states=trace.states + ties)
+
+    check_dynamics_rows(config, mode, 30, run=two_point_run)
 
 
 @pytest.mark.parametrize("command", ["sweep", "dropout", "dynamics"])

@@ -10,11 +10,14 @@ from stratselect.dynamics import (
     CYCLE_TOL,
     MAX_CYCLE_PERIOD,
     _CycleDetector,
+    _step,
     induced_threshold,
     run,
 )
-from stratselect.equilibrium import solve_unconstrained
-from stratselect.model import EffortDistribution, GameConfig, GroupParams
+from stratselect.equilibrium import response_curves, solve_unconstrained
+from stratselect.model import EffortDistribution, GameConfig, GroupParams, effective_groups
+
+from conftest import random_games
 
 
 def single_group_config(alpha, sigma=1.0):
@@ -182,6 +185,38 @@ class TestRun:
         init = (EffortDistribution.point(0.5), EffortDistribution.point(0.1))
         trace = run(small_reward_config, mode="br", max_steps=300, init=init)
         assert trace.convergence.status == "converged"
+
+
+def assert_validated_alike(strategy):
+    """``strategy``, built by a step with no ``__post_init__``, is what the
+    validating constructor makes of its support, down to the float type."""
+    assert strategy == EffortDistribution(strategy.support)
+    assert all(type(x) is float for point in strategy.support for x in point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=random_games(), mode=st.sampled_from(["br", "fp"]))
+def test_step_strategies_equal_validated_ones(config, mode):
+    for state in run(config, mode, max_steps=30).states:
+        for strategy in state.strategies:
+            assert_validated_alike(strategy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=random_games(), n=st.sampled_from([0, 3]))
+def test_step_at_a_dropout_splits_its_tie(config, n):
+    """A step at a curve's dropout threshold plays the tied pair 50/50 in
+    both modes (``n`` = 0 steps as in br, and 3 as in fp)."""
+    views = effective_groups(config)
+    curves = response_curves(views, config.reward)
+    for i, curve in enumerate(curves):
+        info = curve.info
+        if info is None:
+            continue
+        state = _step(info.theta_d, 0, views, curves, config.alpha, n)
+        assert state.strategies[i].support == ((info.br_min, 0.5), (info.br_max, 0.5))
+        for strategy in state.strategies:
+            assert_validated_alike(strategy)
 
 
 def rescanning_detect_cycle(thetas):

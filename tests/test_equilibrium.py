@@ -41,7 +41,7 @@ from stratselect.model import (
     validate,
 )
 
-from conftest import two_group_config
+from conftest import COSTS, NOISES, random_games, two_group_config
 
 
 def mass_interval(theta, config):
@@ -160,7 +160,7 @@ class TestSolverBracket:
         assert hi == pytest.approx(math.sqrt(20.0) + z, rel=1e-15)
 
     @settings(max_examples=200, deadline=None)
-    @given(config=st.deferred(lambda: parity_games()))
+    @given(config=random_games())
     def test_contains_the_induced_thresholds(self, config):
         # The thresholds that zero effort and the payoff-feasibility bound
         # induce, which the bracket once solved for.  mixture_quantile works
@@ -561,10 +561,6 @@ class TestDemographicParity:
         assert all((o.tau is None) == (game == "small_reward_config") for o in report.outcomes)
 
 
-COSTS = st.floats(math.log10(0.2), math.log10(5.0)).map(lambda e: 10.0**e)
-NOISES = st.floats(0.0, 4.0)
-
-
 @st.composite
 def twin_games(draw):
     """Games of 2-4 groups, at least one pair of them twins (same cost and
@@ -611,27 +607,8 @@ class TestTwinGroups:
             assert max(gains.values()) <= 1e-7 * config.reward, gains
 
 
-@st.composite
-def parity_games(draw, min_groups=1):
-    """Games of ``min_groups`` to 4 groups in either mode, at a reward from a
-    tenth to a thousand times the first group's critical reward, so groups
-    fall on both sides of theirs."""
-    count = draw(st.integers(min_groups, 4))
-    weights = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
-    groups = tuple(
-        GroupParams(f"G{i}", w / sum(weights), draw(COSTS), noise_var=draw(NOISES))
-        for i, w in enumerate(weights)
-    )
-    config = GameConfig(
-        reward=1.0, alpha=draw(st.floats(0.02, 0.98)), eta_sq=1.0, groups=groups,
-        dm_mode=draw(st.sampled_from(["bayesian", "oblivious"])),
-    )
-    reward = critical_reward(effective_groups(config)[0]) * 10.0 ** draw(st.floats(-1.0, 3.0))
-    return dataclasses.replace(config, reward=reward)
-
-
 @settings(max_examples=500, deadline=None)
-@given(config=parity_games())
+@given(config=random_games())
 # Next to the cusp: 2.1e-6 above the critical reward, the three-root window
 # is 4.1e-9 wide.  A dropout search that ends on a window edge finds one
 # maximum there and raises.
@@ -666,7 +643,7 @@ def test_parity_outcomes_match_one_group_solves(config):
 
 
 @settings(max_examples=300, deadline=None)
-@given(config=parity_games(), below=st.floats(0.0, 1.0), above=st.floats(0.0, 1.0))
+@given(config=random_games(), below=st.floats(0.0, 1.0), above=st.floats(0.0, 1.0))
 def test_threshold_does_not_depend_on_the_bracket(config, below, above):
     """A bracket widened on either side finds the same equilibrium: the
     same dropout double when pinned, and when smooth the same crossing up to
@@ -674,7 +651,7 @@ def test_threshold_does_not_depend_on_the_bracket(config, below, above):
     check_bracket_free(config, below, above)
 
 
-# parity_games draws this game: its reward is exactly G0's critical reward
+# random_games draws this game: its reward is exactly G0's critical reward
 # (the exponent 0.0), where G0's dropout sits at its cusp.
 CUSP_GAME = GameConfig(
     reward=2.3304361567746676, alpha=0.4, eta_sq=1.0, dm_mode="bayesian",
@@ -713,7 +690,7 @@ def check_bracket_free(config, below, above):
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=parity_games(min_groups=2), axis=st.sampled_from(["alpha", "reward"]))
+@given(config=random_games(min_groups=2), axis=st.sampled_from(["alpha", "reward"]))
 def test_sweep_row_matches_the_public_solvers(config, axis):
     """A sweep row calls the solvers' cores on the groups its spec resolved
     once; the row holds what the public solvers give on the same game.  The

@@ -7,6 +7,7 @@ import math
 import sys
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
@@ -117,6 +118,43 @@ def test_smooth_crossing(data, count, alpha):
     )
     report = solve_unconstrained(config)
     assume(report.regime == "smooth")
+    check_smooth_crossing(config, report)
+
+
+# A game the test above can draw.  The mass slope at the root is only
+# -3.7e-4 and G1 is selected at 0.9918, so the rounding of ``mass - alpha``
+# may be what moves the threshold: 2.37e-13 from the 50-digit root.
+SHALLOW_CROSSING_WEIGHTS = (0.173828125, 0.8203125)
+SHALLOW_CROSSING_GAME = GameConfig(
+    reward=1.0, alpha=0.818359375, eta_sq=1.0,
+    groups=tuple(
+        GroupParams(f"G{i}", w / sum(SHALLOW_CROSSING_WEIGHTS), cost, noise_var=1.0)
+        for i, (w, cost) in enumerate(zip(SHALLOW_CROSSING_WEIGHTS, (10.0**0.5, 1.0)))
+    ),
+)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="ROADMAP item 3: the smooth crossing solves mass - alpha, and at a "
+    "shallow mass slope near alpha = 0.82 its rounding moves the threshold "
+    "2.37e-13 from the root, past the 1.91e-13 bound",
+)
+def test_smooth_crossing_at_a_shallow_mass_slope():
+    config = dataclasses.replace(
+        SHALLOW_CROSSING_GAME,
+        reward=critical_reward(effective_groups(SHALLOW_CROSSING_GAME)[0]) * 100.0,
+    )
+    report = solve_unconstrained(config)
+    if report.regime != "smooth":  # not an AssertionError, so not an xfail
+        pytest.fail(f"regime {report.regime!r}, not smooth")
+    check_smooth_crossing(config, report)
+
+
+def check_smooth_crossing(config, report):
+    """The smooth threshold of ``report`` against the 50-digit root of the
+    budget and every group's first-order condition."""
+    alpha = config.alpha
     theta = report.threshold
     views = effective_groups(config)
     with mpmath.workdps(DIGITS):
