@@ -8,7 +8,9 @@ thresholds along a reward grid, CSV), ``dynamics`` (one trajectory, CSV) and
 Exit codes: 0 success, 1 input error (a game or reward-grid point outside
 the supported range included, see ``model.MAX_REWARD_RATIO``), 2 computation
 error.  CSV output is byte-identical across runs for identical inputs; every
-CSV starts with a ``# config_hash=`` comment binding it to the game instance.
+CSV starts with a ``# config_hash=`` comment binding it to the game instance,
+and is built in memory and written to ``--out`` once, when the command
+succeeds: a failed command writes nothing.
 Every subcommand builds each group's response curve (its window and dropout
 threshold) once per reward: groups of the same cost and spread share it, and
 so do both solvers, the grid points and the dynamics steps.  ``sweep`` checks
@@ -35,7 +37,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from . import metrics
-from .best_response import SubcriticalReward
 from .dynamics import run as run_dynamics
 from .equilibrium import (
     CurveMemo,
@@ -76,13 +77,7 @@ from .model import (
 
 __all__ = ["main"]
 
-_COMPUTE_ERRORS = (
-    NoConvergence,
-    NoBracket,
-    DomainError,
-    SolverError,
-    SubcriticalReward,
-)
+_COMPUTE_ERRORS = (NoConvergence, NoBracket, DomainError, SolverError)
 
 
 class InputError(Exception):
@@ -119,14 +114,14 @@ def _load_config(path: str) -> GameConfig:
 
 @contextmanager
 def _csv_out(path: str):
-    """A text file on ``path`` that a failed block leaves as it was.
+    """A text buffer that is written to ``path`` once, when the block succeeds.
 
     ``path`` is opened before the block runs, so an unwritable path is an
-    InputError before any work.  A file the call creates is removed when the
-    block raises.  An existing regular file is written in place only when
-    the block succeeds, so it keeps its inode, owner and mode.  Anything
-    else, such as a FIFO or a device, is written as the block goes, as
-    ``open(path, "w")`` would.
+    InputError before any work.  A failed block writes nothing: an existing
+    file keeps its bytes, and a file the call created is removed.  An existing
+    regular file is truncated and written in place, so it keeps its inode,
+    owner and mode; anything else, such as a FIFO or a device, is only
+    written.
     """
     try:
         try:
@@ -137,20 +132,19 @@ def _csv_out(path: str):
             created = False
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
-    fh = open(fd, "w", encoding="utf-8", newline="")
-    if created or not stat.S_ISREG(os.fstat(fd).st_mode):
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        buf = io.StringIO(newline="")
         try:
-            with fh:
-                yield fh
+            yield buf
         except BaseException:
             if created:
                 os.unlink(path)
             raise
-        return
-    buf = io.StringIO(newline="")
-    with fh:
-        yield buf
-        fh.truncate(0)
+        # A file the call created is empty and is left untruncated: ext4
+        # flushes a file truncated to 0 and written again when it is closed,
+        # which costs more than the write.
+        if not created and stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate(0)
         fh.write(buf.getvalue())
 
 
@@ -223,15 +217,14 @@ def _parse_grid(spec: str) -> list[float]:
 # solve
 
 
-def _solve_payload(config: GameConfig, with_dp: bool) -> dict:
+def cmd_solve(args: argparse.Namespace) -> int:
+    config = _load_config(args.config)
     payload: dict = {"config_hash": config_hash(config)}
     curves: CurveMemo = {}
-    un = solve_unconstrained(config, curves=curves)
-    payload["unconstrained"] = un.as_dict()
+    payload["unconstrained"] = solve_unconstrained(config, curves=curves).as_dict()
     payload["demographic_parity"] = (
-        solve_demographic_parity(config, curves=curves).as_dict()
-        if with_dp
-        else None
+        None if args.no_dp
+        else solve_demographic_parity(config, curves=curves).as_dict()
     )
     try:
         payload["asymptotic_predictions"] = asdict(asymptotic_predictions(config))
@@ -241,12 +234,6 @@ def _solve_payload(config: GameConfig, with_dp: bool) -> dict:
         payload["small_s_crossings"] = asdict(small_s_crossings(config))
     except (SubcriticalityViolated, DegenerateVariance, NotTwoGroups):
         payload["small_s_crossings"] = None
-    return payload
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    payload = _solve_payload(config, with_dp=not args.no_dp)
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -377,10 +364,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_sweep(args.config)
     columns = _sweep_columns(spec)
     with _csv_out(args.out) as fh:
-        curves: CurveMemo = {}
-        results = [_sweep_row(spec, v, curves) for v in spec.grid]
         write_row = _csv_writer(fh, spec.base_config, columns)
-        for row, warning in results:
+        curves: CurveMemo = {}
+        for value in spec.grid:
+            row, warning = _sweep_row(spec, value, curves)
             if warning:
                 print(f"warning: {warning}", file=sys.stderr)
             write_row([_fmt(row.get(c)) for c in columns])
@@ -404,24 +391,21 @@ def cmd_dropout(args: argparse.Namespace) -> int:
     with _csv_out(args.out) as fh:
         write_row = _csv_writer(fh, config, columns)
         for reward in grid:
-            row = {"S": reward}
+            row = [repr(reward)]
             for view, curve in zip(views, response_curves(views, reward)):
-                try:
-                    info = curve.dropout()
-                except SubcriticalReward:
+                info = curve.info
+                if info is None:
                     print(
                         f"warning: S={reward!r} is subcritical for group "
                         f"{view.label!r}",
                         file=sys.stderr,
                     )
+                    row += ("", "", "", "")
                     continue
-                row[f"theta_d_{view.label}"] = info.theta_d
-                row[f"br_min_{view.label}"] = info.br_min
-                row[f"br_max_{view.label}"] = info.br_max
-                row[f"scaled_{view.label}"] = info.theta_d * (
-                    view.cost / (2.0 * reward)
-                ) ** 0.5
-            write_row([_fmt(row.get(c)) for c in columns])
+                scaled = info.theta_d * (view.cost / (2.0 * reward)) ** 0.5
+                row += (repr(info.theta_d), repr(info.br_min), repr(info.br_max),
+                        repr(scaled))
+            write_row(row)
     return 0
 
 

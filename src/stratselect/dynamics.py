@@ -183,7 +183,7 @@ def run(
             raise ValueError("need one initial strategy per group")
 
     curves = response_curves(views, config.reward)
-    theta0 = mixture_quantile([s.support for s in init], views, config.alpha)
+    theta0 = induced_threshold(init, config)
     state = DynamicsState(
         strategies=init,
         theta=theta0,

@@ -1082,6 +1082,52 @@ def test_out_may_be_a_fifo(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "plain.csv"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "dropout", "dynamics"])
+def test_out_may_be_the_null_device(tmp_path, monkeypatch, capsys, command):
+    game = str(SCENARIOS / "noise_gap_s10.json")
+    argv = {
+        "sweep": ["--config", write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2]))],
+        "dropout": ["--config", game, "--grid", "100:1000:2:log"],
+        "dynamics": ["--config", game, "--steps", "5"],
+    }[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, *argv, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_failed_dropout_writes_nothing_to_a_fifo(tmp_path, monkeypatch, capsys):
+    # The header and the first row are done when the second reward fails;
+    # neither may reach the pipe.
+    rewards = []
+
+    def fail_at_second_reward(views, reward, memo=None):
+        rewards.append(reward)
+        if len(rewards) == 2:
+            raise SolverError("synthetic failure")
+        return response_curves(views, reward, memo)
+
+    monkeypatch.setattr(cli, "response_curves", fail_at_second_reward)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+            "--grid", "100:1000:3:log", "--out", str(fifo)]
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main(argv) == 2
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert capsys.readouterr().err == "computation failed: synthetic failure\n"
+    assert len(rewards) == 2
+    assert written == b""
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         assert cli.main(["verify", "--samples", "50000", "--seed", "1"]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from stratselect.equilibrium import response_curves, solve_unconstrained
 from stratselect.model import EffortDistribution, GameConfig, GroupParams, effective_groups
 
 from conftest import random_games
+
+dynamics_module = importlib.import_module("stratselect.dynamics")
 
 
 def single_group_config(alpha, sigma=1.0):
@@ -94,6 +97,21 @@ class TestSteps:
         monkeypatch.setattr(ResponseCurve, "_search_dropout", counted)
         run(noise_gap_config, mode, max_steps=20)
         assert sorted(searches) == ["H", "L"]
+
+    @pytest.mark.parametrize("mode", ["br", "fp"])
+    def test_run_starts_from_the_induced_threshold(self, noise_gap_config, monkeypatch, mode):
+        # One call per run, through the module's name, so a traced run counts it.
+        calls = []
+
+        def counted(strategies, config):
+            calls.append(config)
+            return induced_threshold(strategies, config)
+
+        init = (EffortDistribution.point(0.5), EffortDistribution.point(1.5))
+        monkeypatch.setattr(dynamics_module, "induced_threshold", counted)
+        trace = run(noise_gap_config, mode, max_steps=20, init=init)
+        assert calls == [noise_gap_config]
+        assert trace.states[0].theta == induced_threshold(init, noise_gap_config)
 
 
 class TestRun:

@@ -667,7 +667,7 @@ CUSP_GAME = GameConfig(
 
 @pytest.mark.xfail(
     raises=SolverError, strict=True,
-    reason="ROADMAP item 4, the cusp band: at a critical reward the effort read "
+    reason="ROADMAP item 5, the cusp band: at a critical reward the effort read "
     "off a threshold is off by about the cube root of rounding, and the "
     "selection budget misses by 5.3e-8",
 )

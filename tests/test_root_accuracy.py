@@ -151,6 +151,36 @@ def test_smooth_crossing_at_a_shallow_mass_slope():
     check_smooth_crossing(config, report)
 
 
+# Another game the hypothesis test can draw: twin groups of shares 0.2 and
+# 0.8 near alpha = 1, where the mass slope is -0.0082.  The smooth threshold
+# 1.0638938012013286 is 1.56e-14 from the 50-digit root, relative to it.
+CLOSE_TO_ONE_CROSSING_WEIGHTS = (0.125, 0.5)
+CLOSE_TO_ONE_CROSSING_GAME = GameConfig(
+    reward=1.0, alpha=0.9799999999999999, eta_sq=1.0,
+    groups=tuple(
+        GroupParams(f"G{i}", w / sum(CLOSE_TO_ONE_CROSSING_WEIGHTS), 1.0, noise_var=1.0)
+        for i, w in enumerate(CLOSE_TO_ONE_CROSSING_WEIGHTS)
+    ),
+)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="ROADMAP item 3: the smooth crossing solves mass - alpha, which "
+    "loses its digits near alpha = 1, and the share doubles sum to 1 + "
+    "5.55e-17; the threshold lands 1.56e-14 from the root, past the 1e-14 bound",
+)
+def test_smooth_crossing_close_to_alpha_one():
+    config = dataclasses.replace(
+        CLOSE_TO_ONE_CROSSING_GAME,
+        reward=critical_reward(effective_groups(CLOSE_TO_ONE_CROSSING_GAME)[0]) * 10.0**1.25,
+    )
+    report = solve_unconstrained(config)
+    if report.regime != "smooth":  # not an AssertionError, so not an xfail
+        pytest.fail(f"regime {report.regime!r}, not smooth")
+    check_smooth_crossing(config, report)
+
+
 def check_smooth_crossing(config, report):
     """The smooth threshold of ``report`` against the 50-digit root of the
     budget and every group's first-order condition."""
