@@ -47,8 +47,8 @@ PAYOFF_TIE_REL`` fires only within ``PAYOFF_TIE_REL / |phi(z_high) -
 phi(z_low)|`` of ``tau_d``; a band ``TIE_BAND`` times wider solves both
 maxima and compares them; only :meth:`ResponseCurve.stationary_points`
 solves the minimum.  Both paths solve a root on the same bracket, so a best
-response is the same double.  A curve remembers its last two best
-responses, and a dropout search that fails raises from the constructor.
+response is the same double.  A failed dropout search raises from the
+constructor; after it a curve changes no attribute, so solves may share it.
 """
 
 from __future__ import annotations
@@ -165,16 +165,6 @@ def foc_window(
     return z1, z2, group.sigma * tau1, group.sigma * tau2
 
 
-def _recall(memo: list, solve, key: float):
-    """``solve(key)``, unless one of the last two keys was ``key``."""
-    for seen, value in memo:
-        if seen == key:
-            return value
-    value = solve(key)
-    memo[:] = [*memo[-1:], (key, value)]
-    return value
-
-
 class ResponseCurve:
     """Stationary points, best responses and the dropout of one group at one
     reward.  ``window`` is ``(z1, z2, tau1, tau2)`` in scaled units, None when
@@ -198,7 +188,6 @@ class ResponseCurve:
             # The last entry is where Newton starts: mu = 0 and z = 1.
             self.low = (0.0, -1.0 / z1, True, 0.0)
             self.high = (z2, math.sqrt(-2.0 * math.log(eps)), False, 1.0)
-        self._responses: list = []
         self.info: DropoutInfo | None = None
         self.band: tuple[float, float] | None = None
         if self.window is not None:
@@ -272,7 +261,7 @@ class ResponseCurve:
         info = self.info
         if info is not None and theta == info.theta_d:
             return (info.br_min, info.br_max)
-        maxima = _recall(self._responses, self._best_response, theta / self.sigma)
+        maxima = self._best_response(theta / self.sigma)
         sigma = self.sigma
         if len(maxima) == 1:
             return (sigma * maxima[0][1],)
@@ -296,17 +285,6 @@ class ResponseCurve:
         if abs(u_high - u_low) <= PAYOFF_TIE_REL:
             return (low, high)
         return (high,) if u_high > u_low else (low,)
-
-    def dropout(self) -> DropoutInfo:
-        """The threshold where the two payoff maxima tie.  Raises
-        :class:`SubcriticalReward` when no window exists or it has
-        degenerated."""
-        if self.info is None:
-            raise SubcriticalReward(
-                f"reward {self.reward!r} gives group {self.group.label!r} no "
-                f"three-root window (critical reward {critical_reward(self.group)!r})"
-            )
-        return self.info
 
     def _search_dropout(self) -> None:
         """Set ``info`` and ``band``: :func:`find_root` on ``tie``, the
@@ -390,5 +368,11 @@ def best_response(theta: float, group: GroupView, reward: float) -> tuple[float,
 
 
 def dropout_threshold(group: GroupView, reward: float) -> DropoutInfo:
-    """:meth:`ResponseCurve.dropout` of a fresh curve."""
-    return ResponseCurve(group, reward).dropout()
+    """The ``info`` of a fresh curve; :class:`SubcriticalReward` when None."""
+    info = ResponseCurve(group, reward).info
+    if info is None:
+        raise SubcriticalReward(
+            f"reward {reward!r} gives group {group.label!r} no three-root "
+            f"window (critical reward {critical_reward(group)!r})"
+        )
+    return info

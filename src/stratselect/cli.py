@@ -268,8 +268,11 @@ def _load_sweep(path: str) -> SweepSpec:
                 grid_raw["lo"], grid_raw["hi"], grid_raw["count"],
                 grid_raw.get("scale", "linear"),
             )
-        else:
+        elif isinstance(grid_raw, list):
             grid = [float(v) for v in grid_raw]
+        else:
+            raise InputError(f"{path}: sweep grid must be a list or a "
+                             f"{{lo, hi, count}} object, got {grid_raw!r}")
     except KeyError as exc:
         raise InputError(f"{path}: sweep grid has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:

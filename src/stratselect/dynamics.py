@@ -98,14 +98,15 @@ def _step(
 ) -> DynamicsState:
     """Every group best-responds to ``theta`` on its curve, the threshold they
     induce is found and, in fictitious play, joins the belief ``theta`` of
-    ``n`` thresholds."""
-    supports = []
+    ``n`` thresholds.  Twins share a curve, which is solved once."""
+    by_curve = {}
     for curve in curves:
-        brs = curve.best_response(theta)
-        if len(brs) == 2:
-            supports.append(((brs[0], 0.5), (brs[1], 0.5)))
-        else:
-            supports.append(((brs[0], 1.0),))
+        if curve not in by_curve:
+            brs = curve.best_response(theta)
+            by_curve[curve] = (
+                ((brs[0], 0.5), (brs[1], 0.5)) if len(brs) == 2 else ((brs[0], 1.0),)
+            )
+    supports = [by_curve[curve] for curve in curves]
     new = mixture_quantile(supports, views, alpha)
     strategies = tuple(map(EffortDistribution._of_best_response, supports))
     belief = (theta * n + new) / (n + 1) if n else None

@@ -17,7 +17,9 @@ A threshold hits a group's dropout only when it is that very double; twin
 groups (same cost and spread) share one curve and so one dropout, where they
 mix alike and ``mixing_group`` names the first of them.  One rate table per
 threshold, each group's low and high effort and selection rate, serves the
-walk, the smooth crossing and the outcomes of both regimes.
+walk, the smooth crossing and the outcomes of both regimes.  A dropout's
+rates do not depend on alpha, so the walk keeps them in the caller's curve
+memo; a crossing hands the rows its Newton steps read to its outcomes.
 
 Every solve walks the dropouts inside one closed-form bracket,
 :func:`solver_bracket`, and a smooth crossing's Newton search starts at the
@@ -84,9 +86,10 @@ class SolverError(RuntimeError):
     """The equilibrium search produced an inconsistent state."""
 
 
-# Response curves keyed by ``(cost, sigma, reward)``: a curve does not depend on
-# alpha, on the other groups or on the solver, so one memo serves a command.
-CurveMemo = dict[tuple[float, float, float], ResponseCurve]
+# Response curves keyed by ``(cost, sigma, reward)`` and the walk's rate rows
+# keyed by ``(theta, curve)``: neither depends on alpha, on the other groups
+# or on the solver, so one memo serves a command.
+CurveMemo = dict[tuple, ResponseCurve | tuple[float, float, float, float]]
 
 
 def response_curves(
@@ -109,19 +112,20 @@ def response_curves(
 RateTable = list[tuple[float, float, float, float]]
 
 
-def _rates(
-    theta: float, views: tuple[GroupView, ...], curves: list[ResponseCurve]
-) -> RateTable:
+def _rates(theta: float, curves: list[ResponseCurve], rows: dict) -> RateTable:
     """Each group's low and high candidate efforts at ``theta`` and their
     selection rates: the ends of its best response (equal off a payoff tie,
-    the tied pair at the group's dropout)."""
+    the tied pair at the group's dropout), kept in ``rows[theta, curve]``."""
     table = []
-    for view, curve in zip(views, curves):
-        brs = curve.best_response(theta)
-        e_lo, e_hi = brs[0], brs[-1]
-        x_lo = normal_cdf((e_lo - theta) / view.sigma)
-        x_hi = x_lo if e_hi == e_lo else normal_cdf((e_hi - theta) / view.sigma)
-        table.append((x_lo, x_hi, e_lo, e_hi))
+    for curve in curves:
+        key = (theta, curve)
+        if key not in rows:
+            brs = curve.best_response(theta)
+            e_lo, e_hi = brs[0], brs[-1]
+            x_lo = normal_cdf((e_lo - theta) / curve.sigma)
+            x_hi = x_lo if e_hi == e_lo else normal_cdf((e_hi - theta) / curve.sigma)
+            rows[key] = (x_lo, x_hi, e_lo, e_hi)
+        table.append(rows[key])
     return table
 
 
@@ -290,7 +294,8 @@ def unconstrained_core(
     solves it along a grid with no further checks.  One path serves every
     solve: the bracket, the walk over the dropouts inside it, then the pin
     or the smooth crossing."""
-    curves = response_curves(views, reward, curves)
+    memo = {} if curves is None else curves
+    curves = response_curves(views, reward, memo)
     lo, hi = bracket or _bracket(views, alpha, reward)
 
     # Groups sharing a dropout share its double: twins share one curve.
@@ -304,7 +309,7 @@ def unconstrained_core(
     lows, highs = [0] * len(views), [1] * len(views)
     outcomes = None
     for theta_d in events:
-        table = _rates(theta_d, views, curves)
+        table = _rates(theta_d, curves, memo)
         m_lo, m_hi = _mass(views, table, lows), _mass(views, table, highs)
         if alpha > m_hi:
             hi = theta_d
@@ -320,9 +325,10 @@ def unconstrained_core(
         # it plays its high maximum throughout, every other group its low one.
         mid = 0.5 * (lo + hi)
         sides = [int(c.info is not None and c.info.theta_d > mid) for c in curves]
+        rows: dict = {}  # the rates each Newton step read, for the outcomes
 
         def excess(theta: float) -> tuple[float, float]:
-            table = _rates(theta, views, curves)
+            table = _rates(theta, curves, rows)
             # A group's rate Phi(z) falls at phi(z) * eps / (s * (z * phi(z) +
             # eps)), with phi(z) = eps * mu on the maximum it plays, where
             # z * mu + 1 > 0.
@@ -335,7 +341,7 @@ def unconstrained_core(
 
         # Newton's method on the excess mass, continuous and decreasing here.
         theta = find_root(excess, lo, hi, mid)
-        outcomes = _outcomes(theta, views, _rates(theta, views, curves), sides)
+        outcomes = _outcomes(theta, views, _rates(theta, curves, rows), sides)
         regime = "smooth"
 
     budget = sum(v.share * o.selection_rate for v, o in zip(views, outcomes))
@@ -379,7 +385,7 @@ def parity_core(
     for view, curve in zip(views, response_curves(views, reward, curves)):
         # The group alone is a population of mass one: its rates are its budget.
         info = curve.info
-        table = None if info is None else _rates(info.theta_d, (view,), [curve])
+        table = None if info is None else _rates(info.theta_d, [curve], {})
         if table is not None and table[0][0] <= alpha <= table[0][1]:
             x_lo, x_hi = table[0][:2]
             theta, mixing = info.theta_d, (0,)

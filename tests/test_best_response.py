@@ -348,7 +348,7 @@ class TestResponseCurve:
         group = GroupView("A", 1.0, cost, sigma)
         reward = critical_reward(group) * 10.0**log_ratio
         curve = ResponseCurve(group, reward)
-        info = curve.dropout()
+        info = curve.info
         theta1, theta2 = info.window
         # The curve keeps its band, centred on the dropout, in tau = theta / sigma.
         tau_lo, tau_hi = curve.band
@@ -376,7 +376,7 @@ class TestResponseCurve:
 
     def test_one_root_outside_band(self, unit_group, monkeypatch):
         curve = ResponseCurve(unit_group, 10.0)
-        theta_d = curve.dropout().theta_d
+        theta_d = curve.info.theta_d
         half = theta_d - curve.band[0]
         roots = []
         real = ResponseCurve._root
@@ -400,6 +400,22 @@ class TestResponseCurve:
         ):
             ResponseCurve(unit_group, 10.0)
         assert ResponseCurve(unit_group, 1.0).info is None  # no window, no search
+
+    @pytest.mark.parametrize("reward", [1.0, 10.0, 1e4])
+    def test_queries_leave_the_curve_unchanged(self, unit_group, reward):
+        # A curve holds no memo: once built, no query changes an attribute,
+        # so any number of solves may share it.  The reprs also see a
+        # container changed in place.
+        curve = ResponseCurve(unit_group, reward)
+        before = {name: repr(value) for name, value in vars(curve).items()}
+        top = 2.0 * math.sqrt(2.0 * reward)
+        thresholds = [top * (k / 40.0 - 0.25) for k in range(41)]
+        if curve.info is not None:
+            thresholds += [curve.info.theta_d] * 3 + list(curve.info.window)
+        for theta in thresholds + thresholds[::-1]:
+            curve.best_response(theta)
+            curve.stationary_points(theta)
+        assert {name: repr(value) for name, value in vars(curve).items()} == before
 
 
 class TestDerivativeIdentity:

@@ -215,6 +215,21 @@ class TestSweep:
             assert not out.exists()
             assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
+    @pytest.mark.parametrize("axis, grid", [("reward", "59"), ("alpha", 5), ("alpha", None)])
+    def test_grid_is_a_list_or_an_object(self, tmp_path, capsys, axis, grid):
+        # A string grid was read one character at a time: "59" swept the
+        # rewards 5.0 and 9.0.
+        spec = write_json(
+            tmp_path / "spec.json", {**sweep_spec_dict([0.1, 0.2]), "axis": axis, "grid": grid}
+        )
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {spec}: sweep grid must be a list or a {{lo, hi, count}} object, "
+            f"got {grid!r}\n"
+        )
+
     @pytest.mark.parametrize("solvers, message", [
         (5, "solvers must be a nonempty list, got 5"),
         (None, "solvers must be a nonempty list, got None"),
@@ -454,6 +469,12 @@ MEMO_GAMES = {
     "twin_groups": base_config_dict(reward=100.0, groups=[
         group_dict("A", 0.2, 0.5), group_dict("B", 0.3, 0.5), group_dict("C", 0.5, 1.0, cost=1.5),
     ]),
+    # Four curves, each with three foreign dropouts for the walk to read; at
+    # S = 1000 every alpha of the grids below pins on a dropout.
+    "four_groups": base_config_dict(reward=1000.0, groups=[
+        group_dict("A", 0.2, 0.5), group_dict("B", 0.3, 0.7, cost=2.0),
+        group_dict("C", 0.25, 1.0, cost=1.5), group_dict("D", 0.25, 0.3, cost=3.0),
+    ]),
 }
 
 MEMO_GRID = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
@@ -519,6 +540,31 @@ class TestDropoutMemo:
         path = write_json(tmp_path / "game.json", MEMO_GAMES["three_groups"])
         assert cli.main(["solve", "--config", path]) == 0
         assert sorted(dropout_calls) == [("A", 100.0), ("B", 100.0), ("C", 100.0)]
+
+    @pytest.mark.parametrize("grid, rows", [
+        (MEMO_GRID, 7), ({"lo": 0.03, "hi": 0.97, "count": 28}, 28),
+    ])
+    def test_alpha_sweep_solves_each_dropout_once(self, tmp_path, monkeypatch, grid, rows):
+        # A dropout's rates do not depend on alpha, so the command's memo
+        # keeps what the walk read: each curve is solved once at each of the
+        # other three dropouts (its own is its tied pair), n * (n - 1) best
+        # responses in all, however many rows the sweep has.
+        taus = []
+        real = ResponseCurve._best_response
+
+        def counted(curve, tau):
+            taus.append(tau)
+            return real(curve, tau)
+
+        monkeypatch.setattr(ResponseCurve, "_best_response", counted)
+        spec = write_json(tmp_path / "spec.json", {
+            **sweep_spec_dict(grid), "solvers": ["unconstrained"],
+            "base_config": MEMO_GAMES["four_groups"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
+        assert len(read_sweep(out)) == rows
+        assert len(taus) == 4 * 3
 
     @pytest.mark.parametrize("sweep", sorted(MEMO_SWEEPS))
     def test_memoised_sweep_matches_fresh_solves(self, tmp_path, monkeypatch, sweep):

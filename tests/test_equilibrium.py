@@ -49,7 +49,7 @@ def mass_interval(theta, config):
     end of its best response: apart only at a dropout, or within a payoff
     tie of one."""
     views = effective_groups(config)
-    table = _rates(theta, views, response_curves(views, config.reward))
+    table = _rates(theta, response_curves(views, config.reward), {})
     return _mass(views, table, [0] * len(views)), _mass(views, table, [1] * len(views))
 
 

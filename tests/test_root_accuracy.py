@@ -43,7 +43,7 @@ def branch_tau(eps):
 def test_dropout_tie(cost, sigma, log_ratio):
     group = GroupView("A", 1.0, cost, sigma)
     curve = ResponseCurve(group, critical_reward(group) * 10.0**log_ratio)
-    info = curve.dropout()
+    info = curve.info
     tau = info.theta_d / sigma
     with mpmath.workdps(DIGITS):
         eps = mpf(curve.eps)
