@@ -33,7 +33,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import metrics
@@ -72,6 +72,7 @@ from .model import (
     config_from_dict,
     config_hash,
     effective_groups,
+    reward_violations,
     validate,
 )
 
@@ -119,9 +120,9 @@ def _csv_out(path: str):
     ``path`` is opened before the block runs, so an unwritable path is an
     InputError before any work.  A failed block writes nothing: an existing
     file keeps its bytes, and a file the call created is removed.  An existing
-    regular file is truncated and written in place, so it keeps its inode,
-    owner and mode; anything else, such as a FIFO or a device, is only
-    written.
+    regular file is written in place and then truncated where the new bytes
+    end, so it keeps its inode, owner and mode; anything else, such as a FIFO
+    or a device, is only written.
     """
     try:
         try:
@@ -140,12 +141,12 @@ def _csv_out(path: str):
             if created:
                 os.unlink(path)
             raise
-        # A file the call created is empty and is left untruncated: ext4
-        # flushes a file truncated to 0 and written again when it is closed,
-        # which costs more than the write.
-        if not created and stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate(0)
         fh.write(buf.getvalue())
+        # Truncated after the write, not to 0 before it: ext4 flushes a file
+        # truncated to 0 and written again when it is closed, which costs
+        # more than the write.  A file the call created needs no truncation.
+        if not created and stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _csv_writer(fh, config: GameConfig, columns: Sequence[str], *comments: str):
@@ -173,7 +174,7 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid ends must be finite, got {lo!r} and {hi!r}")
-    if not isinstance(count, int) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"grid count must be an integer of at least 1, got {count!r}")
     if scale == "log":
         if not (lo > 0 and hi > 0):
@@ -200,6 +201,18 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
         points = [i * step + lo for i in range(count)]
     points[-1] = hi
     return points
+
+
+def _json_number(value, name: str) -> float:
+    """``value``, a sweep spec's grid entry ``name``, as a float.  Raises
+    ValueError unless it is a JSON number: ``float`` would also take a
+    string such as ``"5"`` and a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -265,11 +278,11 @@ def _load_sweep(path: str) -> SweepSpec:
     try:
         if isinstance(grid_raw, dict):
             grid = _grid(
-                grid_raw["lo"], grid_raw["hi"], grid_raw["count"],
-                grid_raw.get("scale", "linear"),
+                _json_number(grid_raw["lo"], "lo"), _json_number(grid_raw["hi"], "hi"),
+                grid_raw["count"], grid_raw.get("scale", "linear"),
             )
         elif isinstance(grid_raw, list):
-            grid = [float(v) for v in grid_raw]
+            grid = [_json_number(v, "grid value") for v in grid_raw]
         else:
             raise InputError(f"{path}: sweep grid must be a list or a "
                              f"{{lo, hi, count}} object, got {grid_raw!r}")
@@ -303,9 +316,10 @@ def _load_sweep(path: str) -> SweepSpec:
 
 
 def _check_rewards(path: str, config: GameConfig, rewards: Sequence[float]) -> None:
-    """Reject a reward grid with a point outside the supported range."""
+    """Reject a reward grid with a point outside the supported range of the
+    valid game ``config``: only the checks that depend on the reward run."""
     for reward in rewards:
-        problems = validate(replace(config, reward=reward))
+        problems = reward_violations(config, reward)
         if problems:
             raise InputError(f"{path}: reward grid value {reward!r}: " + "; ".join(problems))
 
@@ -317,7 +331,6 @@ def _sweep_row(
     the game and every grid point, so the row calls the solvers' cores."""
     base, views = spec.base_config, spec.views
     alpha, reward = (value, base.reward) if spec.axis == "alpha" else (base.alpha, value)
-    labels = [v.label for v in views]
     row: dict = {"axis_value": value}
     try:
         un = (
@@ -332,21 +345,21 @@ def _sweep_row(
         )
     except (*_COMPUTE_ERRORS, MemoryError) as exc:
         return row, f"{spec.axis}={value!r}: {exc}"
+    # The cores report the outcomes in the order of ``views``.
     if un is not None:
         row["theta_un"] = un.threshold
-        for label in labels:
-            outcome = un.outcome(label)
-            row[f"effort_{label}_un"] = outcome.avg_effort
-            row[f"rate_{label}_un"] = outcome.selection_rate
+        for view, outcome in zip(views, un.outcomes):
+            row[f"effort_{view.label}_un"] = outcome.avg_effort
+            row[f"rate_{view.label}_un"] = outcome.selection_rate
         if len(views) == 2:
             g1, g2 = ordered_pair(views)
-            denominator = un.outcome(g1.label).selection_rate
+            denominator = row[f"rate_{g1.label}_un"]
             if denominator > 0.0:
-                row["rate_ratio"] = un.outcome(g2.label).selection_rate / denominator
+                row["rate_ratio"] = row[f"rate_{g2.label}_un"] / denominator
         row["quality_un"] = un.quality
     if dp is not None:
-        for label in labels:
-            row[f"theta_dp_{label}"] = dp.outcome(label).threshold
+        for view, outcome in zip(views, dp.outcomes):
+            row[f"theta_dp_{view.label}"] = outcome.threshold
         row["quality_dp"] = dp.quality
     if un is not None and dp is not None and dp.quality > 0.0:
         row["quality_ratio"] = un.quality / dp.quality

@@ -108,7 +108,7 @@ def _step(
             )
     supports = [by_curve[curve] for curve in curves]
     new = mixture_quantile(supports, views, alpha)
-    strategies = tuple(map(EffortDistribution._of_best_response, supports))
+    strategies = tuple(map(EffortDistribution._of_solved_support, supports))
     belief = (theta * n + new) / (n + 1) if n else None
     return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
 

@@ -18,8 +18,10 @@ groups (same cost and spread) share one curve and so one dropout, where they
 mix alike and ``mixing_group`` names the first of them.  One rate table per
 threshold, each group's low and high effort and selection rate, serves the
 walk, the smooth crossing and the outcomes of both regimes.  A dropout's
-rates do not depend on alpha, so the walk keeps them in the caller's curve
-memo; a crossing hands the rows its Newton steps read to its outcomes.
+rates do not depend on alpha, so the walk and the parity solve keep them in
+the caller's curve memo; a crossing hands the rows its Newton steps read to
+its outcomes.  The outcomes wrap their strategies with no re-validation, as
+their efforts and weights are the table's and the ones the solve checked.
 
 Every solve walks the dropouts inside one closed-form bracket,
 :func:`solver_bracket`, and a smooth crossing's Newton search starts at the
@@ -86,9 +88,10 @@ class SolverError(RuntimeError):
     """The equilibrium search produced an inconsistent state."""
 
 
-# Response curves keyed by ``(cost, sigma, reward)`` and the walk's rate rows
-# keyed by ``(theta, curve)``: neither depends on alpha, on the other groups
-# or on the solver, so one memo serves a command.
+# Response curves keyed by ``(cost, sigma, reward)`` and the rate rows at the
+# dropouts, which the walk and the parity solve read, keyed by ``(theta,
+# curve)``: neither depends on alpha, on the other groups or on the solver,
+# so one memo serves a command.
 CurveMemo = dict[tuple, ResponseCurve | tuple[float, float, float, float]]
 
 
@@ -200,18 +203,23 @@ def _bracket(views: tuple[GroupView, ...], alpha: float, reward: float) -> tuple
 
 def _outcomes(
     theta: float, views: tuple[GroupView, ...], table: RateTable,
-    weights: Sequence[float], mixing: Sequence[int] = (),
+    weights: Sequence[float], pinned: bool = False,
 ) -> tuple[GroupOutcome, ...]:
     """Outcomes when group ``i`` puts weight ``weights[i]`` on its high
-    effort of ``table``; the groups in ``mixing`` report it as ``tau``."""
+    effort of ``table``; when ``pinned``, every group whose two rates differ
+    (it is tied at ``theta``) reports its weight as ``tau``.  The strategies
+    are wrapped unchecked: their efforts come off the response curves and
+    their weights are 0, 1 or a clamped mixing weight (see
+    :meth:`EffortDistribution._of_solved_support`)."""
+    wrap = EffortDistribution._of_solved_support
     outcomes = []
-    for i, (view, (x_l, x_h, m_l, m_h), w) in enumerate(zip(views, table, weights)):
+    for view, (x_l, x_h, m_l, m_h), w in zip(views, table, weights):
         if w == 0.0:
-            strategy = EffortDistribution.point(m_l)
+            strategy = wrap(((m_l, 1.0),))
         elif w == 1.0:
-            strategy = EffortDistribution.point(m_h)
+            strategy = wrap(((m_h, 1.0),))
         else:
-            strategy = EffortDistribution(((m_l, 1.0 - w), (m_h, w)))
+            strategy = wrap(((m_l, 1.0 - w), (m_h, w)))
         outcomes.append(
             GroupOutcome(
                 label=view.label,
@@ -219,7 +227,7 @@ def _outcomes(
                 strategy=strategy,
                 avg_effort=strategy.mean(),
                 selection_rate=(1.0 - w) * x_l + w * x_h,
-                tau=w if i in mixing else None,
+                tau=w if pinned and x_h > x_l else None,
             )
         )
     return tuple(outcomes)
@@ -247,17 +255,16 @@ def _pinned_outcomes(
     rates) mixes its tied efforts with the one weight that makes the budget
     bind, so groups of the same cost and spread play alike; every other
     group plays its one effort."""
-    tied = [i for i, (x_lo, x_hi, _, _) in enumerate(table) if x_hi > x_lo]
     base = low = gap = 0.0
-    for i, (view, (x_lo, x_hi, _, _)) in enumerate(zip(views, table)):
-        if i in tied:
+    for view, (x_lo, x_hi, _, _) in zip(views, table):
+        if x_hi > x_lo:
             low += view.share * x_lo
             gap += view.share * (x_hi - x_lo)
         else:
             base += view.share * x_lo
     tau = _mixing_weight(theta, alpha - base - low, gap)
-    weights = [tau if i in tied else 0.0 for i in range(len(views))]
-    return _outcomes(theta, views, table, weights, tied)
+    weights = [tau if x_hi > x_lo else 0.0 for x_lo, x_hi, _, _ in table]
+    return _outcomes(theta, views, table, weights, pinned=True)
 
 
 def _resolve(config: GameConfig) -> tuple[GroupView, ...]:
@@ -279,8 +286,9 @@ def solve_unconstrained(
 
     The walk and a smooth crossing start from ``bracket``, which must
     contain the equilibrium threshold, or with none from
-    :func:`solver_bracket`.  ``curves`` is a memo of response curves to
-    read and fill, shared across solves; ``None`` starts a fresh one.
+    :func:`solver_bracket`.  ``curves`` is a memo of response curves and
+    of their rates at the dropouts (a :data:`CurveMemo`) to read and fill,
+    shared across solves; ``None`` starts a fresh one.
     """
     return unconstrained_core(_resolve(config), config.alpha, config.reward, curves, bracket)
 
@@ -368,8 +376,8 @@ def solve_demographic_parity(
     A group whose tied best responses at its dropout have rates around alpha
     mixes them there.  Any other plays the stationary point ``mu = phi(z*) /
     eps`` at ``tau = mu - z*``, which is then its best response: no root is
-    solved, and the curve comes from the ``curves`` memo (see
-    :func:`solve_unconstrained`).
+    solved.  The curve and the rates at its dropout come from the ``curves``
+    memo (see :func:`solve_unconstrained`).
     """
     return parity_core(_resolve(config), config.alpha, config.reward, curves)
 
@@ -380,22 +388,24 @@ def parity_core(
 ) -> EquilibriumReport:
     """:func:`solve_demographic_parity` on groups already resolved from a
     valid game, at ``alpha`` and ``reward`` (see :func:`unconstrained_core`)."""
+    memo = {} if curves is None else curves
     z = normal_quantile(alpha)
     outcomes = []
-    for view, curve in zip(views, response_curves(views, reward, curves)):
-        # The group alone is a population of mass one: its rates are its budget.
+    for view, curve in zip(views, response_curves(views, reward, memo)):
+        # The group alone is a population of mass one: its rates are its
+        # budget.  Its rates at its dropout are the walk's row there.
         info = curve.info
-        table = None if info is None else _rates(info.theta_d, [curve], {})
+        table = None if info is None else _rates(info.theta_d, [curve], memo)
         if table is not None and table[0][0] <= alpha <= table[0][1]:
             x_lo, x_hi = table[0][:2]
-            theta, mixing = info.theta_d, (0,)
+            theta, pinned = info.theta_d, True
             weights = [_mixing_weight(theta, alpha - x_lo, x_hi - x_lo)]
         else:
             mu = normal_pdf(z) / curve.eps
             theta, effort = view.sigma * (mu - z), view.sigma * mu
             rate = normal_cdf((effort - theta) / view.sigma)
-            table, weights, mixing = [(rate, rate, effort, effort)], [0.0], ()
-        outcome, = _outcomes(theta, (view,), table, weights, mixing)
+            table, weights, pinned = [(rate, rate, effort, effort)], [0.0], False
+        outcome, = _outcomes(theta, (view,), table, weights, pinned)
         if abs(outcome.selection_rate - alpha) > BUDGET_TOL * alpha:
             raise SolverError(f"group {view.label!r} selected at rate "
                               f"{outcome.selection_rate!r} at theta={outcome.threshold!r}")

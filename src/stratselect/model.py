@@ -39,6 +39,7 @@ __all__ = [
     "MAX_REWARD_RATIO",
     "MIN_REWARD_RATIO",
     "validate",
+    "reward_violations",
     "config_from_dict",
     "config_to_dict",
     "config_hash",
@@ -153,7 +154,10 @@ class EffortDistribution:
 
     Weights must be nonnegative and sum to one; efforts must be nonnegative.
     Equilibrium strategies use at most two support points; dynamics may start
-    from anything finite.
+    from anything finite.  The constructor and :meth:`point` check every
+    support; the solvers and a dynamics step wrap the supports they built
+    from values they had already checked with :meth:`_of_solved_support`,
+    which skips the checks.
     """
 
     support: tuple[tuple[float, float], ...]
@@ -178,16 +182,20 @@ class EffortDistribution:
         return cls(((effort, 1.0),))
 
     @classmethod
-    def _of_best_response(
+    def _of_solved_support(
         cls, support: tuple[tuple[float, float], ...]
     ) -> "EffortDistribution":
-        """Wrap a best response's ``((m, 1.0),)`` or ``((lo, 0.5), (hi,
-        0.5))`` with no ``__post_init__``.  That is safe for a support built
-        from :meth:`ResponseCurve.best_response`: its efforts are floats
-        ``>= 0`` (each root is held inside a bracket that starts at ``mu =
-        0``, or at ``z2 + tau > 0`` inside the window), and the weights sum
-        to exactly 1, so the checks could not fail and the float conversion
-        would give the same tuple."""
+        """Wrap a support the solvers built, with no ``__post_init__``:
+        ``((m, 1.0),)``, a best response's ``((lo, 0.5), (hi, 0.5))`` or a
+        mixed equilibrium strategy's ``((lo, 1 - w), (hi, w))``.  The checks
+        could not fail on it, and the float conversion would give the same
+        tuple.  Every effort is a float ``>= 0``: a root of
+        :class:`ResponseCurve`, held inside a bracket that starts at ``mu =
+        0`` or at ``z2 + tau > 0`` inside the window, or parity's ``sigma *
+        phi(z) / eps > 0``.  Every weight is a float in [0, 1] and they sum
+        to within ``WEIGHT_TOL`` of 1: ``0.5 + 0.5`` and ``1.0`` exactly, and
+        ``(1 - w) + w`` for the weight ``w`` that the solvers'
+        ``_mixing_weight`` clamps to [0, 1]."""
         dist = object.__new__(cls)
         object.__setattr__(dist, "support", support)
         return dist
@@ -262,9 +270,11 @@ class EquilibriumReport:
 
 
 def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[str]:
+    # The reward's own check comes first; its range needs valid groups, so
+    # reward_violations checks it once every other field is valid.
     problems: list[str] = []
     if not 0.0 < config.reward < math.inf:
-        problems.append(f"reward must be positive and finite, got {config.reward!r}")
+        problems += reward_violations(config, config.reward)
     if not 0.0 < config.alpha < 1.0:
         problems.append(f"alpha must lie in (0, 1), got {config.alpha!r}")
     if not 0.0 < config.eta_sq < math.inf:
@@ -303,6 +313,19 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
         problems.append(f"group shares sum to {total:g}, expected 1")
     if problems:
         return problems
+    return reward_violations(config, config.reward)
+
+
+def reward_violations(config: GameConfig, reward: float) -> list[str]:
+    """Every violation in ``config`` at ``reward`` in place of its own reward
+    that depends on the reward: it must be positive and finite, and lie in
+    the supported range of every group (a group whose variance is not
+    positive and finite is named for that instead).  With every other field
+    valid, as :func:`validate` leaves them, these are all its violations, so
+    a reward grid checks each point with this alone."""
+    if not 0.0 < reward < math.inf:
+        return [f"reward must be positive and finite, got {reward!r}"]
+    problems: list[str] = []
     for g in config.groups:
         sigma_sq = posterior_variance(g, config.eta_sq, config.dm_mode)
         if not 0.0 < sigma_sq < math.inf:
@@ -313,7 +336,7 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
             )
             continue
         scale = g.cost * sigma_sq
-        ratio = config.reward / scale if scale > 0.0 else math.inf
+        ratio = reward / scale if scale > 0.0 else math.inf
         if ratio > MAX_REWARD_RATIO:
             side, bound = "above", MAX_REWARD_RATIO
         elif ratio < MIN_REWARD_RATIO:
@@ -324,7 +347,7 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
             size = f"{ratio:.4g} times cost * sigma**2, {side} the supported {bound:g}"
         else:  # the ratio overflows or underflows, or cost * sigma**2 does
             size = f"{side} the supported {bound:g} times cost * sigma**2 = {scale!r}"
-        problems.append(f"groups[{g.label!r}]: reward {config.reward!r} is {size}")
+        problems.append(f"groups[{g.label!r}]: reward {reward!r} is {size}")
     return problems
 
 

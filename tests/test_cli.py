@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratselect.equilibrium as equilibrium
+import stratselect.model as model
 from stratselect import cli, metrics
 from stratselect.best_response import ResponseCurve
 from stratselect.dynamics import _step
@@ -229,6 +231,39 @@ class TestSweep:
             f"error: {spec}: sweep grid must be a list or a {{lo, hi, count}} object, "
             f"got {grid!r}\n"
         )
+
+    @pytest.mark.parametrize("axis, grid, message", [
+        # float() took both: ["5", true] swept the rewards 5.0 and 1.0.
+        ("reward", ["5", True], "grid value must be a number, got '5'"),
+        ("alpha", [0.1, False], "grid value must be a number, got False"),
+        ("alpha", [0.1, None], "grid value must be a number, got None"),
+        ("reward", [10.0, 10**400], "grid value is an integer too large for a float"),
+        ("alpha", {"lo": "0.1", "hi": 0.4, "count": 3}, "lo must be a number, got '0.1'"),
+        ("alpha", {"lo": 0.1, "hi": True, "count": 3}, "hi must be a number, got True"),
+        ("alpha", {"lo": 0.1, "hi": 0.4, "count": True},
+         "grid count must be an integer of at least 1, got True"),
+        ("alpha", {"lo": 0.1, "hi": 0.4, "count": "3"},
+         "grid count must be an integer of at least 1, got '3'"),
+        ("alpha", {"lo": 0.1, "hi": 0.4, "count": 3.0},
+         "grid count must be an integer of at least 1, got 3.0"),
+    ])
+    def test_grid_entries_are_json_numbers(self, tmp_path, capsys, axis, grid, message):
+        spec = write_json(
+            tmp_path / "spec.json", {**sweep_spec_dict([0.1, 0.2]), "axis": axis, "grid": grid}
+        )
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {spec}: malformed sweep grid: {message}\n"
+
+    @pytest.mark.parametrize("grid", [[10, 20], {"lo": 10, "hi": 20, "count": 2}])
+    def test_integer_grid_entries_are_numbers(self, tmp_path, grid):
+        spec = write_json(
+            tmp_path / "spec.json", {**sweep_spec_dict(grid), "axis": "reward"}
+        )
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
+        assert [row["axis_value"] for row in read_sweep(out)] == ["10.0", "20.0"]
 
     @pytest.mark.parametrize("solvers, message", [
         (5, "solvers must be a nonempty list, got 5"),
@@ -565,6 +600,37 @@ class TestDropoutMemo:
         assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
         assert len(read_sweep(out)) == rows
         assert len(taus) == 4 * 3
+
+    @pytest.mark.parametrize("grid, rows", [
+        (MEMO_GRID, 7), ({"lo": 0.03, "hi": 0.97, "count": 28}, 28),
+    ])
+    def test_both_solver_alpha_sweep_reuses_checked_values(
+        self, tmp_path, monkeypatch, grid, rows
+    ):
+        # The parity solve reads each group's rates at its dropout through
+        # the command's memo, where the walk keeps them, so the curves answer
+        # the walk's 4 * 4 best responses however many rows the sweep has;
+        # and the outcomes wrap strategies built from checked values, with no
+        # EffortDistribution validation.
+        calls = collections.Counter()
+        real_br = ResponseCurve.best_response
+
+        def counted_br(curve, theta):
+            calls["best_response"] += 1
+            return real_br(curve, theta)
+
+        def counted_check(dist):
+            calls["__post_init__"] += 1
+
+        monkeypatch.setattr(ResponseCurve, "best_response", counted_br)
+        monkeypatch.setattr(EffortDistribution, "__post_init__", counted_check)
+        spec = write_json(tmp_path / "spec.json", {
+            **sweep_spec_dict(grid), "base_config": MEMO_GAMES["four_groups"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
+        assert len(read_sweep(out)) == rows
+        assert calls == {"best_response": 4 * 4}
 
     @pytest.mark.parametrize("sweep", sorted(MEMO_SWEEPS))
     def test_memoised_sweep_matches_fresh_solves(self, tmp_path, monkeypatch, sweep):
@@ -1090,6 +1156,51 @@ def test_failed_dynamics_keeps_the_existing_out(tmp_path, monkeypatch, capsys):
     os.umask(umask)
     assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "out.csv"]
+
+
+def test_overwritten_out_holds_only_the_new_bytes(tmp_path):
+    # The new bytes are written over the old ones and the file is cut where
+    # they end: nothing of a longer earlier output is left.
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+            "--grid", "100:1000:2:log", "--out"]
+    assert cli.main([*argv, str(fresh)]) == 0
+    out.write_bytes(b"earlier output\n" * fresh.stat().st_size)
+    inode = out.stat().st_ino
+    assert cli.main([*argv, str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("command", ["sweep", "dropout"])
+def test_reward_grid_points_are_checked_for_the_reward_alone(
+    tmp_path, monkeypatch, command
+):
+    # The game is validated once; each of the 4 grid points runs only the
+    # checks that depend on the reward.
+    calls = collections.Counter()
+    real_violations, real_reward = model._violations, cli.reward_violations
+
+    def counted_violations(*args, **kwargs):
+        calls["_violations"] += 1
+        return real_violations(*args, **kwargs)
+
+    def counted_reward(*args):
+        calls["reward_violations"] += 1
+        return real_reward(*args)
+
+    monkeypatch.setattr(model, "_violations", counted_violations)
+    monkeypatch.setattr(cli, "reward_violations", counted_reward)
+    game = MEMO_GAMES["three_groups"]
+    if command == "sweep":
+        spec = {**sweep_spec_dict([2.0, 10.0, 20.0, 100.0]), "axis": "reward",
+                "base_config": game}
+        argv = ["sweep", "--config", write_json(tmp_path / "spec.json", spec)]
+    else:
+        argv = ["dropout", "--config", write_json(tmp_path / "game.json", game),
+                "--grid", "2:100:4:log"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == {"_violations": 1, "reward_violations": 4}
 
 
 def test_read_only_out_is_not_replaced(tmp_path, capsys):

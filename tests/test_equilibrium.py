@@ -22,10 +22,12 @@ from stratselect.equilibrium import (
     _mass,
     _rates,
     mixture_quantile,
+    parity_core,
     response_curves,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
+    unconstrained_core,
 )
 from stratselect.kernel import find_root, normal_cdf, normal_pdf, normal_quantile
 from stratselect.mc import grid_argmax_payoff, max_deviation_gain
@@ -33,6 +35,7 @@ from stratselect.metrics import asymptotic_predictions
 from stratselect.model import (
     MAX_REWARD_RATIO,
     MIN_REWARD_RATIO,
+    EffortDistribution,
     GameConfig,
     GroupParams,
     GroupView,
@@ -640,6 +643,25 @@ def test_parity_outcomes_match_one_group_solves(config):
         assert abs(outcome.threshold - alone.threshold) <= tol
         assert abs(outcome.avg_effort - alone.avg_effort) <= tol + 2.0 * effort_error
         assert abs(outcome.selection_rate - alone.selection_rate) <= tol + residual
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=random_games())
+def test_outcome_strategies_equal_validated_ones(config):
+    """Both cores wrap their outcome strategies with no ``__post_init__``:
+    each is what the validating constructor makes of its support, down to
+    the float type, and its ``avg_effort`` is its mean.  The games cover 1
+    to 4 groups in both modes, rewards on both sides of the critical ones,
+    pinned and smooth equilibria and parity groups that mix; the parity
+    solve reads the rows the walk left in the shared memo, as in a sweep."""
+    views = effective_groups(config)
+    memo = {}
+    for core in (unconstrained_core, parity_core):
+        for outcome in core(views, config.alpha, config.reward, memo).outcomes:
+            strategy = outcome.strategy
+            assert strategy == EffortDistribution(strategy.support)
+            assert all(type(x) is float for point in strategy.support for x in point)
+            assert outcome.avg_effort.hex() == strategy.mean().hex()
 
 
 @settings(max_examples=300, deadline=None)
