@@ -41,14 +41,19 @@ so the search solves them only at its start, ``min(sqrt(2 / eps),
 midpoint)``, and where it bisects; ``tau_d`` too depends on ``eps`` alone,
 and the tied pair is held to the same tie test as a best response.
 
-Inside the window a best response solves only the maximum that wins: the
-high one below ``tau_d``, the low one above.  The tie test ``|gap| <=
-PAYOFF_TIE_REL`` fires only within ``PAYOFF_TIE_REL / |phi(z_high) -
-phi(z_low)|`` of ``tau_d``; a band ``TIE_BAND`` times wider solves both
-maxima and compares them; only :meth:`ResponseCurve.stationary_points`
-solves the minimum.  Both paths solve a root on the same bracket, so a best
-response is the same double.  A failed dropout search raises from the
-constructor; after it a curve changes no attribute, so solves may share it.
+A best response is one dispatch on ``tau``, which solves one root outside
+the tie band: with no window, the one maximum on ``[0, cap]``; on or below
+the window's lower inner edge, the high maximum on its ``mu`` bracket; before
+the band, the high maximum on its ``z`` bracket; on or above the upper edge,
+or past the band, the low maximum; inside the band, both maxima, compared by
+the tie test ``|gap| <= PAYOFF_TIE_REL``.  That test fires only within
+``PAYOFF_TIE_REL / |phi(z_high) - phi(z_low)|`` of ``tau_d``, and the band
+is ``TIE_BAND`` times wider.  :meth:`ResponseCurve.stationary_points` is the
+same dispatch outside the window's interior and solves the low maximum, the
+minimum and the high maximum inside it.  A maximum inside the window is
+solved on the same bracket whichever branch asks, so a best response is the
+same double.  A failed dropout search raises from the constructor; after it
+a curve changes no attribute, so solves may share it.
 """
 
 from __future__ import annotations
@@ -226,30 +231,12 @@ class ResponseCurve:
         )
 
     def _stationary_points(self, tau: float) -> tuple[tuple[float, float], ...]:
-        maxima = self._local_maxima(tau)
-        if len(maxima) == 1:
-            return maxima
+        if self.window is None or tau <= self.inner[0] or tau >= self.inner[1]:
+            return self._best_response(tau)
         # The minimum, where g rises, starts at g's inflection point z = -1.
         z1, z2, _, _ = self.window
-        return (maxima[0], self._root(tau, z1, z2, False, -1.0, False), maxima[1])
-
-    def _local_maxima(self, tau: float) -> tuple[tuple[float, float], ...]:
-        """The one local maximum, or the low and the high one inside the window."""
-        if self.window is None:  # the one maximum has mu = phi(z) / eps <= phi(0) / eps
-            # Newton starts at mu = 0 when it lies below z = -1, that is when
-            # g(z = -1) = phi(1) - eps * (tau - 1) < 0, and at z = 1 otherwise.
-            cap = _INV_SQRT_2PI / self.eps + 1.0
-            below = self.eps * (tau - 1.0) * CRITICAL_REWARD_FACTOR > 1.0
-            start = 0.0 if below else min(max(tau + 1.0, 0.0), cap)
-            return (self._root(tau, 0.0, cap, True, start),)
-        if tau <= self.inner[0]:  # on or below the lower edge: the high maximum
-            z2, z_top = self.high[:2]  # so the FOC is negative at mu = max(tau, 0) + z_top
-            lo, hi = max(tau + z2, 0.0), max(tau, 0.0) + z_top
-            # Newton starts at z = 1, or at mu = 0 where that is higher.
-            return (self._root(tau, lo, hi, True, max(tau + 1.0, 0.0)),)
-        if tau >= self.inner[1]:  # on or above the upper edge: the low maximum
-            return (self._root(tau, *self.low),)
-        return (self._root(tau, *self.low), self._root(tau, *self.high))
+        low, high = self._root(tau, *self.low), self._root(tau, *self.high)
+        return (low, self._root(tau, z1, z2, False, -1.0, False), high)
 
     def best_response(self, theta: float) -> tuple[float, ...]:
         """Globally optimal effort(s) at threshold ``theta``, ascending.
@@ -268,19 +255,24 @@ class ResponseCurve:
         return (sigma * maxima[0][1], sigma * maxima[1][1])
 
     def _best_response(self, tau: float) -> tuple[tuple[float, float], ...]:
-        if self.window is not None and self.inner[0] < tau < self.inner[1]:
-            band_lo, band_hi = self.band
-            if tau < band_lo:  # the high maximum wins
-                return (self._root(tau, *self.high),)
-            if tau > band_hi:  # the low maximum wins
-                return (self._root(tau, *self.low),)
-        return self._compare_maxima(tau)
-
-    def _compare_maxima(self, tau: float) -> tuple[tuple[float, float], ...]:
-        maxima = self._local_maxima(tau)
-        if len(maxima) == 1:
-            return maxima
-        low, high = maxima
+        if self.window is None:  # the one maximum has mu = phi(z) / eps <= phi(0) / eps
+            # Newton starts at mu = 0 when it lies below z = -1, that is when
+            # g(z = -1) = phi(1) - eps * (tau - 1) < 0, and at z = 1 otherwise.
+            cap = _INV_SQRT_2PI / self.eps + 1.0
+            below = self.eps * (tau - 1.0) * CRITICAL_REWARD_FACTOR > 1.0
+            start = 0.0 if below else min(max(tau + 1.0, 0.0), cap)
+            return (self._root(tau, 0.0, cap, True, start),)
+        if tau <= self.inner[0]:  # on or below the lower edge: the high maximum
+            z2, z_top = self.high[:2]  # so the FOC is negative at mu = max(tau, 0) + z_top
+            lo, hi = max(tau + z2, 0.0), max(tau, 0.0) + z_top
+            # Newton starts at z = 1, or at mu = 0 where that is higher.
+            return (self._root(tau, lo, hi, True, max(tau + 1.0, 0.0)),)
+        band_lo, band_hi = self.band
+        if tau < band_lo:  # before the band the high maximum wins
+            return (self._root(tau, *self.high),)
+        if tau >= self.inner[1] or tau > band_hi:  # on or above the upper edge, or past the band
+            return (self._root(tau, *self.low),)
+        low, high = self._root(tau, *self.low), self._root(tau, *self.high)
         u_low, u_high = self._utility(low), self._utility(high)
         if abs(u_high - u_low) <= PAYOFF_TIE_REL:
             return (low, high)

@@ -69,6 +69,7 @@ from .model import (
     EffortDistribution,
     GameConfig,
     GroupView,
+    _json_number,
     config_from_dict,
     config_hash,
     effective_groups,
@@ -97,8 +98,12 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_config(path: str) -> GameConfig:
@@ -176,6 +181,7 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
         raise ValueError(f"grid ends must be finite, got {lo!r} and {hi!r}")
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"grid count must be an integer of at least 1, got {count!r}")
+    _json_number(count, "grid count")  # the steps divide by it as a float
     if scale == "log":
         if not (lo > 0 and hi > 0):
             raise ValueError(f"log grid requires positive endpoints, got {lo!r} and {hi!r}")
@@ -201,18 +207,6 @@ def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float
         points = [i * step + lo for i in range(count)]
     points[-1] = hi
     return points
-
-
-def _json_number(value, name: str) -> float:
-    """``value``, a sweep spec's grid entry ``name``, as a float.  Raises
-    ValueError unless it is a JSON number: ``float`` would also take a
-    string such as ``"5"`` and a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def _parse_grid(spec: str) -> list[float]:

@@ -3,7 +3,10 @@
 Updates are synchronous: at each step the whole population switches to a
 best response, either against the current threshold (``br`` mode) or against
 the running average of all past thresholds (``fp`` mode, which averages the
-scalar threshold because payoffs depend on opponents only through it).  The
+scalar threshold because payoffs depend on opponents only through it).  So a
+run watches one quantity of its states, the threshold in ``br`` and the
+belief in ``fp``: each step best-responds to it, a run converges once its
+change stays within ``tol``, and a converged run reports it.  The
 threshold of a state is always the one induced by its strategies, i.e. the
 (1 - alpha)-quantile of the decision-statistic mixture, found by Newton's
 method on the mixture CDF (:func:`stratselect.equilibrium.mixture_quantile`).
@@ -24,6 +27,7 @@ tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Literal, Sequence
 
 from .best_response import ResponseCurve
@@ -167,7 +171,8 @@ def run(
     consecutive steps; in ``fp`` mode the belief change, since the raw
     threshold may keep alternating around a mixing equilibrium) or when the
     threshold sequence locks into a cycle of period at most 50, repeated
-    three times within 1e-7.
+    three times within 1e-7.  ``init`` needs one strategy per group, or
+    :func:`induced_threshold` raises ValueError before any curve is built.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -177,42 +182,32 @@ def run(
         raise ValueError(f"unknown mode {mode!r}")
     views = _resolve(config)
     if init is None:
-        init = tuple(EffortDistribution.point(0.0) for _ in views)
-    else:
-        init = tuple(init)
-        if len(init) != len(views):
-            raise ValueError("need one initial strategy per group")
-
-    curves = response_curves(views, config.reward)
+        init = [EffortDistribution.point(0.0) for _ in views]
+    init = tuple(init)
     theta0 = induced_threshold(init, config)
+    curves = response_curves(views, config.reward)
+    fp = mode == "fp"
     state = DynamicsState(
         strategies=init,
         theta=theta0,
         t=0,
-        belief=theta0 if mode == "fp" else None,
+        belief=theta0 if fp else None,
     )
+    watched = attrgetter("belief" if fp else "theta")
     states = [state]
     cycles = _CycleDetector(theta0)
-    belief = theta0
     quiet = 0
 
     for _ in range(max_steps):
-        if mode == "br":
-            new = _step(state.theta, state.t, views, curves, config.alpha)
-            watched_delta = abs(new.theta - state.theta)
-        else:
-            new = _step(belief, state.t, views, curves, config.alpha, len(states))
-            watched_delta = abs(new.belief - belief)
-            belief = new.belief
+        # Only an fp step (n > 0) folds the thresholds so far into a belief.
+        new = _step(watched(state), state.t, views, curves, config.alpha, fp * len(states))
+        quiet = quiet + 1 if abs(watched(new) - watched(state)) <= tol else 0
         states.append(new)
         state = new
-
-        quiet = quiet + 1 if watched_delta <= tol else 0
         if quiet >= CONVERGED_STEPS:
-            final = belief if mode == "fp" else state.theta
             return DynamicsTrace(
                 states=tuple(states),
-                convergence=Convergence(status="converged", theta=final),
+                convergence=Convergence(status="converged", theta=watched(state)),
             )
         period = cycles.push(new.theta)
         if period is not None:

@@ -365,25 +365,46 @@ def solver_violations(config: GameConfig) -> list[str]:
     return _violations(config, min_groups=1, share_hi=1.0)
 
 
+def _json_number(value, name: str) -> float:
+    """``value``, the JSON field ``name``, as a float.  Raises ValueError
+    unless it is a JSON number: ``float`` would also take a string such as
+    ``"5"`` and a boolean, and raise OverflowError on a huge integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+
+
 def config_from_dict(data: dict) -> GameConfig:
-    groups = tuple(
-        GroupParams(
-            label=str(g["label"]),
-            share=float(g["share"]),
-            cost=float(g["cost"]),
-            noise_var=float(g.get("noise_var", 0.0)),
-            eta_sq=None if g.get("eta_sq") is None else float(g["eta_sq"]),
-            sigma_tilde=(
-                None if g.get("sigma_tilde") is None else float(g["sigma_tilde"])
+    """The game of a JSON object.  Every numeric field must be a JSON number
+    (:func:`_json_number`); a group's ``eta_sq`` and ``sigma_tilde`` may also
+    be null or absent.  Raises KeyError, TypeError or ValueError when
+    malformed."""
+    groups = []
+    for g in data["groups"]:
+        label = str(g["label"])
+        prefix = f"groups[{label!r}]"
+        groups.append(GroupParams(
+            label=label,
+            share=_json_number(g["share"], f"{prefix}.share"),
+            cost=_json_number(g["cost"], f"{prefix}.cost"),
+            noise_var=_json_number(g.get("noise_var", 0.0), f"{prefix}.noise_var"),
+            eta_sq=(
+                None if g.get("eta_sq") is None
+                else _json_number(g["eta_sq"], f"{prefix}.eta_sq")
             ),
-        )
-        for g in data["groups"]
-    )
+            sigma_tilde=(
+                None if g.get("sigma_tilde") is None
+                else _json_number(g["sigma_tilde"], f"{prefix}.sigma_tilde")
+            ),
+        ))
     return GameConfig(
-        reward=float(data["reward"]),
-        alpha=float(data["alpha"]),
-        eta_sq=float(data["eta_sq"]),
-        groups=groups,
+        reward=_json_number(data["reward"], "reward"),
+        alpha=_json_number(data["alpha"], "alpha"),
+        eta_sq=_json_number(data["eta_sq"], "eta_sq"),
+        groups=tuple(groups),
         dm_mode=data.get("dm_mode", "bayesian"),
     )
 

@@ -378,6 +378,14 @@ class TestResponseCurve:
         curve = ResponseCurve(unit_group, 10.0)
         theta_d = curve.info.theta_d
         half = theta_d - curve.band[0]
+        lower, upper = curve.inner  # in tau, which is theta at sigma 1
+        # A reward this close to critical has turning points, but its window
+        # edges merge: the curve has no window, as a subcritical one has none.
+        degenerate = ResponseCurve(unit_group, critical_reward(unit_group) * (1.0 + 1e-12))
+        assert degenerate.window is None
+        assert best_response_module._turning_points(degenerate.eps) is not None
+        subcritical = ResponseCurve(unit_group, 1.0)
+        assert subcritical.window is None
         roots = []
         real = ResponseCurve._root
 
@@ -386,11 +394,19 @@ class TestResponseCurve:
             return real(self, tau, *bracket)
 
         monkeypatch.setattr(ResponseCurve, "_root", counted)
-        assert len(curve.best_response(theta_d - 2.0 * half)) == 1
-        assert len(curve.best_response(theta_d + 2.0 * half)) == 1
-        assert len(roots) == 2
+        one_root = [
+            (curve, theta)
+            for theta in (theta_d - 2.0 * half, theta_d + 2.0 * half,
+                          lower, lower - 1.0, upper, upper + 1.0)
+        ]
+        one_root += [(c, theta) for c in (degenerate, subcritical)
+                     for theta in (-1.0, 0.0, 2.0, 5.0)]
+        for c, theta in one_root:
+            before = len(roots)
+            assert len(c.best_response(theta)) == 1
+            assert len(roots) == before + 1, (c.reward, theta)
         assert len(curve.best_response(theta_d + 0.5 * half)) == 1
-        assert len(roots) == 4  # inside the band: both maxima
+        assert len(roots) == len(one_root) + 2  # inside the band: both maxima
 
     def test_failed_dropout_search_raises_from_the_constructor(
         self, unit_group, failing_tie_search

@@ -246,6 +246,11 @@ class TestSweep:
          "grid count must be an integer of at least 1, got '3'"),
         ("alpha", {"lo": 0.1, "hi": 0.4, "count": 3.0},
          "grid count must be an integer of at least 1, got 3.0"),
+        # The steps divided by it and raised OverflowError.
+        ("alpha", {"lo": 0.1, "hi": 0.4, "count": 10**400},
+         "grid count is an integer too large for a float"),
+        ("reward", {"lo": 1.0, "hi": 10.0, "count": 10**400, "scale": "log"},
+         "grid count is an integer too large for a float"),
     ])
     def test_grid_entries_are_json_numbers(self, tmp_path, capsys, axis, grid, message):
         spec = write_json(
@@ -926,6 +931,18 @@ class TestDropout:
                        "are too far apart: hi - lo overflows\n")
         assert "nan" not in err
 
+    def test_grid_count_too_large_for_a_float_is_an_input_error(self, tmp_path, capsys):
+        # The step divided by it and raised OverflowError.
+        out = tmp_path / "drop.csv"
+        grid = f"100:1000:{10**400}"
+        argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),
+                "--grid", grid, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: bad grid {grid!r}: grid count is an integer too large for a float\n"
+        )
+
     def test_subcritical_rows_are_blank(self, tmp_path, capsys):
         out = tmp_path / "drop.csv"
         rc = cli.main([
@@ -1127,6 +1144,62 @@ def test_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, command
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+def _huge_sigma_tilde():
+    groups = base_config_dict()["groups"]
+    return {"groups": [{**groups[0], "sigma_tilde": 10**400}, groups[1]]}
+
+
+def _bool_cost():
+    groups = base_config_dict()["groups"]
+    return {"groups": [{**groups[0], "cost": True}, groups[1]]}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "dropout", "dynamics", "verify"])
+@pytest.mark.parametrize("contents, message", [
+    # Each crashed with a traceback: UnicodeDecodeError and RecursionError
+    # from the read, OverflowError from float(), and float() took "10" and
+    # true as numbers.
+    (b'{"reward": "\xff"}', " is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    ("[" * 100_000 + "]" * 100_000, ": JSON nested too deeply to read"),
+    ({"reward": 10**400}, "reward is an integer too large for a float"),
+    (_huge_sigma_tilde(), "groups['H'].sigma_tilde is an integer too large for a float"),
+    ({"reward": "10"}, "reward must be a number, got '10'"),
+    (_bool_cost(), "groups['H'].cost must be a number, got True"),
+], ids=["not_utf8", "too_deep", "huge_reward", "huge_sigma_tilde", "string_reward",
+        "bool_cost"])
+def test_unreadable_file_or_non_number_field_is_an_input_error(
+    tmp_path, capsys, command, contents, message
+):
+    """Exit 1 with one line naming the file, whichever subcommand reads it,
+    and nothing written to ``--out``.  A config field goes through the rule
+    a sweep grid entry follows, in a sweep's ``base_config`` too."""
+    path = tmp_path / "input.json"
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    elif isinstance(contents, str):
+        path.write_text(contents, encoding="utf-8")
+    elif command == "sweep":
+        write_json(path, sweep_spec_dict([0.1, 0.2], **contents))
+        message = f": malformed sweep spec: {message}"
+    else:
+        write_json(path, base_config_dict(**contents))
+        message = f": malformed config: {message}"
+    out = tmp_path / "out.csv"
+    argv = {
+        "solve": [],
+        "sweep": ["--out", str(out)],
+        "dropout": ["--grid", "100:1000:2", "--out", str(out)],
+        "dynamics": ["--out", str(out)],
+        "verify": ["--samples", "1000"],
+    }[command]
+    assert cli.main([command, "--config", str(path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}{message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_failed_dynamics_keeps_the_existing_out(tmp_path, monkeypatch, capsys):

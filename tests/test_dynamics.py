@@ -61,6 +61,30 @@ class TestInducedThreshold:
             induced_threshold([EffortDistribution.point(0.0)], symmetric_config)
 
 
+def test_wrong_length_init_fails_before_any_dropout_search(monkeypatch):
+    # Both groups are above their critical reward, so each curve searches.
+    config = GameConfig(
+        reward=10.0,
+        alpha=0.1,
+        eta_sq=1.0,
+        groups=(GroupParams("H", 0.5, 1.0, sigma_tilde=0.1),
+                GroupParams("L", 0.5, 1.0, sigma_tilde=1.0)),
+    )
+    searches = []
+    real = ResponseCurve._search_dropout
+
+    def counted(self):
+        searches.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ResponseCurve, "_search_dropout", counted)
+    with pytest.raises(ValueError, match="need one strategy per group"):
+        run(config, init=(EffortDistribution.point(0.0),))
+    assert searches == []
+    run(config, max_steps=1)
+    assert len(searches) == 2
+
+
 class TestSteps:
     """The first step of :func:`run`."""
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -214,3 +215,30 @@ class TestSerialization:
             dataclasses.replace(config, alpha=0.2)
         )
         assert len(config_hash(config)) == 16
+
+    @pytest.mark.parametrize("field", [
+        "reward", "alpha", "eta_sq", "share", "cost", "noise_var", "group eta_sq", "sigma_tilde",
+    ])
+    @pytest.mark.parametrize("value, problem", [
+        ("10", "must be a number, got '10'"),
+        (True, "must be a number, got True"),
+        (10**400, "is an integer too large for a float"),
+    ])
+    def test_every_numeric_field_must_be_a_json_number(self, field, value, problem):
+        # float() took the string and the boolean, and raised OverflowError
+        # on the integer, in every field.
+        data = config_to_dict(make_config())
+        if field in ("reward", "alpha", "eta_sq"):
+            data[field], name = value, field
+        else:
+            key = field.removeprefix("group ")
+            data["groups"][0][key], name = value, f"groups['H'].{key}"
+        with pytest.raises(ValueError, match=re.escape(f"{name} {problem}")):
+            config_from_dict(data)
+
+    def test_integer_fields_are_numbers(self):
+        data = config_to_dict(make_config())
+        data["reward"], data["groups"][0]["cost"] = 10, 2
+        config = config_from_dict(data)
+        assert (config.reward, config.groups[0].cost) == (10.0, 2.0)
+        assert type(config.reward) is float and type(config.groups[0].cost) is float
