@@ -16,6 +16,7 @@ from .best_response import (
 from .dynamics import DynamicsState, DynamicsTrace, induced_threshold
 from .dynamics import run as run_dynamics
 from .equilibrium import (
+    Game,
     SolverError,
     solve_demographic_parity,
     solve_unconstrained,

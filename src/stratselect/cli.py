@@ -11,12 +11,12 @@ error.  CSV output is byte-identical across runs for identical inputs; every
 CSV starts with a ``# config_hash=`` comment binding it to the game instance,
 and is built in memory and written to ``--out`` once, when the command
 succeeds: a failed command writes nothing.
-Every subcommand builds each group's response curve (its window and dropout
-threshold) once per reward: groups of the same cost and spread share it, and
-so do both solvers, the grid points and the dynamics steps.  ``sweep`` checks
-the game and every grid point and resolves the groups once, before any
-solve, and then calls the solvers' cores (``equilibrium.unconstrained_core``
-and ``parity_core``) at each grid point.  A grid whose ends are finite but
+Every subcommand reads its game into an ``equilibrium.Game``, which holds
+the resolved groups and builds each group's response curve (its window and
+dropout threshold) once per reward: groups of the same cost and spread share
+it, and so do both solvers, the grid points and the dynamics steps.
+``sweep`` checks the game and every grid point and builds its game once,
+before any solve, and then asks that game at each grid point.  A grid whose ends are finite but
 whose width ``hi - lo`` overflows is an input error.  :func:`main` builds
 its argument parser once per process, on its first call, and reuses it.
 """
@@ -38,15 +38,7 @@ from typing import Sequence
 
 from . import metrics
 from .dynamics import run as run_dynamics
-from .equilibrium import (
-    CurveMemo,
-    SolverError,
-    parity_core,
-    response_curves,
-    solve_demographic_parity,
-    solve_unconstrained,
-    unconstrained_core,
-)
+from .equilibrium import Game, SolverError
 from .kernel import DomainError, NoBracket, NoConvergence
 from .mc import (
     MIN_SAMPLES,
@@ -68,11 +60,9 @@ from .metrics import (
 from .model import (
     EffortDistribution,
     GameConfig,
-    GroupView,
     _json_number,
     config_from_dict,
     config_hash,
-    effective_groups,
     reward_violations,
     validate,
 )
@@ -106,7 +96,9 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _load_config(path: str) -> GameConfig:
+def _load_game(path: str) -> Game:
+    """The game of the config file ``path``, checked with :func:`validate`
+    alone.  Raises InputError when it is unreadable or invalid."""
     data = _load_json(path)
     try:
         config = config_from_dict(data)
@@ -115,7 +107,7 @@ def _load_config(path: str) -> GameConfig:
     problems = validate(config)
     if problems:
         raise InputError(f"{path}: " + "; ".join(problems))
-    return config
+    return Game(config, checked=True)
 
 
 @contextmanager
@@ -225,14 +217,11 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    game = _load_game(args.config)
+    config = game.config
     payload: dict = {"config_hash": config_hash(config)}
-    curves: CurveMemo = {}
-    payload["unconstrained"] = solve_unconstrained(config, curves=curves).as_dict()
-    payload["demographic_parity"] = (
-        None if args.no_dp
-        else solve_demographic_parity(config, curves=curves).as_dict()
-    )
+    payload["unconstrained"] = game.unconstrained().as_dict()
+    payload["demographic_parity"] = None if args.no_dp else game.parity().as_dict()
     try:
         payload["asymptotic_predictions"] = asdict(asymptotic_predictions(config))
     except (AmbiguousRegime, NotTwoGroups):
@@ -254,9 +243,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 class SweepSpec:
     axis: str  # "alpha" or "reward"
     grid: tuple[float, ...]
-    base_config: GameConfig
     solvers: tuple[str, ...]
-    views: tuple[GroupView, ...]  # the base config's groups, resolved once
+    game: Game  # the base config, checked and resolved once
 
 
 def _load_sweep(path: str) -> SweepSpec:
@@ -304,8 +292,8 @@ def _load_sweep(path: str) -> SweepSpec:
     if axis == "reward":
         _check_rewards(path, base, grid)
     return SweepSpec(
-        axis=axis, grid=tuple(grid), base_config=base, solvers=tuple(solvers),
-        views=effective_groups(base),
+        axis=axis, grid=tuple(grid), solvers=tuple(solvers),
+        game=Game(base, checked=True),
     )
 
 
@@ -318,28 +306,18 @@ def _check_rewards(path: str, config: GameConfig, rewards: Sequence[float]) -> N
             raise InputError(f"{path}: reward grid value {reward!r}: " + "; ".join(problems))
 
 
-def _sweep_row(
-    spec: SweepSpec, value: float, curves: CurveMemo
-) -> tuple[dict, str | None]:
+def _sweep_row(spec: SweepSpec, value: float) -> tuple[dict, str | None]:
     """One row of the sweep at grid point ``value``.  ``_load_sweep`` checked
-    the game and every grid point, so the row calls the solvers' cores."""
-    base, views = spec.base_config, spec.views
-    alpha, reward = (value, base.reward) if spec.axis == "alpha" else (base.alpha, value)
+    the game and every grid point, so the row asks the spec's game."""
+    game, views = spec.game, spec.game.views
+    point = {spec.axis: value}  # the other of alpha and reward is the game's own
     row: dict = {"axis_value": value}
     try:
-        un = (
-            unconstrained_core(views, alpha, reward, curves)
-            if "unconstrained" in spec.solvers
-            else None
-        )
-        dp = (
-            parity_core(views, alpha, reward, curves)
-            if "demographic_parity" in spec.solvers
-            else None
-        )
+        un = game.unconstrained(**point) if "unconstrained" in spec.solvers else None
+        dp = game.parity(**point) if "demographic_parity" in spec.solvers else None
     except (*_COMPUTE_ERRORS, MemoryError) as exc:
         return row, f"{spec.axis}={value!r}: {exc}"
-    # The cores report the outcomes in the order of ``views``.
+    # The game reports the outcomes in the order of ``views``.
     if un is not None:
         row["theta_un"] = un.threshold
         for view, outcome in zip(views, un.outcomes):
@@ -361,7 +339,7 @@ def _sweep_row(
 
 
 def _sweep_columns(spec: SweepSpec) -> list[str]:
-    labels = [g.label for g in spec.base_config.groups]
+    labels = [g.label for g in spec.game.config.groups]
     cols = ["axis_value", "theta_un"]
     cols += [f"theta_dp_{label}" for label in labels]
     cols += [f"effort_{label}_un" for label in labels]
@@ -374,10 +352,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_sweep(args.config)
     columns = _sweep_columns(spec)
     with _csv_out(args.out) as fh:
-        write_row = _csv_writer(fh, spec.base_config, columns)
-        curves: CurveMemo = {}
+        write_row = _csv_writer(fh, spec.game.config, columns)
         for value in spec.grid:
-            row, warning = _sweep_row(spec, value, curves)
+            row, warning = _sweep_row(spec, value)
             if warning:
                 print(f"warning: {warning}", file=sys.stderr)
             write_row([_fmt(row.get(c)) for c in columns])
@@ -389,11 +366,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_dropout(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    game = _load_game(args.config)
+    config = game.config
     grid = _parse_grid(args.grid)
     _check_rewards(args.config, config, grid)
-    views = effective_groups(config)
-    labels = [v.label for v in views]
+    labels = [v.label for v in game.views]
     columns = ["S"] + [
         f"{column}_{label}" for label in labels
         for column in ("theta_d", "br_min", "br_max", "scaled")
@@ -402,7 +379,7 @@ def cmd_dropout(args: argparse.Namespace) -> int:
         write_row = _csv_writer(fh, config, columns)
         for reward in grid:
             row = [repr(reward)]
-            for view, curve in zip(views, response_curves(views, reward)):
+            for view, curve in zip(game.views, game.curves(reward)):
                 info = curve.info
                 if info is None:
                     print(
@@ -428,8 +405,8 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         raise InputError(f"--steps must be at least 1, got {args.steps}")
     if not 0.0 <= args.tol < float("inf"):
         raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
-    config = _load_config(args.config)
-    views = effective_groups(config)
+    game = _load_game(args.config)
+    config, views = game.config, game.views
     labels = [v.label for v in views]
     columns = ["t", "theta", "theta_belief"]
     for label in labels:
@@ -478,16 +455,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--samples must be at least {MIN_SAMPLES}, got {args.samples}"
         )
     if args.config:
-        config = _load_config(args.config)
+        game = _load_game(args.config)
     else:
-        config = config_from_dict(_DEFAULT_VERIFY_CONFIG)
+        game = Game(config_from_dict(_DEFAULT_VERIFY_CONFIG))
+    config, views = game.config, game.views
     problems = realizability_problems(config)
     if problems:
         raise InputError("; ".join(problems))
     n, seed = args.samples, args.seed
-    views = effective_groups(config)
-    curves: CurveMemo = {}
-    un = solve_unconstrained(config, curves=curves)
+    un = game.unconstrained()
     checks: list[tuple[str, float, float, float]] = []
 
     strategies = [o.strategy for o in un.outcomes]
@@ -521,7 +497,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
          3.0 * max(quality.std_error, 1e-12))
     )
 
-    for view, curve in zip(views, response_curves(views, config.reward, curves)):
+    for view, curve in zip(views, game.curves()):
         theta = 0.5 * un.threshold
         brs = curve.best_response(theta)
         grid_best = grid_argmax_payoff(theta, view, config.reward)

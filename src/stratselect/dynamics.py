@@ -31,7 +31,7 @@ from operator import attrgetter
 from typing import Literal, Sequence
 
 from .best_response import ResponseCurve
-from .equilibrium import _resolve, mixture_quantile, response_curves
+from .equilibrium import Game, mixture_quantile
 from .model import (
     EffortDistribution,
     GameConfig,
@@ -180,12 +180,13 @@ def run(
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if mode not in ("br", "fp"):
         raise ValueError(f"unknown mode {mode!r}")
-    views = _resolve(config)
+    game = Game(config)
+    views = game.views
     if init is None:
         init = [EffortDistribution.point(0.0) for _ in views]
     init = tuple(init)
     theta0 = induced_threshold(init, config)
-    curves = response_curves(views, config.reward)
+    curves = game.curves()
     fp = mode == "fp"
     state = DynamicsState(
         strategies=init,

@@ -19,8 +19,8 @@ mix alike and ``mixing_group`` names the first of them.  One rate table per
 threshold, each group's low and high effort and selection rate, serves the
 walk, the smooth crossing and the outcomes of both regimes.  A dropout's
 rates do not depend on alpha, so the walk and the parity solve keep them in
-the caller's curve memo; a crossing hands the rows its Newton steps read to
-its outcomes.  The outcomes wrap their strategies with no re-validation, as
+the game's memo; a crossing hands the rows its Newton steps read to its
+outcomes.  The outcomes wrap their strategies with no re-validation, as
 their efforts and weights are the table's and the ones the solve checked.
 
 Every solve walks the dropouts inside one closed-form bracket,
@@ -31,9 +31,11 @@ alpha)-quantile of the decision-statistic mixture, is found by
 :func:`mixture_quantile`, Newton's method on the mixture CDF; the dynamics
 take every new threshold from it.
 
-Each solver is a public entry, which checks the game and resolves its groups,
-and a core on the resolved groups, alpha and the reward, which a caller that
-checked the game once (a sweep) calls at every grid point.
+A :class:`Game` checks a game and resolves its groups once, and answers both
+solvers at any alpha and reward, keeping one reward's curves and rates:
+a sweep keeps one game and asks it at every grid point.
+:func:`solve_unconstrained` and :func:`solve_demographic_parity` answer one
+game in one call, over a fresh :class:`Game`.
 
 Under demographic parity each group selects its own top fraction alpha, so
 each group's threshold is read off its response curve with no search.
@@ -69,9 +71,7 @@ __all__ = [
     "solver_bracket",
     "solve_unconstrained",
     "solve_demographic_parity",
-    "unconstrained_core",
-    "parity_core",
-    "CurveMemo",
+    "Game",
 ]
 
 # The reported selection rates must reproduce alpha to this relative error,
@@ -88,34 +88,11 @@ class SolverError(RuntimeError):
     """The equilibrium search produced an inconsistent state."""
 
 
-# Response curves keyed by ``(cost, sigma, reward)`` and the rate rows at the
-# dropouts, which the walk and the parity solve read, keyed by ``(theta,
-# curve)``: neither depends on alpha, on the other groups or on the solver,
-# so one memo serves a command.
-CurveMemo = dict[tuple, ResponseCurve | tuple[float, float, float, float]]
-
-
-def response_curves(
-    views: Sequence[GroupView], reward: float, memo: CurveMemo | None = None
-) -> list[ResponseCurve]:
-    """Each group's curve at ``reward`` from ``memo``, built and stored on a
-    miss (``None`` starts a fresh memo).  Twin groups share one curve and so
-    one dropout double."""
-    memo = {} if memo is None else memo
-    curves = []
-    for view in views:
-        key = (view.cost, view.sigma, reward)
-        if key not in memo:
-            memo[key] = ResponseCurve(view, reward)
-        curves.append(memo[key])
-    return curves
-
-
 # Per group at one threshold: (rate_lo, rate_hi, effort_lo, effort_hi).
 RateTable = list[tuple[float, float, float, float]]
 
 
-def _rates(theta: float, curves: list[ResponseCurve], rows: dict) -> RateTable:
+def _rates(theta: float, curves: Sequence[ResponseCurve], rows: dict) -> RateTable:
     """Each group's low and high candidate efforts at ``theta`` and their
     selection rates: the ends of its best response (equal off a payoff tie,
     the tied pair at the group's dropout), kept in ``rows[theta, curve]``."""
@@ -267,154 +244,178 @@ def _pinned_outcomes(
     return _outcomes(theta, views, table, weights, pinned=True)
 
 
-def _resolve(config: GameConfig) -> tuple[GroupView, ...]:
-    """The groups of ``config`` resolved for a core solver; ValueError when
-    ``config`` is not a game the solvers support."""
-    problems = solver_violations(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-    return effective_groups(config)
+class Game:
+    """One game, checked and resolved once, that answers both solvers at any
+    alpha and reward: a sweep keeps one and varies either per call.
+
+    ``views`` are the resolved groups.  The game keeps one reward's response
+    curves and their rate rows at the dropouts, which depend neither on
+    alpha, on the other groups nor on the solver: a different reward
+    replaces both, so give each thread its own game.  Raises ValueError
+    when ``config`` is not a game the solvers support
+    (:func:`model.solver_violations`); ``checked`` skips that check for a
+    caller that ran it, or the stricter :func:`model.validate`, already.
+    """
+
+    def __init__(self, config: GameConfig, *, checked: bool = False) -> None:
+        if not checked:
+            problems = solver_violations(config)
+            if problems:
+                raise ValueError("invalid config: " + "; ".join(problems))
+        self.config = config
+        self.views = effective_groups(config)
+        self._reward: float | None = None
+        self._curves: tuple[ResponseCurve, ...] = ()
+        self._rows: dict = {}
+
+    def curves(self, reward: float | None = None) -> tuple[ResponseCurve, ...]:
+        """Each group's response curve at ``reward``, the game's own by
+        default.  Twin groups share one curve and so one dropout double."""
+        reward = self.config.reward if reward is None else reward
+        if reward != self._reward:
+            shared: dict[tuple[float, float], ResponseCurve] = {}
+            for view in self.views:
+                key = (view.cost, view.sigma)
+                if key not in shared:
+                    shared[key] = ResponseCurve(view, reward)
+            self._curves = tuple(shared[v.cost, v.sigma] for v in self.views)
+            self._reward, self._rows = reward, {}
+        return self._curves
+
+    def unconstrained(
+        self, alpha: float | None = None, reward: float | None = None,
+        bracket: tuple[float, float] | None = None,
+    ) -> EquilibriumReport:
+        """Unique Nash equilibrium of the unconstrained selection game at
+        ``alpha`` and ``reward``, the game's own by default.
+
+        The walk and a smooth crossing start from ``bracket``, which must
+        contain the equilibrium threshold, or with none from
+        :func:`solver_bracket`.  One path serves every solve: the bracket,
+        the walk over the dropouts inside it, then the pin or the smooth
+        crossing.
+        """
+        views = self.views
+        alpha = self.config.alpha if alpha is None else alpha
+        reward = self.config.reward if reward is None else reward
+        curves = self.curves(reward)
+        memo = self._rows
+        lo, hi = bracket or _bracket(views, alpha, reward)
+
+        # Groups sharing a dropout share its double: twins share one curve.
+        events = sorted({
+            c.info.theta_d for c in curves
+            if c.info is not None and lo < c.info.theta_d < hi
+        })
+
+        # Walk the dropouts up to the segment free of jumps that holds the
+        # crossing, unless a jump straddles alpha.
+        lows, highs = [0] * len(views), [1] * len(views)
+        outcomes = None
+        for theta_d in events:
+            table = _rates(theta_d, curves, memo)
+            m_lo, m_hi = _mass(views, table, lows), _mass(views, table, highs)
+            if alpha > m_hi:
+                hi = theta_d
+                break
+            if m_lo <= alpha <= m_hi:
+                theta, regime = theta_d, "dropout_pinned"
+                outcomes = _pinned_outcomes(theta, views, table, alpha)
+                break
+            lo = theta_d
+
+        if outcomes is None:
+            # No dropout lies inside (lo, hi): a group whose dropout lies above
+            # it plays its high maximum throughout, every other group its low one.
+            mid = 0.5 * (lo + hi)
+            sides = [int(c.info is not None and c.info.theta_d > mid) for c in curves]
+            rows: dict = {}  # the rates each Newton step read, for the outcomes
+
+            def excess(theta: float) -> tuple[float, float]:
+                table = _rates(theta, curves, rows)
+                # A group's rate Phi(z) falls at phi(z) * eps / (s * (z * phi(z) +
+                # eps)), with phi(z) = eps * mu on the maximum it plays, where
+                # z * mu + 1 > 0.
+                slope = 0.0
+                for view, curve, rates, side in zip(views, curves, table, sides):
+                    mu = rates[2 + side] / view.sigma
+                    z = mu - theta / view.sigma
+                    slope -= view.share * curve.eps * mu / (view.sigma * (z * mu + 1.0))
+                return _mass(views, table, sides) - alpha, slope
+
+            # Newton's method on the excess mass, continuous and decreasing here.
+            theta = find_root(excess, lo, hi, mid)
+            outcomes = _outcomes(theta, views, _rates(theta, curves, rows), sides)
+            regime = "smooth"
+
+        budget = sum(v.share * o.selection_rate for v, o in zip(views, outcomes))
+        if abs(budget - alpha) > BUDGET_TOL * alpha:
+            raise SolverError(
+                f"selection budget off by {abs(budget - alpha)!r} at theta={theta!r}"
+            )
+        return EquilibriumReport(
+            mode="unconstrained",
+            regime=regime,
+            threshold=theta,
+            outcomes=outcomes,
+            quality=quality_from_outcomes(views, outcomes),
+        )
+
+    def parity(
+        self, alpha: float | None = None, reward: float | None = None
+    ) -> EquilibriumReport:
+        """Equilibrium when every group is selected at rate ``alpha``, at
+        ``reward``; both are the game's own by default.
+
+        Parity removes cross-group competition: each group is a population of
+        mass one whose rate ``Phi(z) = alpha`` fixes ``z* = normal_quantile(alpha)``.
+        A group whose tied best responses at its dropout have rates around alpha
+        mixes them there.  Any other plays the stationary point ``mu = phi(z*) /
+        eps`` at ``tau = mu - z*``, which is then its best response: no root is
+        solved.  The rates at a dropout are the walk's rows there.
+        """
+        views = self.views
+        alpha = self.config.alpha if alpha is None else alpha
+        curves = self.curves(reward)
+        memo = self._rows
+        z = normal_quantile(alpha)
+        outcomes = []
+        for view, curve in zip(views, curves):
+            # The group alone is a population of mass one: its rates are its
+            # budget.  Its rates at its dropout are the walk's row there.
+            info = curve.info
+            table = None if info is None else _rates(info.theta_d, [curve], memo)
+            if table is not None and table[0][0] <= alpha <= table[0][1]:
+                x_lo, x_hi = table[0][:2]
+                theta, pinned = info.theta_d, True
+                weights = [_mixing_weight(theta, alpha - x_lo, x_hi - x_lo)]
+            else:
+                mu = normal_pdf(z) / curve.eps
+                theta, effort = view.sigma * (mu - z), view.sigma * mu
+                rate = normal_cdf((effort - theta) / view.sigma)
+                table, weights, pinned = [(rate, rate, effort, effort)], [0.0], False
+            outcome, = _outcomes(theta, (view,), table, weights, pinned)
+            if abs(outcome.selection_rate - alpha) > BUDGET_TOL * alpha:
+                raise SolverError(f"group {view.label!r} selected at rate "
+                                  f"{outcome.selection_rate!r} at theta={outcome.threshold!r}")
+            outcomes.append(outcome)
+        outcomes = tuple(outcomes)
+        return EquilibriumReport(
+            mode="demographic_parity",
+            regime="decomposed",
+            threshold=None,
+            outcomes=outcomes,
+            quality=quality_from_outcomes(views, outcomes),
+        )
 
 
 def solve_unconstrained(
-    config: GameConfig,
-    bracket: tuple[float, float] | None = None,
-    *,
-    curves: CurveMemo | None = None,
+    config: GameConfig, bracket: tuple[float, float] | None = None
 ) -> EquilibriumReport:
-    """Unique Nash equilibrium of the unconstrained selection game.
-
-    The walk and a smooth crossing start from ``bracket``, which must
-    contain the equilibrium threshold, or with none from
-    :func:`solver_bracket`.  ``curves`` is a memo of response curves and
-    of their rates at the dropouts (a :data:`CurveMemo`) to read and fill,
-    shared across solves; ``None`` starts a fresh one.
-    """
-    return unconstrained_core(_resolve(config), config.alpha, config.reward, curves, bracket)
+    """:meth:`Game.unconstrained` of ``config`` in one call."""
+    return Game(config).unconstrained(bracket=bracket)
 
 
-def unconstrained_core(
-    views: tuple[GroupView, ...], alpha: float, reward: float,
-    curves: CurveMemo | None = None, bracket: tuple[float, float] | None = None,
-) -> EquilibriumReport:
-    """:func:`solve_unconstrained` on groups already resolved from a valid
-    game, at ``alpha`` and ``reward``: a caller that checked the game once
-    solves it along a grid with no further checks.  One path serves every
-    solve: the bracket, the walk over the dropouts inside it, then the pin
-    or the smooth crossing."""
-    memo = {} if curves is None else curves
-    curves = response_curves(views, reward, memo)
-    lo, hi = bracket or _bracket(views, alpha, reward)
-
-    # Groups sharing a dropout share its double: twins share one curve.
-    events = sorted({
-        c.info.theta_d for c in curves
-        if c.info is not None and lo < c.info.theta_d < hi
-    })
-
-    # Walk the dropouts up to the segment free of jumps that holds the
-    # crossing, unless a jump straddles alpha.
-    lows, highs = [0] * len(views), [1] * len(views)
-    outcomes = None
-    for theta_d in events:
-        table = _rates(theta_d, curves, memo)
-        m_lo, m_hi = _mass(views, table, lows), _mass(views, table, highs)
-        if alpha > m_hi:
-            hi = theta_d
-            break
-        if m_lo <= alpha <= m_hi:
-            theta, regime = theta_d, "dropout_pinned"
-            outcomes = _pinned_outcomes(theta, views, table, alpha)
-            break
-        lo = theta_d
-
-    if outcomes is None:
-        # No dropout lies inside (lo, hi): a group whose dropout lies above
-        # it plays its high maximum throughout, every other group its low one.
-        mid = 0.5 * (lo + hi)
-        sides = [int(c.info is not None and c.info.theta_d > mid) for c in curves]
-        rows: dict = {}  # the rates each Newton step read, for the outcomes
-
-        def excess(theta: float) -> tuple[float, float]:
-            table = _rates(theta, curves, rows)
-            # A group's rate Phi(z) falls at phi(z) * eps / (s * (z * phi(z) +
-            # eps)), with phi(z) = eps * mu on the maximum it plays, where
-            # z * mu + 1 > 0.
-            slope = 0.0
-            for view, curve, rates, side in zip(views, curves, table, sides):
-                mu = rates[2 + side] / view.sigma
-                z = mu - theta / view.sigma
-                slope -= view.share * curve.eps * mu / (view.sigma * (z * mu + 1.0))
-            return _mass(views, table, sides) - alpha, slope
-
-        # Newton's method on the excess mass, continuous and decreasing here.
-        theta = find_root(excess, lo, hi, mid)
-        outcomes = _outcomes(theta, views, _rates(theta, curves, rows), sides)
-        regime = "smooth"
-
-    budget = sum(v.share * o.selection_rate for v, o in zip(views, outcomes))
-    if abs(budget - alpha) > BUDGET_TOL * alpha:
-        raise SolverError(
-            f"selection budget off by {abs(budget - alpha)!r} at theta={theta!r}"
-        )
-    return EquilibriumReport(
-        mode="unconstrained",
-        regime=regime,
-        threshold=theta,
-        outcomes=outcomes,
-        quality=quality_from_outcomes(views, outcomes),
-    )
-
-
-def solve_demographic_parity(
-    config: GameConfig, *, curves: CurveMemo | None = None
-) -> EquilibriumReport:
-    """Equilibrium when every group is selected at rate alpha.
-
-    Parity removes cross-group competition: each group is a population of
-    mass one whose rate ``Phi(z) = alpha`` fixes ``z* = normal_quantile(alpha)``.
-    A group whose tied best responses at its dropout have rates around alpha
-    mixes them there.  Any other plays the stationary point ``mu = phi(z*) /
-    eps`` at ``tau = mu - z*``, which is then its best response: no root is
-    solved.  The curve and the rates at its dropout come from the ``curves``
-    memo (see :func:`solve_unconstrained`).
-    """
-    return parity_core(_resolve(config), config.alpha, config.reward, curves)
-
-
-def parity_core(
-    views: tuple[GroupView, ...], alpha: float, reward: float,
-    curves: CurveMemo | None = None,
-) -> EquilibriumReport:
-    """:func:`solve_demographic_parity` on groups already resolved from a
-    valid game, at ``alpha`` and ``reward`` (see :func:`unconstrained_core`)."""
-    memo = {} if curves is None else curves
-    z = normal_quantile(alpha)
-    outcomes = []
-    for view, curve in zip(views, response_curves(views, reward, memo)):
-        # The group alone is a population of mass one: its rates are its
-        # budget.  Its rates at its dropout are the walk's row there.
-        info = curve.info
-        table = None if info is None else _rates(info.theta_d, [curve], memo)
-        if table is not None and table[0][0] <= alpha <= table[0][1]:
-            x_lo, x_hi = table[0][:2]
-            theta, pinned = info.theta_d, True
-            weights = [_mixing_weight(theta, alpha - x_lo, x_hi - x_lo)]
-        else:
-            mu = normal_pdf(z) / curve.eps
-            theta, effort = view.sigma * (mu - z), view.sigma * mu
-            rate = normal_cdf((effort - theta) / view.sigma)
-            table, weights, pinned = [(rate, rate, effort, effort)], [0.0], False
-        outcome, = _outcomes(theta, (view,), table, weights, pinned)
-        if abs(outcome.selection_rate - alpha) > BUDGET_TOL * alpha:
-            raise SolverError(f"group {view.label!r} selected at rate "
-                              f"{outcome.selection_rate!r} at theta={outcome.threshold!r}")
-        outcomes.append(outcome)
-    outcomes = tuple(outcomes)
-    return EquilibriumReport(
-        mode="demographic_parity",
-        regime="decomposed",
-        threshold=None,
-        outcomes=outcomes,
-        quality=quality_from_outcomes(views, outcomes),
-    )
+def solve_demographic_parity(config: GameConfig) -> EquilibriumReport:
+    """:meth:`Game.parity` of ``config`` in one call."""
+    return Game(config).parity()

@@ -98,7 +98,10 @@ def posterior_variance(
     the override wins in both modes.
     """
     if group.sigma_tilde is not None:
-        return group.sigma_tilde**2
+        try:
+            return group.sigma_tilde**2
+        except OverflowError:  # a float power raises where it would be inf
+            return math.inf
     eta = group.eta_sq if group.eta_sq is not None else eta_sq
     if dm_mode == "bayesian":
         return eta * eta / (group.noise_var + eta)

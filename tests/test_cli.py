@@ -21,15 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import stratselect.equilibrium as equilibrium
 import stratselect.model as model
 from stratselect import cli, metrics
 from stratselect.best_response import ResponseCurve
 from stratselect.dynamics import _step
 from stratselect.dynamics import run as run_dynamics
 from stratselect.equilibrium import (
+    Game,
     SolverError,
-    response_curves,
     solve_demographic_parity,
     solve_unconstrained,
 )
@@ -112,6 +111,9 @@ class TestSolve:
         # Its square underflows to 0.0.
         ({}, {"sigma_tilde": 1e-200},
          "groups['H']: the variance 0.0 from sigma_tilde must be positive and finite"),
+        # Its square overflows: a float power raises instead of giving inf.
+        ({}, {"sigma_tilde": 1e200},
+         "groups['H']: the variance inf from sigma_tilde must be positive and finite"),
         ({}, {"noise_var": math.inf},
          "groups['H'].noise_var must be nonnegative and finite, got inf"),
         ({}, {"cost": math.inf}, "groups['H'].cost must be positive and finite, got inf"),
@@ -124,8 +126,8 @@ class TestSolve:
         ({}, {"cost": 1e200, "sigma_tilde": 1e100},
          "groups['H']: reward 10.0 is below the supported 1e-20 times "
          "cost * sigma**2 = inf"),
-    ], ids=["sigma_tilde", "noise_var", "cost", "eta_sq", "cost_times_variance",
-            "cost_times_variance_overflows"])
+    ], ids=["sigma_tilde", "sigma_tilde_square_overflows", "noise_var", "cost", "eta_sq",
+            "cost_times_variance", "cost_times_variance_overflows"])
     def test_non_finite_or_vanishing_field_is_named(self, tmp_path, capsys, top, group, message):
         # json writes and reads inf as Infinity.
         groups = [
@@ -289,16 +291,14 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
     def test_point_failure_leaves_empty_cells(self, tmp_path, monkeypatch, capsys):
-        import stratselect.cli as cli_module
+        real = Game.unconstrained
 
-        real = cli_module.unconstrained_core
-
-        def flaky(views, alpha, *args, **kwargs):
+        def flaky(game, alpha, *args, **kwargs):
             if abs(alpha - 0.2) < 1e-12:
                 raise SolverError("synthetic failure")
-            return real(views, alpha, *args, **kwargs)
+            return real(game, alpha, *args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "unconstrained_core", flaky)
+        monkeypatch.setattr(Game, "unconstrained", flaky)
         spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2, 0.3]))
         out = tmp_path / "out.csv"
         assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
@@ -312,14 +312,14 @@ class TestSweep:
     def test_memory_error_leaves_one_row_blank(self, tmp_path, monkeypatch, capsys):
         # A row that runs out of memory fails alone, like any computation
         # error, instead of aborting the sweep with exit 2.
-        real = cli.unconstrained_core
+        real = Game.unconstrained
 
-        def starved(views, alpha, *args, **kwargs):
+        def starved(game, alpha, *args, **kwargs):
             if alpha == 0.2:
                 raise MemoryError("synthetic allocation failure")
-            return real(views, alpha, *args, **kwargs)
+            return real(game, alpha, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "unconstrained_core", starved)
+        monkeypatch.setattr(Game, "unconstrained", starved)
         spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2, 0.3]))
         out = tmp_path / "out.csv"
         assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
@@ -540,14 +540,6 @@ def dropout_calls(monkeypatch):
     return calls
 
 
-real_curves = equilibrium.response_curves
-
-
-def memo_free_curves(views, reward, memo=None):
-    """``equilibrium.response_curves`` without the memo: one curve per group."""
-    return real_curves(views, reward)
-
-
 def read_sweep(path):
     lines = path.read_text().splitlines()[1:]
     return list(csv.DictReader(lines))
@@ -638,7 +630,7 @@ class TestDropoutMemo:
         assert calls == {"best_response": 4 * 4}
 
     @pytest.mark.parametrize("sweep", sorted(MEMO_SWEEPS))
-    def test_memoised_sweep_matches_fresh_solves(self, tmp_path, monkeypatch, sweep):
+    def test_memoised_sweep_matches_fresh_solves(self, tmp_path, sweep):
         game, axis, grid = MEMO_SWEEPS[sweep]
         base = MEMO_GAMES[game]
         spec = write_json(
@@ -648,7 +640,6 @@ class TestDropoutMemo:
         out = tmp_path / "out.csv"
         assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 0
         rows = read_sweep(out)
-        monkeypatch.setattr(equilibrium, "response_curves", memo_free_curves)
         assert len(rows) == len(grid)
         for value, row in zip(grid, rows):
             config = config_from_dict({**base, axis: value})
@@ -1112,8 +1103,8 @@ def test_dynamics_rows_with_two_point_states_match_the_reference_writer(mode):
         init = (EffortDistribution(((0.3, 0.25), (1.7, 0.75))),
                 EffortDistribution(((0.7, 0.2), (0.9, 0.3), (2.5, 0.5))))
         trace = run_dynamics(config, mode, max_steps, init=init, tol=tol)
-        views = effective_groups(config)
-        curves = response_curves(views, config.reward)
+        game = Game(config)
+        views, curves = game.views, game.curves()
         ties = tuple(
             _step(curve.info.theta_d, len(trace.states) + i, views, curves, config.alpha,
                   n=len(trace.states) if mode == "fp" else 0)
@@ -1131,8 +1122,9 @@ def test_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, command
     def no_work(*args, **kwargs):
         raise RuntimeError("work started before --out was opened")
 
-    for name in ("unconstrained_core", "parity_core", "response_curves", "run_dynamics"):
-        monkeypatch.setattr(cli, name, no_work)
+    for name in ("unconstrained", "parity", "curves"):
+        monkeypatch.setattr(Game, name, no_work)
+    monkeypatch.setattr(cli, "run_dynamics", no_work)
     game = str(SCENARIOS / "noise_gap_s10.json")
     argv = {
         "sweep": ["--config", write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2]))],
@@ -1333,14 +1325,15 @@ def test_failed_dropout_writes_nothing_to_a_fifo(tmp_path, monkeypatch, capsys):
     # The header and the first row are done when the second reward fails;
     # neither may reach the pipe.
     rewards = []
+    real = Game.curves
 
-    def fail_at_second_reward(views, reward, memo=None):
+    def fail_at_second_reward(game, reward=None):
         rewards.append(reward)
         if len(rewards) == 2:
             raise SolverError("synthetic failure")
-        return response_curves(views, reward, memo)
+        return real(game, reward)
 
-    monkeypatch.setattr(cli, "response_curves", fail_at_second_reward)
+    monkeypatch.setattr(Game, "curves", fail_at_second_reward)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     argv = ["dropout", "--config", str(SCENARIOS / "noise_gap_s10.json"),

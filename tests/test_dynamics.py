@@ -15,8 +15,8 @@ from stratselect.dynamics import (
     induced_threshold,
     run,
 )
-from stratselect.equilibrium import response_curves, solve_unconstrained
-from stratselect.model import EffortDistribution, GameConfig, GroupParams, effective_groups
+from stratselect.equilibrium import Game, solve_unconstrained
+from stratselect.model import EffortDistribution, GameConfig, GroupParams
 
 from conftest import random_games
 
@@ -249,8 +249,8 @@ def test_step_strategies_equal_validated_ones(config, mode):
 def test_step_at_a_dropout_splits_its_tie(config, n):
     """A step at a curve's dropout threshold plays the tied pair 50/50 in
     both modes (``n`` = 0 steps as in br, and 3 as in fp)."""
-    views = effective_groups(config)
-    curves = response_curves(views, config.reward)
+    game = Game(config)
+    views, curves = game.views, game.curves()
     for i, curve in enumerate(curves):
         info = curve.info
         if info is None:

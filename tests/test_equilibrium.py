@@ -18,16 +18,14 @@ from stratselect.best_response import (
     payoff,
 )
 from stratselect.equilibrium import (
+    Game,
     SolverError,
     _mass,
     _rates,
     mixture_quantile,
-    parity_core,
-    response_curves,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
-    unconstrained_core,
 )
 from stratselect.kernel import find_root, normal_cdf, normal_pdf, normal_quantile
 from stratselect.mc import grid_argmax_payoff, max_deviation_gain
@@ -51,8 +49,9 @@ def mass_interval(theta, config):
     """Selected mass at ``theta`` with every group on the low and on the high
     end of its best response: apart only at a dropout, or within a payoff
     tie of one."""
-    views = effective_groups(config)
-    table = _rates(theta, response_curves(views, config.reward), {})
+    game = Game(config)
+    views = game.views
+    table = _rates(theta, game.curves(), {})
     return _mass(views, table, [0] * len(views)), _mass(views, table, [1] * len(views))
 
 
@@ -645,19 +644,49 @@ def test_parity_outcomes_match_one_group_solves(config):
         assert abs(outcome.selection_rate - alone.selection_rate) <= tol + residual
 
 
+def game_answers(game, alpha, reward):
+    """Both solvers' reports of ``game`` at ``alpha`` and ``reward`` as
+    dicts, or the computation error a solve raised, named."""
+    try:
+        return (game.unconstrained(alpha, reward).as_dict(),
+                game.parity(alpha, reward).as_dict())
+    except cli._COMPUTE_ERRORS as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=random_games(),
+    alphas=st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3),
+    exponent=st.floats(-1.0, 1.0),
+)
+def test_game_answers_do_not_depend_on_what_it_was_asked_before(config, alphas, exponent):
+    """A game keeps one reward's curves and rates.  Asked at three points,
+    two at the game's reward and one at another, in order, in reverse and
+    interleaved so that the reward changes and comes back, one game gives
+    at each point what a fresh game gives there."""
+    other = config.reward * 10.0**exponent
+    assume(other != config.reward)
+    points = [(alphas[0], config.reward), (alphas[1], config.reward), (alphas[2], other)]
+    fresh = [game_answers(Game(config), *point) for point in points]
+    game = Game(config)
+    for order in ([0, 1, 2], [2, 1, 0], [0, 2, 1]):
+        for i in order:
+            assert game_answers(game, *points[i]) == fresh[i], (order, i)
+
+
 @settings(max_examples=200, deadline=None)
 @given(config=random_games())
 def test_outcome_strategies_equal_validated_ones(config):
-    """Both cores wrap their outcome strategies with no ``__post_init__``:
+    """Both solvers wrap their outcome strategies with no ``__post_init__``:
     each is what the validating constructor makes of its support, down to
     the float type, and its ``avg_effort`` is its mean.  The games cover 1
     to 4 groups in both modes, rewards on both sides of the critical ones,
     pinned and smooth equilibria and parity groups that mix; the parity
-    solve reads the rows the walk left in the shared memo, as in a sweep."""
-    views = effective_groups(config)
-    memo = {}
-    for core in (unconstrained_core, parity_core):
-        for outcome in core(views, config.alpha, config.reward, memo).outcomes:
+    solve reads the rows the walk left in the game's memo, as in a sweep."""
+    game = Game(config)
+    for solve in (game.unconstrained, game.parity):
+        for outcome in solve().outcomes:
             strategy = outcome.strategy
             assert strategy == EffortDistribution(strategy.support)
             assert all(type(x) is float for point in strategy.support for x in point)
@@ -700,9 +729,9 @@ def test_threshold_does_not_depend_on_the_bracket_at_a_cusp():
 def check_bracket_free(config, below, above):
     lo, hi = solver_bracket(config)
     wide = (lo - below * (hi - lo), hi + above * (hi - lo))
-    curves = {}
-    report = solve_unconstrained(config, curves=curves)
-    widened = solve_unconstrained(config, bracket=wide, curves=curves)
+    game = Game(config)
+    report = game.unconstrained()
+    widened = game.unconstrained(bracket=wide)
     assert widened.regime == report.regime
     if report.regime == "dropout_pinned":
         assert widened.threshold == report.threshold
@@ -714,16 +743,16 @@ def check_bracket_free(config, below, above):
 @settings(max_examples=150, deadline=None)
 @given(config=random_games(min_groups=2), axis=st.sampled_from(["alpha", "reward"]))
 def test_sweep_row_matches_the_public_solvers(config, axis):
-    """A sweep row calls the solvers' cores on the groups its spec resolved
-    once; the row holds what the public solvers give on the same game.  The
-    base config's own value on the swept axis must not leak into the row."""
+    """A sweep row asks the game its spec built once; the row holds what
+    the public solvers give on the same game.  The base config's own value
+    on the swept axis must not leak into the row."""
     value = getattr(config, axis)
     base = dataclasses.replace(config, **{axis: 0.5 * value})
     spec = cli.SweepSpec(
-        axis=axis, grid=(value,), base_config=base,
-        solvers=("unconstrained", "demographic_parity"), views=effective_groups(base),
+        axis=axis, grid=(value,),
+        solvers=("unconstrained", "demographic_parity"), game=Game(base),
     )
-    row, warning = cli._sweep_row(spec, value, {})
+    row, warning = cli._sweep_row(spec, value)
     try:
         un, dp = solve_unconstrained(config), solve_demographic_parity(config)
     except cli._COMPUTE_ERRORS as exc:
