@@ -6,19 +6,22 @@ thresholds along a reward grid, CSV), ``dynamics`` (one trajectory, CSV) and
 ``verify`` (Monte Carlo / grid oracle checks, pass/fail table).
 
 Exit codes: 0 success, 1 input error (a game or reward-grid point outside
-the supported range included, see ``model.MAX_REWARD_RATIO``), 2 computation
-error.  CSV output is byte-identical across runs for identical inputs; every
-CSV starts with a ``# config_hash=`` comment binding it to the game instance,
-and is built in memory and written to ``--out`` once, when the command
-succeeds: a failed command writes nothing.
-Every subcommand reads its game into an ``equilibrium.Game``, which holds
-the resolved groups and builds each group's response curve (its window and
+the supported range included, see ``model.MAX_REWARD_RATIO``, and a grid or
+a step count above ``model.MAX_GRID_POINTS`` or ``MAX_DYNAMICS_STEPS``,
+rejected before anything is built), 2 computation error.  CSV output is
+byte-identical across runs for identical inputs; every CSV starts with a
+``# config_hash=`` comment binding it to the game instance, and is built in
+memory and written to ``--out`` once, when the command succeeds: a failed
+command writes nothing.
+Every subcommand reads its game into an ``equilibrium.Game``, checked and
+resolved once, which builds each group's response curve (its window and
 dropout threshold) once per reward: groups of the same cost and spread share
 it, and so do both solvers, the grid points and the dynamics steps.
-``sweep`` checks the game and every grid point and builds its game once,
-before any solve, and then asks that game at each grid point.  A grid whose ends are finite but
-whose width ``hi - lo`` overflows is an input error.  :func:`main` builds
-its argument parser once per process, on its first call, and reuses it.
+``dynamics`` hands its game to ``dynamics.run``.  ``sweep`` checks the game
+and every grid point and builds its game once, before any solve, and then
+asks that game at each grid point.  A grid whose ends are finite but whose
+width ``hi - lo`` overflows is an input error.  :func:`main` builds its
+argument parser once per process, on its first call, and reuses it.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ from .metrics import (
     small_s_crossings,
 )
 from .model import (
+    MAX_DYNAMICS_STEPS,
+    MAX_GRID_POINTS,
     EffortDistribution,
     GameConfig,
     _json_number,
@@ -74,6 +79,14 @@ _COMPUTE_ERRORS = (NoConvergence, NoBracket, DomainError, SolverError)
 
 class InputError(Exception):
     """Bad file, malformed JSON or invalid configuration."""
+
+
+def _reason(exc: Exception) -> str:
+    """The message of ``exc``.  A MemoryError raised by the interpreter
+    itself carries none, and reads "out of memory"."""
+    if isinstance(exc, MemoryError) and not str(exc):
+        return "out of memory"
+    return str(exc)
 
 
 def _fmt(x) -> str:
@@ -167,13 +180,16 @@ def _csv_writer(fh, config: GameConfig, columns: Sequence[str], *comments: str):
 def _grid(lo: float, hi: float, count: int, scale: str = "linear") -> list[float]:
     """``count`` points from ``lo`` to ``hi`` on a ``linear`` or ``log``
     scale: the grid of ``--grid lo:hi:count[:log]`` and of a sweep spec's
-    ``{"lo", "hi", "count", "scale"}``.  Raises ValueError when malformed."""
+    ``{"lo", "hi", "count", "scale"}``.  Raises ValueError when malformed
+    or when ``count`` is above ``MAX_GRID_POINTS``."""
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid ends must be finite, got {lo!r} and {hi!r}")
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"grid count must be an integer of at least 1, got {count!r}")
     _json_number(count, "grid count")  # the steps divide by it as a float
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid count {count} is above the supported {MAX_GRID_POINTS}")
     if scale == "log":
         if not (lo > 0 and hi > 0):
             raise ValueError(f"log grid requires positive endpoints, got {lo!r} and {hi!r}")
@@ -264,6 +280,9 @@ def _load_sweep(path: str) -> SweepSpec:
                 grid_raw["count"], grid_raw.get("scale", "linear"),
             )
         elif isinstance(grid_raw, list):
+            if len(grid_raw) > MAX_GRID_POINTS:
+                raise ValueError(f"{len(grid_raw)} grid values are above the "
+                                 f"supported {MAX_GRID_POINTS}")
             grid = [_json_number(v, "grid value") for v in grid_raw]
         else:
             raise InputError(f"{path}: sweep grid must be a list or a "
@@ -316,7 +335,7 @@ def _sweep_row(spec: SweepSpec, value: float) -> tuple[dict, str | None]:
         un = game.unconstrained(**point) if "unconstrained" in spec.solvers else None
         dp = game.parity(**point) if "demographic_parity" in spec.solvers else None
     except (*_COMPUTE_ERRORS, MemoryError) as exc:
-        return row, f"{spec.axis}={value!r}: {exc}"
+        return row, f"{spec.axis}={value!r}: {_reason(exc)}"
     # The game reports the outcomes in the order of ``views``.
     if un is not None:
         row["theta_un"] = un.threshold
@@ -403,6 +422,8 @@ def cmd_dropout(args: argparse.Namespace) -> int:
 def cmd_dynamics(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise InputError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_DYNAMICS_STEPS:
+        raise InputError(f"--steps {args.steps} is above the supported {MAX_DYNAMICS_STEPS}")
     if not 0.0 <= args.tol < float("inf"):
         raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     game = _load_game(args.config)
@@ -412,9 +433,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     for label in labels:
         columns += [f"avg_effort_{label}", f"rate_{label}"]
     with _csv_out(args.out) as fh:
-        trace = run_dynamics(
-            config, mode=args.mode, max_steps=args.steps, tol=args.tol
-        )
+        trace = run_dynamics(game, mode=args.mode, max_steps=args.steps, tol=args.tol)
         conv = trace.convergence
         summary = f"convergence={conv.status}"
         if conv.period is not None:
@@ -491,7 +510,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                      analytic, est.mean, tol)
                 )
     except MemoryError as exc:
-        raise MemoryError(f"--samples {n}: {exc}") from exc
+        raise MemoryError(f"--samples {n}: {_reason(exc)}") from exc
     checks.append(
         ("selection_quality[unconstrained]", un.quality, quality.mean,
          3.0 * max(quality.std_error, 1e-12))
@@ -584,7 +603,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (*_COMPUTE_ERRORS, MemoryError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+        print(f"computation failed: {_reason(exc)}", file=sys.stderr)
         return 2
 
 

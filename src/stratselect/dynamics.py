@@ -18,10 +18,12 @@ group's best response on as one support tuple, ``((m, 1.0),)`` or ``((lo,
 with no re-validation, into the state's strategies, since a curve's efforts
 are floats ``>= 0`` and these weights sum to exactly 1, so validation could
 not fail and would rebuild the same tuples.  :func:`run` is the one entry
-point.  Its cycle check keeps, for each period, the run of trailing
-thresholds that repeat the one a period back within ``CYCLE_TOL``, and
-extends it by one comparison per period and step instead of rescanning the
-tail.
+point.  It plays the :class:`~stratselect.equilibrium.Game` it is handed, on
+that game's resolved groups, its curves at its reward and its alpha, so a
+run checks and resolves nothing again.  Its cycle check keeps, for each
+period, the run of trailing thresholds that repeat the one a period back
+within ``CYCLE_TOL``, and extends it by one comparison per period and step
+instead of rescanning the tail.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ from typing import Literal, Sequence
 
 from .best_response import ResponseCurve
 from .equilibrium import Game, mixture_quantile
-from .model import (
-    EffortDistribution,
-    GameConfig,
-    GroupView,
-    effective_groups,
-)
+from .model import EffortDistribution, GroupView
 
 __all__ = [
     "DynamicsState",
@@ -82,14 +79,12 @@ class DynamicsTrace:
     cycle_avg_effort: tuple[float, ...] | None = None
 
 
-def induced_threshold(
-    strategies: Sequence[EffortDistribution], config: GameConfig
-) -> float:
-    """The (1 - alpha)-quantile of the decision-statistic mixture."""
-    views = effective_groups(config)
+def induced_threshold(strategies: Sequence[EffortDistribution], game: Game) -> float:
+    """The (1 - alpha)-quantile of the decision-statistic mixture of ``game``."""
+    views = game.views
     if len(strategies) != len(views):
         raise ValueError("need one strategy per group")
-    return mixture_quantile([s.support for s in strategies], views, config.alpha)
+    return mixture_quantile([s.support for s in strategies], views, game.config.alpha)
 
 
 def _step(
@@ -159,13 +154,14 @@ class _CycleDetector:
 
 
 def run(
-    config: GameConfig,
+    game: Game,
     mode: Literal["br", "fp"] = "br",
     max_steps: int = 1000,
     init: Sequence[EffortDistribution] | None = None,
     tol: float = 1e-9,
 ) -> DynamicsTrace:
-    """Iterate the chosen dynamic from ``init`` (zero effort by default).
+    """Iterate the chosen dynamic of ``game`` from ``init`` (zero effort by
+    default), on the game's groups, curves and alpha.
 
     Stops early on convergence (threshold change below ``tol`` for 10
     consecutive steps; in ``fp`` mode the belief change, since the raw
@@ -180,12 +176,11 @@ def run(
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if mode not in ("br", "fp"):
         raise ValueError(f"unknown mode {mode!r}")
-    game = Game(config)
-    views = game.views
+    views, alpha = game.views, game.config.alpha
     if init is None:
         init = [EffortDistribution.point(0.0) for _ in views]
     init = tuple(init)
-    theta0 = induced_threshold(init, config)
+    theta0 = induced_threshold(init, game)
     curves = game.curves()
     fp = mode == "fp"
     state = DynamicsState(
@@ -201,7 +196,7 @@ def run(
 
     for _ in range(max_steps):
         # Only an fp step (n > 0) folds the thresholds so far into a belief.
-        new = _step(watched(state), state.t, views, curves, config.alpha, fp * len(states))
+        new = _step(watched(state), state.t, views, curves, alpha, fp * len(states))
         quiet = quiet + 1 if abs(watched(new) - watched(state)) <= tol else 0
         states.append(new)
         state = new

@@ -38,6 +38,8 @@ __all__ = [
     "effective_groups",
     "MAX_REWARD_RATIO",
     "MIN_REWARD_RATIO",
+    "MAX_GRID_POINTS",
+    "MAX_DYNAMICS_STEPS",
     "validate",
     "reward_violations",
     "config_from_dict",
@@ -56,6 +58,15 @@ WEIGHT_TOL = 1e-12
 # range").
 MAX_REWARD_RATIO = 1e20
 MIN_REWARD_RATIO = 1e-20
+
+# The most grid points (a sweep's or a dropout grid's) and dynamics steps the
+# CLI supports.  A command holds its whole CSV, and a dynamics run its whole
+# trace, until it succeeds: a two-group game peaked at about 400 bytes per
+# dropout row, 600 per sweep row and 1,000 per dynamics state, and more with
+# more groups, so either bound keeps a two-group command near 1 GB
+# (README, "Supported range").
+MAX_GRID_POINTS = 10**6
+MAX_DYNAMICS_STEPS = 10**6
 
 
 @dataclass(frozen=True)

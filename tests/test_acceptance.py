@@ -20,6 +20,7 @@ from stratselect.best_response import (
 )
 from stratselect.dynamics import run as run_dynamics
 from stratselect.equilibrium import (
+    Game,
     solve_demographic_parity,
     solve_unconstrained,
     solver_bracket,
@@ -337,12 +338,13 @@ class TestCriterion7ParityStructure:
 class TestCriterion8Dynamics:
     def test_cycles_and_fictitious_play(self, noise_gap_config):
         eq = solve_unconstrained(noise_gap_config)
-        br_trace = run_dynamics(noise_gap_config, mode="br", max_steps=500)
+        game = Game(noise_gap_config)
+        br_trace = run_dynamics(game, mode="br", max_steps=500)
         cycle_ok = br_trace.convergence.status == "cycle" and all(
             avg >= out.avg_effort - 1e-9
             for avg, out in zip(br_trace.cycle_avg_effort, eq.outcomes)
         )
-        fp_trace = run_dynamics(noise_gap_config, mode="fp", max_steps=5000)
+        fp_trace = run_dynamics(game, mode="fp", max_steps=5000)
         fp_err = abs(fp_trace.states[-1].belief - eq.threshold)
         report(
             "criterion 8: cycle effort dominates equilibrium; fp reaches theta",

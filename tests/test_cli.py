@@ -33,6 +33,7 @@ from stratselect.equilibrium import (
     solve_unconstrained,
 )
 from stratselect.kernel import DomainError, normal_cdf
+from stratselect.mc import MIN_SAMPLES
 from stratselect.model import (
     EffortDistribution,
     config_from_dict,
@@ -1099,14 +1100,13 @@ def test_dynamics_rows_with_two_point_states_match_the_reference_writer(mode):
     dropout, whose tie is a 50/50 pair."""
     config = config_from_dict(json.loads((SCENARIOS / "noise_gap_s10.json").read_text()))
 
-    def two_point_run(config, mode, max_steps, tol):
+    def two_point_run(game, mode, max_steps, tol):
         init = (EffortDistribution(((0.3, 0.25), (1.7, 0.75))),
                 EffortDistribution(((0.7, 0.2), (0.9, 0.3), (2.5, 0.5))))
-        trace = run_dynamics(config, mode, max_steps, init=init, tol=tol)
-        game = Game(config)
-        views, curves = game.views, game.curves()
+        trace = run_dynamics(game, mode, max_steps, init=init, tol=tol)
+        views, curves, alpha = game.views, game.curves(), game.config.alpha
         ties = tuple(
-            _step(curve.info.theta_d, len(trace.states) + i, views, curves, config.alpha,
+            _step(curve.info.theta_d, len(trace.states) + i, views, curves, alpha,
                   n=len(trace.states) if mode == "fp" else 0)
             for i, curve in enumerate(curves)
         )
@@ -1266,6 +1266,118 @@ def test_reward_grid_points_are_checked_for_the_reward_alone(
                 "--grid", "2:100:4:log"]
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == {"_violations": 1, "reward_violations": 4}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "dropout", "dynamics", "verify"])
+def test_every_subcommand_checks_and_resolves_its_game_once(
+    tmp_path, monkeypatch, capsys, command
+):
+    # A dynamics run plays the command's game: it neither checks the game
+    # again nor resolves its groups again.
+    calls = collections.Counter()
+    real_violations, real_groups = model._violations, model.effective_groups
+
+    def counted_violations(*args, **kwargs):
+        calls["_violations"] += 1
+        return real_violations(*args, **kwargs)
+
+    def counted_groups(*args, **kwargs):
+        calls["effective_groups"] += 1
+        return real_groups(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_violations", counted_violations)
+    # Each module that imported the function calls it under its own name.
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("stratselect")
+                and getattr(module, "effective_groups", None) is real_groups):
+            monkeypatch.setattr(module, "effective_groups", counted_groups)
+    game, out = str(SCENARIOS / "noise_gap_s10.json"), str(tmp_path / "out.csv")
+    spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2]))
+    argv = {
+        "solve": ["--config", game],
+        "sweep": ["--config", spec, "--out", out],
+        "dropout": ["--config", game, "--grid", "100:1000:2:log", "--out", out],
+        "dynamics": ["--config", game, "--steps", "5", "--out", out],
+        "verify": ["--config", game, "--samples", str(MIN_SAMPLES)],
+    }[command]
+    assert cli.main([command, *argv]) == 0
+    capsys.readouterr()
+    assert calls["_violations"] == 1
+    if command == "dynamics":
+        assert calls["effective_groups"] == 1
+
+
+# Runs ``cli.main`` on its arguments under an address-space limit, so that a
+# command which builds a huge grid fails with MemoryError instead of taking
+# the machine's memory.
+LIMITED_MAIN = (
+    "import resource, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2); "
+    "from stratselect import cli; sys.exit(cli.main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize("command", ["dropout", "sweep", "dynamics"])
+def test_a_count_above_the_bound_is_an_input_error(tmp_path, command):
+    """A grid count or step count of 1e11 exits 1 with one line before
+    anything is built, and writes nothing at ``--out``."""
+    game, out = str(SCENARIOS / "noise_gap_s10.json"), tmp_path / "out.csv"
+    count = 10**11
+    spec = write_json(tmp_path / "spec.json",
+                      sweep_spec_dict({"lo": 0.1, "hi": 0.2, "count": count}))
+    argv, message = {
+        "dropout": (["--config", game, "--grid", f"1:10:{count}"],
+                    f"bad grid '1:10:{count}': "),
+        "sweep": (["--config", spec], f"{spec}: malformed sweep grid: "),
+        "dynamics": (["--config", game, "--steps", str(count)],
+                     f"--steps {count} is above the supported {model.MAX_DYNAMICS_STEPS}"),
+    }[command]
+    if command != "dynamics":
+        message += f"grid count {count} is above the supported {model.MAX_GRID_POINTS}"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, str(1_500_000_000), command, *argv,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_counts_at_and_above_the_bounds(tmp_path, monkeypatch, capsys):
+    assert len(cli._grid(0.0, 1.0, model.MAX_GRID_POINTS)) == model.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="grid count 1000001 is above the supported 1000000"):
+        cli._grid(0.0, 1.0, model.MAX_GRID_POINTS + 1)
+    out = tmp_path / "out.csv"
+    game = str(SCENARIOS / "noise_gap_s10.json")
+    steps = model.MAX_DYNAMICS_STEPS + 1
+    assert cli.main(["dynamics", "--config", game, "--steps", str(steps),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --steps {steps} is above the supported {model.MAX_DYNAMICS_STEPS}\n"
+    )
+    # A sweep grid given as a list keeps the same bound.
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+    spec = write_json(tmp_path / "spec.json", sweep_spec_dict([0.1, 0.2, 0.3, 0.4]))
+    assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {spec}: malformed sweep grid: 4 grid values are above the supported 3\n"
+    )
+    assert not out.exists()
+
+
+def test_a_memory_error_with_no_message_reads_out_of_memory(tmp_path, monkeypatch, capsys):
+    # The interpreter raises MemoryError() with no message of its own.
+    def starved(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_dynamics", starved)
+    out = tmp_path / "out.csv"
+    argv = ["dynamics", "--config", str(SCENARIOS / "noise_gap_s10.json"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "computation failed: out of memory\n"
+    assert not out.exists()
 
 
 def test_read_only_out_is_not_replaced(tmp_path, capsys):

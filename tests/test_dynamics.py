@@ -35,30 +35,30 @@ def single_group_config(alpha, sigma=1.0):
 class TestInducedThreshold:
     def test_median_of_point_mass(self):
         config = single_group_config(alpha=0.5)
-        theta = induced_threshold([EffortDistribution.point(1.3)], config)
+        theta = induced_threshold([EffortDistribution.point(1.3)], Game(config))
         assert theta == pytest.approx(1.3, abs=1e-10)
 
     def test_one_spread_quantile(self):
         # alpha = 1 - Phi(1) puts the threshold one spread above the effort.
         config = single_group_config(alpha=0.15865525393145707)
-        theta = induced_threshold([EffortDistribution.point(2.0)], config)
+        theta = induced_threshold([EffortDistribution.point(2.0)], Game(config))
         assert theta == pytest.approx(3.0, abs=1e-9)
 
     def test_symmetric_mixture_matches_single_group(self, symmetric_config):
         strategy = EffortDistribution.point(0.7)
-        theta_two = induced_threshold([strategy, strategy], symmetric_config)
+        theta_two = induced_threshold([strategy, strategy], Game(symmetric_config))
         solo = GameConfig(
             reward=symmetric_config.reward,
             alpha=symmetric_config.alpha,
             eta_sq=symmetric_config.eta_sq,
             groups=(dataclasses.replace(symmetric_config.groups[0], share=1.0),),
         )
-        theta_one = induced_threshold([strategy], solo)
+        theta_one = induced_threshold([strategy], Game(solo))
         assert theta_two == pytest.approx(theta_one, abs=1e-10)
 
     def test_strategy_count_mismatch(self, symmetric_config):
         with pytest.raises(ValueError):
-            induced_threshold([EffortDistribution.point(0.0)], symmetric_config)
+            induced_threshold([EffortDistribution.point(0.0)], Game(symmetric_config))
 
 
 def test_wrong_length_init_fails_before_any_dropout_search(monkeypatch):
@@ -79,9 +79,9 @@ def test_wrong_length_init_fails_before_any_dropout_search(monkeypatch):
 
     monkeypatch.setattr(ResponseCurve, "_search_dropout", counted)
     with pytest.raises(ValueError, match="need one strategy per group"):
-        run(config, init=(EffortDistribution.point(0.0),))
+        run(Game(config), init=(EffortDistribution.point(0.0),))
     assert searches == []
-    run(config, max_steps=1)
+    run(Game(config), max_steps=1)
     assert len(searches) == 2
 
 
@@ -91,20 +91,20 @@ class TestSteps:
     def test_equilibrium_is_fixed_point(self, small_reward_config):
         eq = solve_unconstrained(small_reward_config)
         init = tuple(o.strategy for o in eq.outcomes)
-        stepped = run(small_reward_config, max_steps=1, init=init).states[1]
+        stepped = run(Game(small_reward_config), max_steps=1, init=init).states[1]
         assert stepped.theta == pytest.approx(eq.threshold, abs=1e-8)
         for before, after in zip(init, stepped.strategies):
             assert after.mean() == pytest.approx(before.mean(), abs=1e-8)
 
     def test_threshold_invariant_after_step(self, small_reward_config):
-        stepped = run(small_reward_config, max_steps=1).states[1]
-        rebuilt = induced_threshold(stepped.strategies, small_reward_config)
+        stepped = run(Game(small_reward_config), max_steps=1).states[1]
+        rebuilt = induced_threshold(stepped.strategies, Game(small_reward_config))
         assert stepped.theta == pytest.approx(rebuilt, abs=1e-10)
 
     def test_fp_with_unit_history_equals_br(self, small_reward_config):
         init = (EffortDistribution.point(0.2), EffortDistribution.point(0.4))
-        via_br = run(small_reward_config, "br", max_steps=1, init=init).states[1]
-        via_fp = run(small_reward_config, "fp", max_steps=1, init=init).states[1]
+        via_br = run(Game(small_reward_config), "br", max_steps=1, init=init).states[1]
+        via_fp = run(Game(small_reward_config), "fp", max_steps=1, init=init).states[1]
         assert via_fp.theta == pytest.approx(via_br.theta, abs=1e-12)
         for a, b in zip(via_br.strategies, via_fp.strategies):
             assert a.support == b.support
@@ -119,7 +119,7 @@ class TestSteps:
             real(curve)
 
         monkeypatch.setattr(ResponseCurve, "_search_dropout", counted)
-        run(noise_gap_config, mode, max_steps=20)
+        run(Game(noise_gap_config), mode, max_steps=20)
         assert sorted(searches) == ["H", "L"]
 
     @pytest.mark.parametrize("mode", ["br", "fp"])
@@ -127,51 +127,52 @@ class TestSteps:
         # One call per run, through the module's name, so a traced run counts it.
         calls = []
 
-        def counted(strategies, config):
-            calls.append(config)
-            return induced_threshold(strategies, config)
+        def counted(strategies, game):
+            calls.append(game)
+            return induced_threshold(strategies, game)
 
         init = (EffortDistribution.point(0.5), EffortDistribution.point(1.5))
+        game = Game(noise_gap_config)
         monkeypatch.setattr(dynamics_module, "induced_threshold", counted)
-        trace = run(noise_gap_config, mode, max_steps=20, init=init)
-        assert calls == [noise_gap_config]
-        assert trace.states[0].theta == induced_threshold(init, noise_gap_config)
+        trace = run(game, mode, max_steps=20, init=init)
+        assert calls == [game]
+        assert trace.states[0].theta == induced_threshold(init, game)
 
 
 class TestRun:
     def test_smooth_regime_converges(self, small_reward_config):
         eq = solve_unconstrained(small_reward_config)
-        trace = run(small_reward_config, mode="br", max_steps=500, tol=1e-10)
+        trace = run(Game(small_reward_config), mode="br", max_steps=500, tol=1e-10)
         assert trace.convergence.status == "converged"
         assert trace.convergence.theta == pytest.approx(eq.threshold, abs=1e-8)
 
     def test_smooth_regime_contracts(self, small_reward_config):
         eq = solve_unconstrained(small_reward_config)
-        trace = run(small_reward_config, mode="br", max_steps=60, tol=0.0)
+        trace = run(Game(small_reward_config), mode="br", max_steps=60, tol=0.0)
         errors = [abs(s.theta - eq.threshold) for s in trace.states[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
     def test_pinned_regime_cycles(self, noise_gap_config):
-        trace = run(noise_gap_config, mode="br", max_steps=500)
+        trace = run(Game(noise_gap_config), mode="br", max_steps=500)
         assert trace.convergence.status == "cycle"
         assert trace.convergence.period >= 2
         assert trace.cycle_avg_effort is not None
 
     def test_cycle_effort_dominates_equilibrium(self, noise_gap_config):
         eq = solve_unconstrained(noise_gap_config)
-        trace = run(noise_gap_config, mode="br", max_steps=500)
+        trace = run(Game(noise_gap_config), mode="br", max_steps=500)
         for avg, outcome in zip(trace.cycle_avg_effort, eq.outcomes):
             assert avg >= outcome.avg_effort - 1e-9
 
     def test_fp_converges_in_smooth_regime(self, small_reward_config):
         eq = solve_unconstrained(small_reward_config)
-        trace = run(small_reward_config, mode="fp", max_steps=3000, tol=1e-7)
+        trace = run(Game(small_reward_config), mode="fp", max_steps=3000, tol=1e-7)
         assert trace.convergence.status == "converged"
         assert abs(trace.states[-1].belief - eq.threshold) <= 1e-4
 
     def test_fp_belief_approaches_equilibrium(self, noise_gap_config):
         eq = solve_unconstrained(noise_gap_config)
-        trace = run(noise_gap_config, mode="fp", max_steps=3000)
+        trace = run(Game(noise_gap_config), mode="fp", max_steps=3000)
         beliefs = [s.belief for s in trace.states]
         final_err = abs(beliefs[-1] - eq.threshold)
         assert final_err <= 1e-3
@@ -179,8 +180,8 @@ class TestRun:
         assert final_err < earlier_err
 
     def test_determinism(self, noise_gap_config):
-        one = run(noise_gap_config, mode="br", max_steps=120)
-        two = run(noise_gap_config, mode="br", max_steps=120)
+        one = run(Game(noise_gap_config), mode="br", max_steps=120)
+        two = run(Game(noise_gap_config), mode="br", max_steps=120)
         assert [s.theta for s in one.states] == [s.theta for s in two.states]
         assert one.convergence == two.convergence
 
@@ -203,29 +204,29 @@ class TestRun:
                 GroupParams("C", 0.5, 1.5, sigma_tilde=1.0),
             ),
         )
-        trace = run(config, mode="fp", max_steps=200)
+        trace = run(Game(config), mode="fp", max_steps=200)
         assert trace.convergence.status == "max_steps_reached"
         assert len(taus) == 2 * 200
 
     def test_max_steps_status(self, noise_gap_config):
-        trace = run(noise_gap_config, mode="fp", max_steps=5)
+        trace = run(Game(noise_gap_config), mode="fp", max_steps=5)
         assert trace.convergence.status == "max_steps_reached"
         assert len(trace.states) == 6
 
     def test_rejects_bad_mode_and_steps(self, noise_gap_config):
         with pytest.raises(ValueError):
-            run(noise_gap_config, mode="sgd")
+            run(Game(noise_gap_config), mode="sgd")
         with pytest.raises(ValueError):
-            run(noise_gap_config, max_steps=0)
+            run(Game(noise_gap_config), max_steps=0)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_rejects_a_tol_that_cannot_fire_or_always_fires(self, noise_gap_config, tol):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            run(noise_gap_config, tol=tol)
+            run(Game(noise_gap_config), tol=tol)
 
     def test_custom_init(self, small_reward_config):
         init = (EffortDistribution.point(0.5), EffortDistribution.point(0.1))
-        trace = run(small_reward_config, mode="br", max_steps=300, init=init)
+        trace = run(Game(small_reward_config), mode="br", max_steps=300, init=init)
         assert trace.convergence.status == "converged"
 
 
@@ -239,7 +240,7 @@ def assert_validated_alike(strategy):
 @settings(max_examples=100, deadline=None)
 @given(config=random_games(), mode=st.sampled_from(["br", "fp"]))
 def test_step_strategies_equal_validated_ones(config, mode):
-    for state in run(config, mode, max_steps=30).states:
+    for state in run(Game(config), mode, max_steps=30).states:
         for strategy in state.strategies:
             assert_validated_alike(strategy)
 

@@ -181,6 +181,40 @@ def test_smooth_crossing_close_to_alpha_one():
     check_smooth_crossing(config, report)
 
 
+# A third game the hypothesis test can draw, and the one that made it fail
+# about 1 run in 60: three groups, G0 and G1 selected at 0.9923 and G2 at 0,
+# and a mass slope of only -8.6e-5 at the root.  The smooth threshold
+# 60.2732983165724 is 1.35e-12 from the 50-digit root 60.27329831657375.
+HIGH_REWARD_CROSSING_WEIGHTS = (0.546875, 0.609375, 0.7265625)
+HIGH_REWARD_CROSSING_GAME = GameConfig(
+    reward=1.0, alpha=0.609375, eta_sq=1.0,
+    groups=tuple(
+        GroupParams(f"G{i}", w / sum(HIGH_REWARD_CROSSING_WEIGHTS), cost, noise_var=1.0)
+        for i, (w, cost) in enumerate(zip(HIGH_REWARD_CROSSING_WEIGHTS, (1.0, 1.0, 10.0**0.5)))
+    ),
+)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="ROADMAP item 3: the crossing's rates are recomputed from effort - "
+    "theta, which near an effort of 62 carries an ulp of 62, and the mass "
+    "slope is -8.6e-5; the threshold lands 1.35e-12 from the root, past the "
+    "6.0e-13 bound",
+)
+def test_smooth_crossing_far_above_the_critical_reward():
+    config = dataclasses.replace(
+        HIGH_REWARD_CROSSING_GAME,
+        reward=critical_reward(effective_groups(HIGH_REWARD_CROSSING_GAME)[0]) * 10.0**3,
+    )
+    if config.reward != 2066.365677061247:  # not the game that failed
+        pytest.fail(f"reward {config.reward!r}")
+    report = solve_unconstrained(config)
+    if report.regime != "smooth":  # not an AssertionError, so not an xfail
+        pytest.fail(f"regime {report.regime!r}, not smooth")
+    check_smooth_crossing(config, report)
+
+
 def check_smooth_crossing(config, report):
     """The smooth threshold of ``report`` against the 50-digit root of the
     budget and every group's first-order condition."""
