@@ -5,14 +5,14 @@ Subcommands: ``solve`` (equilibrium reports for one game), ``sweep``
 thresholds along a reward grid, CSV), ``dynamics`` (one trajectory, CSV) and
 ``verify`` (Monte Carlo / grid oracle checks, pass/fail table).
 
-Exit codes: 0 success, 1 input error (a game or reward-grid point outside
-the supported range included, see ``model.MAX_REWARD_RATIO``, and a grid or
-a step count above ``model.MAX_GRID_POINTS`` or ``MAX_DYNAMICS_STEPS``,
-rejected before anything is built), 2 computation error.  CSV output is
-byte-identical across runs for identical inputs; every CSV starts with a
-``# config_hash=`` comment binding it to the game instance, and is built in
-memory and written to ``--out`` once, when the command succeeds: a failed
-command writes nothing.
+Exit codes: 0 success, 1 input error (a bad argument, a game or reward-grid
+point outside the supported range included, see ``model.MAX_REWARD_RATIO``,
+and a grid or a step count above ``model.MAX_GRID_POINTS`` or
+``MAX_DYNAMICS_STEPS``, rejected before anything is built), 2 computation
+error.  CSV output is byte-identical across runs for identical inputs; every
+CSV starts with a ``# config_hash=`` comment binding it to the game
+instance, and is built in memory and written to ``--out`` once, when the
+command succeeds: a failed command writes nothing.
 Every subcommand reads its game into an ``equilibrium.Game``, checked and
 resolved once, which builds each group's response curve (its window and
 dropout threshold) once per reward: groups of the same cost and spread share
@@ -234,16 +234,16 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     game = _load_game(args.config)
-    config = game.config
+    config, views = game.config, game.views
     payload: dict = {"config_hash": config_hash(config)}
     payload["unconstrained"] = game.unconstrained().as_dict()
     payload["demographic_parity"] = None if args.no_dp else game.parity().as_dict()
     try:
-        payload["asymptotic_predictions"] = asdict(asymptotic_predictions(config))
+        payload["asymptotic_predictions"] = asdict(asymptotic_predictions(views, config.alpha))
     except (AmbiguousRegime, NotTwoGroups):
         payload["asymptotic_predictions"] = None
     try:
-        payload["small_s_crossings"] = asdict(small_s_crossings(config))
+        payload["small_s_crossings"] = asdict(small_s_crossings(views, config.reward))
     except (SubcriticalityViolated, DegenerateVariance, NotTwoGroups):
         payload["small_s_crossings"] = None
     json.dump(payload, sys.stdout, indent=2)
@@ -473,6 +473,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(
             f"--samples must be at least {MIN_SAMPLES}, got {args.samples}"
         )
+    if not 0 <= args.seed < 2**64:
+        raise InputError(f"--seed must lie in [0, 2**64), got {args.seed}")
     if args.config:
         game = _load_game(args.config)
     else:
@@ -545,8 +547,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as an input error: usage, one ``error:`` line, exit 1."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stratselect",
         description="Equilibria, fairness metrics and dynamics of selection "
         "contests with strategic candidates.",

@@ -14,7 +14,9 @@ The selection-probability oracle simulates the actual observation chain
 parameterized by its noise variance; groups with a direct spread override
 are sampled from the decision statistic's law instead.  The quality oracle
 draws the statistic first and reconstructs the latent quality from the
-residual variance, which reproduces the exact joint law in both cases.
+residual variance, which reproduces the exact joint law in both cases.  The
+checks of a solved game take its resolved ``GroupView``s, and a seed, one
+Philox key word, must lie in ``[0, 2**64)``.
 
 Both oracles scale and shift their draws in place, in the order the
 formulas read (``m + s * z`` is ``z *= s; z += m``: IEEE products and sums
@@ -57,7 +59,6 @@ from .model import (
     GroupParams,
     GroupView,
     correlation_coefficient,
-    effective_groups,
     posterior_variance,
 )
 
@@ -97,8 +98,7 @@ def _generator(seed: int, stream: int, offset: int = 0) -> np.random.Generator:
     double number ``offset`` of the stream."""
     import numpy as np
 
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+    key = np.array([seed, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     # A Philox counter step yields four 64-bit outputs, one per double.
     bits.advance(offset // 4)
@@ -139,6 +139,14 @@ def _over_spans(span: Callable[[int, int], object], n: int) -> list:
     return list(_pool(os.getpid(), _WORKERS).map(span, starts, stops))
 
 
+def _check_draws(n: int, seed: int) -> None:
+    """Raise ValueError unless an oracle can draw ``n`` samples at ``seed``."""
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
     n = values.size
     return McEstimate(
@@ -160,8 +168,7 @@ def mc_selection_probability(
     stream: int = 0,
 ) -> McEstimate:
     """Simulated probability that a candidate at effort ``m`` is selected."""
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    _check_draws(n, seed)
     if dm_mode not in ("bayesian", "oblivious"):
         raise ValueError(f"unknown dm_mode {dm_mode!r}")
     import numpy as np
@@ -230,14 +237,13 @@ def mc_selection_quality(
     Draws a group, an effort from its strategy, the decision statistic and
     the latent quality, then averages quality times the selection indicator.
     """
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    views = effective_groups(config)
-    if len(strategies) != len(views):
+    _check_draws(n, seed)
+    groups = config.groups
+    if len(strategies) != len(groups):
         raise ValueError("need one strategy per group")
     if isinstance(thresholds, (int, float)):
-        thresholds = [float(thresholds)] * len(views)
-    if len(thresholds) != len(views):
+        thresholds = [float(thresholds)] * len(groups)
+    if len(thresholds) != len(groups):
         raise ValueError("need one threshold per group")
     problems = realizability_problems(config)
     if problems:
@@ -245,7 +251,7 @@ def mc_selection_quality(
 
     import numpy as np
 
-    edges = np.cumsum([v.share for v in views])
+    edges = np.cumsum([params.share for params in groups])
     # The effort uniforms are drawn only when some strategy reads them; their
     # span is positioned in the stream, so skipping it moves no other draw.
     mixed = any(len(strategy.support) > 1 for strategy in strategies)
@@ -259,7 +265,7 @@ def mc_selection_quality(
         u_effort = _generator(seed, stream, 3 * n + lo).random(size) if mixed else None
         out = value[lo:hi]
         lower = 0.0
-        for params, strategy, theta, edge in zip(config.groups, strategies, thresholds, edges):
+        for params, strategy, theta, edge in zip(groups, strategies, thresholds, edges):
             eta, stat_var, resid_var = _variances(params, config)
             resid_sd = math.sqrt(max(resid_var, 0.0))
             # Index gathers beat boolean masks; the in-place steps below keep
@@ -336,23 +342,19 @@ def grid_argmax_payoff(
 
 
 def max_deviation_gain(
-    report: EquilibriumReport,
-    config: GameConfig,
+    report: EquilibriumReport, views: tuple[GroupView, ...], reward: float
 ) -> dict[str, float]:
-    """Best payoff improvement any candidate could find on its group's
-    :func:`effort_grid`.
+    """Best payoff improvement any candidate of the groups ``views`` could
+    find on its group's :func:`effort_grid` at ``reward``.
 
     At a Nash equilibrium this is nonpositive up to solver residuals.
     """
-    views = {v.label: v for v in effective_groups(config)}
+    by_label = {v.label: v for v in views}
     gains = {}
     for outcome in report.outcomes:
-        view = views[outcome.label]
+        view = by_label[outcome.label]
         theta = outcome.threshold
-        _, values = _grid_payoffs(theta, view, config.reward)
-        current = sum(
-            w * payoff(m, theta, view, config.reward)
-            for m, w in outcome.strategy.support
-        )
+        _, values = _grid_payoffs(theta, view, reward)
+        current = sum(w * payoff(m, theta, view, reward) for m, w in outcome.strategy.support)
         gains[outcome.label] = float(values.max() - current)
     return gains

@@ -13,7 +13,8 @@ by the raw noisy estimate keeps ``c`` at the latent variance, which shrinks
 the tail term.  The large-reward limits (rate/effort ratios,
 parity-vs-unconstrained comparisons, quality ratio) and the small-reward
 crossing points (where the two groups' efforts or selection rates coincide)
-are evaluated directly from their closed forms.
+are evaluated directly from their closed forms, on groups already resolved
+into ``GroupView``s, such as a ``Game``'s ``views``.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from dataclasses import dataclass
 
 from .best_response import critical_reward
 from .kernel import lambert_w, normal_cdf, normal_pdf
-from .model import (
-    EffortDistribution,
-    EquilibriumReport,
-    GameConfig,
-    GroupOutcome,
-    GroupView,
-    effective_groups,
-)
+from .model import EffortDistribution, EquilibriumReport, GroupOutcome, GroupView
 
 __all__ = [
     "NotTwoGroups",
@@ -91,9 +85,8 @@ def quality_from_outcomes(
     return q
 
 
-def selection_quality(report: EquilibriumReport, config: GameConfig) -> float:
-    """Expected latent quality of the selected cohort for a solved game."""
-    views = effective_groups(config)
+def selection_quality(report: EquilibriumReport, views: tuple[GroupView, ...]) -> float:
+    """Expected latent quality of the selected cohort of a solved game."""
     by_label = {v.label: v for v in views}
     ordered = tuple(by_label[o.label] for o in report.outcomes)
     return quality_from_outcomes(ordered, report.outcomes)
@@ -128,18 +121,11 @@ class AsymptoticPrediction:
     comparison_ratios: dict[str, float]
 
 
-def asymptotic_predictions(config: GameConfig) -> AsymptoticPrediction:
+def asymptotic_predictions(views: tuple[GroupView, ...], alpha: float) -> AsymptoticPrediction:
     """Evaluate every large-reward closed form for a two-group game."""
-    views = effective_groups(config)
-    if len(views) != 2:
-        raise NotTwoGroups(f"expected exactly 2 groups, got {len(views)}")
-    a, b = views
-    if a.cost == b.cost and a.sigma == b.sigma:
-        raise AmbiguousRegime(
-            "groups are fully symmetric; all limit ratios equal 1"
-        )
     g1, g2 = ordered_pair(views)
-    alpha = config.alpha
+    if g1.cost == g2.cost and g1.sigma == g2.sigma:
+        raise AmbiguousRegime("groups are fully symmetric; all limit ratios equal 1")
     p1 = g1.share
 
     rate_ratio = 0.0 if alpha <= p1 else (alpha - p1) / (1.0 - p1)
@@ -189,27 +175,23 @@ class SmallSCrossings:
     alpha_rate_cross: float
 
 
-def small_s_crossings(config: GameConfig) -> SmallSCrossings:
+def small_s_crossings(views: tuple[GroupView, ...], reward: float) -> SmallSCrossings:
     """Crossing selection sizes for a two-group subcritical game."""
-    views = effective_groups(config)
-    if len(views) != 2:
-        raise NotTwoGroups(f"expected exactly 2 groups, got {len(views)}")
+    a, b = ordered_pair(views)  # NotTwoGroups unless there are two
     for v in views:
-        if config.reward >= critical_reward(v):
+        if reward >= critical_reward(v):
             raise SubcriticalityViolated(
-                f"group {v.label!r} is supercritical: reward {config.reward!r} "
+                f"group {v.label!r} is supercritical: reward {reward!r} "
                 f">= {critical_reward(v)!r}"
             )
-    a, b = views
     if a.sigma == b.sigma:
         raise DegenerateVariance(
             "equal decision-statistic spreads: crossing formulas are undefined"
         )
     # h: smaller spread (effectively high estimate noise), l: larger spread.
     h, l = (a, b) if a.sigma < b.sigma else (b, a)
-    s = config.reward
 
-    xi = s * (1.0 / (h.cost * h.sigma) - 1.0 / (l.cost * l.sigma)) / (
+    xi = reward * (1.0 / (h.cost * h.sigma) - 1.0 / (l.cost * l.sigma)) / (
         l.sigma - h.sigma
     )
     k_x = math.sqrt(lambert_w("principal", xi * xi / (2.0 * math.pi)))

@@ -324,7 +324,7 @@ def _violations(config: GameConfig, min_groups: int, share_hi: float) -> list[st
             )
         total += g.share
     if config.groups and abs(total - 1.0) > SHARE_TOL:
-        problems.append(f"group shares sum to {total:g}, expected 1")
+        problems.append(f"group shares sum to {total!r}, expected 1")
     if problems:
         return problems
     return reward_violations(config, config.reward)
@@ -358,7 +358,10 @@ def reward_violations(config: GameConfig, reward: float) -> list[str]:
         else:
             continue
         if 0.0 < ratio < math.inf:
-            size = f"{ratio:.4g} times cost * sigma**2, {side} the supported {bound:g}"
+            text = f"{ratio:.4g}"
+            if float(text) == bound:  # four digits round onto the bound: show all
+                text = repr(ratio)
+            size = f"{text} times cost * sigma**2, {side} the supported {bound:g}"
         else:  # the ratio overflows or underflows, or cost * sigma**2 does
             size = f"{side} the supported {bound:g} times cost * sigma**2 = {scale!r}"
         problems.append(f"groups[{g.label!r}]: reward {reward!r} is {size}")

@@ -169,7 +169,7 @@ class TestCriterion2UniquenessAndBudget:
                 worst_spread = max(worst_spread, spread)
                 assert spread <= 1e-8, f"case {case}: thresholds differ by {spread}"
 
-            gains = max_deviation_gain(base, config)
+            gains = max_deviation_gain(base, views, config.reward)
             gain = max(gains.values())
             worst_gain = max(worst_gain, gain / config.reward)
             assert gain <= 1e-7 * config.reward, f"case {case}: deviation gain {gain}"
@@ -214,7 +214,7 @@ class TestCriterion3DropoutAsymptotics:
 class TestCriterion4SmallRewardClosedForms:
     def test_sweep_crossings_match_formulas(self):
         base = two_group_config(1.0, 0.5)
-        crossings = small_s_crossings(base)
+        crossings = small_s_crossings(effective_groups(base), base.reward)
         grid = np.linspace(0.002, 0.998, 400)
         rate_diff, effort_diff = [], []
         for a in grid:

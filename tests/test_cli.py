@@ -805,9 +805,31 @@ def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
     assert len(builds) == 1 + len(commands)
     assert reused == fresh
     codes = [code for code, *_ in reused]
-    assert codes == [2, 2, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert codes == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
     assert all(err.startswith("usage: stratselect") for _, _, err, _ in reused[:3])
     assert reused[3][1].startswith("usage: stratselect")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve"],
+    ["dynamics", "--config", "{game}", "--steps", "1.5", "--out", "{out}"],
+    ["dynamics", "--config", "{game}", "--mode", "xx", "--out", "{out}"],
+])
+def test_a_bad_argument_is_an_input_error(tmp_path, capsys, argv):
+    # argparse's own exit code, 2, is the code of a computation error.
+    out = tmp_path / "out.csv"
+    argv = [arg.format(game=SCENARIOS / "noise_gap_s10.json", out=out) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: stratselect")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("stratselect")
+    assert captured.err.endswith(errors[0] + "\n")
+    assert not out.exists()
 
 
 # Runs each argv of sys.argv[1] in turn through cli.main and prints, after
@@ -1272,8 +1294,9 @@ def test_reward_grid_points_are_checked_for_the_reward_alone(
 def test_every_subcommand_checks_and_resolves_its_game_once(
     tmp_path, monkeypatch, capsys, command
 ):
-    # A dynamics run plays the command's game: it neither checks the game
-    # again nor resolves its groups again.
+    # A dynamics run plays the command's game, and the closed forms and the
+    # oracle checks take the game's groups: none checks the game again or
+    # resolves its groups again.
     calls = collections.Counter()
     real_violations, real_groups = model._violations, model.effective_groups
 
@@ -1303,8 +1326,7 @@ def test_every_subcommand_checks_and_resolves_its_game_once(
     assert cli.main([command, *argv]) == 0
     capsys.readouterr()
     assert calls["_violations"] == 1
-    if command == "dynamics":
-        assert calls["effective_groups"] == 1
+    assert calls["effective_groups"] == 1
 
 
 # Runs ``cli.main`` on its arguments under an address-space limit, so that a
@@ -1474,6 +1496,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --samples must be at least 1000, got 999\n"
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**70), str(2**64)])
+    def test_seed_outside_the_philox_key_is_an_input_error(self, capsys, seed):
+        # Philox takes the seed as one 64-bit word: 2**70 and -5 used to wrap
+        # onto the seeds 0 and 2**64 - 5 and print their bytes.
+        assert cli.main(["verify", "--samples", "1000", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must lie in [0, 2**64), got {seed}\n"
 
     def test_table_is_pinned(self, capsys):
         # The printed table rests on the oracle estimates; ulp-level changes

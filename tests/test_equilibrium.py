@@ -261,7 +261,8 @@ class TestUnconstrained:
 
     def test_no_profitable_deviation(self, noise_gap_config):
         report = solve_unconstrained(noise_gap_config)
-        gains = max_deviation_gain(report, noise_gap_config)
+        views = effective_groups(noise_gap_config)
+        gains = max_deviation_gain(report, views, noise_gap_config.reward)
         assert all(g <= 1e-7 * noise_gap_config.reward for g in gains.values())
 
     def test_smooth_regime_matches_independent_oracle(self, small_reward_config):
@@ -306,7 +307,7 @@ class TestUnconstrained:
         assert (report.threshold > theta_d) == above
         total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
         assert abs(total - alpha) <= 1e-8
-        gains = max_deviation_gain(report, config)
+        gains = max_deviation_gain(report, views, config.reward)
         assert all(g <= 1e-7 * config.reward for g in gains.values()), gains
         # The grid's effort spacing (~5e-5) limits the oracle's accuracy.
         theta, _ = grid_oracle(config, steps=30)
@@ -367,7 +368,7 @@ class TestUnconstrained:
         views = effective_groups(config)
         total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
         assert abs(total - config.alpha) <= 1e-8
-        gains = max_deviation_gain(report, config)
+        gains = max_deviation_gain(report, views, config.reward)
         assert all(g <= 1e-7 * config.reward for g in gains.values())
 
     def test_rejects_invalid_config(self, noise_gap_config):
@@ -396,7 +397,7 @@ class TestUnconstrained:
         assert obl.outcome("L").selection_rate > obl.outcome("H").selection_rate
         for config, report in ((base, bay), (oblivious, obl)):
             top = max(report.outcomes, key=lambda o: o.selection_rate)
-            assert top.label == asymptotic_predictions(config).dominant_label
+            assert top.label == asymptotic_predictions(effective_groups(config), config.alpha).dominant_label
 
     def test_oblivious_mixed_regime_matches_grid_oracle(self):
         # At S = 10 in oblivious mode H (spread 2, critical reward 16.5) is
@@ -465,7 +466,7 @@ class TestUnconstrained:
         ties = [payoff(m, drop.theta_d, views[0], config.reward)
                 for m in (drop.br_min, drop.br_max)]
         assert abs(ties[1] - ties[0]) <= 1e-11 * config.reward
-        gains = max_deviation_gain(report, config)
+        gains = max_deviation_gain(report, views, config.reward)
         assert all(g <= 1e-12 * config.reward for g in gains.values()), gains
 
     def test_mixing_weight_accounts_for_budget(self, noise_gap_config):
@@ -605,7 +606,7 @@ class TestTwinGroups:
             for view, outcome in zip(views, report.outcomes):
                 unlabelled = dataclasses.replace(outcome, label="")
                 assert first.setdefault((view.cost, view.sigma), unlabelled) == unlabelled
-            gains = max_deviation_gain(report, config)
+            gains = max_deviation_gain(report, views, config.reward)
             assert max(gains.values()) <= 1e-7 * config.reward, gains
 
 

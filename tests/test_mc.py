@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import sys
 import tracemalloc
 
@@ -15,6 +16,7 @@ from stratselect import mc
 from stratselect.best_response import best_response
 from stratselect.kernel import normal_quantile
 from stratselect.mc import (
+    MIN_SAMPLES,
     grid_argmax_payoff,
     mc_selection_probability,
     mc_selection_quality,
@@ -338,6 +340,29 @@ def test_selection_probability_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * n
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**70])
+def test_both_oracles_reject_a_seed_outside_the_philox_key(monkeypatch, seed, small_reward_config):
+    def no_draws(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(mc, "_generator", no_draws)
+    g = GroupParams("A", 1.0, 1.0, noise_var=1.0)
+    message = re.escape(f"seed must lie in [0, 2**64), got {seed}")
+    with pytest.raises(ValueError, match=message):
+        mc_selection_probability(1.0, 1.0, g, 1.0, N, seed=seed)
+    strategies = [EffortDistribution.point(1.0)] * 2
+    with pytest.raises(ValueError, match=message):
+        mc_selection_quality(strategies, 0.0, small_reward_config, N, seed=seed)
+
+
+def test_both_oracles_take_the_top_seed(small_reward_config):
+    g = GroupParams("A", 1.0, 1.0, noise_var=1.0)
+    seed = 2**64 - 1
+    assert mc_selection_probability(1.0, 1.0, g, 1.0, MIN_SAMPLES, seed=seed).seed == seed
+    strategies = [EffortDistribution.point(1.0)] * 2
+    assert mc_selection_quality(strategies, 0.0, small_reward_config, MIN_SAMPLES, seed).seed == seed
 
 
 class TestSelectionProbabilityOracle:

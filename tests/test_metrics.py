@@ -78,7 +78,8 @@ class TestSelectionQuality:
 
     def test_report_wrapper(self, small_reward_config):
         report = solve_unconstrained(small_reward_config)
-        assert selection_quality(report, small_reward_config) == pytest.approx(
+        views = effective_groups(small_reward_config)
+        assert selection_quality(report, views) == pytest.approx(
             report.quality
         )
 
@@ -99,7 +100,8 @@ class TestOrderedPair:
 
 class TestAsymptoticPredictions:
     def test_equal_cost_rate_ratio(self):
-        pred = asymptotic_predictions(two_group_config(100.0, 0.7))
+        config = two_group_config(100.0, 0.7)
+        pred = asymptotic_predictions(effective_groups(config), config.alpha)
         assert pred.regime == "equal_cost"
         assert pred.dominant_label == "H"
         assert pred.predicted_rate_ratio == pytest.approx((0.7 - 0.5) / 0.5)
@@ -107,12 +109,14 @@ class TestAsymptoticPredictions:
         assert pred.dp_effort_ratio == 1.0
 
     def test_equal_cost_small_alpha(self):
-        pred = asymptotic_predictions(two_group_config(100.0, 0.3))
+        config = two_group_config(100.0, 0.3)
+        pred = asymptotic_predictions(effective_groups(config), config.alpha)
         assert pred.predicted_rate_ratio == 0.0
         assert pred.comparison_ratios == {"H": pytest.approx(2.0), "L": 0.0}
 
     def test_cost_gap_quality_ratio(self):
-        pred = asymptotic_predictions(two_group_config(100.0, 0.7, cost_h=1.5))
+        config = two_group_config(100.0, 0.7, cost_h=1.5)
+        pred = asymptotic_predictions(effective_groups(config), config.alpha)
         c = math.sqrt(1.0 / 1.5)
         assert pred.regime == "cost_gap"
         assert pred.dominant_label == "L"
@@ -123,13 +127,15 @@ class TestAsymptoticPredictions:
         assert pred.dp_effort_ratio == pytest.approx(c)
 
     def test_cost_gap_quality_gain_side(self):
-        pred = asymptotic_predictions(two_group_config(100.0, 0.3, cost_h=1.5))
+        config = two_group_config(100.0, 0.3, cost_h=1.5)
+        pred = asymptotic_predictions(effective_groups(config), config.alpha)
         c = math.sqrt(1.0 / 1.5)
         assert pred.predicted_quality_ratio == pytest.approx(1.0 / (c * 0.5 + 0.5))
         assert pred.predicted_quality_ratio > 1.0
 
     def test_comparison_ratios_large_alpha(self):
-        pred = asymptotic_predictions(two_group_config(100.0, 0.7, cost_h=1.5))
+        config = two_group_config(100.0, 0.7, cost_h=1.5)
+        pred = asymptotic_predictions(effective_groups(config), config.alpha)
         assert pred.comparison_ratios["L"] == pytest.approx(
             math.sqrt(1.0 / 1.5) / 0.7
         )
@@ -138,7 +144,7 @@ class TestAsymptoticPredictions:
     def test_symmetric_is_ambiguous(self):
         config = two_group_config(100.0, 0.3, sigma_h=1.0, sigma_l=1.0)
         with pytest.raises(AmbiguousRegime):
-            asymptotic_predictions(config)
+            asymptotic_predictions(effective_groups(config), config.alpha)
 
     def test_requires_two_groups(self):
         config = GameConfig(
@@ -150,12 +156,13 @@ class TestAsymptoticPredictions:
             ),
         )
         with pytest.raises(ValueError):
-            asymptotic_predictions(config)
+            asymptotic_predictions(effective_groups(config), config.alpha)
 
 
 class TestSmallSCrossings:
     def test_values_on_reference_config(self):
-        crossings = small_s_crossings(two_group_config(1.0, 0.3))
+        config = two_group_config(1.0, 0.3)
+        crossings = small_s_crossings(effective_groups(config), config.reward)
         assert crossings.xi == pytest.approx(1.0 * (1 / 0.6 - 1.0) / 0.4)
         assert crossings.alpha_rate_cross == pytest.approx(0.285570, abs=1e-5)
         assert crossings.k_mu == pytest.approx(0.758076, abs=1e-5)
@@ -166,7 +173,7 @@ class TestSmallSCrossings:
     def test_balanced_products_collapse_to_half(self):
         # cost_h * sigma_h == cost_l * sigma_l makes both formulas symmetric.
         config = two_group_config(1.0, 0.3, cost_h=1.0 / 0.6)
-        crossings = small_s_crossings(config)
+        crossings = small_s_crossings(effective_groups(config), config.reward)
         assert crossings.xi == pytest.approx(0.0, abs=1e-14)
         assert crossings.alpha_rate_cross == pytest.approx(0.5, abs=1e-12)
         assert crossings.k_mu == pytest.approx(0.0, abs=1e-7)
@@ -176,24 +183,27 @@ class TestSmallSCrossings:
 
     def test_no_effort_crossing_when_product_dominates(self):
         # cost_h * sigma_h > cost_l * sigma_l: no real solution.
-        crossings = small_s_crossings(two_group_config(1.0, 0.3, cost_h=2.0))
+        config = two_group_config(1.0, 0.3, cost_h=2.0)
+        crossings = small_s_crossings(effective_groups(config), config.reward)
         assert crossings.k_mu is None
         assert crossings.alpha_effort_cross is None
         assert crossings.k_x >= 0.0
 
     def test_supercritical_rejected(self):
+        config = two_group_config(10.0, 0.3)
         with pytest.raises(SubcriticalityViolated):
-            small_s_crossings(two_group_config(10.0, 0.3))
+            small_s_crossings(effective_groups(config), config.reward)
 
     def test_equal_spreads_rejected(self):
         config = two_group_config(1.0, 0.3, sigma_h=1.0, sigma_l=1.0)
         with pytest.raises(DegenerateVariance):
-            small_s_crossings(config)
+            small_s_crossings(effective_groups(config), config.reward)
 
     def test_label_order_invariant(self):
         config = two_group_config(1.0, 0.3)
         flipped = dataclasses.replace(config, groups=tuple(reversed(config.groups)))
-        a, b = small_s_crossings(config), small_s_crossings(flipped)
+        a = small_s_crossings(effective_groups(config), config.reward)
+        b = small_s_crossings(effective_groups(flipped), flipped.reward)
         assert a.xi == pytest.approx(b.xi)
         assert a.k_x == pytest.approx(b.k_x)
         assert a.alpha_rate_cross == pytest.approx(b.alpha_rate_cross)
@@ -205,7 +215,7 @@ class TestSmallRewardSignPatterns:
         # cost_h * sigma_h > cost_l * sigma_l and both groups subcritical:
         # the low-spread group exerts less effort at every selection size.
         base = two_group_config(1.0, 0.5, cost_h=2.0)
-        assert small_s_crossings(base).k_mu is None
+        assert small_s_crossings(effective_groups(base), base.reward).k_mu is None
         for alpha in [float(a) for a in __import__("numpy").linspace(0.02, 0.98, 50)]:
             rep = solve_unconstrained(dataclasses.replace(base, alpha=alpha))
             assert rep.outcome("H").avg_effort < rep.outcome("L").avg_effort
@@ -214,7 +224,7 @@ class TestSmallRewardSignPatterns:
         import numpy as np
 
         base = two_group_config(1.0, 0.5)
-        cross = small_s_crossings(base).alpha_rate_cross
+        cross = small_s_crossings(effective_groups(base), base.reward).alpha_rate_cross
         grid = np.linspace(0.02, 0.98, 50)
         step = float(grid[1] - grid[0])
         for alpha in grid:
