@@ -6,12 +6,8 @@ from .best_response import (
     DropoutInfo,
     ResponseCurve,
     StationaryPoints,
-    SubcriticalReward,
-    best_response,
     critical_reward,
-    dropout_threshold,
     payoff,
-    stationary_points,
 )
 from .dynamics import DynamicsState, DynamicsTrace, induced_threshold
 from .dynamics import run as run_dynamics

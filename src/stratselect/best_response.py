@@ -73,16 +73,12 @@ from .kernel import (
 from .model import GroupView
 
 __all__ = [
-    "SubcriticalReward",
     "StationaryPoints",
     "DropoutInfo",
     "ResponseCurve",
     "critical_reward",
     "foc_window",
     "payoff",
-    "stationary_points",
-    "best_response",
-    "dropout_threshold",
 ]
 
 # 1 / phi(1): rewards below cost * sigma**2 times this have a unique optimum.
@@ -98,10 +94,6 @@ TIE_BAND = 1e3
 # Thresholds within this (relative) of a window edge are treated as on it; a
 # window whose edges are that close has numerically merged into one point.
 DEGENERATE_WINDOW = 1e-9
-
-
-class SubcriticalReward(ValueError):
-    """The reward is too small for a dropout threshold to exist."""
 
 
 @dataclass(frozen=True)
@@ -350,21 +342,18 @@ class ResponseCurve:
 
 
 def stationary_points(theta: float, group: GroupView, reward: float) -> StationaryPoints:
-    """All stationary points of the payoff at threshold ``theta``."""
+    """A fresh curve's :meth:`ResponseCurve.stationary_points`.  Use the
+    curve: this remains only because perfbench/tracing.py wraps it by name."""
     return ResponseCurve(group, reward).stationary_points(theta)
 
 
 def best_response(theta: float, group: GroupView, reward: float) -> tuple[float, ...]:
-    """:meth:`ResponseCurve.best_response` of a fresh curve."""
+    """A fresh curve's :meth:`ResponseCurve.best_response`.  Use the curve:
+    this remains only because perfbench/tracing.py wraps it by name."""
     return ResponseCurve(group, reward).best_response(theta)
 
 
-def dropout_threshold(group: GroupView, reward: float) -> DropoutInfo:
-    """The ``info`` of a fresh curve; :class:`SubcriticalReward` when None."""
-    info = ResponseCurve(group, reward).info
-    if info is None:
-        raise SubcriticalReward(
-            f"reward {reward!r} gives group {group.label!r} no three-root "
-            f"window (critical reward {critical_reward(group)!r})"
-        )
-    return info
+def dropout_threshold(group: GroupView, reward: float) -> DropoutInfo | None:
+    """A fresh curve's ``info``, None without a three-root window.  Use the
+    curve: this remains only because perfbench/tracing.py wraps it by name."""
+    return ResponseCurve(group, reward).info

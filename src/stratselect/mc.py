@@ -15,8 +15,8 @@ parameterized by its noise variance; groups with a direct spread override
 are sampled from the decision statistic's law instead.  The quality oracle
 draws the statistic first and reconstructs the latent quality from the
 residual variance, which reproduces the exact joint law in both cases.  The
-checks of a solved game take its resolved ``GroupView``s, and a seed, one
-Philox key word, must lie in ``[0, 2**64)``.
+checks of a solved game take its resolved ``GroupView``s, and a seed and a
+stream, the two Philox key words, must each lie in ``[0, 2**64)``.
 
 Both oracles scale and shift their draws in place, in the order the
 formulas read (``m + s * z`` is ``z *= s; z += m``: IEEE products and sums
@@ -98,7 +98,7 @@ def _generator(seed: int, stream: int, offset: int = 0) -> np.random.Generator:
     double number ``offset`` of the stream."""
     import numpy as np
 
-    key = np.array([seed, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     # A Philox counter step yields four 64-bit outputs, one per double.
     bits.advance(offset // 4)
@@ -139,12 +139,14 @@ def _over_spans(span: Callable[[int, int], object], n: int) -> list:
     return list(_pool(os.getpid(), _WORKERS).map(span, starts, stops))
 
 
-def _check_draws(n: int, seed: int) -> None:
-    """Raise ValueError unless an oracle can draw ``n`` samples at ``seed``."""
+def _check_draws(n: int, seed: int, stream: int) -> None:
+    """Raise ValueError unless an oracle can draw ``n`` samples at key ``(seed, stream)``."""
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not 0 <= stream < 2**64:
+        raise ValueError(f"stream must lie in [0, 2**64), got {stream}")
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -168,7 +170,7 @@ def mc_selection_probability(
     stream: int = 0,
 ) -> McEstimate:
     """Simulated probability that a candidate at effort ``m`` is selected."""
-    _check_draws(n, seed)
+    _check_draws(n, seed, stream)
     if dm_mode not in ("bayesian", "oblivious"):
         raise ValueError(f"unknown dm_mode {dm_mode!r}")
     import numpy as np
@@ -237,7 +239,7 @@ def mc_selection_quality(
     Draws a group, an effort from its strategy, the decision statistic and
     the latent quality, then averages quality times the selection indicator.
     """
-    _check_draws(n, seed)
+    _check_draws(n, seed, stream)
     groups = config.groups
     if len(strategies) != len(groups):
         raise ValueError("need one strategy per group")

@@ -20,6 +20,7 @@ into ``GroupView``s, such as a ``Game``'s ``views``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .best_response import critical_reward
@@ -198,11 +199,14 @@ def small_s_crossings(views: tuple[GroupView, ...], reward: float) -> SmallSCros
     alpha_rate_cross = 1.0 - normal_cdf(math.copysign(k_x, xi))
 
     log_ratio = math.log((h.cost * h.sigma) / (l.cost * l.sigma))
-    denom = 1.0 / h.sigma**2 - 1.0 / l.sigma**2
-    k_mu_sq = -2.0 * log_ratio / denom
-    if k_mu_sq < 0.0:
+    if log_ratio > 0.0:  # k_mu**2 = -2 * log_ratio / denom < 0, as denom >= 0
         return SmallSCrossings(None, k_x, xi, None, alpha_rate_cross)
-    k_mu = math.sqrt(k_mu_sq)
+    denom = 1.0 / h.sigma**2 - 1.0 / l.sigma**2
+    if denom >= sys.float_info.min and -2.0 * log_ratio / denom < math.inf:
+        k_mu = math.sqrt(-2.0 * log_ratio / denom)
+    else:  # denom is subnormal or k_mu**2 overflows: denom = gap / (h * l)**2
+        gap = (l.sigma - h.sigma) * (l.sigma + h.sigma)
+        k_mu = h.sigma * l.sigma * math.sqrt(-2.0 * log_ratio / gap)
     crossings = tuple(
         sorted(
             sum(v.share * (1.0 - normal_cdf(sign * k_mu / v.sigma)) for v in views)

@@ -166,12 +166,12 @@ def effective_groups(config: GameConfig) -> tuple[GroupView, ...]:
 class EffortDistribution:
     """Finite-support distribution of efforts: ``((effort, weight), ...)``.
 
-    Weights must be nonnegative and sum to one; efforts must be nonnegative.
-    Equilibrium strategies use at most two support points; dynamics may start
-    from anything finite.  The constructor and :meth:`point` check every
-    support; the solvers and a dynamics step wrap the supports they built
-    from values they had already checked with :meth:`_of_solved_support`,
-    which skips the checks.
+    Weights must be nonnegative and sum to one; efforts must be finite and
+    nonnegative.  Equilibrium strategies use at most two support points;
+    dynamics may start from anything finite.  The constructor and
+    :meth:`point` check every support; the solvers and a dynamics step wrap
+    the supports they built from values they had already checked with
+    :meth:`_of_solved_support`, which skips the checks.
     """
 
     support: tuple[tuple[float, float], ...]
@@ -181,14 +181,14 @@ class EffortDistribution:
         object.__setattr__(self, "support", support)
         if not support:
             raise ValueError("effort distribution needs at least one point")
-        total = 0.0
+        total = 0.0  # each check below is a range, which NaN fails
         for m, w in support:
-            if m < 0.0:
-                raise ValueError(f"negative effort {m!r} in support")
-            if w < -WEIGHT_TOL or w > 1.0 + WEIGHT_TOL:
+            if not 0.0 <= m < math.inf:
+                raise ValueError(f"effort {m!r} in support is not finite and nonnegative")
+            if not -WEIGHT_TOL <= w <= 1.0 + WEIGHT_TOL:
                 raise ValueError(f"weight {w!r} outside [0, 1]")
             total += w
-        if abs(total - 1.0) > max(WEIGHT_TOL, 8.0 * len(support) * 2.2e-16):
+        if not abs(total - 1.0) <= max(WEIGHT_TOL, 8.0 * len(support) * 2.2e-16):
             raise ValueError(f"weights sum to {total!r}, expected 1")
 
     @classmethod

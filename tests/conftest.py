@@ -1,10 +1,10 @@
 import dataclasses
-import importlib
 import math
 
 import pytest
 from hypothesis import strategies as st
 
+import stratselect.best_response as best_response_module
 from stratselect.best_response import critical_reward
 from stratselect.kernel import NoConvergence
 from stratselect.metrics import selection_rate
@@ -26,16 +26,14 @@ def unit_group():
 @pytest.fixture
 def failing_tie_search(monkeypatch):
     """Make the dropout tie's root search fail, and no other root search."""
-    # The package re-exports the function under the module's name.
-    module = importlib.import_module("stratselect.best_response")
-    real = module.find_root
+    real = best_response_module.find_root
 
     def find_root(f, lo, hi, start):
         if f.__name__ == "tie":
             raise NoConvergence(f"no root in [{lo!r}, {hi!r}] after 200 steps")
         return real(f, lo, hi, start)
 
-    monkeypatch.setattr(module, "find_root", find_root)
+    monkeypatch.setattr(best_response_module, "find_root", find_root)
 
 
 @pytest.fixture

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from stratselect.best_response import (
-    SubcriticalReward,
-    best_response,
-    critical_reward,
-    dropout_threshold,
-    payoff,
-)
+from stratselect.best_response import ResponseCurve, critical_reward, payoff
 from stratselect.dynamics import run as run_dynamics
 from stratselect.equilibrium import (
     Game,
@@ -129,7 +123,7 @@ class TestCriterion1OracleEquivalence:
 
             theta_br = float(rng.uniform(-0.5, 2.0) * math.sqrt(2.0 * config.reward / view.cost))
             grid_best = grid_argmax_payoff(theta_br, view, config.reward, 10_000)
-            brs = best_response(theta_br, view, config.reward)
+            brs = ResponseCurve(view, config.reward).best_response(theta_br)
             step = (math.sqrt(2.0 * config.reward / view.cost) + 6.0 * view.sigma) / 9_999
             gap = min(abs(grid_best - b) for b in brs)
             worst["br"] = max(worst["br"], gap / step)
@@ -186,7 +180,7 @@ class TestCriterion3DropoutAsymptotics:
     def test_normalized_trend_and_subcritical_bound(self, unit_group):
         seq = []
         for reward in (1e2, 1e3, 1e4, 1e5):
-            info = dropout_threshold(unit_group, reward)
+            info = ResponseCurve(unit_group, reward).info
             gap = abs(
                 payoff(info.br_max, info.theta_d, unit_group, reward)
                 - payoff(info.br_min, info.theta_d, unit_group, reward)
@@ -198,15 +192,11 @@ class TestCriterion3DropoutAsymptotics:
             abs(b - 1.0) < abs(a - 1.0) for a, b in zip(seq, seq[1:])
         )
         bound = critical_reward(unit_group)
-        below_raises = False
-        try:
-            dropout_threshold(unit_group, bound * (1.0 - 1e-12))
-        except SubcriticalReward:
-            below_raises = True
-        above_works = dropout_threshold(unit_group, bound * 1.01).theta_d > 0
+        below_has_none = ResponseCurve(unit_group, bound * (1.0 - 1e-12)).info is None
+        above_works = ResponseCurve(unit_group, bound * 1.01).info.theta_d > 0
         report(
             "criterion 3: dropout scaling toward sqrt(2S/C), exact bound",
-            monotone and approaching and below_raises and above_works,
+            monotone and approaching and below_has_none and above_works,
             "sequence " + ", ".join(f"{v:.4f}" for v in seq),
         )
 

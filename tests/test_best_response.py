@@ -1,5 +1,4 @@
 import collections
-import importlib
 import math
 import sys
 
@@ -8,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stratselect.best_response as best_response_module
 from stratselect.best_response import (
     CRITICAL_REWARD_FACTOR,
     PAYOFF_TIE_REL,
     TIE_BAND,
     DropoutInfo,
     ResponseCurve,
-    SubcriticalReward,
-    best_response,
     critical_reward,
-    dropout_threshold,
     foc_window,
     payoff,
-    stationary_points,
 )
 from stratselect.equilibrium import solve_demographic_parity, solve_unconstrained
 from stratselect.kernel import NoConvergence, normal_cdf, normal_pdf
@@ -35,8 +31,6 @@ from stratselect.model import (
 )
 
 from conftest import point_rate
-
-best_response_module = importlib.import_module("stratselect.best_response")
 
 
 def foc_residual(m, theta, group, reward):
@@ -87,7 +81,7 @@ class TestPayoff:
 class TestStationaryPoints:
     def test_subcritical_single_point(self, unit_group):
         # S = 1 < sigma^2 * cost / phi(1) ~ 4.1327
-        sp = stationary_points(1.0, unit_group, 1.0)
+        sp = ResponseCurve(unit_group, 1.0).stationary_points(1.0)
         assert len(sp.points) == 1
         assert sp.points[0][1] == "local_max"
 
@@ -96,23 +90,26 @@ class TestStationaryPoints:
 
     def test_three_points_inside_window(self, unit_group):
         z1, z2, theta1, theta2 = foc_window(unit_group, 10.0)
-        sp = stationary_points(0.5 * (theta1 + theta2), unit_group, 10.0)
+        curve = ResponseCurve(unit_group, 10.0)
+        sp = curve.stationary_points(0.5 * (theta1 + theta2))
         kinds = [kind for _, kind in sp.points]
         assert kinds == ["local_max", "local_min", "local_max"]
         efforts = [m for m, _ in sp.points]
         assert efforts == sorted(efforts)
-        assert ResponseCurve(unit_group, 10.0).window[:2] == (z1, z2)
+        assert curve.window[:2] == (z1, z2)
 
     def test_single_point_outside_window(self, unit_group):
         _, _, theta1, theta2 = foc_window(unit_group, 10.0)
+        curve = ResponseCurve(unit_group, 10.0)
         for theta in (theta1 - 0.5, theta2 + 0.5):
-            sp = stationary_points(theta, unit_group, 10.0)
+            sp = curve.stationary_points(theta)
             assert len(sp.points) == 1
 
     def test_foc_residuals(self, unit_group):
         _, _, theta1, theta2 = foc_window(unit_group, 10.0)
+        curve = ResponseCurve(unit_group, 10.0)
         for theta in np.linspace(theta1 + 0.05, theta2 - 0.05, 7):
-            sp = stationary_points(float(theta), unit_group, 10.0)
+            sp = curve.stationary_points(float(theta))
             for m, _ in sp.points:
                 assert foc_residual(m, theta, unit_group, 10.0) <= 1e-9 * max(1.0, m)
 
@@ -130,34 +127,37 @@ class TestStationaryPoints:
 class TestBestResponse:
     def test_fixed_point_against_grid(self, unit_group):
         # At theta=0, S=C=sigma=1 the response solves m = pdf(m).
-        (m,) = best_response(0.0, unit_group, 1.0)
+        (m,) = ResponseCurve(unit_group, 1.0).best_response(0.0)
         assert m == pytest.approx(0.37223889803561864, abs=1e-10)
         step = effort_grid(unit_group, 1.0)[1]
         assert abs(grid_argmax_payoff(0.0, unit_group, 1.0) - m) <= step
 
     def test_beats_grid_along_thresholds(self, unit_group):
         reward = 10.0
+        curve = ResponseCurve(unit_group, reward)
         for theta in np.linspace(-1.0, 5.5, 14):
             theta = float(theta)
-            brs = best_response(theta, unit_group, reward)
+            brs = curve.best_response(theta)
             m_grid = grid_argmax_payoff(theta, unit_group, reward)
             best_grid = payoff(m_grid, theta, unit_group, reward)
             best_ours = max(payoff(m, theta, unit_group, reward) for m in brs)
             assert best_ours >= best_grid - 1e-7 * reward
 
     def test_collapse_above_dropout(self, unit_group):
-        info = dropout_threshold(unit_group, 1e4)
-        (m,) = best_response(info.theta_d / 0.5, unit_group, 1e4)
+        curve = ResponseCurve(unit_group, 1e4)
+        (m,) = curve.best_response(curve.info.theta_d / 0.5)
         assert m <= 1e-12
 
     def test_linear_growth_below_dropout(self, unit_group):
-        info = dropout_threshold(unit_group, 1e4)
-        (m,) = best_response(0.5 * info.theta_d, unit_group, 1e4)
+        curve = ResponseCurve(unit_group, 1e4)
+        info = curve.info
+        (m,) = curve.best_response(0.5 * info.theta_d)
         assert m / info.theta_d == pytest.approx(0.5, abs=0.05)
 
     def test_two_values_at_dropout(self, unit_group):
-        info = dropout_threshold(unit_group, 10.0)
-        brs = best_response(info.theta_d, unit_group, 10.0)
+        curve = ResponseCurve(unit_group, 10.0)
+        info = curve.info
+        brs = curve.best_response(info.theta_d)
         assert len(brs) == 2
         assert brs[0] == pytest.approx(info.br_min, abs=1e-9)
         assert brs[1] == pytest.approx(info.br_max, abs=1e-9)
@@ -165,7 +165,7 @@ class TestBestResponse:
 
 class TestDropoutThreshold:
     def test_inside_window_with_equal_payoffs(self, unit_group):
-        info = dropout_threshold(unit_group, 10.0)
+        info = ResponseCurve(unit_group, 10.0).info
         theta1, theta2 = info.window
         assert theta1 < info.theta_d < theta2
         assert info.br_min < info.br_max
@@ -177,21 +177,19 @@ class TestDropoutThreshold:
         assert info.payoff_at_dropout > 0.0
 
     def test_normalized_location(self, unit_group):
-        info = dropout_threshold(unit_group, 10.0)
+        info = ResponseCurve(unit_group, 10.0).info
         assert 0.4 < info.theta_d / math.sqrt(2.0 * 10.0) < 1.6
 
-    def test_subcritical_raises(self, unit_group):
-        with pytest.raises(SubcriticalReward):
-            dropout_threshold(unit_group, 1.0)
+    def test_subcritical_has_none(self, unit_group):
+        assert ResponseCurve(unit_group, 1.0).info is None
         assert critical_reward(unit_group) == pytest.approx(4.132731354122493)
 
-    def test_exactly_critical_raises(self, unit_group):
-        with pytest.raises(SubcriticalReward):
-            dropout_threshold(unit_group, critical_reward(unit_group))
+    def test_exactly_critical_has_none(self, unit_group):
+        assert ResponseCurve(unit_group, critical_reward(unit_group)).info is None
 
     def test_normalized_sequence_tends_to_one(self, unit_group):
         seq = [
-            dropout_threshold(unit_group, s).theta_d / math.sqrt(2.0 * s)
+            ResponseCurve(unit_group, s).info.theta_d / math.sqrt(2.0 * s)
             for s in (1e2, 1e3, 1e4, 1e5)
         ]
         gaps = [abs(v - 1.0) for v in seq]
@@ -204,8 +202,8 @@ class TestDropoutThreshold:
         narrow = GroupView("n", 1.0, 1.0, 1.0)
         wide = GroupView("w", 1.0, 1.0, 1.5)
         assert (
-            dropout_threshold(wide, reward).theta_d
-            < dropout_threshold(narrow, reward).theta_d
+            ResponseCurve(wide, reward).info.theta_d
+            < ResponseCurve(narrow, reward).info.theta_d
         )
 
     def test_equal_cost_noise_ordering(self):
@@ -214,12 +212,12 @@ class TestDropoutThreshold:
         low_noise = GroupView("L", 0.5, 1.0, 1.0)
         for reward in (100.0, 1000.0):
             assert (
-                dropout_threshold(high_noise, reward).theta_d
-                > dropout_threshold(low_noise, reward).theta_d
+                ResponseCurve(high_noise, reward).info.theta_d
+                > ResponseCurve(low_noise, reward).info.theta_d
             )
 
     def test_limits_of_tied_responses(self, unit_group):
-        infos = [dropout_threshold(unit_group, s) for s in (1e2, 1e3, 1e4)]
+        infos = [ResponseCurve(unit_group, s).info for s in (1e2, 1e3, 1e4)]
         mins = [i.br_min for i in infos]
         ratios = [i.br_max / i.theta_d for i in infos]
         assert all(b <= a for a, b in zip(mins, mins[1:]))
@@ -240,7 +238,7 @@ class TestDropoutSearch:
     def test_tie_within_window(self, cost, sigma, log_ratio):
         group = GroupView("A", 1.0, cost, sigma)
         reward = critical_reward(group) * 10.0**log_ratio
-        info = dropout_threshold(group, reward)
+        info = ResponseCurve(group, reward).info
         theta1, theta2 = info.window
         assert theta1 < info.theta_d < theta2
         assert info.br_min < info.br_max
@@ -259,7 +257,7 @@ class TestDropoutSearch:
             return real(curve, tau, *bracket)
 
         monkeypatch.setattr(ResponseCurve, "_root", counted)
-        dropout_threshold(unit_group, reward)
+        ResponseCurve(unit_group, reward)
         # The tie search solves both maxima once, at its start; it solves
         # them again only at a bisected threshold, which neither reward needs.
         # The low maximum is bracketed in mu, the high one in z.
@@ -281,8 +279,8 @@ class TestScaledUnits:
         # (C * k**2, sigma / k, S) has the same eps, to the bit, for k = 2**power.
         reward = 10.0**log_ratio * cost * sigma**2
         k = 2.0**power
-        a = dropout_threshold(GroupView("A", 1.0, cost, sigma), reward)
-        b = dropout_threshold(GroupView("A", 1.0, cost * k * k, sigma / k), reward)
+        a = ResponseCurve(GroupView("A", 1.0, cost, sigma), reward).info
+        b = ResponseCurve(GroupView("A", 1.0, cost * k * k, sigma / k), reward).info
         for name in ("theta_d", "br_min", "br_max"):
             x, y = getattr(a, name), getattr(b, name)
             if 0.0 < min(abs(x), abs(y)) < sys.float_info.min:
@@ -303,7 +301,7 @@ class TestScaledUnits:
             assert ratio > MAX_REWARD_RATIO
             assert [p[:12] for p in problems] == ["groups['A']:", "groups['B']:"]
             return
-        info = dropout_threshold(view, reward)
+        info = ResponseCurve(view, reward).info
         theta1, theta2 = info.window
         assert theta1 < info.theta_d < theta2
         assert info.br_min < info.br_max
@@ -315,7 +313,7 @@ class TestScaledUnits:
 
 def three_root_best_response(theta, group, reward):
     """Every stationary point, then the payoff comparison and tie test."""
-    maxima = stationary_points(theta, group, reward).maxima
+    maxima = ResponseCurve(group, reward).stationary_points(theta).maxima
     if len(maxima) == 1:
         return maxima
     u_low = payoff(maxima[0], theta, group, reward)
@@ -327,7 +325,8 @@ def three_root_best_response(theta, group, reward):
 
 def gap_slope(theta, group, reward):
     """Slope of the payoff gap between the two maxima (envelope theorem)."""
-    low, _, high = (m for m, _ in stationary_points(theta, group, reward).points)
+    points = ResponseCurve(group, reward).stationary_points(theta).points
+    low, _, high = (m for m, _ in points)
     return (reward / group.sigma) * (
         normal_pdf((high - theta) / group.sigma) - normal_pdf((low - theta) / group.sigma)
     )
@@ -434,13 +433,38 @@ class TestResponseCurve:
         assert {name: repr(value) for name, value in vars(curve).items()} == before
 
 
+class TestOneShotFunctions:
+    """The module's ``stationary_points``, ``best_response`` and
+    ``dropout_threshold`` remain only for the benchmark's tracer, which wraps
+    them by name; each answers exactly as a fresh curve does."""
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.0 + 1e-12, 1.01, 10.0, 1e4])
+    def test_each_returns_what_a_fresh_curve_returns(self, unit_group, factor):
+        reward = critical_reward(unit_group) * factor
+        curve = ResponseCurve(unit_group, reward)
+        info = best_response_module.dropout_threshold(unit_group, reward)
+        assert info == curve.info
+        if factor <= 1.0:  # at and below the critical reward
+            assert info is None
+        thresholds = [-1.0, 0.0, 1.0, 2.0, 5.0, 50.0]
+        if info is not None:
+            thresholds += [info.theta_d, *info.window]
+        for theta in thresholds:
+            assert best_response_module.best_response(
+                theta, unit_group, reward
+            ) == curve.best_response(theta)
+            assert best_response_module.stationary_points(
+                theta, unit_group, reward
+            ) == curve.stationary_points(theta)
+
+
 class TestDerivativeIdentity:
     def test_matches_finite_differences(self, unit_group):
-        reward, h = 10.0, 1e-6
+        curve, h = ResponseCurve(unit_group, 10.0), 1e-6
         for theta in (0.5, 1.5, 2.0, 4.5, 6.0):
-            m = best_response(theta, unit_group, reward)[-1]
-            m_up = best_response(theta + h, unit_group, reward)[-1]
-            m_dn = best_response(theta - h, unit_group, reward)[-1]
+            m = curve.best_response(theta)[-1]
+            m_up = curve.best_response(theta + h)[-1]
+            m_dn = curve.best_response(theta - h)[-1]
             fd = (m_up - m_dn) / (2.0 * h)
             analytic = m * (m - theta) / (m * (m - theta) + 1.0)
             assert abs(fd - analytic) <= 1e-4
@@ -578,7 +602,7 @@ class TestNewtonRoots:
         # Measured: both maxima at the start (10 evaluations of the
         # first-order condition), then 4 evaluations of the tie.
         counts = count_evaluations(monkeypatch)
-        dropout_threshold(unit_group, 10.0)
+        ResponseCurve(unit_group, 10.0)
         assert counts["foc"] <= 15 and counts["tie"] <= 5
 
     def test_dropout_search_work_over_the_supported_range(self, unit_group, monkeypatch):

@@ -2,7 +2,6 @@ import collections
 import csv
 import dataclasses
 import hashlib
-import importlib
 import importlib.util
 import io
 import json
@@ -16,11 +15,13 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stratselect.best_response as best_response_module
 import stratselect.model as model
 from stratselect import cli, metrics
 from stratselect.best_response import ResponseCurve
@@ -44,9 +45,6 @@ from stratselect.model import (
 from conftest import random_games
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-# The package re-exports the function under the module's name.
-best_response_module = importlib.import_module("stratselect.best_response")
 
 
 def write_json(path, payload):
@@ -462,6 +460,27 @@ class TestSupportedRange:
             "groups['L']: reward 5e+307 is 5e+307 times cost * sigma**2, "
             "above the supported 1e+20\n"
         )
+
+    def test_solve_prints_strict_json_at_the_widest_spreads(self, tmp_path, capsys):
+        # 1 / h**2 - 1 / l**2 is about 4.4e-316, so k_mu**2 overflows, but
+        # k_mu is a double: solve must print it, never Infinity or NaN.
+        groups = [
+            {"label": "H", "share": 0.4, "cost": 1.0, "sigma_tilde": 1e150},
+            {"label": "L", "share": 0.6, "cost": 2.0, "sigma_tilde": 1.0000000000000002e150},
+        ]
+        game = base_config_dict(reward=1e300, alpha=0.3, groups=groups)
+        assert cli.main(["solve", "--config", write_json(tmp_path / "wide.json", game)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        h, l = effective_groups(config_from_dict(game))
+        with mpmath.workdps(50):
+            sh, sl = mpmath.mpf(h.sigma), mpmath.mpf(l.sigma)
+            k_mu = mpmath.sqrt(-2 * mpmath.log(h.cost * sh / (l.cost * sl))
+                               / (1 / sh**2 - 1 / sl**2))
+        assert out["small_s_crossings"]["k_mu"] == pytest.approx(float(k_mu), rel=1e-13)
 
     def test_solve_rejects_a_reward_below_the_range(self, tmp_path, capsys):
         # The default verify game at S = 1e-40.  The smooth crossing's slope

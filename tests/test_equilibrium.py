@@ -10,13 +10,7 @@ from scipy.optimize import brentq
 
 import stratselect.cli as cli
 import stratselect.equilibrium as equilibrium
-from stratselect.best_response import (
-    ResponseCurve,
-    best_response,
-    critical_reward,
-    dropout_threshold,
-    payoff,
-)
+from stratselect.best_response import ResponseCurve, critical_reward, payoff
 from stratselect.equilibrium import (
     Game,
     SolverError,
@@ -188,7 +182,7 @@ class TestExcessMass:
     def test_far_above_dropouts(self, noise_gap_config):
         views = effective_groups(noise_gap_config)
         top = max(
-            dropout_threshold(v, noise_gap_config.reward).theta_d for v in views
+            ResponseCurve(v, noise_gap_config.reward).info.theta_d for v in views
         )
         assert mass_interval(top + 5.0, noise_gap_config)[1] < noise_gap_config.alpha
 
@@ -197,7 +191,7 @@ class TestExcessMass:
             reward=10.0, alpha=0.3, eta_sq=1.0,
             groups=(GroupParams("A", 1.0, 1.0, sigma_tilde=1.0),),
         )
-        info = dropout_threshold(effective_groups(config)[0], 10.0)
+        info = ResponseCurve(effective_groups(config)[0], 10.0).info
         mass_lo, mass_hi = mass_interval(info.theta_d, config)
         x_lo = normal_cdf(info.br_min - info.theta_d)
         x_hi = normal_cdf(info.br_max - info.theta_d)
@@ -213,13 +207,13 @@ class TestExcessMass:
             reward=10.0, alpha=0.3, eta_sq=1.0,
             groups=(GroupParams("A", 1.0, 1.0, sigma_tilde=1.0),),
         )
-        view = effective_groups(config)[0]
-        d = dropout_threshold(view, 10.0).theta_d
+        curve = ResponseCurve(effective_groups(config)[0], 10.0)
+        d = curve.info.theta_d
         near = (math.nextafter(d, -math.inf), math.nextafter(d, math.inf),
                 d * (1.0 - 1e-12), d * (1.0 + 1e-12))
         for theta in near:
             mass_lo, mass_hi = mass_interval(theta, config)
-            brs = best_response(theta, view, 10.0)
+            brs = curve.best_response(theta)
             assert mass_lo < mass_hi
             assert (mass_lo, mass_hi) == (
                 normal_cdf(brs[0] - theta), normal_cdf(brs[-1] - theta)
@@ -235,7 +229,7 @@ class TestUnconstrained:
     def test_noise_gap_pins_high_noise_dropout(self, noise_gap_config):
         report = solve_unconstrained(noise_gap_config)
         views = effective_groups(noise_gap_config)
-        info_h = dropout_threshold(views[0], noise_gap_config.reward)
+        info_h = ResponseCurve(views[0], noise_gap_config.reward).info
         assert report.regime == "dropout_pinned"
         assert report.mixing_group == "H"
         assert report.threshold == pytest.approx(info_h.theta_d, abs=1e-9)
@@ -245,7 +239,7 @@ class TestUnconstrained:
     def test_cost_gap_pins_low_cost_dropout(self, cost_gap_config):
         report = solve_unconstrained(cost_gap_config)
         views = effective_groups(cost_gap_config)
-        info_l = dropout_threshold(views[1], cost_gap_config.reward)
+        info_l = ResponseCurve(views[1], cost_gap_config.reward).info
         assert report.mixing_group == "L"
         assert report.threshold == pytest.approx(info_l.theta_d, abs=1e-9)
         assert report.outcome("H").avg_effort < 0.01
@@ -303,7 +297,7 @@ class TestUnconstrained:
         report = solve_unconstrained(config)
         assert report.regime == "smooth"
         views = effective_groups(config)
-        theta_d = dropout_threshold(views[0], config.reward).theta_d
+        theta_d = ResponseCurve(views[0], config.reward).info.theta_d
         assert (report.threshold > theta_d) == above
         total = sum(v.share * report.outcome(v.label).selection_rate for v in views)
         assert abs(total - alpha) <= 1e-8
@@ -325,14 +319,12 @@ class TestUnconstrained:
             h = dataclasses.replace(config.groups[0], share=1.0)
             config = dataclasses.replace(config, groups=(h,))
         views = effective_groups(config)
-        theta_d = dropout_threshold(views[0], config.reward).theta_d
-        crossing = theta_d * (1.0 + k)
+        curves = [ResponseCurve(v, config.reward) for v in views]
+        crossing = curves[0].info.theta_d * (1.0 + k)
         side = 0 if k > 0 else -1  # low effort above the dropout, high below
         alpha = sum(
-            v.share * normal_cdf(
-                (best_response(crossing, v, config.reward)[side] - crossing) / v.sigma
-            )
-            for v in views
+            v.share * normal_cdf((c.best_response(crossing)[side] - crossing) / v.sigma)
+            for v, c in zip(views, curves)
         )
         report = solve_unconstrained(dataclasses.replace(config, alpha=alpha))
         assert report.regime == "smooth"
@@ -462,7 +454,7 @@ class TestUnconstrained:
         # The tied maxima agree to about an ulp of the payoff, and the grid
         # point m = 0 sits on the low one, so the grid may beat the mixers by
         # that much.
-        drop = dropout_threshold(views[0], config.reward)
+        drop = ResponseCurve(views[0], config.reward).info
         ties = [payoff(m, drop.theta_d, views[0], config.reward)
                 for m in (drop.br_min, drop.br_max)]
         assert abs(ties[1] - ties[0]) <= 1e-11 * config.reward

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from stratselect import mc
-from stratselect.best_response import best_response
+from stratselect.best_response import ResponseCurve
 from stratselect.kernel import normal_quantile
 from stratselect.mc import (
     MIN_SAMPLES,
@@ -342,19 +342,26 @@ def test_selection_probability_peak_memory():
     assert peak < 3 * 8 * n
 
 
-@pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**70])
-def test_both_oracles_reject_a_seed_outside_the_philox_key(monkeypatch, seed, small_reward_config):
+@pytest.mark.parametrize("word, value", [
+    ("seed", -1), ("seed", -5), ("seed", 2**64), ("seed", 2**70),
+    # A masked stream -1 drew the samples of stream 2**64 - 1.
+    ("stream", -1), ("stream", 2**64),
+])
+def test_both_oracles_reject_a_key_word_outside_the_philox_key(
+    monkeypatch, word, value, small_reward_config
+):
     def no_draws(*args):
         raise AssertionError("drew samples")
 
     monkeypatch.setattr(mc, "_generator", no_draws)
     g = GroupParams("A", 1.0, 1.0, noise_var=1.0)
-    message = re.escape(f"seed must lie in [0, 2**64), got {seed}")
+    key = {"seed": 1, word: value}
+    message = re.escape(f"{word} must lie in [0, 2**64), got {value}")
     with pytest.raises(ValueError, match=message):
-        mc_selection_probability(1.0, 1.0, g, 1.0, N, seed=seed)
+        mc_selection_probability(1.0, 1.0, g, 1.0, N, **key)
     strategies = [EffortDistribution.point(1.0)] * 2
     with pytest.raises(ValueError, match=message):
-        mc_selection_quality(strategies, 0.0, small_reward_config, N, seed=seed)
+        mc_selection_quality(strategies, 0.0, small_reward_config, N, **key)
 
 
 def test_both_oracles_take_the_top_seed(small_reward_config):
@@ -505,26 +512,23 @@ class TestGridArgmax:
         assert grid_argmax_payoff(50.0, unit_group, 10.0) == 0.0
 
     def test_matches_best_response(self, unit_group):
+        curve = ResponseCurve(unit_group, 100.0)
         for theta in (-0.5, 0.5, 1.5, 2.5):
             grid_best = grid_argmax_payoff(theta, unit_group, 100.0, 10_000)
-            brs = best_response(theta, unit_group, 100.0)
+            brs = curve.best_response(theta)
             step = ((2.0 * 100.0) ** 0.5 + 6.0) / 9_999
             assert min(abs(grid_best - b) for b in brs) <= step
 
     def test_half_dropout_threshold(self, unit_group):
-        from stratselect.best_response import dropout_threshold
-
-        info = dropout_threshold(unit_group, 100.0)
-        theta = 0.5 * info.theta_d
+        curve = ResponseCurve(unit_group, 100.0)
+        theta = 0.5 * curve.info.theta_d
         grid_best = grid_argmax_payoff(theta, unit_group, 100.0, 10_000)
-        (br,) = best_response(theta, unit_group, 100.0)
+        (br,) = curve.best_response(theta)
         step = ((2.0 * 100.0) ** 0.5 + 6.0) / 9_999
         assert abs(grid_best - br) <= step
 
     def test_above_dropout_near_zero(self, unit_group):
-        from stratselect.best_response import dropout_threshold
-
-        info = dropout_threshold(unit_group, 100.0)
+        info = ResponseCurve(unit_group, 100.0).info
         step = ((2.0 * 100.0) ** 0.5 + 6.0) / 9_999
         assert grid_argmax_payoff(info.theta_d * 1.5, unit_group, 100.0) <= step
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -176,6 +177,17 @@ class TestEffortDistribution:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EffortDistribution(())
+
+    @pytest.mark.parametrize("support, value", [
+        (((math.nan, 1.0),), "nan"),
+        (((math.inf, 1.0),), "inf"),
+        (((1.0, math.nan),), "nan"),
+        (((1.0, math.inf),), "inf"),
+    ])
+    def test_rejects_non_finite_values(self, support, value):
+        # A dynamics run from such a start failed deep in a root search.
+        with pytest.raises(ValueError, match=rf"^(effort|weight) {value} "):
+            EffortDistribution(support)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_two_point_weights(self, tau):
