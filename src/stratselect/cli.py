@@ -441,13 +441,13 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         if conv.theta is not None:
             summary += f" theta={conv.theta!r}"
         write_row = _csv_writer(fh, config, columns, summary)
-        rate = metrics.selection_rate
         # Every cell but the belief, which is None in br mode, is a float.
         for state in trace.states:
             theta = state.theta
             row = [str(state.t), repr(theta), _fmt(state.belief)]
             for view, strategy in zip(views, state.strategies):
-                row += (repr(strategy.mean()), repr(rate(strategy, theta, view)))
+                mean, rate = metrics.mean_and_selection_rate(strategy, theta, view)
+                row += (repr(mean), repr(rate))
             write_row(row)
     return 0
 

@@ -22,12 +22,13 @@ point.  It plays the :class:`~stratselect.equilibrium.Game` it is handed, on
 that game's resolved groups, its curves at its reward and its alpha, so a
 run checks and resolves nothing again.  Its cycle check keeps, for each
 period, the run of trailing thresholds that repeat the one a period back
-within ``CYCLE_TOL``, and extends it by one comparison per period and step
-instead of rescanning the tail.
+within ``CYCLE_TOL``.  A step extends them by one comparison per period, or
+drops all when no threshold 2 to 50 back is within ``2 * CYCLE_TOL``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Literal, Sequence
@@ -52,7 +53,7 @@ CYCLE_MIN_AMPLITUDE = 1e-6
 CONVERGED_STEPS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynamicsState:
     """Population snapshot: one strategy per group (in config order), the
     threshold they induce, the step index, and in fictitious play the belief
@@ -109,7 +110,7 @@ def _step(
     new = mixture_quantile(supports, views, alpha)
     strategies = tuple(map(EffortDistribution._of_solved_support, supports))
     belief = (theta * n + new) / (n + 1) if n else None
-    return DynamicsState(strategies=strategies, theta=new, t=t + 1, belief=belief)
+    return DynamicsState(strategies, new, t + 1, belief)
 
 
 class _CycleDetector:
@@ -120,19 +121,34 @@ class _CycleDetector:
     repeats three times at the tail when its run reaches ``2 p``.  A push
     compares the new threshold once per period that has a pair and extends
     or drops the run, so no pair is compared twice.
+
+    ``window`` holds the thresholds 2 to ``min(MAX_CYCLE_PERIOD, n - 1)`` steps
+    back, sorted.  Rounding is monotone, so a pair within CYCLE_TOL lies in the
+    rounded band ``theta ± 2 CYCLE_TOL`` (``theta`` alone where an ulp exceeds
+    it): a push with an empty band has none.  ``find_root`` raises on NaN, so
+    thresholds are finite and their order total.
     """
 
     def __init__(self, theta0: float) -> None:
         self.thetas = [theta0]
         self.runs: dict[int, int] = {}
+        self.window: list[float] = []
 
     def push(self, theta: float) -> int | None:
         """Append ``theta``; the smallest period p <= MAX_CYCLE_PERIOD
         repeated 3 times at the tail whose last ``p`` thresholds swing by
         CYCLE_MIN_AMPLITUDE, if any."""
-        thetas, runs = self.thetas, self.runs
+        thetas, runs, window = self.thetas, self.runs, self.window
         thetas.append(theta)
         n = len(thetas)
+        if n > 2:
+            insort(window, thetas[-3])
+            if n > MAX_CYCLE_PERIOD + 1:
+                del window[bisect_left(window, thetas[-2 - MAX_CYCLE_PERIOD])]
+        i = bisect_left(window, theta - 2 * CYCLE_TOL)
+        if i == len(window) or window[i] > theta + 2 * CYCLE_TOL:
+            self.runs = {}
+            return None
         # back[p - 2] is the threshold p steps before theta, for every
         # period with a pair.
         back = thetas[-3:-2 - min(MAX_CYCLE_PERIOD, n - 1):-1]

@@ -35,6 +35,7 @@ __all__ = [
     "AsymptoticPrediction",
     "SmallSCrossings",
     "selection_rate",
+    "mean_and_selection_rate",
     "selection_quality",
     "quality_from_outcomes",
     "ordered_pair",
@@ -63,11 +64,19 @@ def selection_rate(
     strategy: EffortDistribution, theta: float, group: GroupView
 ) -> float:
     """Probability that a candidate playing ``strategy`` clears ``theta``."""
-    # Left to right from 0, the same double as ``sum`` on Python 3.11.
-    rate = 0
+    return mean_and_selection_rate(strategy, theta, group)[1]
+
+
+def mean_and_selection_rate(
+    strategy: EffortDistribution, theta: float, group: GroupView
+) -> tuple[float, float]:
+    """``strategy.mean()`` and :func:`selection_rate`, in one pass."""
+    # Left to right from 0, the same doubles as ``sum`` on Python 3.11.
+    mean = rate = 0
     for m, w in strategy.support:
+        mean += m * w
         rate += w * normal_cdf((m - theta) / group.sigma)
-    return rate
+    return mean, rate
 
 
 def quality_from_outcomes(

@@ -162,7 +162,7 @@ def effective_groups(config: GameConfig) -> tuple[GroupView, ...]:
     return tuple(views)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffortDistribution:
     """Finite-support distribution of efforts: ``((effort, weight), ...)``.
 

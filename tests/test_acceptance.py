@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from stratselect.best_response import ResponseCurve, critical_reward, payoff
 from stratselect.dynamics import run as run_dynamics
@@ -31,9 +30,7 @@ from stratselect.model import (
     GameConfig,
     GroupOutcome,
     GroupParams,
-    GroupView,
     effective_groups,
-    posterior_variance,
 )
 
 from conftest import two_group_config

@@ -12,7 +12,6 @@ from stratselect.best_response import (
     CRITICAL_REWARD_FACTOR,
     PAYOFF_TIE_REL,
     TIE_BAND,
-    DropoutInfo,
     ResponseCurve,
     critical_reward,
     foc_window,

@@ -1,10 +1,10 @@
 import dataclasses
-import importlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stratselect.dynamics as dynamics_module
 from stratselect.best_response import ResponseCurve
 from stratselect.dynamics import (
     CYCLE_MIN_AMPLITUDE,
@@ -19,8 +19,6 @@ from stratselect.equilibrium import Game, solve_unconstrained
 from stratselect.model import EffortDistribution, GameConfig, GroupParams
 
 from conftest import random_games
-
-dynamics_module = importlib.import_module("stratselect.dynamics")
 
 
 def single_group_config(alpha, sigma=1.0):
@@ -262,6 +260,17 @@ def test_step_at_a_dropout_splits_its_tie(config, n):
             assert_validated_alike(strategy)
 
 
+def test_an_unchecked_distribution_behaves_like_a_checked_one():
+    support = ((0.25, 0.5), (1.5, 0.5))
+    checked = EffortDistribution(support)
+    unchecked = EffortDistribution._of_solved_support(support)
+    assert unchecked == checked
+    assert hash(unchecked) == hash(checked)
+    assert repr(unchecked) == repr(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        unchecked.support = None
+
+
 def rescanning_detect_cycle(thetas):
     """The cycle check as it was before it kept runs: it rescans the tail
     on every step, and is the reference for :class:`_CycleDetector`."""
@@ -283,27 +292,46 @@ def theta_sequences(draw):
     """Thresholds that settle into a pattern of period 1 to 60 after a free
     prefix, which may be shorter than three periods, for three to four
     periods and 20 steps.  The pattern swings by about CYCLE_MIN_AMPLITUDE;
-    each step adds 0 or a noise just below or above CYCLE_TOL, and up to two
-    steps break the run."""
+    each step adds 0 or a noise just below, at or above CYCLE_TOL or at 2 *
+    CYCLE_TOL, and up to two steps break the run.  What the sorted window of
+    :class:`_CycleDetector` could get wrong has a draw each: a base of
+    magnitude up to 1e12, where an ulp exceeds CYCLE_TOL, or of 0, where the
+    noise is the exact difference of some pairs; up to three steps that
+    repeat a threshold up to MAX_CYCLE_PERIOD + 2 steps back exactly; and a
+    tail longer than MAX_CYCLE_PERIOD + 2 steps, so thresholds leave the
+    window."""
     p = draw(st.integers(1, 60))
-    base = draw(st.floats(-10.0, 10.0))
-    swing = CYCLE_MIN_AMPLITUDE * draw(st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0, 1e3]))
+    base = draw(st.floats(-10.0, 10.0)) * draw(st.sampled_from([0.0, 1.0, 1e4, 1e8, 1e12]))
+    swing = CYCLE_MIN_AMPLITUDE * draw(st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0, 1e3, 1e6]))
     inner = draw(st.lists(st.floats(0.0, 1.0), min_size=max(p - 2, 0), max_size=max(p - 2, 0)))
     pattern = draw(st.permutations([0.0, 1.0, *inner][:p]))
     prefix = draw(st.lists(st.floats(base - 1.0, base + 1.0), max_size=3 * p + 5))
     length = draw(st.integers(3 * p, 4 * p + 20))
-    noise = CYCLE_TOL * draw(st.sampled_from([0.0, 0.5, 0.99, 1.01]))
+    length += draw(st.sampled_from([0, MAX_CYCLE_PERIOD + 3]))
+    noise = CYCLE_TOL * draw(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0]))
     noisy = draw(st.lists(st.booleans(), min_size=length, max_size=length))
     breaks = draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=2))
     tail = [
         base + swing * pattern[i % p] + noise * bump + (1.0 if i in breaks else 0.0)
         for i, bump in enumerate(noisy)
     ]
-    return prefix + tail
+    thetas = prefix + tail
+    repeats = st.tuples(st.integers(0, len(thetas) - 1), st.integers(1, MAX_CYCLE_PERIOD + 2))
+    for i, back in draw(st.lists(repeats, max_size=3)):
+        if i >= back:
+            thetas[i] = thetas[i - back]
+    return thetas
 
 
 @settings(max_examples=300, deadline=None)
 @given(thetas=theta_sequences())
+# A period-50 cycle, whose only pairs are the oldest thresholds of the window;
+# a period-2 cycle at 1e12, where an ulp exceeds CYCLE_TOL and only equal
+# thresholds pair; and pairs exactly CYCLE_TOL and 2 * CYCLE_TOL apart.
+@example(thetas=[float(i % MAX_CYCLE_PERIOD) for i in range(3 * MAX_CYCLE_PERIOD + 5)])
+@example(thetas=[1e12 + (i % 2) * 2.0**-13 for i in range(12)])
+@example(thetas=[(i % 2) * CYCLE_MIN_AMPLITUDE + (i % 4 == 0) * CYCLE_TOL for i in range(16)])
+@example(thetas=[(i % 2) * CYCLE_MIN_AMPLITUDE + (i % 4 == 0) * 2 * CYCLE_TOL for i in range(16)])
 def test_cycle_detector_matches_the_rescan(thetas):
     detector = _CycleDetector(thetas[0])
     for n in range(2, len(thetas) + 1):

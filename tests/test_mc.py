@@ -27,7 +27,6 @@ from stratselect.model import (
     GameConfig,
     GroupOutcome,
     GroupParams,
-    GroupView,
     correlation_coefficient,
     effective_groups,
     posterior_variance,

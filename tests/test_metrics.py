@@ -4,12 +4,14 @@ import math
 import pytest
 
 from stratselect.equilibrium import solve_demographic_parity, solve_unconstrained
+from stratselect.kernel import normal_cdf
 from stratselect.mc import mc_selection_quality
 from stratselect.metrics import (
     AmbiguousRegime,
     DegenerateVariance,
     SubcriticalityViolated,
     asymptotic_predictions,
+    mean_and_selection_rate,
     ordered_pair,
     quality_from_outcomes,
     selection_quality,
@@ -47,6 +49,24 @@ class TestAverages:
         expected = 0.5 * selection_rate(EffortDistribution.point(0.0), 1.0, view) + \
             0.5 * selection_rate(EffortDistribution.point(2.0), 1.0, view)
         assert selection_rate(d, 1.0, view) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("support", [
+        ((1.3, 1.0),),
+        ((0.0, 0.5), (2.0, 0.5)),
+        ((1e-3, 0.1), (0.3, 0.2), (7.1, 0.7)),
+        ((0.7, 0.3), (0.2, 0.3), (5.5, 0.2), (1e6, 0.2)),
+    ])
+    def test_mean_and_rate_in_one_pass_are_the_two_sums(self, support):
+        # The dynamics CSV writes these bytes: each sum runs left to right
+        # from 0, as strategy.mean() and the rate always have.
+        view = GroupView("A", 1.0, 1.0, 0.7)
+        d = EffortDistribution(support)
+        for theta in (-2.0, 0.0, 1.3, 4.25):
+            rate = 0
+            for m, w in d.support:
+                rate += w * normal_cdf((m - theta) / view.sigma)
+            assert mean_and_selection_rate(d, theta, view) == (d.mean(), rate)
+            assert selection_rate(d, theta, view) == rate
 
 
 class TestSelectionQuality:

@@ -73,9 +73,8 @@ def test_tracer_counts_the_stationary_points():
     # nothing else: one root, counted with its evaluations.  The tracer
     # finds the modules it wraps among those the CLI loads.
     from stratselect import cli  # noqa: F401
+    import stratselect.best_response as best_response
     from stratselect.model import GroupView
-
-    best_response = importlib.import_module("stratselect.best_response")
 
     group = GroupView("A", 1.0, 1.0, 1.0)
     tracer = load_tracing().Tracer()
